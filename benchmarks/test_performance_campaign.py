@@ -2,9 +2,9 @@
 
 Not a paper figure — this times a reduced gain-matrix campaign (a 5x5
 device sub-matrix, 25 independent lifetime jobs) three ways: serial
-in-process, through a 2-worker process pool, and a warm-cache re-run.
-Pool speedup depends on host core count (single-core CI boxes will see
-pool overhead instead), so only the cache invariants are asserted: a warm
+in-process, on a 2-worker fleet, and a warm-cache re-run.  The fleet's
+speedup depends on host core count (single-core CI boxes will see its
+overhead instead), so only the cache invariants are asserted: a warm
 run must execute zero jobs and beat the cold run's wall time outright.
 """
 

@@ -142,6 +142,7 @@ def _campaign_config(args: argparse.Namespace, seed: int = 0):
         campaign_seed=seed,
         resume=getattr(args, "resume", False),
         max_failures=getattr(args, "max_failures", None),
+        timeout_s=getattr(args, "lease_s", None),
     )
 
 
@@ -149,8 +150,8 @@ def _summarize_engine_runs(manifest_path: Path | None) -> None:
     """Merge manifests of the campaigns the exporters just ran, print a
     one-line summary, and optionally persist the merged manifest (with
     per-run resume lineage)."""
-    from .analysis.export import write_campaign_manifest
     from .runtime import drain_manifests
+    from .runtime.progress import write_campaign_manifest
 
     merged = write_campaign_manifest(manifest_path, drain_manifests())
     if merged is None:
@@ -196,8 +197,8 @@ def _fault_profile(value: str) -> str:
 
 
 def _shard_config(args: argparse.Namespace):
-    """Resolve ``--shards/--workers/--lease-s`` into a :class:`ShardConfig`,
-    or ``None`` when neither sharding flag was given."""
+    """Resolve ``--shards/--workers`` into a :class:`ShardConfig`, or
+    ``None`` when neither sharding flag was given."""
     import os
 
     from .runtime import ShardConfig
@@ -206,7 +207,7 @@ def _shard_config(args: argparse.Namespace):
         return None
     workers = args.workers or min(args.shards, os.cpu_count() or 1)
     shards = args.shards or 2 * workers
-    return ShardConfig(shards=shards, workers=workers, lease_s=args.lease_s)
+    return ShardConfig(shards=shards, workers=workers)
 
 
 def _shard_progress_printer():
@@ -225,9 +226,9 @@ def _shard_progress_printer():
 
 
 def _run_campaign_command(args: argparse.Namespace) -> int:
-    from .analysis.export import write_campaign_manifest
     from .experiments import campaignable_ids
     from .runtime import drain_manifests, run_campaign, write_results_manifest
+    from .runtime.progress import write_campaign_manifest
     from .runtime.shard import run_sharded_campaign
     from .runtime.workloads import campaign_specs
 
@@ -463,13 +464,14 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="spawn N shard-worker processes that lease, run and steal "
-        "shards (default: min(shards, CPUs)); needs --cache-dir",
+        help="fork N worker processes that lease, run and steal shards "
+        "(default: min(shards, CPUs)); needs --cache-dir",
     )
     parser.add_argument(
         "--lease-s", type=float, default=30.0, metavar="S",
-        help="shard lease duration in seconds; a lease this stale is "
-        "stealable by a surviving worker (default 30)",
+        help="job lease in seconds for --jobs/--shards runs: a job still "
+        "running this long is presumed hung and another worker re-runs "
+        "it (default 30)",
     )
 
 
@@ -620,20 +622,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_campaign_flags(campaign)
     _add_shard_flags(campaign)
     _add_backend_flag(campaign)
-    shard_worker = subparsers.add_parser(
-        "shard-worker",
-        help="internal: one shard-worker process (spawned by "
-        "campaign/deploy --workers; leases shards from the plan's "
-        "journals until none remain)",
-    )
-    shard_worker.add_argument(
-        "--plan", type=Path, required=True, metavar="PATH",
-        help="shard plan JSON written by the coordinator",
-    )
-    shard_worker.add_argument(
-        "--worker-id", required=True, metavar="NAME",
-        help="stable worker identity recorded in lease records",
-    )
     deploy = subparsers.add_parser(
         "deploy",
         help="simulate a city-scale deployment scenario: partition into "
@@ -701,30 +689,19 @@ def main(argv: list[str] | None = None) -> int:
         return _faults(args)
     if args.command == "campaign":
         return _run_campaign_command(args)
-    if args.command == "shard-worker":
-        from .runtime import run_shard_worker
-
-        return run_shard_worker(args.plan, args.worker_id)
     if args.command == "deploy":
         return _run_deploy_command(args)
 
-    from .analysis.export import export_all, export_experiment
+    from .experiments import ExportOptions, export_all, export_experiment
     from .runtime import drain_manifests
 
-    config = _campaign_config(args)
+    options = ExportOptions(campaign=_campaign_config(args), backend=args.backend)
     drain_manifests()
     if args.experiment == "all":
-        for path in export_all(
-            args.directory, campaign=config, backend=args.backend
-        ):
+        for path in export_all(args.directory, options):
             print(path)
     else:
-        print(
-            export_experiment(
-                args.experiment, args.directory,
-                campaign=config, backend=args.backend,
-            )
-        )
+        print(export_experiment(args.experiment, args.directory, options))
     manifest_path = (
         args.directory / "campaign_manifest.json"
         if args.cache_dir is not None

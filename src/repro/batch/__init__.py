@@ -23,7 +23,7 @@ The contract (DESIGN.md §12):
 ``tests/batch/`` cross-validates randomized grids through both backends.
 """
 
-from .backend import BACKENDS, resolve_backend
+from ..experiments.backends import BACKENDS, resolve_backend
 from .grid import (
     distance_gain_curve_grid,
     gain_matrix_grid,

@@ -3,16 +3,16 @@
 Each region of the partitioned scenario becomes one ``"deploy.region"``
 :class:`~repro.runtime.jobs.JobSpec` carrying the *entire* scenario JSON
 plus its region index — workers re-derive the partition (a pure function
-of the spec) and simulate their slice.  The jobs ride the full PR-1/PR-5
-runtime: process pool, content-addressed result cache, write-ahead
+of the spec) and simulate their slice.  The jobs ride the full campaign
+runtime: worker fleet, content-addressed result cache, write-ahead
 journal, crash-safe ``--resume``.
 
 The merge is deterministic by construction: region reports are keyed by
 region index (not completion order), every random stream inside a region
 is content-addressed from the scenario fingerprint, and the merged
 manifest carries no wall-clock or host state.  Same fingerprint ⇒
-bit-identical manifest at any worker count, chunking, execution order or
-journal resume.
+bit-identical manifest at any worker count, shard layout, execution order
+or journal resume.
 """
 
 from __future__ import annotations
@@ -191,11 +191,10 @@ def run_deployment(
 ) -> DeploymentRun:
     """Partition, fan out, simulate and merge one scenario.
 
-    With ``shard_config`` the region jobs fan through the sharded
-    multi-worker path (:func:`repro.runtime.shard.run_sharded_campaign`)
-    instead of the in-process pool: region results flow between worker
-    processes through the checksum-verified cache, and the merged
-    deployment manifest is byte-identical either way.  A non-empty
+    With ``shard_config`` the region jobs run on a worker fleet of that
+    shape (:func:`repro.runtime.shard.run_sharded_campaign`) instead of
+    one derived from ``config.n_jobs``; the merged deployment manifest
+    is byte-identical either way.  A non-empty
     ``fault_plan`` arms every region's fault schedule (hub blackouts
     with failover, brownouts, churn storms, noise surges) and surfaces
     the degradation block in the manifest; ``None`` or an empty plan

@@ -418,7 +418,7 @@ def simulate_region(
     Unarmed (no plan, or an empty one) hubs share one
     :class:`~repro.core.regimes.LinkMap` (its availability cache is the
     hot path) and run sequentially on their own kernels — the
-    parallelism lever is *regions across the process pool*, not hubs
+    parallelism lever is *regions across worker processes*, not hubs
     within a region.  An empty :class:`~repro.faults.region.RegionFaultPlan`
     takes exactly this path, so it is bit-identical to a run with the
     fault machinery absent.

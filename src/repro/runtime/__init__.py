@@ -1,13 +1,13 @@
 """Parallel campaign engine.
 
 Fans embarrassingly-parallel simulation jobs (gain-matrix cells,
-distance-sweep points, Monte-Carlo samples) across worker processes with
-content-derived deterministic seeding, an on-disk result cache keyed by
-job fingerprint + calibration version (checksummed, with corruption
-quarantine), a write-ahead journal enabling crash-safe ``--resume``,
-hung-worker supervision, bounded retries and a structured run manifest.
-See DESIGN.md §3 for the module inventory and §10 for the durability
-contract.
+distance-sweep points, Monte-Carlo samples) across a fleet of forked
+worker processes that lease journaled shards, with content-derived
+deterministic seeding, an on-disk result cache keyed by job fingerprint
++ calibration version (checksummed, with corruption quarantine), a
+write-ahead journal enabling crash-safe ``--resume``, bounded retries
+and a structured run manifest.  See DESIGN.md §3 for the module
+inventory and §10 for the executor contract.
 """
 
 from .cache import ResultCache, calibration_fingerprint
@@ -36,7 +36,6 @@ from .shard import (
     partition_shards,
     replay_shard_journal,
     results_manifest,
-    run_shard_worker,
     run_sharded_campaign,
     write_results_manifest,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "replay_shard_journal",
     "results_manifest",
     "run_campaign",
-    "run_shard_worker",
     "run_sharded_campaign",
     "write_results_manifest",
 ]

@@ -139,12 +139,12 @@ class ResultCache:
             except OSError:
                 pass
 
-    def _verified_entry(self, path: Path) -> "dict | None":
+    def _verified_entry(self, path: Path) -> "tuple[dict, str] | None":
         """Load, validate and checksum one entry file.
 
-        Returns the metrics dict, or ``None`` after quarantining the file
-        (corruption) or on a benign miss (absent file, calibration
-        mismatch).
+        Returns the metrics dict and its checksum, or ``None`` after
+        quarantining the file (corruption) or on a benign miss (absent
+        file, calibration mismatch).
         """
         try:
             with path.open("r", encoding="utf-8") as handle:
@@ -185,7 +185,7 @@ class ResultCache:
         # not corruption: leave it in place for whoever keyed it.
         if entry.get("calibration") != self._calibration:
             return None
-        return metrics
+        return metrics, actual
 
     def get(self, spec: JobSpec) -> "dict | None":
         """Verified cached metrics for ``spec``, or ``None`` on miss.
@@ -193,7 +193,8 @@ class ResultCache:
         Corrupt entries (truncation, bit-rot, schema drift, checksum
         mismatch) are quarantined and count as misses; this never raises.
         """
-        return self._verified_entry(self._path(spec))
+        entry = self._verified_entry(self._path(spec))
+        return entry[0] if entry is not None else None
 
     def get_verified(self, spec: JobSpec, checksum: str) -> "dict | None":
         """Cached metrics for ``spec`` only if they hash to ``checksum``.
@@ -202,10 +203,10 @@ class ResultCache:
         what the journal recorded (e.g. an entry rewritten by a different
         run between crash and resume).
         """
-        metrics = self.get(spec)
-        if metrics is None or metrics_checksum(metrics) != checksum:
+        entry = self._verified_entry(self._path(spec))
+        if entry is None or entry[1] != checksum:
             return None
-        return metrics
+        return entry[0]
 
     def put(self, spec: JobSpec, metrics: dict) -> Path:
         """Store ``metrics`` for ``spec`` atomically; returns the path."""

@@ -12,49 +12,46 @@ per spec, in submission order.  Execution strategy:
   cached campaign gets one by default) every dispatch/done/failed
   transition is fsync'd to an append-only JSONL file *before* the next
   state change, so a SIGKILL mid-sweep loses at most the in-flight jobs;
-* **process pool** — remaining jobs are chunked and dispatched to a
-  ``ProcessPoolExecutor`` when ``n_jobs > 1``, with a per-job timeout
-  budget applied per chunk;
-* **worker supervision** — workers heartbeat between jobs; if the whole
-  pool stalls for ``hang_timeout_s`` the watchdog terminates it, salvages
-  every completed future, and rebuilds the pool (once per
-  ``pool_rebuilds``, with exponential backoff) for the unfinished chunks;
-* **bounded retry** — chunks that time out or die, and jobs that raise,
-  are retried serially in-process with exponential backoff, up to
-  ``max_retries`` extra attempts; ``max_failures`` turns a failure storm
-  into an early abort;
-* **graceful degradation** — if the pool cannot be created at all (some
-  sandboxes forbid semaphores) the whole campaign transparently runs
-  serially;
+* **worker fleet** — with ``n_jobs > 1`` the remaining jobs are dealt
+  into ``min(pending, 4 * n_jobs)`` shards that ``n_jobs`` forked
+  workers lease, run and steal through per-shard journals
+  (:mod:`repro.runtime.shard`).  ``timeout_s`` is the job lease: a job
+  still running when it runs out is presumed hung and a live worker
+  re-runs it.  A dead worker's shard is released at once, and if no
+  worker can start the coordinator drains the shards in-process;
+* **bounded retry** — jobs that raise are retried in place with
+  exponential backoff, up to ``max_retries`` extra attempts (an attempt
+  lost to a dead or hung worker counts); ``max_failures`` turns a
+  failure storm into an early abort;
 * **signal safety** — SIGINT/SIGTERM are journaled as an interruption
   and the partial manifest is flushed before the exception propagates.
 
 Because every job's RNG derives from (campaign seed, spec fingerprint)
 (:mod:`repro.runtime.seeding`), outcomes are bit-identical whatever the
-worker count, chunking, execution order — or how many times the campaign
-was killed and resumed along the way.  See DESIGN.md §10 for the
-durability contract.
+worker count, shard layout, execution order — or how many times the
+campaign was killed and resumed along the way.  See DESIGN.md §10 for
+the executor contract.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .cache import ResultCache, calibration_fingerprint
 from .jobs import JobSpec, job_runner
 from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
 from .progress import CampaignProgress, RunManifest
 from .seeding import job_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .shard import ShardConfig
 
 #: Journal subdirectory created under the cache directory by default.
 JOURNAL_SUBDIR = "journal"
@@ -66,13 +63,13 @@ class CampaignConfig:
 
     Attributes:
         n_jobs: worker processes; 1 means in-process serial execution.
-        timeout_s: per-job wall-time budget (pool mode only; pooled chunks
-            get ``len(chunk) * timeout_s``).  ``None`` disables timeouts.
+        timeout_s: the job lease of the worker fleet (``n_jobs > 1`` or a
+            sharded run): a job still running this long after it started
+            is presumed hung, and a live worker (or the coordinator)
+            re-runs it, the overrun counting as one attempt.  ``None``
+            never presumes a job hung.  Serial runs ignore it.
         max_retries: extra attempts after a job's first failure.
-        backoff_s: base of the exponential retry (and pool-rebuild)
-            backoff.
-        chunk_size: jobs per pool task; defaults to an even split across
-            ``4 * n_jobs`` chunks.
+        backoff_s: base of the exponential retry backoff.
         campaign_seed: root seed for per-job RNG derivation.
         cache_dir: result-cache directory, or ``None`` for no caching.
         use_cache: when ``False`` the cache is neither read nor written
@@ -85,26 +82,18 @@ class CampaignConfig:
         max_failures: abort the campaign once this many jobs have failed
             (remaining jobs settle as failed without running); ``None``
             disables the bound.
-        hang_timeout_s: pool watchdog — if no future completes and no
-            worker heartbeats for this long, the pool is declared hung,
-            terminated and rebuilt.  ``None`` disables the watchdog.
-        pool_rebuilds: how many times a hung pool may be rebuilt before
-            its unfinished jobs fall back to serial execution.
     """
 
     n_jobs: int = 1
     timeout_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    chunk_size: int | None = None
     campaign_seed: int = 0
     cache_dir: Path | str | None = None
     use_cache: bool = True
     journal_dir: Path | str | None = None
     resume: bool = False
     max_failures: int | None = None
-    hang_timeout_s: float | None = None
-    pool_rebuilds: int = 1
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
@@ -115,19 +104,9 @@ class CampaignConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.backoff_s < 0.0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff_s!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {self.max_failures!r}"
-            )
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0.0:
-            raise ValueError(
-                f"hang_timeout must be positive, got {self.hang_timeout_s!r}"
-            )
-        if self.pool_rebuilds < 0:
-            raise ValueError(
-                f"pool_rebuilds must be >= 0, got {self.pool_rebuilds!r}"
             )
 
     def serial(self) -> "CampaignConfig":
@@ -153,7 +132,8 @@ class JobOutcome:
             ``"resumed"`` (journal replay verified against the cache).
         metrics: runner output (``None`` when failed).
         error: last error string when failed.
-        attempts: executions performed (0 for cache/resume hits).
+        attempts: executions performed, including attempts lost to a
+            dead or hung worker (0 for cache/resume hits).
         duration_s: execution time of the last attempt (0 for cache hits).
     """
 
@@ -338,7 +318,7 @@ class _SignalGuard:
 
 
 # --------------------------------------------------------------------------
-# Worker entry points.
+# Running and settling one job.
 
 
 def execute_job(spec: JobSpec, campaign_seed: int = 0) -> dict:
@@ -352,47 +332,82 @@ def execute_job(spec: JobSpec, campaign_seed: int = 0) -> dict:
     return runner(spec, job_rng(spec, campaign_seed))
 
 
-def _touch_heartbeat(heartbeat_dir: "str | None") -> None:
-    if not heartbeat_dir:
-        return
-    try:
-        path = os.path.join(heartbeat_dir, f"{os.getpid()}.hb")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"{time.time():.6f}\n")
-    except OSError:  # pragma: no cover - heartbeat loss must never kill a job
-        pass
+def run_job(spec: JobSpec, config: CampaignConfig, lost: int = 0) -> JobOutcome:
+    """Run one job with bounded retry and exponential backoff.
 
-
-def _execute_chunk(
-    specs: list[JobSpec],
-    campaign_seed: int,
-    heartbeat_dir: "str | None" = None,
-) -> list[tuple[str, object, float]]:
-    """Worker entry point: run a chunk, never raising per-job errors.
-
-    Returns one ``(status, payload, duration_s)`` triple per spec, where
-    payload is the metrics dict on ``"ok"`` and the error string on
-    ``"error"``.  Between jobs the worker touches a per-PID heartbeat
-    file so the coordinator's watchdog can tell *hung* from *busy*.
+    The one retry loop: serial runs and fleet workers both call it.
+    ``lost`` counts attempts a dead or hung worker already spent on the
+    job; they come out of the same ``max_retries`` budget, so a job that
+    keeps killing or hanging its workers ends up failed.
     """
-    results: list[tuple[str, object, float]] = []
-    for spec in specs:
-        _touch_heartbeat(heartbeat_dir)
+    attempts = lost
+    error = f"presumed hung: {lost} attempt(s) lost to dead or overrunning workers"
+    duration = 0.0
+    while attempts <= config.max_retries:
+        if attempts > 0 and config.backoff_s > 0.0:
+            time.sleep(config.backoff_s * (2.0 ** (attempts - 1)))
+        attempts += 1
         started = time.perf_counter()
         try:
-            metrics = execute_job(spec, campaign_seed)
-        except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-            results.append(
-                ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - started)
-            )
+            metrics = execute_job(spec, config.campaign_seed)
+        except Exception as exc:  # noqa: BLE001 - retried then reported
+            error = f"{type(exc).__name__}: {exc}"
+            duration = time.perf_counter() - started
         else:
-            results.append(("ok", metrics, time.perf_counter() - started))
-    _touch_heartbeat(heartbeat_dir)
-    return results
+            return JobOutcome(
+                spec=spec,
+                status="completed",
+                metrics=metrics if isinstance(metrics, dict) else {"value": metrics},
+                attempts=attempts,
+                duration_s=time.perf_counter() - started,
+            )
+    return JobOutcome(
+        spec=spec,
+        status="failed",
+        metrics=None,
+        error=error,
+        attempts=attempts,
+        duration_s=duration,
+    )
 
 
-def _chunked(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _commit(
+    outcome: JobOutcome,
+    cache: "ResultCache | None",
+    journals: "Iterable[CampaignJournal]",
+) -> None:
+    """Persist a fresh outcome: the result to the cache first, then its
+    terminal record to every journal."""
+    spec = outcome.spec
+    if outcome.metrics is not None:
+        if cache is not None:
+            cache.put(spec, outcome.metrics)
+        checksum = metrics_checksum(outcome.metrics)
+        for journal in journals:
+            journal.done(spec, checksum, outcome.attempts, outcome.duration_s)
+    else:
+        for journal in journals:
+            journal.failed(
+                spec, outcome.error or "", outcome.attempts, outcome.duration_s
+            )
+
+
+def _settle(
+    index: int,
+    outcome: JobOutcome,
+    progress: CampaignProgress,
+    outcomes: "dict[int, JobOutcome]",
+    ledger: _FailureLedger,
+) -> None:
+    """Account one job's final outcome in the campaign's books."""
+    outcomes[index] = outcome
+    if outcome.ok:
+        ledger.success(outcome.spec.fingerprint())
+    else:
+        ledger.failure(outcome.spec.fingerprint())
+    progress.record(
+        outcome.spec.kind, outcome.status, retries=max(outcome.attempts - 1, 0)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +430,21 @@ def run_campaign(
             remainder.  Resumed results are bit-identical to an
             uninterrupted run (content-derived seeding).
     """
+    return _execute(specs, config, resume)
+
+
+def _execute(
+    specs: "list[JobSpec] | tuple[JobSpec, ...]",
+    config: "CampaignConfig | None",
+    resume: "bool | None",
+    fleet: "ShardConfig | None" = None,
+    on_progress=None,
+) -> CampaignResult:
+    """The executor behind :func:`run_campaign` and
+    :func:`~repro.runtime.shard.run_sharded_campaign`: pre-pass, then
+    the pending jobs in-process or on the worker fleet (``fleet`` is a
+    :class:`~repro.runtime.shard.ShardConfig`; ``n_jobs > 1`` derives
+    one), then the manifest."""
     config = config if config is not None else CampaignConfig()
     do_resume = config.resume if resume is None else bool(resume)
     specs = list(specs)
@@ -452,23 +482,33 @@ def run_campaign(
     outcomes: dict[int, JobOutcome] = {}
     pending: list[tuple[int, JobSpec]] = []
     for index, spec in enumerate(specs):
+        hit = None
+        status = "cached"
         if replay is not None:
             checksum = replay.done.get(spec.fingerprint())
             if checksum is not None:
                 hit = cache.get_verified(spec, checksum)  # type: ignore[union-attr]
-                if hit is not None:
-                    outcomes[index] = JobOutcome(spec=spec, status="resumed", metrics=hit)
-                    progress.record(spec.kind, "resumed")
-                    ledger.success(spec.fingerprint())
-                    continue
-        hit = cache.get(spec) if cache is not None else None
-        if hit is not None:
-            outcomes[index] = JobOutcome(spec=spec, status="cached", metrics=hit)
-            progress.record(spec.kind, "cached")
-            ledger.success(spec.fingerprint())
-        else:
+                status = "resumed"
+        if hit is None and cache is not None:
+            hit, status = cache.get(spec), "cached"
+        if hit is None:
             pending.append((index, spec))
+        else:
+            outcome = JobOutcome(spec=spec, status=status, metrics=hit)
+            _settle(index, outcome, progress, outcomes, ledger)
 
+    # An ``n_jobs`` fleet is an execution detail: its run manifest keeps
+    # the shape of a serial run's; only an explicitly shaped fleet
+    # reports its fields.
+    explicit = fleet is not None
+    if fleet is None and config.n_jobs > 1 and pending:
+        from .shard import ShardConfig
+
+        fleet = ShardConfig(
+            shards=min(len(pending), 4 * config.n_jobs), workers=config.n_jobs
+        )
+    report: "dict[str, int]" = {}
+    aborted = False
     guard = _SignalGuard()
     try:
         with guard:
@@ -476,15 +516,22 @@ def run_campaign(
                 journal.begin(len(specs), config.campaign_seed, calibration)
                 for _, spec in pending:
                     journal.dispatched(spec)
-            leftovers: list = pending
-            if pending and config.n_jobs > 1:
-                leftovers = _run_pooled(
-                    pending, config, cache, progress, outcomes, journal, ledger
+            if pending and fleet is not None:
+                from .shard import run_fleet
+
+                shards, steals, aborted = run_fleet(
+                    pending, config, fleet, cache, journal, campaign_fp,
+                    progress, outcomes, ledger, on_progress,
                 )
-            if leftovers:
-                _run_serial(
-                    leftovers, config, cache, progress, outcomes, journal, ledger
-                )
+                if explicit:
+                    report = {
+                        "n_jobs": fleet.workers,
+                        "shards": shards,
+                        "workers": fleet.workers,
+                        "steals": steals,
+                    }
+            else:
+                _run_serial(pending, config, cache, progress, outcomes, journal, ledger)
     except (KeyboardInterrupt, SystemExit) as exc:
         # Journal the interruption and flush the partial manifest so the
         # settled prefix is recoverable, then let the signal win.
@@ -509,7 +556,7 @@ def run_campaign(
 
     manifest = _finalize_manifest(
         progress, config, calibration, campaign_fp, journal, outcomes, len(specs),
-        interrupted=False,
+        interrupted=aborted, **report,
     )
     _record_manifest(slot, manifest)
     return CampaignResult(
@@ -527,10 +574,12 @@ def _finalize_manifest(
     outcomes: "dict[int, JobOutcome]",
     total: int,
     interrupted: bool,
+    **fleet: int,
 ) -> RunManifest:
-    """Freeze progress into a manifest, merging any energy breakdowns."""
+    """Freeze progress into a manifest, merging any energy breakdowns;
+    ``fleet`` overrides ``n_jobs`` and sets the fleet fields."""
     manifest = progress.manifest(
-        n_jobs=config.n_jobs,
+        **{"n_jobs": config.n_jobs, **fleet},
         calibration=calibration,
         campaign_seed=config.campaign_seed,
         campaign=campaign_fp,
@@ -557,277 +606,16 @@ def _finalize_manifest(
     return manifest
 
 
-def _settle(
-    index: int,
-    spec: JobSpec,
-    status: str,
-    payload: object,
-    attempts: int,
-    duration_s: float,
-    cache: ResultCache | None,
-    progress: CampaignProgress,
-    outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
-) -> None:
-    if status == "ok":
-        metrics = payload if isinstance(payload, dict) else {"value": payload}
-        if cache is not None:
-            cache.put(spec, metrics)
-        if journal is not None:
-            journal.done(spec, metrics_checksum(metrics))
-        if ledger is not None:
-            ledger.success(spec.fingerprint())
-        outcomes[index] = JobOutcome(
-            spec=spec,
-            status="completed",
-            metrics=metrics,
-            attempts=attempts,
-            duration_s=duration_s,
-        )
-        progress.record(spec.kind, "completed", retries=attempts - 1)
-    else:
-        error = str(payload)
-        if journal is not None:
-            journal.failed(spec, error)
-        if ledger is not None:
-            ledger.failure(spec.fingerprint())
-        outcomes[index] = JobOutcome(
-            spec=spec,
-            status="failed",
-            metrics=None,
-            error=error,
-            attempts=attempts,
-            duration_s=duration_s,
-        )
-        progress.record(spec.kind, "failed", retries=max(attempts - 1, 0))
-
-
-def _remove_heartbeat_dir(path: Path) -> None:
-    """Remove a heartbeat directory after its writers are gone.
-
-    A worker caught between the sweep's scandir and the final rmdir can
-    still drop a last ``.hb`` file; retry briefly so the tree never
-    outlives the campaign.
-    """
-    for _ in range(5):
-        shutil.rmtree(path, ignore_errors=True)
-        if not path.exists():
-            return
-        time.sleep(0.02)
-    shutil.rmtree(path, ignore_errors=True)
-
-
-def _heartbeat_snapshot(heartbeat_dir: Path) -> "dict[str, int]":
-    """Current heartbeat files and their mtimes (ns), {} when unreadable."""
-    try:
-        return {
-            entry.name: entry.stat().st_mtime_ns
-            for entry in os.scandir(heartbeat_dir)
-            if entry.name.endswith(".hb")
-        }
-    except OSError:
-        return {}
-
-
-def _terminate_pool(pool) -> None:
-    """Hard-stop a (presumed hung) pool: SIGTERM workers, then clean up.
-
-    ``shutdown(wait=False)`` alone would leave hung workers alive and the
-    interpreter blocked on them at exit; terminating the processes first
-    guarantees the pool dies with the campaign, at the cost of reaching
-    into ``_processes`` (stable since 3.7).
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # noqa: BLE001 - already-dead workers
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.kill()
-        except Exception:  # noqa: BLE001
-            pass
-
-
-def _run_pooled(
-    pending: list[tuple[int, JobSpec]],
-    config: CampaignConfig,
-    cache: ResultCache | None,
-    progress: CampaignProgress,
-    outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
-) -> list:
-    """Dispatch ``pending`` through a supervised process pool.
-
-    Returns the jobs that still need serial attention (chunk-level
-    timeouts, worker crashes, per-job errors, hung-pool leftovers — each
-    retains one recorded attempt).  Never raises on pool failure: an
-    unusable pool leaves everything pending.
-
-    Supervision: a poll loop watches future completions, per-chunk
-    deadlines and worker heartbeat files.  When nothing progresses for
-    ``hang_timeout_s`` the pool is terminated, completed futures keep
-    their results, and unfinished chunks are resubmitted to a fresh pool
-    (``pool_rebuilds`` times, exponential backoff) before degrading to
-    serial execution.
-    """
-    import concurrent.futures as futures
-
-    chunk_size = config.chunk_size or max(
-        1, math.ceil(len(pending) / (config.n_jobs * 4))
-    )
-    chunks = _chunked(pending, chunk_size)
-    leftovers: list = []
-    rebuilds_left = config.pool_rebuilds
-
-    while chunks:
-        try:
-            pool = futures.ProcessPoolExecutor(max_workers=config.n_jobs)
-        except (OSError, PermissionError, ValueError):
-            # Sandbox without process support: degrade to serial, zero
-            # attempts burned.
-            for chunk in chunks:
-                leftovers.extend(chunk)
-            return leftovers
-
-        heartbeat_dir = Path(tempfile.mkdtemp(prefix="repro-heartbeat-"))
-        submitted: "dict[object, list[tuple[int, JobSpec]]]" = {}
-        deadlines: "dict[object, float]" = {}
-        hung = False
-        try:
-            for chunk in chunks:
-                future = pool.submit(
-                    _execute_chunk,
-                    [spec for _, spec in chunk],
-                    config.campaign_seed,
-                    str(heartbeat_dir),
-                )
-                submitted[future] = chunk
-
-            not_done = set(submitted)
-            heartbeats = _heartbeat_snapshot(heartbeat_dir)
-            last_progress = time.monotonic()
-            tick = 0.1
-            if config.hang_timeout_s is not None:
-                tick = min(tick, config.hang_timeout_s / 5.0)
-            while not_done:
-                done, not_done = futures.wait(
-                    not_done, timeout=tick, return_when=futures.FIRST_COMPLETED
-                )
-                now = time.monotonic()
-                if done:
-                    last_progress = now
-                for future in done:
-                    chunk = submitted.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        results = future.result()
-                    except Exception as exc:  # noqa: BLE001 - crash: retry serially
-                        reason = f"pool chunk failed: {type(exc).__name__}: {exc}"
-                        leftovers.extend(
-                            (index, spec, 1, reason) for index, spec in chunk
-                        )
-                        continue
-                    for (index, spec), (status, payload, duration) in zip(
-                        chunk, results
-                    ):
-                        if status == "ok":
-                            _settle(
-                                index, spec, "ok", payload, 1, duration, cache,
-                                progress, outcomes, journal, ledger,
-                            )
-                        else:
-                            leftovers.append((index, spec, 1, str(payload)))
-                # Per-chunk deadlines: the budget clock starts when the
-                # chunk begins *running* (queued chunks are not slow).
-                # An expired running chunk means a worker is stuck in a
-                # job — hang evidence, not just a deep queue.
-                if config.timeout_s is not None:
-                    for future in not_done:
-                        if future not in deadlines and future.running():
-                            deadlines[future] = (
-                                now + config.timeout_s * len(submitted[future])
-                            )
-                for future in [f for f in not_done if f in deadlines]:
-                    if now < deadlines[future]:
-                        continue
-                    chunk = submitted.pop(future)
-                    budget = config.timeout_s * len(chunk)  # type: ignore[operator]
-                    reason = f"pool chunk failed: timed out after {budget:.3f}s"
-                    leftovers.extend((index, spec, 1, reason) for index, spec in chunk)
-                    deadlines.pop(future)
-                    not_done.discard(future)
-                    if not future.cancel():
-                        hung = True
-                snapshot = _heartbeat_snapshot(heartbeat_dir)
-                if snapshot != heartbeats:
-                    heartbeats = snapshot
-                    last_progress = now
-                if (
-                    config.hang_timeout_s is not None
-                    and not_done
-                    and now - last_progress >= config.hang_timeout_s
-                ):
-                    hung = True
-                if hung:
-                    break
-
-            remaining = [submitted[future] for future in not_done]
-            for future in not_done:
-                future.cancel()
-        except BaseException:
-            # Interrupt/teardown path: don't leave hung workers alive.
-            _terminate_pool(pool)
-            _remove_heartbeat_dir(heartbeat_dir)
-            raise
-
-        if not hung:
-            pool.shutdown(wait=False, cancel_futures=True)
-            _remove_heartbeat_dir(heartbeat_dir)
-            return leftovers
-
-        # Workers must be dead before the heartbeat sweep: a live worker
-        # dropping one more ``.hb`` file mid-rmtree would silently leak
-        # the whole directory (ENOTEMPTY swallowed by ignore_errors).
-        _terminate_pool(pool)
-        _remove_heartbeat_dir(heartbeat_dir)
-        if rebuilds_left > 0 and remaining:
-            # Salvage completed futures (already settled above), back off
-            # exponentially, and give the unfinished chunks a fresh pool.
-            attempt = config.pool_rebuilds - rebuilds_left
-            if config.backoff_s > 0.0:
-                time.sleep(config.backoff_s * (2.0**attempt))
-            rebuilds_left -= 1
-            progress.record_pool_rebuild()
-            chunks = remaining
-            continue
-        for chunk in remaining:
-            leftovers.extend(
-                (index, spec, 1, "pool hung: no worker progress within "
-                 f"{config.hang_timeout_s}s and rebuild budget exhausted")
-                for index, spec in chunk
-            )
-        return leftovers
-
-    return leftovers
-
-
 def _run_serial(
-    pending: list,
+    pending: "list[tuple[int, JobSpec]]",
     config: CampaignConfig,
     cache: ResultCache | None,
     progress: CampaignProgress,
     outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
+    journal: "CampaignJournal | None",
+    ledger: _FailureLedger,
 ) -> None:
-    """Run jobs in-process with bounded retry and exponential backoff.
+    """Run jobs in-process, one after another.
 
     Honors ``config.max_failures`` through the failure ledger: once the
     campaign's *distinct* failed-job count — including failures journaled
@@ -835,44 +623,14 @@ def _run_serial(
     remaining job settles as failed without executing (bounded-failure
     early abort).
     """
-    ledger = ledger if ledger is not None else _FailureLedger(config.max_failures)
-    abort_error: "str | None" = None
-    if ledger.breached:
-        abort_error = ledger.abort_message()
-    for entry in pending:
-        index, spec = entry[0], entry[1]
-        attempts = entry[2] if len(entry) > 2 else 0
-        error = entry[3] if len(entry) > 3 else "not attempted"
+    journals = (journal,) if journal is not None else ()
+    abort_error = ledger.abort_message() if ledger.breached else None
+    for index, spec in pending:
         if abort_error is not None:
-            _settle(
-                index, spec, "error", abort_error, attempts, 0.0, cache, progress,
-                outcomes, journal, ledger,
-            )
-            continue
-        duration = 0.0
-        settled = False
-        while attempts <= config.max_retries:
-            if attempts > 0 and config.backoff_s > 0.0:
-                time.sleep(config.backoff_s * (2.0 ** (attempts - 1)))
-            attempts += 1
-            started = time.perf_counter()
-            try:
-                metrics = execute_job(spec, config.campaign_seed)
-            except Exception as exc:  # noqa: BLE001 - retried then reported
-                error = f"{type(exc).__name__}: {exc}"
-                duration = time.perf_counter() - started
-            else:
-                duration = time.perf_counter() - started
-                _settle(
-                    index, spec, "ok", metrics, attempts, duration, cache, progress,
-                    outcomes, journal, ledger,
-                )
-                settled = True
-                break
-        if not settled:
-            _settle(
-                index, spec, "error", error, attempts, duration, cache, progress,
-                outcomes, journal, ledger,
-            )
-            if ledger.breached:
-                abort_error = ledger.abort_message()
+            outcome = JobOutcome(spec=spec, status="failed", metrics=None, error=abort_error)
+        else:
+            outcome = run_job(spec, config)
+        _commit(outcome, cache, journals)
+        _settle(index, outcome, progress, outcomes, ledger)
+        if abort_error is None and ledger.breached:
+            abort_error = ledger.abort_message()

@@ -69,7 +69,9 @@ class JournalReplay:
             the journal is empty or unreadable).
         done: job fingerprint -> journaled result checksum.
         failed: job fingerprint -> last journaled error string.
-        dispatched: job fingerprints with a dispatch record (in-flight at
+        stats: job fingerprint -> (attempts, duration_s) of the record
+            that settled it.
+        dispatched: job fingerprint -> dispatch records (in-flight at
             crash time unless also in ``done``/``failed``).
         runs: number of ``begin`` records (resume attempts + 1).
         finished_runs: number of ``end`` records (runs that completed).
@@ -81,7 +83,8 @@ class JournalReplay:
     campaign: str = ""
     done: "dict[str, str]" = field(default_factory=dict)
     failed: "dict[str, str]" = field(default_factory=dict)
-    dispatched: "set[str]" = field(default_factory=set)
+    stats: "dict[str, tuple[int, float]]" = field(default_factory=dict)
+    dispatched: "dict[str, int]" = field(default_factory=dict)
     runs: int = 0
     finished_runs: int = 0
     interrupted: bool = False
@@ -89,20 +92,66 @@ class JournalReplay:
 
     def in_flight(self) -> "set[str]":
         """Jobs dispatched but never settled — lost to the crash."""
-        return self.dispatched - set(self.done) - set(self.failed)
+        return set(self.dispatched) - set(self.done) - set(self.failed)
+
+    def apply(self, record: "dict[str, object]") -> bool:
+        """Fold one record in; ``False`` for a record of unknown shape.
+
+        The first ``done`` record of a job wins (a job's results are
+        deterministic) and supersedes any ``failed`` one.
+        """
+        event = record.get("event")
+        job = record.get("job")
+        if event == "begin":
+            self.runs += 1
+            campaign = record.get("campaign")
+            if isinstance(campaign, str) and campaign:
+                self.campaign = campaign
+        elif event == "end":
+            self.finished_runs += 1
+        elif event == "interrupted":
+            self.interrupted = True
+        elif not isinstance(job, str):
+            return False
+        elif event == "dispatched":
+            self.dispatched[job] = self.dispatched.get(job, 0) + 1
+        elif event == "done":
+            if job not in self.done:
+                checksum = record.get("checksum")
+                self.done[job] = checksum if isinstance(checksum, str) else ""
+                self.stats[job] = _settle_stats(record)
+            self.failed.pop(job, None)
+        elif event == "failed":
+            if job not in self.done:
+                self.failed[job] = str(record.get("error", ""))
+                self.stats[job] = _settle_stats(record)
+        else:
+            return False
+        return True
 
 
-def replay_journal(path: "Path | str") -> JournalReplay:
-    """Parse a journal into a :class:`JournalReplay`.
+def _settle_stats(record: "dict[str, object]") -> "tuple[int, float]":
+    attempts = record.get("attempts")
+    duration = record.get("duration_s")
+    return (
+        attempts if isinstance(attempts, int) else 0,
+        float(duration) if isinstance(duration, (int, float)) else 0.0,
+    )
+
+
+def replay_journal(
+    path: "Path | str", replay: "JournalReplay | None" = None
+) -> JournalReplay:
+    """Parse a journal into ``replay`` (a fresh :class:`JournalReplay` by
+    default) and return it.
 
     Never raises: a missing file replays as empty, malformed lines (the
     crash-truncated tail, bit-rot) are counted and skipped, and a ``done``
     record supersedes an earlier ``failed`` one for the same job.
     """
-    replay = JournalReplay()
-    path = Path(path)
+    replay = replay if replay is not None else JournalReplay()
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError:
         return replay
     for line in text.splitlines():
@@ -111,32 +160,8 @@ def replay_journal(path: "Path | str") -> JournalReplay:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            replay.malformed_lines += 1
-            continue
-        if not isinstance(record, dict):
-            replay.malformed_lines += 1
-            continue
-        event = record.get("event")
-        job = record.get("job")
-        if event == "begin":
-            replay.runs += 1
-            campaign = record.get("campaign")
-            if isinstance(campaign, str) and campaign:
-                replay.campaign = campaign
-        elif event == "end":
-            replay.finished_runs += 1
-        elif event == "interrupted":
-            replay.interrupted = True
-        elif event == "dispatched" and isinstance(job, str):
-            replay.dispatched.add(job)
-        elif event == "done" and isinstance(job, str):
-            checksum = record.get("checksum")
-            replay.done[job] = checksum if isinstance(checksum, str) else ""
-            replay.failed.pop(job, None)
-        elif event == "failed" and isinstance(job, str):
-            if job not in replay.done:
-                replay.failed[job] = str(record.get("error", ""))
-        else:
+            record = None
+        if not isinstance(record, dict) or not replay.apply(record):
             replay.malformed_lines += 1
     return replay
 
@@ -148,11 +173,16 @@ class CampaignJournal:
         path: journal file (created on first append; parent directories
             are created as needed).
         campaign: campaign fingerprint stamped into every ``begin``.
+        fsync: ``fsync`` settling records; fleet workers' writers skip it
+            (DESIGN.md §10: their records share the kernel's writeback
+            window with the cache entries they describe, and the
+            coordinator's closing record flushes them).
     """
 
-    def __init__(self, path: "Path | str", campaign: str) -> None:
+    def __init__(self, path: "Path | str", campaign: str, fsync: bool = True) -> None:
         self._path = Path(path)
         self._campaign = campaign
+        self._fsync = fsync
         self._fd: "int | None" = None
 
     @property
@@ -178,7 +208,7 @@ class CampaignJournal:
             )
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         os.write(self._fd, line.encode("utf-8"))
-        if sync:
+        if sync and self._fsync:
             try:
                 os.fsync(self._fd)
             except OSError:  # pragma: no cover - fs without fsync support
@@ -209,8 +239,11 @@ class CampaignJournal:
             sync=False,
         )
 
-    def done(self, spec: JobSpec, checksum: str) -> None:
-        """``spec`` completed with a payload hashing to ``checksum``."""
+    def done(
+        self, spec: JobSpec, checksum: str, attempts: int = 1, duration_s: float = 0.0
+    ) -> None:
+        """``spec`` completed with a payload hashing to ``checksum``, on
+        attempt ``attempts`` after ``duration_s`` seconds."""
         self._append(
             {
                 "event": "done",
@@ -218,11 +251,16 @@ class CampaignJournal:
                 "kind": spec.kind,
                 "seed": spec.seed,
                 "checksum": checksum,
+                "attempts": attempts,
+                "duration_s": duration_s,
             }
         )
 
-    def failed(self, spec: JobSpec, error: str) -> None:
-        """``spec`` exhausted its retries."""
+    def failed(
+        self, spec: JobSpec, error: str, attempts: int = 1, duration_s: float = 0.0
+    ) -> None:
+        """``spec`` exhausted its retries (``attempts`` of them, the last
+        taking ``duration_s`` seconds)."""
         self._append(
             {
                 "event": "failed",
@@ -230,6 +268,8 @@ class CampaignJournal:
                 "kind": spec.kind,
                 "seed": spec.seed,
                 "error": error,
+                "attempts": attempts,
+                "duration_s": duration_s,
             }
         )
 

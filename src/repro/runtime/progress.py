@@ -24,7 +24,6 @@ class CampaignProgress:
     cached: int = 0
     resumed: int = 0
     retries: int = 0
-    pool_rebuilds: int = 0
     kinds: dict[str, int] = field(default_factory=dict)
     _started: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -46,10 +45,6 @@ class CampaignProgress:
             raise ValueError(f"unknown job status {status!r}")
         self.retries += retries
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
-
-    def record_pool_rebuild(self) -> None:
-        """Account one watchdog-triggered worker-pool rebuild."""
-        self.pool_rebuilds += 1
 
     @property
     def settled(self) -> int:
@@ -82,7 +77,6 @@ class CampaignProgress:
             cached=self.cached,
             resumed=self.resumed,
             retries=self.retries,
-            pool_rebuilds=self.pool_rebuilds,
             wall_time_s=wall,
             jobs_per_s=(executed / wall) if wall > 0.0 and executed else 0.0,
             n_jobs=n_jobs,
@@ -110,8 +104,6 @@ class RunManifest:
         resumed: jobs skipped via journal replay, each verified against
             the cache checksum the journal recorded (resume runs only).
         retries: extra attempts beyond each job's first.
-        pool_rebuilds: worker pools torn down and rebuilt by the hung
-            -worker watchdog.
         wall_time_s: campaign wall-clock time.
         jobs_per_s: executed jobs (completed + failed) per second.
         n_jobs: configured worker count.
@@ -127,10 +119,12 @@ class RunManifest:
         energy: merged ledger category totals (label -> joules) of jobs
             that reported an energy breakdown, or ``None`` when the
             campaign carried none (omitted from the JSON form).
-        shards: shard count of a sharded run (0 = unsharded; the shard
-            fields are then omitted from the JSON form).
-        workers: worker processes of a sharded run.
-        steals: expired leases picked up by a different worker.
+        shards: shards the worker fleet ran (0 = everything ran
+            in-process; the fleet fields are then omitted from the JSON
+            form).
+        workers: worker processes of the fleet.
+        steals: shards taken over from a worker that died or overran
+            its lease.
     """
 
     total: int
@@ -146,7 +140,6 @@ class RunManifest:
     kinds: dict[str, int]
     energy: "dict[str, float] | None" = None
     resumed: int = 0
-    pool_rebuilds: int = 0
     campaign: str = ""
     journal: "str | None" = None
     interrupted: bool = False
@@ -163,7 +156,6 @@ class RunManifest:
             "cached": self.cached,
             "resumed": self.resumed,
             "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
             "wall_time_s": round(self.wall_time_s, 6),
             "jobs_per_s": round(self.jobs_per_s, 3),
             "n_jobs": self.n_jobs,
@@ -228,7 +220,6 @@ class RunManifest:
             cached=sum(m.cached for m in manifests),
             resumed=sum(m.resumed for m in manifests),
             retries=sum(m.retries for m in manifests),
-            pool_rebuilds=sum(m.pool_rebuilds for m in manifests),
             wall_time_s=wall,
             jobs_per_s=(executed / wall) if wall > 0.0 and executed else 0.0,
             n_jobs=max(m.n_jobs for m in manifests),
@@ -240,6 +231,31 @@ class RunManifest:
             interrupted=any(m.interrupted for m in manifests),
             energy=energy,
         )
+
+
+def write_campaign_manifest(
+    path: "Path | None", manifests: "list[RunManifest]"
+) -> "RunManifest | None":
+    """Merge per-figure campaign manifests and persist them with lineage.
+
+    The written JSON carries the merged counters plus a ``runs`` list —
+    one record per underlying campaign with its content fingerprint,
+    journal path and resumed/interrupted state — so a manifest produced
+    by a killed-then-resumed sweep documents exactly how its numbers
+    were assembled.  Returns the merged manifest (``None`` when no
+    campaigns ran); with ``path=None`` nothing is written.
+    """
+    merged = RunManifest.merge(manifests)
+    if merged is None or path is None:
+        return merged
+    record = merged.to_dict()
+    record["runs"] = [m.to_dict() for m in manifests]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +362,7 @@ class ShardBoard:
             snapshot.done = done
             snapshot.failed = failed
             snapshot.in_flight = len(
-                state.dispatched  # type: ignore[attr-defined]
+                set(state.dispatched)  # type: ignore[attr-defined]
                 - set(state.done)  # type: ignore[attr-defined]
                 - set(state.failed)  # type: ignore[attr-defined]
             )

@@ -1,111 +1,125 @@
-"""Sharded multi-worker campaigns on the write-ahead-journal backbone.
+"""The worker fleet: sharded, lease-journaled campaign execution.
 
-A campaign's fingerprint-space is deterministically partitioned into K
-**shards**; N worker *processes* then race to *lease* shards through
-per-shard append-only journals.  Everything rides the PR-5 durability
-primitives — the shared result cache, checksummed ``done`` records, the
-crash-tolerant replay — so the coordinator adds coordination, never new
-persistence:
+Every campaign with ``n_jobs > 1`` — and every ``--shards K --workers N``
+run — executes here, after the executor's pre-pass (resume replay, then
+cache hits) has settled what it can.  The pending jobs are dealt into K
+**shards**, and N forked worker processes *lease* them through
+per-shard append-only journals.  Everything rides the durability
+primitives of the executor — the shared result cache, checksummed
+``done`` records, the crash-tolerant replay — so the fleet adds
+coordination, never new persistence:
 
 * **partition** — specs are ordered by content fingerprint and dealt
   round-robin into K shards, so the split depends only on the job set,
   never on submission order or worker count;
 * **leases** — a worker claims a shard by appending a ``lease`` record
-  (worker id, pid, wall-clock deadline, nonce) and re-reading the
-  journal: ``O_APPEND`` gives every contender the same total order, and
-  a claim is *granted* only if the previous granted lease was released,
-  renewed by the same worker, or already expired at the claim's
-  timestamp.  Both racers apply the same pure function to the same
-  bytes, so they agree on the winner without any other IPC;
-* **steal** — an expired lease is claimable by anyone: a SIGKILLed or
-  hung worker's shard is picked up by a survivor and *resumed from its
-  journal* — settled ``done`` records are verified against the cache and
-  never recomputed.  A worker that finishes its own shards steals the
-  in-flight shard with the most unsettled jobs past its deadline (the
-  straggler policy);
+  (worker id, pid, deadline, nonce) and re-reading the journal:
+  ``O_APPEND`` gives every contender the same total order, and a claim
+  is *granted* only if the previous granted lease was released, renewed
+  by the same worker, or already expired at the claim's timestamp.  Both
+  racers apply the same pure function to the same bytes, so they agree
+  on the winner without any other IPC;
+* **timeout = lease** — a worker renews its lease for ``timeout_s`` as
+  each job starts, so a job still running when the lease runs out is
+  presumed hung and its shard is claimable (``timeout_s=None`` leases
+  never expire).  The new holder resumes the shard from its journal:
+  settled jobs are never re-run, and the attempt the lost holder had in
+  flight counts toward the job's retry budget.  A worker that finishes
+  its own shards steals the expired shard with the most unsettled jobs;
+* **dead workers** — the coordinator blocks on its workers' exit; when
+  one dies it appends a ``release`` for the shard the dead worker held,
+  so a survivor (or the coordinator's in-process drain) takes it over at
+  once instead of after the lease;
 * **failure budgets** — each worker enforces the per-shard budget
-  (counting *distinct* failed jobs, including ones journaled by previous
-  holders) and journals an ``interrupted`` record on breach; the
-  coordinator enforces the global budget across all shard journals and
-  tears the fleet down cleanly, again with journaled ``interrupted``
-  records;
-* **merge** — the coordinator folds the shard journals back into one
-  :class:`~repro.runtime.executor.CampaignResult` in submission order,
-  reading every payload from the checksum-verified cache.  Because job
-  results are pure functions of (spec, campaign seed), the
-  :func:`results_manifest` of a sharded run is **byte-identical** to an
-  uninterrupted single-process run, whatever worker ran which shard or
-  how many steals happened along the way.
+  (distinct failed jobs, including ones journaled by previous holders)
+  and journals an ``interrupted`` record on breach; the coordinator
+  enforces the campaign's ``max_failures`` across all shard journals and
+  tears the fleet down, again with journaled ``interrupted`` records;
+* **merge** — the coordinator folds the shard journals back into the
+  campaign's outcomes in submission order, reading every payload from
+  the checksum-verified cache.  Because job results are pure functions
+  of (spec, campaign seed), the :func:`results_manifest` of a fleet run
+  is **byte-identical** to a single-process run, whatever worker ran
+  which shard or how many steals happened along the way.
 
-See DESIGN.md §14 for the full sharding contract.
+Workers also append their ``done``/``failed`` records to the campaign
+journal, which is what ``--resume`` replays.  See DESIGN.md §10 for the
+full executor contract.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
-import subprocess
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cache import ResultCache, calibration_fingerprint
+from .cache import ResultCache
 from .executor import (
     CampaignConfig,
     CampaignResult,
     JobOutcome,
-    _claim_manifest_slot,
-    _record_manifest,
+    _commit,
+    _execute,
+    _FailureLedger,
+    _settle,
     _SignalGuard,
-    execute_job,
+    run_job,
 )
 from .jobs import JobSpec
-from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
+from .journal import CampaignJournal, JournalReplay, metrics_checksum, replay_journal
 from .progress import CampaignProgress, ShardBoard
 
-#: Schema version of the shard plan / shard journal record extensions.
+if TYPE_CHECKING:  # pragma: no cover - imported where used, off the serial path
+    from concurrent.futures import Future
+    from multiprocessing.process import BaseProcess
+
+#: Schema version of the results manifest.
 SHARD_FORMAT = 1
 
-#: Subdirectory (under the journal dir) holding shard plans and journals.
+#: Subdirectory (under the journal dir) holding shard journals.
 SHARD_SUBDIR = "shards"
+
+#: Lease-holder name of the coordinator when it drains shards itself.
+DRAIN_WORKER = "coordinator"
 
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Knobs for one sharded campaign.
+    """Shape of the worker fleet of a sharded campaign.
+
+    The job lease is the campaign's ``timeout_s``
+    (:class:`~repro.runtime.executor.CampaignConfig`).
 
     Attributes:
-        shards: number of shards the fingerprint-space is split into
+        shards: number of shards the pending jobs are split into
             (clamped to the job count).
-        workers: worker processes the coordinator spawns.
-        lease_s: lease duration; a worker renews at job boundaries once
-            less than half of it remains, and a lease this stale is
-            stealable.  Must comfortably exceed the slowest single job.
-        poll_s: worker/coordinator journal polling tick.
+        workers: worker processes the coordinator forks.
+        poll_s: how often idle workers look for an expired lease to
+            steal, and the coordinator's tick while it counts failures
+            or reports progress.
         shard_max_failures: per-shard failure budget (distinct failed
             jobs, including ones journaled by previous lease holders);
             breach journals ``interrupted`` and abandons the shard.
-        preload: module names workers import before running jobs, so
-            campaigns over non-builtin job kinds can register their
-            runners in fresh worker interpreters.
     """
 
     shards: int = 2
     workers: int = 2
-    lease_s: float = 30.0
     poll_s: float = 0.05
     shard_max_failures: "int | None" = None
-    preload: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.lease_s <= 0.0:
-            raise ValueError(f"lease must be positive, got {self.lease_s!r}")
         if self.poll_s <= 0.0:
             raise ValueError(f"poll must be positive, got {self.poll_s!r}")
         if self.shard_max_failures is not None and self.shard_max_failures < 1:
@@ -134,12 +148,8 @@ def partition_shards(specs: "list[JobSpec]", n_shards: int) -> "list[list[int]]"
     return [shard for shard in shards if shard]
 
 
-# --------------------------------------------------------------------------
-# Shard plan: the on-disk contract between coordinator and workers.
-
-
 def shard_root(journal_dir: "Path | str", campaign: str) -> Path:
-    """Directory holding one campaign's shard plan and journals."""
+    """Directory holding one campaign's shard journals."""
     return Path(journal_dir) / SHARD_SUBDIR / campaign
 
 
@@ -150,89 +160,45 @@ def shard_journal_path(root: "Path | str", index: int) -> Path:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Everything a worker needs to run its slice of a campaign."""
+    """Everything a worker needs to run its slice of a campaign.
 
-    campaign: str
-    campaign_seed: int
-    calibration: str
-    cache_dir: str
+    Workers are forked, so the plan reaches them in memory.
+
+    Attributes:
+        specs: the pending jobs the fleet runs.
+        shards: indices into ``specs``, one tuple per shard.
+        root: directory of the shard journals.
+        cache: the result cache workers write and the merge reads.
+        journal: the campaign journal workers append terminal records
+            to, or ``None`` for an unjournaled campaign.
+        campaign: campaign fingerprint ("" when unjournaled).
+        config: the campaign's seed, retry, backoff and lease knobs.
+        fleet: the fleet's shape, polling tick and per-shard budget.
+        coordinator: pid of the coordinating process (the one that
+            builds the plan); a worker whose parent is no longer it stops
+            at the next job boundary.
+    """
+
     specs: tuple[JobSpec, ...]
     shards: tuple[tuple[int, ...], ...]
-    lease_s: float
-    poll_s: float
-    max_retries: int
-    backoff_s: float
-    shard_max_failures: "int | None"
-    preload: tuple[str, ...] = ()
+    root: Path
+    cache: ResultCache
+    journal: "Path | None"
+    campaign: str
+    config: CampaignConfig
+    fleet: ShardConfig
+    coordinator: int = field(default_factory=os.getpid)
+
+    @property
+    def lease_s(self) -> float:
+        """Lease duration (the job timeout); infinite without one."""
+        return self.config.timeout_s or math.inf
 
     def shard_specs(self, index: int) -> "list[tuple[int, JobSpec]]":
-        """(submission index, spec) members of one shard, in submission
-        order — the same order a single-process run would execute them."""
+        """(index, spec) members of one shard, in submission order — the
+        same order a single-process run would execute them."""
         members = sorted(self.shards[index])
         return [(i, self.specs[i]) for i in members]
-
-    def to_dict(self) -> "dict[str, object]":
-        return {
-            "format": SHARD_FORMAT,
-            "campaign": self.campaign,
-            "campaign_seed": self.campaign_seed,
-            "calibration": self.calibration,
-            "cache_dir": self.cache_dir,
-            "specs": [spec.to_dict() for spec in self.specs],
-            "shards": [list(shard) for shard in self.shards],
-            "lease_s": self.lease_s,
-            "poll_s": self.poll_s,
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-            "shard_max_failures": self.shard_max_failures,
-            "preload": list(self.preload),
-        }
-
-
-def write_shard_plan(path: "Path | str", plan: ShardPlan) -> Path:
-    """Atomically persist a plan (temp file + ``os.replace``)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(plan.to_dict(), sort_keys=True, indent=1)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    tmp.write_text(payload + "\n", encoding="utf-8")
-    os.replace(tmp, target)
-    return target
-
-
-def load_shard_plan(path: "Path | str") -> ShardPlan:
-    """Load and validate a plan written by :func:`write_shard_plan`.
-
-    Raises:
-        ValueError: on schema drift (wrong format, malformed fields) —
-            a worker must never run a plan it does not fully understand.
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-        raise ValueError(
-            f"shard plan {path} has format {data.get('format')!r}, "
-            f"expected {SHARD_FORMAT}"
-        )
-    specs = tuple(JobSpec.from_dict(entry) for entry in data["specs"])
-    shards = tuple(tuple(int(i) for i in shard) for shard in data["shards"])
-    covered = sorted(i for shard in shards for i in shard)
-    if covered != list(range(len(specs))):
-        raise ValueError(f"shard plan {path} does not cover every spec exactly once")
-    raw_budget = data.get("shard_max_failures")
-    return ShardPlan(
-        campaign=str(data["campaign"]),
-        campaign_seed=int(data["campaign_seed"]),
-        calibration=str(data["calibration"]),
-        cache_dir=str(data["cache_dir"]),
-        specs=specs,
-        shards=shards,
-        lease_s=float(data["lease_s"]),
-        poll_s=float(data["poll_s"]),
-        max_retries=int(data["max_retries"]),
-        backoff_s=float(data["backoff_s"]),
-        shard_max_failures=None if raw_budget is None else int(raw_budget),
-        preload=tuple(str(m) for m in data.get("preload", [])),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -240,46 +206,58 @@ def load_shard_plan(path: "Path | str") -> ShardPlan:
 
 
 class ShardJournal(CampaignJournal):
-    """Per-shard journal: job lifecycle records plus the lease protocol."""
+    """Per-shard journal: job lifecycle records plus the lease protocol.
+
+    Appends skip ``fsync``: these records coordinate live processes on
+    one host, and the campaign journal carries durability.
+    """
+
+    def __init__(self, path: "Path | str", campaign: str = "") -> None:
+        super().__init__(path, campaign, fsync=False)
 
     def lease(self, worker: str, now: float, deadline: float, nonce: str) -> None:
-        """Claim (or renew) this shard until ``deadline``."""
+        """Claim (or renew) this shard until ``deadline`` (``inf`` is
+        written as ``null``: a lease that never expires)."""
         self._append(
             {
                 "event": "lease",
                 "worker": worker,
                 "pid": os.getpid(),
                 "time": now,
-                "deadline": deadline,
+                "deadline": None if math.isinf(deadline) else deadline,
                 "nonce": nonce,
             }
         )
 
-    def release(self, worker: str, nonce: str) -> None:
-        """Voluntarily give the shard up (shard finished or abandoned)."""
-        self._append({"event": "release", "worker": worker, "nonce": nonce})
+    def release(self, worker: str, nonce: str, lost: bool = False) -> None:
+        """Give the shard up: voluntarily (finished or abandoned), or on
+        behalf of a dead ``worker`` (``lost``), which counts as a steal."""
+        record: "dict[str, object]" = {
+            "event": "release", "worker": worker, "nonce": nonce
+        }
+        if lost:
+            record["lost"] = True
+        self._append(record)
 
 
 @dataclass
-class ShardState:
-    """What one shard's journal says: settled jobs plus lease ownership.
+class ShardState(JournalReplay):
+    """What one shard's journal says: its jobs' records (with the same
+    torn-write tolerance as the campaign journal) plus lease ownership.
 
-    Replayed with the same torn-write tolerance as the campaign journal:
-    malformed lines (a crash-truncated tail, interleaved garbage) are
-    counted and skipped, and a settled ``done`` record is never dropped.
+    ``dispatched`` counts the holders that started each job, so a new
+    holder knows the attempts lost holders spent on it.
     """
 
-    done: "dict[str, str]" = field(default_factory=dict)
-    failed: "dict[str, str]" = field(default_factory=dict)
-    dispatched: "set[str]" = field(default_factory=set)
     holder: "str | None" = None
-    holder_pid: "int | None" = None
     deadline: float = 0.0
     nonce: str = ""
     steals: int = 0
-    finished: bool = False
-    interrupted: bool = False
-    malformed_lines: int = 0
+
+    @property
+    def finished(self) -> bool:
+        """Whether the shard journaled its ``end`` record."""
+        return self.finished_runs > 0
 
     def settled(self) -> "set[str]":
         """Jobs with a terminal record (``done`` wins over ``failed``)."""
@@ -293,83 +271,47 @@ class ShardState:
         """Whether a worker may claim this shard right now."""
         return not self.finished and not self.leased(now)
 
+    def apply(self, record: "dict[str, object]") -> bool:
+        """Fold one record in, running the lease grant rule: a claim is
+        granted iff the previous granted lease was released, belongs to
+        the same worker (renewal), or had already expired at the claim's
+        own timestamp."""
+        event = record.get("event")
+        if event == "lease":
+            worker = record.get("worker")
+            try:
+                claim_time = float(record.get("time", 0.0))  # type: ignore[arg-type]
+                raw = record.get("deadline", 0.0)
+                deadline = math.inf if raw is None else float(raw)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                return False
+            if not isinstance(worker, str) or not worker:
+                return False
+            if self.holder is None or self.holder == worker or self.deadline <= claim_time:
+                if self.holder is not None and self.holder != worker:
+                    self.steals += 1
+                self.holder = worker
+                self.deadline = deadline
+                self.nonce = str(record.get("nonce", ""))
+            return True
+        if event == "release":
+            if record.get("worker") == self.holder:
+                if record.get("lost") is True:
+                    self.steals += 1
+                self.holder, self.deadline, self.nonce = None, 0.0, ""
+            return True
+        return super().apply(record)
+
 
 def replay_shard_journal(path: "Path | str") -> ShardState:
     """Parse a shard journal into a :class:`ShardState`; never raises.
 
     The lease state machine is a pure function of the journal bytes:
     every reader sees the same ``O_APPEND`` total order, so contending
-    claimants independently agree on who holds the shard.  A claim is
-    granted iff the previous granted lease was released, belongs to the
-    same worker (renewal), or had already expired at the claim's own
-    timestamp.
+    claimants independently agree on who holds the shard.
     """
     state = ShardState()
-    try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return state
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            state.malformed_lines += 1
-            continue
-        if not isinstance(record, dict):
-            state.malformed_lines += 1
-            continue
-        event = record.get("event")
-        job = record.get("job")
-        if event == "lease":
-            worker = record.get("worker")
-            if not isinstance(worker, str) or not worker:
-                state.malformed_lines += 1
-                continue
-            try:
-                claim_time = float(record.get("time", 0.0))
-                deadline = float(record.get("deadline", 0.0))
-            except (TypeError, ValueError):
-                state.malformed_lines += 1
-                continue
-            granted = (
-                state.holder is None
-                or state.holder == worker
-                or state.deadline <= claim_time
-            )
-            if granted:
-                if state.holder is not None and state.holder != worker:
-                    state.steals += 1
-                state.holder = worker
-                state.holder_pid = (
-                    int(record["pid"]) if isinstance(record.get("pid"), int) else None
-                )
-                state.deadline = deadline
-                state.nonce = str(record.get("nonce", ""))
-        elif event == "release":
-            if record.get("worker") == state.holder:
-                state.holder = None
-                state.holder_pid = None
-                state.deadline = 0.0
-                state.nonce = ""
-        elif event == "dispatched" and isinstance(job, str):
-            state.dispatched.add(job)
-        elif event == "done" and isinstance(job, str):
-            checksum = record.get("checksum")
-            state.done[job] = checksum if isinstance(checksum, str) else ""
-            state.failed.pop(job, None)
-        elif event == "failed" and isinstance(job, str):
-            if job not in state.done:
-                state.failed[job] = str(record.get("error", ""))
-        elif event == "end":
-            state.finished = True
-        elif event == "interrupted":
-            state.interrupted = True
-        elif event == "begin":
-            pass
-        else:
-            state.malformed_lines += 1
+    replay_journal(path, state)
     return state
 
 
@@ -387,7 +329,7 @@ def claim_shard(
     state = replay_shard_journal(path)
     if state.finished or (state.leased(now) and state.holder != worker):
         return None
-    journal = ShardJournal(path, campaign="")
+    journal = ShardJournal(path)
     nonce = secrets.token_hex(8)
     journal.lease(worker, now, now + lease_s, nonce)
     confirmed = replay_shard_journal(path)
@@ -397,12 +339,32 @@ def claim_shard(
     return None
 
 
+def _replay(plan: ShardPlan, known: "dict[int, ShardState]") -> "dict[int, ShardState]":
+    """Every shard's state; shards already seen finished are not re-read."""
+    return {
+        index: (
+            known[index]
+            if index in known and known[index].finished
+            else replay_shard_journal(shard_journal_path(plan.root, index))
+        )
+        for index in range(len(plan.shards))
+    }
+
+
+def _release(journal: ShardJournal, worker: str) -> None:
+    """Release ``worker``'s lease if it still holds the shard; close."""
+    last = replay_shard_journal(journal.path)
+    if last.holder == worker:
+        journal.release(worker, last.nonce)
+    journal.close()
+
+
 # --------------------------------------------------------------------------
 # Worker.
 
 
 class _ShardAbort(Exception):
-    """Internal: the per-shard failure budget was breached."""
+    """Internal: a shard budget was breached or the coordinator is gone."""
 
 
 def _run_one_shard(
@@ -411,64 +373,78 @@ def _run_one_shard(
     worker: str,
     journal: ShardJournal,
     state: ShardState,
-    cache: ResultCache,
+    campaign_journal: "CampaignJournal | None",
 ) -> None:
-    """Execute one leased shard's unsettled jobs, renewing the lease.
+    """Execute one leased shard's unsettled jobs, renewing the lease as
+    each job starts.
 
-    Settled ``done`` records whose cache entry still verifies are never
-    recomputed; everything else runs with the executor's retry/backoff
-    semantics.  Raises :class:`_ShardAbort` after journaling an
-    ``interrupted`` record when the per-shard failure budget (distinct
-    failed jobs, including prior holders') is breached.
+    Settled jobs are never re-run (a ``done`` record counts only while
+    its cache entry still verifies); everything else runs through the
+    executor's retry loop, after the attempts lost holders spent on it.
+    Each result is persisted on a writer thread while the next job runs,
+    so file creation and ``fsync`` overlap compute.  A holder that
+    overran its lease leaves the shard if another worker took it over.
+    Raises :class:`_ShardAbort` after journaling an ``interrupted``
+    record when the per-shard failure budget (distinct failed jobs,
+    including prior holders') is breached, and when a worker finds its
+    coordinator gone.
     """
-    deadline = time.time() + plan.lease_s
-    failures = set(state.failed)
-    for _, spec in plan.shard_specs(index):
-        now = time.time()
-        if deadline - now < plan.lease_s / 2.0:
-            nonce = secrets.token_hex(8)
-            deadline = now + plan.lease_s
-            journal.lease(worker, now, deadline, nonce)
-        fingerprint = spec.fingerprint()
-        checksum = state.done.get(fingerprint)
-        if checksum is not None and cache.get_verified(spec, checksum) is not None:
-            continue
-        hit = cache.get(spec)
-        if hit is not None:
-            journal.done(spec, metrics_checksum(hit))
-            continue
-        if (
-            plan.shard_max_failures is not None
-            and len(failures) >= plan.shard_max_failures
-        ):
-            journal.interrupted(
-                f"shard {index} failure budget "
-                f"(shard_max_failures={plan.shard_max_failures}) exhausted",
-                len(state.settled()),
-            )
-            raise _ShardAbort(f"shard {index} aborted")
-        journal.dispatched(spec)
-        attempts = 0
-        error = "not attempted"
-        while attempts <= plan.max_retries:
-            if attempts > 0 and plan.backoff_s > 0.0:
-                time.sleep(plan.backoff_s * (2.0 ** (attempts - 1)))
-            attempts += 1
-            try:
-                metrics = execute_job(spec, plan.campaign_seed)
-            except Exception as exc:  # noqa: BLE001 - retried then journaled
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                cache.put(spec, metrics)
-                journal.done(spec, metrics_checksum(metrics))
-                failures.discard(fingerprint)
-                break
-        else:
-            journal.failed(spec, error)
-            failures.add(fingerprint)
+    from concurrent.futures import ThreadPoolExecutor
+
+    cache = plan.cache
+    budget = _FailureLedger(plan.fleet.shard_max_failures, prior=state.failed)
+    journals = (journal,) if campaign_journal is None else (journal, campaign_journal)
+    deadline = math.inf
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        persisting: "Future | None" = None
+
+        def persist(outcome: JobOutcome, to_cache: "ResultCache | None") -> None:
+            nonlocal persisting
+            if persisting is not None:
+                persisting.result()
+            persisting = writer.submit(_commit, outcome, to_cache, journals)
+
+        try:
+            for _, spec in plan.shard_specs(index):
+                fingerprint = spec.fingerprint()
+                checksum = state.done.get(fingerprint)
+                if checksum is not None and cache.get_verified(spec, checksum) is not None:
+                    continue
+                if fingerprint in state.failed:
+                    continue
+                if worker != DRAIN_WORKER and os.getppid() != plan.coordinator:
+                    raise _ShardAbort("coordinator gone")
+                now = time.time()
+                if now >= deadline and replay_shard_journal(journal.path).holder != worker:
+                    return  # taken over: the new holder finishes the shard
+                lost = state.dispatched.get(fingerprint, 0)
+                hit = cache.get(spec) if lost else None
+                if hit is not None:
+                    persist(JobOutcome(spec=spec, status="completed", metrics=hit), None)
+                    continue
+                if budget.breached:
+                    journal.interrupted(
+                        f"shard {index} failure budget "
+                        f"(shard_max_failures={plan.fleet.shard_max_failures}) exhausted",
+                        len(state.settled()),
+                    )
+                    raise _ShardAbort(f"shard {index} aborted")
+                if not math.isinf(plan.lease_s):
+                    deadline = now + plan.lease_s
+                    journal.lease(worker, now, deadline, secrets.token_hex(8))
+                journal.dispatched(spec)
+                outcome = run_job(spec, plan.config, lost)
+                persist(outcome, cache)
+                if outcome.ok:
+                    budget.success(fingerprint)
+                else:
+                    budget.failure(fingerprint)
+        finally:
+            if persisting is not None:
+                persisting.result()
     journal.end(
         completed=len(replay_shard_journal(journal.path).done),
-        failed=len(failures),
+        failed=len(budget.failed),
         skipped=0,
     )
 
@@ -490,11 +466,7 @@ def _pick_claimable(
     ]
     if unleased:
         return min(unleased)
-    expired = [
-        index
-        for index, state in states.items()
-        if state.claimable(now)
-    ]
+    expired = [index for index, state in states.items() if state.claimable(now)]
     if not expired:
         return None
     remaining = {
@@ -504,192 +476,341 @@ def _pick_claimable(
     return min(expired, key=lambda index: (-remaining[index], index))
 
 
-def run_shard_worker(plan_path: "Path | str", worker: str) -> int:
-    """Worker entry point: lease, run and steal shards until none remain.
+def run_shard_worker(plan: ShardPlan, worker: str) -> int:
+    """Worker loop: lease, run and steal shards until none remain.
 
-    Returns a process exit code: 0 when every shard is finished, 3 when
-    the worker stopped because a shard or campaign budget aborted the
-    run, 130/143 on SIGINT/SIGTERM (after journaling ``interrupted`` on
-    the currently-leased shard).
+    Without a lease timeout an idle worker has nothing to steal, so it
+    exits as soon as no shard is claimable.  Returns a process exit
+    code: 0 when done, 3 when the worker stopped because a shard or
+    campaign budget aborted the run or its coordinator is gone, 130/143
+    on SIGINT/SIGTERM.  A worker always releases the shard it leaves.
     """
-    plan = load_shard_plan(plan_path)
-    for module in plan.preload:
-        __import__(module)
-    if plan.calibration and plan.calibration != calibration_fingerprint():
-        print(
-            f"shard worker {worker}: calibration drift "
-            f"(plan {plan.calibration}, local {calibration_fingerprint()})",
-            file=sys.stderr,
-        )
-        return 2
-    cache = ResultCache(plan.cache_dir)
-    # Shard journals live next to the plan file, wherever that is — the
-    # plan path is the one piece of location state workers receive.
-    root = Path(plan_path).resolve().parent
-    current: "tuple[ShardJournal, int] | None" = None
-    guard = _SignalGuard()
-    aborted = False
+    campaign_journal = (
+        CampaignJournal(plan.journal, plan.campaign, fsync=False)
+        if plan.journal is not None
+        else None
+    )
+    states: "dict[int, ShardState]" = {}
     try:
-        with guard:
-            while True:
+        with _SignalGuard():
+            while os.getppid() == plan.coordinator:
                 now = time.time()
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
+                states = _replay(plan, states)
                 if all(state.finished for state in states.values()):
-                    break
+                    return 0
                 if any(state.interrupted for state in states.values()):
-                    aborted = True
-                    break
+                    return 3
                 target = _pick_claimable(plan, states, now)
                 if target is None:
-                    time.sleep(plan.poll_s)
+                    if math.isinf(plan.lease_s):
+                        return 0
+                    time.sleep(plan.fleet.poll_s)
                     continue
                 claim = claim_shard(
-                    shard_journal_path(root, target), worker, plan.lease_s, now
+                    shard_journal_path(plan.root, target), worker, plan.lease_s, now
                 )
                 if claim is None:
                     continue
                 journal, state, _ = claim
-                current = (journal, target)
                 try:
-                    _run_one_shard(plan, target, worker, journal, state, cache)
+                    _run_one_shard(plan, target, worker, journal, state, campaign_journal)
                 except _ShardAbort:
-                    aborted = True
-                    break
+                    return 3
                 finally:
-                    last = replay_shard_journal(journal.path)
-                    if last.holder == worker:
-                        journal.release(worker, last.nonce)
-                    journal.close()
-                    current = None
+                    _release(journal, worker)
+            return 3
     except (KeyboardInterrupt, SystemExit) as exc:
-        if current is not None:
-            journal, index = current
-            journal.interrupted(
-                guard.reason or type(exc).__name__,
-                len(replay_shard_journal(journal.path).settled()),
-            )
-            journal.release(worker, replay_shard_journal(journal.path).nonce)
-            journal.close()
         code = getattr(exc, "code", None)
         return code if isinstance(code, int) else 130
-    return 3 if aborted else 0
+    finally:
+        if campaign_journal is not None:
+            campaign_journal.close()
+
+
+def _worker_main(plan: ShardPlan, worker: str) -> None:
+    sys.exit(run_shard_worker(plan, worker))
 
 
 # --------------------------------------------------------------------------
 # Coordinator.
 
 
-def _worker_env() -> "dict[str, str]":
-    """Environment for spawned workers: ensure ``repro`` is importable
-    from the same tree the coordinator runs, whatever the caller's CWD."""
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    paths = existing.split(os.pathsep) if existing else []
-    if package_root not in paths:
-        env["PYTHONPATH"] = os.pathsep.join([package_root, *paths])
-    return env
+def _start_workers(
+    plan: ShardPlan, count: int, workers: "dict[str, BaseProcess]"
+) -> None:
+    """Fork up to ``count`` workers into ``workers`` (filled as they
+    start, so an interrupt never orphans one); fewer, even none, when
+    the sandbox forbids new processes — the coordinator then drains
+    in-process."""
+    import multiprocessing
 
-
-def _spawn_worker(plan_path: Path, worker: str, log_path: Path) -> "subprocess.Popen | None":
-    """Start one shard worker; ``None`` when the sandbox forbids it."""
-    try:
-        log = open(log_path, "w", encoding="utf-8")
-    except OSError:
-        return None
-    try:
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "shard-worker",
-                "--plan",
-                str(plan_path),
-                "--worker-id",
-                worker,
-            ],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=_worker_env(),
-            close_fds=True,
+    for i in range(count):
+        name = f"w{i}"
+        process = multiprocessing.Process(
+            target=_worker_main, args=(plan, name), name=f"repro-{name}"
         )
-    except (OSError, ValueError):
-        return None
-    finally:
-        log.close()
-
-
-def _terminate_workers(workers: "dict[str, subprocess.Popen]") -> None:
-    """SIGTERM the fleet, then SIGKILL stragglers after a grace period."""
-    for proc in workers.values():
-        if proc.poll() is None:
-            try:
-                proc.terminate()
-            except OSError:
-                pass
-    deadline = time.monotonic() + 5.0
-    for proc in workers.values():
-        remaining = max(0.0, deadline - time.monotonic())
         try:
-            proc.wait(timeout=remaining)
-        except subprocess.TimeoutExpired:
-            try:
-                proc.kill()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+            process.start()
+        except (OSError, ValueError):
+            break
+        workers[name] = process
 
 
-def _distinct_failures(states: "dict[int, ShardState]") -> int:
-    """Campaign-wide failure count: distinct failed jobs across shards."""
-    failed: "set[str]" = set()
-    for state in states.values():
-        failed.update(state.failed)
-    return len(failed)
+def _stop_workers(
+    workers: "dict[str, BaseProcess]", grace_s: float
+) -> None:
+    """Give workers ``grace_s`` to exit, SIGTERM the rest (hung, or torn
+    down on abort), then SIGKILL stragglers."""
+    deadline = time.monotonic() + grace_s
+    for process in workers.values():
+        process.join(max(0.0, deadline - time.monotonic()))
+    for process in workers.values():
+        if process.exitcode is None:
+            process.terminate()
+    deadline = time.monotonic() + 5.0
+    for process in workers.values():
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.exitcode is None:
+            process.kill()
+            process.join(5.0)
 
 
-def _merge_outcomes(
-    plan: ShardPlan,
-    states: "dict[int, ShardState]",
-    cache: ResultCache,
-) -> "tuple[JobOutcome, ...]":
-    """Fold shard journals into submission-order outcomes.
+class _Coordinator:
+    """The parent side of a fleet run: watches the workers, drains shards
+    it must run itself, and settles the pending jobs as shards finish."""
 
-    Every ``done`` payload is read back through the checksum-verified
-    cache, so the merge trusts bytes, not processes.  Jobs without a
-    terminal record (budget aborts, total worker loss) settle as failed.
-    """
-    by_job: "dict[str, tuple[str, str]]" = {}
-    for state in states.values():
-        for fingerprint, checksum in state.done.items():
-            by_job[fingerprint] = ("done", checksum)
-        for fingerprint, error in state.failed.items():
-            by_job.setdefault(fingerprint, ("failed", error))
-    outcomes = []
-    for spec in plan.specs:
-        fingerprint = spec.fingerprint()
-        status, payload = by_job.get(fingerprint, ("missing", ""))
-        if status == "done":
-            metrics = cache.get_verified(spec, payload)
-            if metrics is not None:
-                outcomes.append(
-                    JobOutcome(spec=spec, status="completed", metrics=metrics)
-                )
-                continue
-            status, payload = (
-                "failed",
-                "journaled done but the cache entry no longer verifies",
-            )
-        if status == "missing":
-            payload = "never settled (campaign aborted before this job ran)"
-        outcomes.append(
-            JobOutcome(spec=spec, status="failed", metrics=None, error=payload)
+    def __init__(
+        self,
+        plan: ShardPlan,
+        pending: "list[tuple[int, JobSpec]]",
+        journal: "CampaignJournal | None",
+        progress: CampaignProgress,
+        outcomes: "dict[int, JobOutcome]",
+        ledger: _FailureLedger,
+    ) -> None:
+        self.plan = plan
+        self.pending = pending
+        self.journal = journal
+        self.progress = progress
+        self.outcomes = outcomes
+        self.ledger = ledger
+        self.states: "dict[int, ShardState]" = {}
+        self.settled: "set[int]" = set()
+
+    def refresh(self) -> None:
+        """Re-read the shard journals (finished ones are final)."""
+        self.states = _replay(self.plan, self.states)
+
+    def over_budget(self) -> bool:
+        """Fold the shard journals' verdicts into the campaign ledger and
+        report whether ``max_failures`` is breached."""
+        for state in self.states.values():
+            for fingerprint in state.failed:
+                self.ledger.failure(fingerprint)
+            for fingerprint in state.done:
+                self.ledger.success(fingerprint)
+        return self.ledger.breached
+
+    def release_lost(self, worker: str) -> None:
+        """Release every shard the dead ``worker`` still holds."""
+        for index, state in self.states.items():
+            if state.holder == worker and not state.finished:
+                path = shard_journal_path(self.plan.root, index)
+                with ShardJournal(path) as journal:
+                    journal.release(worker, state.nonce, lost=True)
+                self.states[index] = replay_shard_journal(path)
+
+    def watch(
+        self, workers: "dict[str, BaseProcess]", on_progress
+    ) -> "str | None":
+        """Watch the fleet until every shard is finished; returns the
+        reason the campaign was aborted, or ``None``.
+
+        Blocks on worker exit (process sentinels) and replays the shard
+        journals only when it wakes: at a worker's exit, when a lease is
+        due to expire, and every ``poll_s`` while ``max_failures`` needs
+        a count or ``on_progress`` a board.  Each wake releases the
+        shards of dead workers at once and settles finished shards.  The
+        coordinator drains shards in-process when no worker is left, or
+        when an expired lease has gone unstolen for two polls (no live
+        worker is free to take it).
+        """
+        from multiprocessing import connection
+
+        plan = self.plan
+        board = (
+            ShardBoard.from_plan(plan.campaign, [len(shard) for shard in plan.shards])
+            if on_progress is not None
+            else None
         )
-    return tuple(outcomes)
+        counting = self.ledger.max_failures is not None
+        while True:
+            now = time.time()
+            self.refresh()
+            for name, process in workers.items():
+                if process.exitcode is not None:
+                    self.release_lost(name)
+            if board is not None:
+                board.observe(self.states, now)
+                on_progress(board)
+            self.settle()
+            if all(state.finished for state in self.states.values()):
+                return None
+            if any(state.interrupted for state in self.states.values()):
+                return "aborted: a shard journaled an interruption"
+            if counting and self.over_budget():
+                return self.ledger.abort_message()
+            alive = [p.sentinel for p in workers.values() if p.exitcode is None]
+            leased = [
+                state.deadline
+                for state in self.states.values()
+                if not state.finished and state.holder is not None
+            ]
+            if not alive or any(now - deadline > 2 * plan.fleet.poll_s for deadline in leased):
+                self.drain()
+                continue
+            wake = min(leased, default=now + plan.lease_s) + 2 * plan.fleet.poll_s - now
+            if counting or board is not None:
+                wake = min(wake, plan.fleet.poll_s)
+            connection.wait(alive, None if math.isinf(wake) else max(wake, plan.fleet.poll_s))
+
+    def drain(self) -> None:
+        """Run every currently-claimable shard in this process.
+
+        Returns early once the campaign-wide failure budget is breached,
+        so the caller can abort instead of draining doomed shards.
+        """
+        for index in range(len(self.plan.shards)):
+            if self.ledger.max_failures is not None:
+                self.refresh()
+                if self.over_budget():
+                    return
+            claim = claim_shard(
+                shard_journal_path(self.plan.root, index), DRAIN_WORKER, self.plan.lease_s
+            )
+            if claim is None:
+                continue
+            journal, state, _ = claim
+            try:
+                _run_one_shard(
+                    self.plan, index, DRAIN_WORKER, journal, state, self.journal
+                )
+            except _ShardAbort:
+                return
+            finally:
+                _release(journal, DRAIN_WORKER)
+
+    def settle(self, final: bool = False, missing: "str | None" = None) -> None:
+        """Settle the jobs of every finished shard not settled yet — with
+        ``final``, of every shard.
+
+        Every ``done`` payload is read back through the checksum-verified
+        cache, so the merge trusts bytes, not processes.  In a final pass,
+        jobs without a terminal record (budget aborts) settle as failed
+        with ``missing``, or stay unsettled after a signal (``None``).
+        """
+        for shard, state in self.states.items():
+            if shard in self.settled or not (final or state.finished):
+                continue
+            self.settled.add(shard)
+            for local in self.plan.shards[shard]:
+                index, spec = self.pending[local]
+                fingerprint = spec.fingerprint()
+                attempts, duration = state.stats.get(fingerprint, (0, 0.0))
+                if fingerprint in state.done:
+                    metrics = self.plan.cache.get_verified(spec, state.done[fingerprint])
+                    error = "journaled done but the cache entry no longer verifies"
+                elif fingerprint in state.failed:
+                    metrics, error = None, state.failed[fingerprint]
+                elif missing is not None:
+                    metrics, error = None, missing
+                    if self.journal is not None:
+                        self.journal.failed(spec, missing, 0, 0.0)
+                else:
+                    continue
+                outcome = JobOutcome(
+                    spec=spec,
+                    status="completed" if metrics is not None else "failed",
+                    metrics=metrics,
+                    error=None if metrics is not None else error,
+                    attempts=attempts,
+                    duration_s=duration,
+                )
+                _settle(index, outcome, self.progress, self.outcomes, self.ledger)
+
+
+def _journal_abort(plan: ShardPlan, reason: str) -> None:
+    """Stamp an ``interrupted`` record into every unfinished shard journal
+    so a post-mortem sees the abort, not silence."""
+    for index in range(len(plan.shards)):
+        path = shard_journal_path(plan.root, index)
+        state = replay_shard_journal(path)
+        if state.finished or state.interrupted:
+            continue
+        with ShardJournal(path) as journal:
+            journal.interrupted(reason, len(state.settled()))
+
+
+def run_fleet(
+    pending: "list[tuple[int, JobSpec]]",
+    config: CampaignConfig,
+    fleet: ShardConfig,
+    cache: "ResultCache | None",
+    journal: "CampaignJournal | None",
+    campaign: str,
+    progress: CampaignProgress,
+    outcomes: "dict[int, JobOutcome]",
+    ledger: _FailureLedger,
+    on_progress=None,
+) -> "tuple[int, int, bool]":
+    """Run the executor's pending jobs on a forked worker fleet and settle
+    each into ``outcomes``; returns (shards, steals, aborted).
+
+    Shard journals live under the campaign's journal directory, replacing
+    any left by an earlier run.  A campaign without a cache gets a
+    temporary cache and journal root, removed before returning.
+    """
+    temp = None
+    if cache is None or journal is None:
+        temp = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
+        root = temp / SHARD_SUBDIR
+        cache = cache if cache is not None else ResultCache(temp / "cache")
+    else:
+        root = shard_root(journal.path.parent, campaign)
+        shutil.rmtree(root, ignore_errors=True)
+    specs = [spec for _, spec in pending]
+    plan = ShardPlan(
+        specs=tuple(specs),
+        shards=tuple(tuple(shard) for shard in partition_shards(specs, fleet.shards)),
+        root=root,
+        cache=cache,
+        journal=journal.path if journal is not None else None,
+        campaign=campaign,
+        config=config,
+        fleet=fleet,
+    )
+    coordinator = _Coordinator(plan, pending, journal, progress, outcomes, ledger)
+    workers: "dict[str, BaseProcess]" = {}
+    reason: "str | None" = None
+    watched = False  # stays False when a signal or an error cuts the run short
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        _start_workers(plan, min(fleet.workers, len(plan.shards)), workers)
+        reason = coordinator.watch(workers, on_progress)
+        watched = True
+    finally:
+        _stop_workers(workers, 1.0 if watched and reason is None else 0.0)
+        if not watched or reason is not None:
+            _journal_abort(plan, reason or "interrupted")
+        coordinator.refresh()
+        coordinator.settle(
+            final=True,
+            missing=f"never settled ({reason or 'no shard ran it'})" if watched else None,
+        )
+        if temp is not None:
+            shutil.rmtree(temp, ignore_errors=True)
+    steals = sum(state.steals for state in coordinator.states.values())
+    return len(plan.shards), steals, reason is not None
 
 
 def run_sharded_campaign(
@@ -698,210 +819,27 @@ def run_sharded_campaign(
     shard_config: "ShardConfig | None" = None,
     on_progress=None,
 ) -> CampaignResult:
-    """Partition, lease, execute and deterministically merge a campaign.
+    """Run a campaign on an explicitly shaped worker fleet.
 
-    The coordinator writes the shard plan, spawns ``workers`` shard
-    worker processes, watches the shard journals (feeding ``on_progress``
-    a :class:`~repro.runtime.progress.ShardBoard`), enforces the global
-    failure budget, and — if the whole fleet dies or the sandbox forbids
-    subprocesses — finishes the remaining shards *in-process* so the
-    campaign always completes.  Requires ``config.cache_dir``: results
-    flow between processes through the checksum-verified cache.
+    The executor of :func:`~repro.runtime.executor.run_campaign` —
+    same pre-pass, retry loop, failure budget, resume and signal path —
+    with the shard and worker counts of ``shard_config`` instead of
+    ones derived from ``n_jobs``.  ``on_progress`` receives a live
+    :class:`~repro.runtime.progress.ShardBoard`.  Requires
+    ``config.cache_dir``: the shard journals and results live there.
 
     Raises:
         ValueError: when ``config.cache_dir`` is unset.
     """
     config = config if config is not None else CampaignConfig()
-    shard_config = shard_config if shard_config is not None else ShardConfig()
-    specs = list(specs)
     if config.cache_dir is None or not config.use_cache:
         raise ValueError(
             "sharded campaigns need cache_dir: workers exchange results "
             "through the checksum-verified cache"
         )
-    slot = _claim_manifest_slot()
-    cache = ResultCache(config.cache_dir)
-    calibration = cache.calibration
-    campaign = campaign_fingerprint(specs, config.campaign_seed, calibration)
-    journal_dir = config.resolved_journal_dir()
-    assert journal_dir is not None  # cache_dir is set, so this resolves
-    root = shard_root(journal_dir, campaign)
-    shards = partition_shards(specs, shard_config.shards)
-    plan = ShardPlan(
-        campaign=campaign,
-        campaign_seed=config.campaign_seed,
-        calibration=calibration,
-        cache_dir=str(config.cache_dir),
-        specs=tuple(specs),
-        shards=tuple(tuple(shard) for shard in shards),
-        lease_s=shard_config.lease_s,
-        poll_s=shard_config.poll_s,
-        max_retries=config.max_retries,
-        backoff_s=config.backoff_s,
-        shard_max_failures=shard_config.shard_max_failures,
-        preload=shard_config.preload,
+    return _execute(
+        specs, config, None, shard_config or ShardConfig(), on_progress
     )
-    plan_path = write_shard_plan(root / "plan.json", plan)
-
-    progress = CampaignProgress(total=len(specs))
-    board = ShardBoard.from_plan(
-        campaign, [len(shard) for shard in plan.shards]
-    )
-    workers: "dict[str, subprocess.Popen]" = {}
-    aborted_reason: "str | None" = None
-    guard = _SignalGuard()
-    try:
-        with guard:
-            for i in range(shard_config.workers):
-                worker = f"w{i}"
-                proc = _spawn_worker(plan_path, worker, root / f"{worker}.log")
-                if proc is not None:
-                    workers[worker] = proc
-
-            states: "dict[int, ShardState]" = {}
-            while True:
-                now = time.time()
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
-                board.observe(states, now)
-                if on_progress is not None:
-                    on_progress(board)
-                if all(state.finished for state in states.values()):
-                    break
-                if any(state.interrupted for state in states.values()):
-                    aborted_reason = "a shard journaled an interruption"
-                    break
-                if (
-                    config.max_failures is not None
-                    and _distinct_failures(states) >= config.max_failures
-                ):
-                    aborted_reason = (
-                        "campaign failure budget "
-                        f"(max_failures={config.max_failures}) exhausted"
-                    )
-                    break
-                alive = any(proc.poll() is None for proc in workers.values())
-                if not alive:
-                    # Fleet lost (or never started): finish in-process so
-                    # the campaign still completes — same lease protocol,
-                    # so a surviving external worker could still share.
-                    claimable = any(
-                        state.claimable(now) for state in states.values()
-                    )
-                    if claimable:
-                        _coordinator_drain(plan, root, cache, config.max_failures)
-                        continue
-                time.sleep(shard_config.poll_s)
-
-            if aborted_reason is not None:
-                _terminate_workers(workers)
-                _journal_abort(plan, root, aborted_reason)
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
-            else:
-                _reap_workers(workers)
-    except (KeyboardInterrupt, SystemExit):
-        _terminate_workers(workers)
-        _journal_abort(plan, root, guard.reason or "interrupted")
-        _record_manifest(
-            slot,
-            progress.manifest(
-                n_jobs=shard_config.workers,
-                calibration=calibration,
-                campaign_seed=config.campaign_seed,
-                campaign=campaign,
-                interrupted=True,
-                shards=len(plan.shards),
-                workers=shard_config.workers,
-            ),
-        )
-        raise
-
-    outcomes = _merge_outcomes(plan, states, cache)
-    for outcome in outcomes:
-        progress.record(
-            outcome.spec.kind,
-            "completed" if outcome.status == "completed" else "failed",
-        )
-    manifest = progress.manifest(
-        n_jobs=shard_config.workers,
-        calibration=calibration,
-        campaign_seed=config.campaign_seed,
-        campaign=campaign,
-        interrupted=aborted_reason is not None,
-        shards=len(plan.shards),
-        workers=shard_config.workers,
-        steals=sum(state.steals for state in states.values()),
-    )
-    _record_manifest(slot, manifest)
-    return CampaignResult(outcomes=outcomes, manifest=manifest)
-
-
-def _coordinator_drain(
-    plan: ShardPlan,
-    root: Path,
-    cache: ResultCache,
-    max_failures: "int | None" = None,
-) -> None:
-    """Run every currently-claimable shard in the coordinator process.
-
-    Returns early once the campaign-wide failure budget is breached, so
-    the caller's poll loop can abort instead of draining doomed shards.
-    """
-    for index in range(len(plan.shards)):
-        if max_failures is not None:
-            states = {
-                i: replay_shard_journal(shard_journal_path(root, i))
-                for i in range(len(plan.shards))
-            }
-            if _distinct_failures(states) >= max_failures:
-                return
-        path = shard_journal_path(root, index)
-        claim = claim_shard(path, "coordinator", plan.lease_s)
-        if claim is None:
-            continue
-        journal, state, _ = claim
-        try:
-            _run_one_shard(plan, index, "coordinator", journal, state, cache)
-        except _ShardAbort:
-            return
-        finally:
-            last = replay_shard_journal(path)
-            if last.holder == "coordinator":
-                journal.release("coordinator", last.nonce)
-            journal.close()
-
-
-def _journal_abort(plan: ShardPlan, root: Path, reason: str) -> None:
-    """Stamp an ``interrupted`` record into every unfinished shard journal
-    so a later resume (or post-mortem) sees the abort, not silence."""
-    for index in range(len(plan.shards)):
-        path = shard_journal_path(root, index)
-        state = replay_shard_journal(path)
-        if state.finished or state.interrupted:
-            continue
-        journal = ShardJournal(path, campaign=plan.campaign)
-        try:
-            journal.interrupted(reason, len(state.settled()))
-        finally:
-            journal.close()
-
-
-def _reap_workers(workers: "dict[str, subprocess.Popen]") -> None:
-    """Collect exited workers (all shards are finished by now)."""
-    for proc in workers.values():
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            try:
-                proc.terminate()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
 
 
 # --------------------------------------------------------------------------

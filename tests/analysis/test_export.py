@@ -4,8 +4,7 @@ import csv
 
 import pytest
 
-from repro.analysis.export import export_all, export_experiment
-from repro.experiments import exportable_ids
+from repro.experiments import export_all, export_experiment, exportable_ids
 
 
 class TestExporters:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.export import export_all
+from repro.experiments import export_all
 
 GOLDENS = Path(__file__).parent / "goldens" / "export_all.sha256"
 

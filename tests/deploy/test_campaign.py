@@ -89,7 +89,7 @@ class TestDeterminism:
 
 class TestExporter:
     def test_deploy_csv_and_manifest_written(self, tmp_path):
-        from repro.analysis.export import export_experiment
+        from repro.experiments import export_experiment
 
         path = export_experiment("deploy", tmp_path)
         lines = path.read_text().strip().splitlines()

@@ -51,7 +51,7 @@ class TestBreakdownRows:
 
     def test_exporter_writes_csv(self, tmp_path, monkeypatch):
         import repro.analysis.energy_report as report_module
-        from repro.analysis.export import export_experiment
+        from repro.experiments import export_experiment
 
         monkeypatch.setattr(
             report_module,

@@ -196,7 +196,7 @@ class TestSurfacing:
         assert "retransmit_energy_j" in out
 
     def test_faults_exporter_writes_profile_rows(self, tmp_path):
-        from repro.analysis.export import export_experiment
+        from repro.experiments import export_experiment
 
         path = export_experiment("faults", tmp_path)
         assert path.name == "fault_recovery.csv"

@@ -1,5 +1,6 @@
 """Campaign executor tests: determinism across worker counts, caching,
-retry/backoff fault tolerance, failure budgets and the manifest registry."""
+retry/backoff fault tolerance, failure budgets, outcome parity across the
+serial, ``n_jobs`` and sharded paths, and the manifest registry."""
 
 import threading
 import time
@@ -16,6 +17,7 @@ from repro.runtime.executor import (
     run_campaign,
 )
 from repro.runtime.jobs import JobSpec, register_job_runner
+from repro.runtime.shard import ShardConfig, run_sharded_campaign
 from repro.runtime.workloads import campaign_specs
 
 
@@ -79,6 +81,11 @@ def _sleeper(spec, rng):
     return {"seed": spec.seed}
 
 
+def _counters(result):
+    m = result.manifest
+    return (m.total, m.completed, m.cached, m.resumed, m.failed, m.retries)
+
+
 def _mc_specs(n=6):
     return [
         JobSpec.with_params("ber.montecarlo", {"snr_db": "9.0", "n_bits": 4000},
@@ -95,7 +102,6 @@ class TestConfigValidation:
             {"timeout_s": 0.0},
             {"max_retries": -1},
             {"backoff_s": -0.1},
-            {"chunk_size": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -119,15 +125,15 @@ class TestDeterminism:
         assert serial.metrics == parallel.metrics
         assert all(o.status == "completed" for o in parallel.outcomes)
 
-    def test_chunking_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self):
         specs = _mc_specs()
-        small = run_campaign(specs, CampaignConfig(n_jobs=2, chunk_size=1))
-        large = run_campaign(specs, CampaignConfig(n_jobs=2, chunk_size=6))
-        assert small.metrics == large.metrics
+        two = run_campaign(specs, CampaignConfig(n_jobs=2))
+        three = run_campaign(specs, CampaignConfig(n_jobs=3))
+        assert two.metrics == three.metrics
 
     def test_outcomes_follow_submission_order(self):
         specs = [JobSpec(kind="test.echo", seed=i) for i in range(10)]
-        result = run_campaign(specs, CampaignConfig(n_jobs=3, chunk_size=2))
+        result = run_campaign(specs, CampaignConfig(n_jobs=3))
         assert [o.spec.seed for o in result.outcomes] == list(range(10))
         assert [m["seed"] for m in result.metrics] == list(range(10))
 
@@ -194,9 +200,9 @@ class TestFaultTolerance:
             result.raise_on_failure()
 
     def test_worker_crash_then_serial_failure_keeps_last_error(self):
-        """ISSUE regression: when a pooled worker hard-crashes and the
-        serial-fallback retry also fails, the outcome must retain the
-        last error string, not a blank."""
+        """Regression: when a fleet worker hard-crashes and the in-process
+        retry also fails, the outcome must retain the last error string,
+        not a blank."""
         result = run_campaign(
             [JobSpec(kind="test.worker_crash")],
             CampaignConfig(n_jobs=2, max_retries=1, backoff_s=0.0),
@@ -206,17 +212,17 @@ class TestFaultTolerance:
         assert outcome.error and outcome.error.strip()
         assert "serial fallback also failing" in outcome.error
 
-    def test_worker_crash_without_retry_budget_keeps_pool_error(self):
-        # With no serial retry budget, the recorded error must still be
-        # the pool-side failure, never blank.
+    def test_worker_crash_without_retry_budget_reports_the_lost_attempt(self):
+        # The crash spent the only attempt: the job fails without running
+        # again (not even in-process), and says why, never blank.
         result = run_campaign(
             [JobSpec(kind="test.worker_crash")],
             CampaignConfig(n_jobs=2, max_retries=0, backoff_s=0.0),
         )
         outcome = result.outcomes[0]
         assert outcome.status == "failed"
-        assert outcome.error and outcome.error.strip()
-        assert "pool chunk failed" in outcome.error
+        assert outcome.attempts == 1
+        assert "lost to dead or overrunning workers" in outcome.error
 
     def test_unknown_kind_fails_cleanly(self):
         result = run_campaign(
@@ -227,17 +233,54 @@ class TestFaultTolerance:
         assert "no job runner" in result.outcomes[0].error
 
     def test_pool_unavailable_degrades_to_serial(self, monkeypatch):
-        import concurrent.futures as futures
+        """When no worker process can start, the coordinator drains the
+        shards in-process with the metrics of a serial run."""
 
-        def broken_pool(*args, **kwargs):
-            raise OSError("no semaphores in this sandbox")
+        def no_processes(self):
+            raise OSError("no processes in this sandbox")
 
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(
+            "multiprocessing.process.BaseProcess.start", no_processes
+        )
         specs = _mc_specs(3)
         result = run_campaign(specs, CampaignConfig(n_jobs=4))
         assert all(o.status == "completed" for o in result.outcomes)
         baseline = run_campaign(specs, CampaignConfig(n_jobs=1))
         assert result.metrics == baseline.metrics
+        assert _counters(result) == _counters(baseline)
+        assert [o.attempts for o in result.outcomes] == [1, 1, 1]
+
+
+class TestOutcomeParity:
+    """Serial, ``n_jobs`` and sharded runs account one campaign alike."""
+
+    def test_statuses_attempts_and_counters_match_across_paths(self, tmp_path):
+        cached = _mc_specs(1)[0]
+        specs = [cached, *_mc_specs(3)[1:], JobSpec(kind="test.fail")]
+        runs = {}
+        for path in ("serial", "jobs", "shards"):
+            config = CampaignConfig(
+                cache_dir=tmp_path / path,
+                max_retries=2,
+                backoff_s=0.0,
+                n_jobs=2 if path == "jobs" else 1,
+            )
+            run_campaign([cached], config)
+            if path == "shards":
+                runs[path] = run_sharded_campaign(
+                    specs, config, ShardConfig(shards=3, workers=2)
+                )
+            else:
+                runs[path] = run_campaign(specs, config)
+        for result in runs.values():
+            assert [o.status for o in result.outcomes] == [
+                "cached", "completed", "completed", "failed",
+            ]
+            assert [o.attempts for o in result.outcomes] == [0, 1, 1, 3]
+            assert _counters(result) == (4, 2, 1, 0, 1, 2)
+            assert all(o.duration_s > 0.0 for o in result.outcomes[1:])
+        assert runs["jobs"].metrics == runs["serial"].metrics
+        assert runs["shards"].metrics == runs["serial"].metrics
 
 
 class TestRetryBackoff:
@@ -285,9 +328,9 @@ class TestRetryBackoff:
         assert outcome.attempts == 3
         assert "always broken" in outcome.error
 
-    def test_serial_fallback_reexecutes_exactly_the_failed_jobs(self, tmp_path):
-        """Jobs that erred in the pool re-run serially; their chunk-mates
-        that succeeded are settled from the pool result, not re-executed."""
+    def test_retry_reexecutes_exactly_the_failed_jobs(self, tmp_path):
+        """A job that erred on a fleet worker is retried; its shard-mates
+        that succeeded are never re-executed."""
         counts = tmp_path / "counts"
         counts.mkdir()
         flaky = JobSpec.with_params(
@@ -299,13 +342,13 @@ class TestRetryBackoff:
         ]
         result = run_campaign(
             [flaky] + steady,
-            CampaignConfig(n_jobs=2, chunk_size=2, max_retries=1, backoff_s=0.0),
+            CampaignConfig(n_jobs=2, max_retries=1, backoff_s=0.0),
         )
         assert [o.status for o in result.outcomes] == ["completed"] * 4
         executions = {
             p.name: len(p.read_text().splitlines()) for p in counts.iterdir()
         }
-        assert executions[flaky.fingerprint()] == 2  # pool failure + serial
+        assert executions[flaky.fingerprint()] == 2  # failure + retry
         for spec in steady:
             assert executions[spec.fingerprint()] == 1
 

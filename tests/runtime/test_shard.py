@@ -1,9 +1,10 @@
 """Sharded multi-worker campaigns: deterministic partition, the journal
 lease protocol, work stealing, failure budgets and the byte-identical
-merge (DESIGN.md §14)."""
+merge (DESIGN.md §10)."""
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,14 +16,12 @@ from repro.runtime.shard import (
     ShardJournal,
     ShardPlan,
     claim_shard,
-    load_shard_plan,
     partition_shards,
     replay_shard_journal,
     results_manifest,
     run_sharded_campaign,
     shard_journal_path,
     write_results_manifest,
-    write_shard_plan,
 )
 
 
@@ -79,51 +78,22 @@ class TestPartition:
 
 
 class TestShardPlan:
-    def _plan(self, specs):
-        return ShardPlan(
-            campaign="abcd",
-            campaign_seed=7,
-            calibration="cal",
-            cache_dir="/tmp/cache",
+    def test_shard_specs_in_submission_order(self, tmp_path):
+        specs = _mc_specs(6)
+        plan = ShardPlan(
             specs=tuple(specs),
             shards=tuple(tuple(s) for s in partition_shards(specs, 2)),
-            lease_s=5.0,
-            poll_s=0.01,
-            max_retries=1,
-            backoff_s=0.0,
-            shard_max_failures=3,
-            preload=("some.module",),
+            root=tmp_path,
+            cache=ResultCache(tmp_path / "cache"),
+            journal=None,
+            campaign="abcd",
+            config=CampaignConfig(campaign_seed=7, timeout_s=5.0),
+            fleet=ShardConfig(),
         )
-
-    def test_round_trip(self, tmp_path):
-        plan = self._plan(_mc_specs(6))
-        path = write_shard_plan(tmp_path / "plan.json", plan)
-        assert load_shard_plan(path) == plan
-
-    def test_shard_specs_in_submission_order(self):
-        specs = _mc_specs(6)
-        plan = self._plan(specs)
+        assert plan.lease_s == 5.0
         for index in range(len(plan.shards)):
             members = plan.shard_specs(index)
             assert [i for i, _ in members] == sorted(i for i, _ in members)
-
-    def test_format_drift_rejected(self, tmp_path):
-        plan = self._plan(_mc_specs(4))
-        path = write_shard_plan(tmp_path / "plan.json", plan)
-        data = json.loads(path.read_text())
-        data["format"] = 99
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="format"):
-            load_shard_plan(path)
-
-    def test_incomplete_coverage_rejected(self, tmp_path):
-        plan = self._plan(_mc_specs(4))
-        path = write_shard_plan(tmp_path / "plan.json", plan)
-        data = json.loads(path.read_text())
-        data["shards"][0] = data["shards"][0][:-1]  # drop one index
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="cover"):
-            load_shard_plan(path)
 
 
 class TestLeaseProtocol:
@@ -179,6 +149,32 @@ class TestLeaseProtocol:
         state = replay_shard_journal(path)
         assert state.holder == "wa"  # first append in the total order wins
 
+    def test_lost_release_frees_the_shard_at_once_and_counts_a_steal(
+        self, tmp_path
+    ):
+        """The coordinator releases a dead worker's unexpired lease on its
+        behalf: the shard is claimable immediately, and the takeover is
+        counted as a steal."""
+        path = tmp_path / "shard-0000.jsonl"
+        journal, _, nonce = claim_shard(path, "w0", lease_s=30.0, now=100.0)
+        journal.close()
+        with ShardJournal(path, campaign="") as coordinator:
+            coordinator.release("w0", nonce, lost=True)
+        claim = claim_shard(path, "w1", lease_s=30.0, now=101.0)
+        assert claim is not None
+        claim[0].close()
+        state = replay_shard_journal(path)
+        assert state.holder == "w1"
+        assert state.steals == 1
+
+    def test_lease_without_timeout_never_expires(self, tmp_path):
+        path = tmp_path / "shard-0000.jsonl"
+        claim_shard(path, "w0", lease_s=float("inf"), now=100.0)[0].close()
+        record = json.loads(path.read_text().splitlines()[0])
+        assert record["deadline"] is None
+        assert claim_shard(path, "w1", lease_s=30.0, now=1e12) is None
+        assert replay_shard_journal(path).leased(1e12)
+
     def test_finished_shard_not_claimable(self, tmp_path):
         path = tmp_path / "shard-0000.jsonl"
         journal = ShardJournal(path, campaign="")
@@ -224,11 +220,13 @@ class TestShardJournalFuzz:
 
 
 def _drained(monkeypatch):
-    """Force the coordinator's in-process drain path (no subprocesses),
-    so sharded semantics are testable without spawning interpreters."""
-    monkeypatch.setattr(
-        "repro.runtime.shard._spawn_worker", lambda *args, **kwargs: None
-    )
+    """Forbid worker processes, forcing the coordinator's in-process
+    drain, so sharded semantics are testable without a fleet."""
+
+    def no_processes(self):
+        raise OSError("no processes in this sandbox")
+
+    monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_processes)
 
 
 class TestShardedCampaign:
@@ -245,7 +243,7 @@ class TestShardedCampaign:
         sharded = run_sharded_campaign(
             specs,
             CampaignConfig(cache_dir=tmp_path / "sharded", campaign_seed=3),
-            ShardConfig(shards=4, workers=2, lease_s=30.0, poll_s=0.01),
+            ShardConfig(shards=4, workers=2, poll_s=0.01),
         )
         assert [o.status for o in sharded.outcomes] == ["completed"] * 9
         assert sharded.metrics == serial.metrics
@@ -255,19 +253,27 @@ class TestShardedCampaign:
         b = write_results_manifest(tmp_path / "sharded.json", sharded)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_restart_resumes_from_shard_journals(self, tmp_path, monkeypatch):
-        """A rerun of the same campaign over existing shard journals
-        verifies settled ``done`` records against the cache instead of
-        recomputing, and merges byte-identically."""
+    def test_rerun_serves_cache_hits_and_resume_replays_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        """A rerun of the same sharded campaign recomputes nothing: its
+        jobs are cache hits, or journal-verified resumes with ``resume``,
+        and the merge is byte-identical."""
         _drained(monkeypatch)
         specs = _mc_specs(6)
         config = CampaignConfig(cache_dir=tmp_path, campaign_seed=1)
         shard_config = ShardConfig(shards=3, workers=1, poll_s=0.01)
         first = run_sharded_campaign(specs, config, shard_config)
         second = run_sharded_campaign(specs, config, shard_config)
-        assert second.metrics == first.metrics
+        resumed = run_sharded_campaign(
+            specs, replace(config, resume=True), shard_config
+        )
+        assert first.manifest.completed == 6
+        assert (second.manifest.cached, second.manifest.completed) == (6, 0)
+        assert (resumed.manifest.resumed, resumed.manifest.completed) == (6, 0)
+        assert second.metrics == resumed.metrics == first.metrics
         assert results_manifest(second) == results_manifest(first)
-        assert second.manifest.completed == 6
+        assert results_manifest(resumed) == results_manifest(first)
 
     def test_global_failure_budget_aborts_with_interrupted_records(
         self, tmp_path, monkeypatch
