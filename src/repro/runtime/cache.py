@@ -1,51 +1,76 @@
-"""On-disk result cache for campaign jobs.
+"""On-disk result cache for campaign jobs: a log of per-writer segments.
 
-One JSON file per job, named by the job fingerprint, carrying the spec,
-the metrics, a SHA-256 checksum of the metrics payload and the
-calibration fingerprint the result was computed under.  Entries from a
-different calibration (anyone edits the link budgets or the power
-tables) are ignored rather than served stale.
+Each result is one line of compact JSON appended to a *segment* file held
+by the writing process.  A line carries the spec, the metrics, a SHA-256
+checksum of the metrics payload, the calibration fingerprint and the
+campaign seed the result was computed under.  A cache is scoped to one
+(calibration, campaign seed) pair: an entry from another calibration
+(anyone edits the link budgets or the power tables) or another seed is
+a benign miss rather than served stale.
 
 Layout::
 
     <cache_dir>/
-        <job fingerprint>.json
+        segments/
+            <random>.jsonl                  # one entry per line
         quarantine/
-            <job fingerprint>.<pid>-<nonce>.json         # the corrupt entry, moved
-            <job fingerprint>.<pid>-<nonce>.reason.json  # structured diagnosis
+            <segment>.<offset>.<pid>-<nonce>.json         # copy of the failing line
+            <segment>.<offset>.<pid>-<nonce>.reason.json  # diagnosis + tombstone
 
-The ``<pid>-<nonce>`` suffix keeps concurrent workers that diagnose the
-same corrupt entry from colliding on the quarantine target or clobbering
-each other's reason files.
+**Writers.**  A process appends each entry with one ``os.write`` to an
+``O_APPEND`` segment on which it holds an exclusive ``flock``: the first
+existing segment nobody holds, else a new one under a fresh random name
+(names never recur, even after :meth:`ResultCache.clear`).  ``flock``
+locks belong to the open file, so two caches in one process, or a
+forked child, each take their own segment; a child re-acquires on its
+first write.  A segment whose last byte is not ``\\n`` (its writer died
+mid-line) is terminated before the first append, so torn bytes never
+merge with the next entry.  :meth:`ResultCache.close` releases the
+segment, which bounds the segment count by the peak number of
+concurrent writers.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed or killed
-worker never leaves a truncated entry behind.  Reads *verify*: an entry
-that fails parsing, carries a drifted schema, or whose payload no longer
-hashes to its recorded checksum is moved to ``quarantine/`` with a
-structured reason instead of being served or crashing the load path
-(DESIGN.md §10).
+**Readers.**  An in-memory index maps a job fingerprint to the last
+newline-terminated line filed under it; the key is the fingerprint of
+the line's own ``spec``, never a stored key, so a damaged line cannot
+be filed under another job.  A torn tail is neither indexed nor
+diagnosed until a writer terminates it.  A miss re-reads the bytes
+appended since the last scan, which is how a fleet coordinator sees its
+workers' results.  A hit re-reads the line and verifies it again on
+every call: an entry that fails parsing, carries a drifted schema, or
+whose payload no longer hashes to its recorded checksum is copied to
+``quarantine/`` with a structured reason instead of being served or
+crashing the load path (DESIGN.md §10).  Reason records name the
+segment and offset of their line; readers load them as tombstones when
+they first build the index, so no process re-serves or re-diagnoses a
+quarantined line.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
+import io
 import json
 import os
 import secrets
-import tempfile
 import time
 from pathlib import Path
 
-from .jobs import JobSpec
+from .jobs import JobSpec, spec_fingerprint
 from .journal import metrics_checksum
 
 #: Schema version of the cache entry format itself.  Version 2 added the
-#: mandatory ``checksum`` field; version-1 entries are quarantined as
-#: schema drift rather than trusted unverified.
-CACHE_FORMAT = 2
+#: mandatory ``checksum`` field; version 3 moved entries into segment
+#: lines and added ``campaign_seed`` (the ``<fingerprint>.json`` files of
+#: earlier versions are never read).  A line of another version is
+#: quarantined as schema drift rather than trusted unverified.
+CACHE_FORMAT = 3
 
-#: Subdirectory corrupt entries are moved into.
+#: Subdirectory holding the segment files.
+SEGMENT_DIR = "segments"
+
+#: Subdirectory failing lines are copied into.
 QUARANTINE_DIR = "quarantine"
 
 
@@ -72,20 +97,51 @@ def calibration_fingerprint() -> str:
     return digest[:16]
 
 
+def _lock_segment(path: Path, flags: int) -> "int | None":
+    """Open ``path`` and take its exclusive writer lock; ``None`` if it
+    is held, vanished, or (with ``O_EXCL``) already exists."""
+    try:
+        fd = os.open(path, flags, 0o644)
+    except (FileNotFoundError, FileExistsError):
+        return None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
 class ResultCache:
-    """Fingerprint-keyed JSON result store with corruption quarantine.
+    """Fingerprint-keyed, append-only result log with corruption quarantine.
 
     Args:
         directory: cache root (created lazily on first write).
         calibration: calibration fingerprint to key entries under;
             defaults to the current paper calibration.
+        campaign_seed: campaign seed the cached results were drawn
+            under; entries of another seed are misses.
     """
 
-    def __init__(self, directory: "Path | str", calibration: "str | None" = None) -> None:
+    def __init__(
+        self,
+        directory: "Path | str",
+        calibration: "str | None" = None,
+        campaign_seed: int = 0,
+    ) -> None:
         self._directory = Path(directory)
         self._calibration = (
             calibration if calibration is not None else calibration_fingerprint()
         )
+        self._campaign_seed = campaign_seed
+        # job fingerprint -> (segment name, offset) of its last line
+        self._index: "dict[str, tuple[str, int]]" = {}
+        # segment name -> bytes scanned (up to its last complete line)
+        self._scanned: "dict[str, int]" = {}
+        # (segment name, offset) of quarantined lines; loaded on first scan
+        self._tombstones: "set[tuple[object, object]] | None" = None
+        self._writer: "io.FileIO | None" = None
+        self._writer_pid = 0
 
     @property
     def directory(self) -> Path:
@@ -93,8 +149,13 @@ class ResultCache:
         return self._directory
 
     @property
+    def segment_directory(self) -> Path:
+        """Where the segment files live."""
+        return self._directory / SEGMENT_DIR
+
+    @property
     def quarantine_directory(self) -> Path:
-        """Where corrupt entries are moved."""
+        """Where failing lines are copied."""
         return self._directory / QUARANTINE_DIR
 
     @property
@@ -102,90 +163,203 @@ class ResultCache:
         """Calibration fingerprint entries are keyed under."""
         return self._calibration
 
-    def _path(self, spec: JobSpec) -> Path:
-        return self._directory / f"{spec.fingerprint()}.json"
+    # ------------------------------------------------------------------
+    # Writing.
 
-    def _quarantine(self, path: Path, reason: str, detail: str) -> None:
-        """Move a failed entry aside with a structured diagnosis.
+    def _segment_writer(self) -> "io.FileIO":
+        """This process's segment, acquired on first use (and again in a
+        forked child, whose inherited descriptor shares the parent's lock)."""
+        if self._writer is not None and self._writer_pid == os.getpid():
+            return self._writer
+        self.close()
+        segments = self.segment_directory
+        segments.mkdir(parents=True, exist_ok=True)
+        fd = None
+        for path in sorted(segments.glob("*.jsonl")):
+            fd = _lock_segment(path, os.O_RDWR | os.O_APPEND)
+            if fd is not None:
+                break
+        while fd is None:
+            path = segments / f"{secrets.token_hex(8)}.jsonl"
+            fd = _lock_segment(path, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL)
+        self._writer = open(fd, "ab", buffering=0)
+        self._writer_pid = os.getpid()
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            self._writer.write(b"\n")  # terminate the line a dead writer tore
+        return self._writer
+
+    def put(self, spec: JobSpec, metrics: dict) -> None:
+        """Append ``metrics`` for ``spec`` to this process's segment."""
+        entry = {
+            "format": CACHE_FORMAT,
+            "calibration": self._calibration,
+            "campaign_seed": self._campaign_seed,
+            "checksum": metrics_checksum(metrics),
+            "spec": spec.to_dict(),
+            "metrics": metrics,
+        }
+        line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+        data = memoryview(line.encode("utf-8"))
+        try:
+            writer = self._segment_writer()
+            while data:  # one write unless the kernel cuts it short
+                data = data[writer.write(data):]
+        except OSError:
+            self.close()  # the next writer seals whatever was torn
+            raise
+
+    def close(self) -> None:
+        """Release this process's segment (safe to call twice).  In a
+        forked child this only drops the inherited descriptor: the lock
+        stays with the parent's."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+    # ------------------------------------------------------------------
+    # Reading.
+
+    def _refresh(self) -> None:
+        """Index the complete lines appended since the last scan."""
+        if self._tombstones is None:
+            self._tombstones = {
+                (record.get("segment"), record.get("offset"))
+                for record in self.quarantined()
+            }
+        try:
+            segments = sorted(
+                os.scandir(self.segment_directory), key=lambda item: item.name
+            )
+        except OSError:  # nothing written yet
+            return
+        for item in segments:
+            name = item.name
+            start = self._scanned.get(name, 0)
+            try:
+                if not name.endswith(".jsonl") or item.stat().st_size <= start:
+                    continue
+                with open(item.path, "rb") as handle:
+                    handle.seek(start)
+                    data = handle.read()
+            except OSError:  # cleared under us, or unreadable
+                continue
+            end = data.rfind(b"\n")
+            if end < 0:
+                continue  # only a torn or still-growing tail
+            self._scanned[name] = start + end + 1
+            offset = start
+            for raw in data[:end].split(b"\n"):
+                here, offset = offset, offset + len(raw) + 1
+                if raw and (name, here) not in self._tombstones:
+                    key = self._line_key(name, here, raw)
+                    if key is not None:
+                        self._index[key] = (name, here)
+
+    def _line_key(self, segment: str, offset: int, raw: bytes) -> "str | None":
+        """The job a line belongs to, or ``None`` after quarantining a
+        line that names no job."""
+        try:
+            entry = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            self._quarantine(segment, offset, raw, "unparseable", f"{type(exc).__name__}: {exc}")
+            return None
+        spec = entry.get("spec") if isinstance(entry, dict) else None
+        if not isinstance(spec, dict):
+            self._quarantine(
+                segment, offset, raw, "schema-drift",
+                f"top-level {type(entry).__name__} without a spec object",
+            )
+            return None
+        return spec_fingerprint(spec)
+
+    def _quarantine(
+        self, segment: str, offset: int, raw: bytes, reason: str, detail: str
+    ) -> None:
+        """Copy a failing line aside with a structured diagnosis that is
+        also its tombstone.
 
         Best-effort: quarantine must never turn a cache miss into a
-        crash, so every filesystem error here is swallowed (the entry is
-        deleted as a last resort to stop it being re-diagnosed forever).
+        crash, so filesystem errors here are swallowed.  This reader has
+        already scanned past the line, so it never re-diagnoses it.
         """
         quarantine = self.quarantine_directory
+        # Concurrent readers can diagnose the same line at once; a
+        # per-reader suffix keeps their copies and reasons apart.
+        stem = f"{Path(segment).stem}.{offset}.{os.getpid()}-{secrets.token_hex(4)}"
+        diagnosis = {
+            "entry": f"{SEGMENT_DIR}/{segment}:{offset}",
+            "segment": segment,
+            "offset": offset,
+            "quarantined_as": f"{stem}.json",
+            "reason": reason,
+            "detail": detail,
+            "calibration": self._calibration,
+            "quarantined_at": time.time(),
+        }
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
-            # Concurrent workers can diagnose the same corrupt entry at
-            # once; a per-writer suffix keeps their quarantined payloads
-            # and reason files from colliding.
-            tag = f"{os.getpid()}-{secrets.token_hex(4)}"
-            target = quarantine / f"{path.stem}.{tag}{path.suffix}"
-            os.replace(path, target)
-            diagnosis = {
-                "entry": path.name,
-                "quarantined_as": target.name,
-                "reason": reason,
-                "detail": detail,
-                "calibration": self._calibration,
-                "quarantined_at": time.time(),
-            }
-            (quarantine / f"{path.stem}.{tag}.reason.json").write_text(
+            (quarantine / f"{stem}.json").write_bytes(raw)
+            (quarantine / f"{stem}.reason.json").write_text(
                 json.dumps(diagnosis, indent=1, sort_keys=True) + "\n",
                 encoding="utf-8",
             )
         except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            pass
 
-    def _verified_entry(self, path: Path) -> "tuple[dict, str] | None":
-        """Load, validate and checksum one entry file.
+    def _verified_line(
+        self, fingerprint: str, where: "tuple[str, int]", checksum: "str | None"
+    ) -> "dict | None":
+        """Re-read, validate and checksum the line at ``where``.
 
-        Returns the metrics dict and its checksum, or ``None`` after
-        quarantining the file (corruption) or on a benign miss (absent
-        file, calibration mismatch).
+        Returns its metrics, or ``None`` after quarantining the line
+        (corruption) or on a benign miss: the line no longer belongs to
+        this job, is another calibration's or seed's, or its payload
+        does not hash to ``checksum``.
         """
+        segment, offset = where
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
+            with open(self.segment_directory / segment, "rb") as handle:
+                handle.seek(offset)
+                raw = handle.readline()
+        except OSError:  # cleared under us, or unreadable: a miss
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._quarantine(path, "unparseable", f"{type(exc).__name__}: {exc}")
+        try:
+            entry = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            failure = ("unparseable", f"{type(exc).__name__}: {exc}")
+        else:
+            failure = _diagnose(entry)
+        if failure is not None:
+            self._quarantine(segment, offset, raw.rstrip(b"\n"), *failure)
+            self._index.pop(fingerprint, None)
             return None
-        if not isinstance(entry, dict):
-            self._quarantine(
-                path, "schema-drift", f"top-level {type(entry).__name__}, expected object"
-            )
+        # A valid line for another job (the bytes moved under the index)
+        # or for another world is not corruption: leave it for whoever
+        # keyed it.
+        if (
+            spec_fingerprint(entry["spec"]) != fingerprint
+            or entry.get("calibration") != self._calibration
+            or entry.get("campaign_seed") != self._campaign_seed
+            or checksum not in (None, entry["checksum"])
+        ):
             return None
-        if entry.get("format") != CACHE_FORMAT:
-            self._quarantine(
-                path,
-                "schema-drift",
-                f"format {entry.get('format')!r}, expected {CACHE_FORMAT}",
-            )
+        return entry["metrics"]
+
+    def _lookup(self, spec: JobSpec, checksum: "str | None" = None) -> "dict | None":
+        """Verified metrics for ``spec``; a miss scans for newer lines and
+        tries once more."""
+        fingerprint = spec.fingerprint()
+        tried = self._index.get(fingerprint)
+        if tried is not None:
+            metrics = self._verified_line(fingerprint, tried, checksum)
+            if metrics is not None:
+                return metrics
+        self._refresh()
+        where = self._index.get(fingerprint)
+        if where is None or where == tried:
             return None
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            self._quarantine(
-                path, "schema-drift", "missing or non-object metrics payload"
-            )
-            return None
-        recorded = entry.get("checksum")
-        actual = metrics_checksum(metrics)
-        if recorded != actual:
-            self._quarantine(
-                path,
-                "checksum-mismatch",
-                f"recorded {recorded!r}, payload hashes to {actual!r}",
-            )
-            return None
-        # A calibration mismatch is a *valid* entry for a different world,
-        # not corruption: leave it in place for whoever keyed it.
-        if entry.get("calibration") != self._calibration:
-            return None
-        return metrics, actual
+        return self._verified_line(fingerprint, where, checksum)
 
     def get(self, spec: JobSpec) -> "dict | None":
         """Verified cached metrics for ``spec``, or ``None`` on miss.
@@ -193,8 +367,7 @@ class ResultCache:
         Corrupt entries (truncation, bit-rot, schema drift, checksum
         mismatch) are quarantined and count as misses; this never raises.
         """
-        entry = self._verified_entry(self._path(spec))
-        return entry[0] if entry is not None else None
+        return self._lookup(spec)
 
     def get_verified(self, spec: JobSpec, checksum: str) -> "dict | None":
         """Cached metrics for ``spec`` only if they hash to ``checksum``.
@@ -203,39 +376,10 @@ class ResultCache:
         what the journal recorded (e.g. an entry rewritten by a different
         run between crash and resume).
         """
-        entry = self._verified_entry(self._path(spec))
-        if entry is None or entry[1] != checksum:
-            return None
-        return entry[0]
-
-    def put(self, spec: JobSpec, metrics: dict) -> Path:
-        """Store ``metrics`` for ``spec`` atomically; returns the path."""
-        self._directory.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "format": CACHE_FORMAT,
-            "calibration": self._calibration,
-            "checksum": metrics_checksum(metrics),
-            "spec": spec.to_dict(),
-            "metrics": metrics,
-        }
-        payload = json.dumps(entry, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self._directory, prefix=".cache-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self._path(spec))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return self._path(spec)
+        return self._lookup(spec, checksum)
 
     def quarantined(self) -> "list[dict]":
-        """Structured reasons of every quarantined entry (sorted by name)."""
+        """Structured reasons of every quarantined line (sorted by name)."""
         quarantine = self.quarantine_directory
         if not quarantine.is_dir():
             return []
@@ -243,7 +387,7 @@ class ResultCache:
         for path in sorted(quarantine.glob("*.reason.json")):
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):
                 continue
             if isinstance(record, dict):
                 reasons.append(record)
@@ -253,18 +397,39 @@ class ResultCache:
         return self.get(spec) is not None
 
     def __len__(self) -> int:
-        if not self._directory.is_dir():
-            return 0
-        return sum(1 for _ in self._directory.glob("*.json"))
+        """Live entries: jobs with an indexed line, whatever their
+        calibration or seed."""
+        self._refresh()
+        return len(self._index)
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self._directory.is_dir():
-            for path in self._directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        """Delete every segment (``quarantine/`` stays); returns how many
+        live entries were removed."""
+        removed = len(self)
+        self.close()
+        for path in self.segment_directory.glob("*.jsonl"):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        self._index.clear()
+        self._scanned.clear()
         return removed
+
+
+def _diagnose(entry: object) -> "tuple[str, str] | None":
+    """Why a parsed line is corrupt, as (reason, detail), or ``None``."""
+    if not isinstance(entry, dict):
+        return "schema-drift", f"top-level {type(entry).__name__}, expected object"
+    if entry.get("format") != CACHE_FORMAT:
+        return "schema-drift", f"format {entry.get('format')!r}, expected {CACHE_FORMAT}"
+    if not isinstance(entry.get("spec"), dict):
+        return "schema-drift", "missing or non-object spec"
+    metrics = entry.get("metrics")
+    if not isinstance(metrics, dict):
+        return "schema-drift", "missing or non-object metrics payload"
+    recorded = entry.get("checksum")
+    actual = metrics_checksum(metrics)
+    if recorded != actual:
+        return "checksum-mismatch", f"recorded {recorded!r}, payload hashes to {actual!r}"
+    return None

@@ -7,7 +7,8 @@ per spec, in submission order.  Execution strategy:
   journal marks ``done`` are served from the result cache after their
   payload checksum is verified against the journaled one;
 * **cache second** — jobs whose fingerprint is already in the result
-  cache (same calibration) are served without running anything;
+  cache (same calibration and campaign seed) are served without running
+  anything;
 * **write-ahead journal** — when a journal directory is available (any
   cached campaign gets one by default) every dispatch/done/failed
   transition is fsync'd to an append-only JSONL file *before* the next
@@ -451,7 +452,7 @@ def _execute(
     slot = _claim_manifest_slot()
     progress = CampaignProgress(total=len(specs))
     cache = (
-        ResultCache(config.cache_dir)
+        ResultCache(config.cache_dir, campaign_seed=config.campaign_seed)
         if (config.cache_dir is not None and config.use_cache)
         else None
     )
@@ -553,6 +554,9 @@ def _execute(
                 progress.completed, progress.failed, progress.cached + progress.resumed
             )
             journal.close()
+    finally:
+        if cache is not None:
+            cache.close()  # releases this process's segment for the next writer
 
     manifest = _finalize_manifest(
         progress, config, calibration, campaign_fp, journal, outcomes, len(specs),

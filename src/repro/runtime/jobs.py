@@ -99,8 +99,7 @@ class JobSpec:
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            cached = spec_fingerprint(self.to_dict())
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
@@ -117,6 +116,14 @@ class JobSpec:
             (str(k), str(v)) for k, v in kwargs.get("params", ())
         )
         return cls(**kwargs)
+
+
+def spec_fingerprint(data: Mapping[str, object]) -> str:
+    """Hex SHA-256 of a spec's canonical JSON form: what
+    :meth:`JobSpec.fingerprint` returns for the spec whose
+    :meth:`~JobSpec.to_dict` is ``data``."""
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def register_job_runner(kind: str) -> Callable[[JobRunner], JobRunner]:

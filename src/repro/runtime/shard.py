@@ -78,7 +78,6 @@ from .journal import CampaignJournal, JournalReplay, metrics_checksum, replay_jo
 from .progress import CampaignProgress, ShardBoard
 
 if TYPE_CHECKING:  # pragma: no cover - imported where used, off the serial path
-    from concurrent.futures import Future
     from multiprocessing.process import BaseProcess
 
 #: Schema version of the results manifest.
@@ -318,12 +317,15 @@ def replay_shard_journal(path: "Path | str") -> ShardState:
 def claim_shard(
     path: "Path | str", worker: str, lease_s: float, now: "float | None" = None
 ) -> "tuple[ShardJournal, ShardState, str] | None":
-    """Try to lease one shard; returns (journal, pre-claim state, nonce).
+    """Try to lease one shard; returns (journal, state, nonce).
 
     The append-then-reread protocol: replay, append a claim, replay
     again; the claim won iff the re-read grants *our* nonce.  A loser's
     record stays in the journal but is provably never granted, because
     every reader applies the same grant rule to the same byte order.
+    The returned state is the re-read: a claimant that stalled between
+    its reads sees what holders settled meanwhile, and gives back a
+    shard that finished meanwhile instead of running it again.
     """
     now = time.time() if now is None else now
     state = replay_shard_journal(path)
@@ -334,7 +336,9 @@ def claim_shard(
     journal.lease(worker, now, now + lease_s, nonce)
     confirmed = replay_shard_journal(path)
     if confirmed.holder == worker and confirmed.nonce == nonce:
-        return journal, state, nonce
+        if not confirmed.finished:
+            return journal, confirmed, nonce
+        journal.release(worker, nonce)
     journal.close()
     return None
 
@@ -380,68 +384,52 @@ def _run_one_shard(
 
     Settled jobs are never re-run (a ``done`` record counts only while
     its cache entry still verifies); everything else runs through the
-    executor's retry loop, after the attempts lost holders spent on it.
-    Each result is persisted on a writer thread while the next job runs,
-    so file creation and ``fsync`` overlap compute.  A holder that
-    overran its lease leaves the shard if another worker took it over.
-    Raises :class:`_ShardAbort` after journaling an ``interrupted``
-    record when the per-shard failure budget (distinct failed jobs,
-    including prior holders') is breached, and when a worker finds its
-    coordinator gone.
+    executor's retry loop, after the attempts lost holders spent on it,
+    and is committed (cache entry, then journal records) before the next
+    job starts.  A holder that overran its lease leaves the shard if
+    another worker took it over.  Raises :class:`_ShardAbort` after
+    journaling an ``interrupted`` record when the per-shard failure
+    budget (distinct failed jobs, including prior holders') is breached,
+    and when a worker finds its coordinator gone.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     cache = plan.cache
     budget = _FailureLedger(plan.fleet.shard_max_failures, prior=state.failed)
     journals = (journal,) if campaign_journal is None else (journal, campaign_journal)
     deadline = math.inf
-    with ThreadPoolExecutor(max_workers=1) as writer:
-        persisting: "Future | None" = None
-
-        def persist(outcome: JobOutcome, to_cache: "ResultCache | None") -> None:
-            nonlocal persisting
-            if persisting is not None:
-                persisting.result()
-            persisting = writer.submit(_commit, outcome, to_cache, journals)
-
-        try:
-            for _, spec in plan.shard_specs(index):
-                fingerprint = spec.fingerprint()
-                checksum = state.done.get(fingerprint)
-                if checksum is not None and cache.get_verified(spec, checksum) is not None:
-                    continue
-                if fingerprint in state.failed:
-                    continue
-                if worker != DRAIN_WORKER and os.getppid() != plan.coordinator:
-                    raise _ShardAbort("coordinator gone")
-                now = time.time()
-                if now >= deadline and replay_shard_journal(journal.path).holder != worker:
-                    return  # taken over: the new holder finishes the shard
-                lost = state.dispatched.get(fingerprint, 0)
-                hit = cache.get(spec) if lost else None
-                if hit is not None:
-                    persist(JobOutcome(spec=spec, status="completed", metrics=hit), None)
-                    continue
-                if budget.breached:
-                    journal.interrupted(
-                        f"shard {index} failure budget "
-                        f"(shard_max_failures={plan.fleet.shard_max_failures}) exhausted",
-                        len(state.settled()),
-                    )
-                    raise _ShardAbort(f"shard {index} aborted")
-                if not math.isinf(plan.lease_s):
-                    deadline = now + plan.lease_s
-                    journal.lease(worker, now, deadline, secrets.token_hex(8))
-                journal.dispatched(spec)
-                outcome = run_job(spec, plan.config, lost)
-                persist(outcome, cache)
-                if outcome.ok:
-                    budget.success(fingerprint)
-                else:
-                    budget.failure(fingerprint)
-        finally:
-            if persisting is not None:
-                persisting.result()
+    for _, spec in plan.shard_specs(index):
+        fingerprint = spec.fingerprint()
+        checksum = state.done.get(fingerprint)
+        if checksum is not None and cache.get_verified(spec, checksum) is not None:
+            continue
+        if fingerprint in state.failed:
+            continue
+        if worker != DRAIN_WORKER and os.getppid() != plan.coordinator:
+            raise _ShardAbort("coordinator gone")
+        now = time.time()
+        if now >= deadline and replay_shard_journal(journal.path).holder != worker:
+            return  # taken over: the new holder finishes the shard
+        lost = state.dispatched.get(fingerprint, 0)
+        hit = cache.get(spec) if lost else None
+        if hit is not None:
+            _commit(JobOutcome(spec=spec, status="completed", metrics=hit), None, journals)
+            continue
+        if budget.breached:
+            journal.interrupted(
+                f"shard {index} failure budget "
+                f"(shard_max_failures={plan.fleet.shard_max_failures}) exhausted",
+                len(state.settled()),
+            )
+            raise _ShardAbort(f"shard {index} aborted")
+        if not math.isinf(plan.lease_s):
+            deadline = now + plan.lease_s
+            journal.lease(worker, now, deadline, secrets.token_hex(8))
+        journal.dispatched(spec)
+        outcome = run_job(spec, plan.config, lost)
+        _commit(outcome, cache, journals)
+        if outcome.ok:
+            budget.success(fingerprint)
+        else:
+            budget.failure(fingerprint)
     journal.end(
         completed=len(replay_shard_journal(journal.path).done),
         failed=len(budget.failed),
@@ -774,7 +762,8 @@ def run_fleet(
     if cache is None or journal is None:
         temp = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
         root = temp / SHARD_SUBDIR
-        cache = cache if cache is not None else ResultCache(temp / "cache")
+        if cache is None:
+            cache = ResultCache(temp / "cache", campaign_seed=config.campaign_seed)
     else:
         root = shard_root(journal.path.parent, campaign)
         shutil.rmtree(root, ignore_errors=True)
@@ -808,6 +797,7 @@ def run_fleet(
             missing=f"never settled ({reason or 'no shard ran it'})" if watched else None,
         )
         if temp is not None:
+            cache.close()
             shutil.rmtree(temp, ignore_errors=True)
     steals = sum(state.steals for state in coordinator.states.values())
     return len(plan.shards), steals, reason is not None

@@ -154,6 +154,22 @@ class TestCaching:
         run_campaign(specs, CampaignConfig(cache_dir=tmp_path, use_cache=False))
         assert len(ResultCache(tmp_path)) == 0
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_campaign_seed_scopes_the_cache(self, tmp_path, n_jobs):
+        specs = [JobSpec(kind="test.echo", seed=i) for i in range(3)]
+        uncached = run_campaign(specs, CampaignConfig(campaign_seed=1))
+        seed0 = CampaignConfig(cache_dir=tmp_path, campaign_seed=0, n_jobs=n_jobs)
+        cold = run_campaign(specs, seed0)
+        warm = run_campaign(specs, seed0)
+        assert [o.status for o in warm.outcomes] == ["cached"] * 3
+        assert warm.metrics == cold.metrics
+        reseeded = run_campaign(
+            specs, CampaignConfig(cache_dir=tmp_path, campaign_seed=1, n_jobs=n_jobs)
+        )
+        assert [o.status for o in reseeded.outcomes] == ["completed"] * 3
+        assert reseeded.metrics == uncached.metrics
+        assert reseeded.metrics != cold.metrics
+
     def test_cached_outcomes_have_zero_attempts(self, tmp_path):
         specs = campaign_specs("fig15")[:2]
         config = CampaignConfig(cache_dir=tmp_path)

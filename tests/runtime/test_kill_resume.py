@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime.cache import ResultCache
+
 _DRIVER = '''
 import csv
 import json
@@ -95,7 +97,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, n_jobs):
     deadline = time.monotonic() + 60.0
     try:
         while time.monotonic() < deadline:
-            if len(list(victim_cache.glob("*.json"))) >= 3:
+            if len(ResultCache(victim_cache)) >= 3:
                 break
             if proc.poll() is not None:
                 pytest.fail("victim campaign finished before it could be killed")
@@ -107,7 +109,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, n_jobs):
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
 
-    cached_before_resume = len(list(victim_cache.glob("*.json")))
+    cached_before_resume = len(ResultCache(victim_cache))
     assert 3 <= cached_before_resume < 10
 
     # Resume in the same cache; must converge to the reference bit-for-bit.

@@ -11,6 +11,8 @@ from repro.runtime.executor import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec, register_job_runner
 from repro.runtime.journal import replay_journal
 
+from .cache_lines import edit_metrics, rewrite_entry
+
 _CRASH_STATE = {"after": None, "calls": 0}
 
 
@@ -90,16 +92,12 @@ class TestResume:
         _arm_crash(None)
         first = run_campaign(specs, config)
         # Corrupt one completed entry between crash and resume.
-        cache = ResultCache(tmp_path)
-        victim = tmp_path / f"{specs[1].fingerprint()}.json"
-        entry = json.loads(victim.read_text())
-        entry["metrics"]["draw"] = -1.0
-        victim.write_text(json.dumps(entry))
+        rewrite_entry(tmp_path, specs[1], edit_metrics(draw=-1.0))
         resumed = run_campaign(specs, config, resume=True)
         assert resumed.manifest.resumed == 3
         assert resumed.manifest.completed == 1  # the corrupted one re-ran
         assert resumed.metrics == first.metrics
-        (reason,) = cache.quarantined()
+        (reason,) = ResultCache(tmp_path).quarantined()
         assert reason["reason"] == "checksum-mismatch"
 
     def test_resume_without_journal_degrades_to_cache_hits(self, tmp_path):

@@ -175,6 +175,40 @@ class TestLeaseProtocol:
         assert claim_shard(path, "w1", lease_s=30.0, now=1e12) is None
         assert replay_shard_journal(path).leased(1e12)
 
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_stalled_claimant_sees_what_was_settled_meanwhile(
+        self, tmp_path, monkeypatch, finished
+    ):
+        """A claimant descheduled between its first read and its claim
+        must not re-run what a faster holder settled in between."""
+        import repro.runtime.shard as shard_module
+
+        path = tmp_path / "shard-0000.jsonl"
+        spec = _mc_specs(1)[0]
+        read = shard_module.replay_shard_journal
+
+        def stall(journal_path):
+            state = read(journal_path)
+            monkeypatch.setattr(shard_module, "replay_shard_journal", read)
+            with ShardJournal(journal_path, campaign="") as faster:
+                faster.lease("w0", 100.0, 130.0, "n0")
+                faster.dispatched(spec)
+                faster.done(spec, "c0")
+                if finished:
+                    faster.end(completed=1, failed=0, skipped=0)
+                faster.release("w0", "n0")
+            return state
+
+        monkeypatch.setattr(shard_module, "replay_shard_journal", stall)
+        claim = claim_shard(path, "w1", lease_s=30.0, now=101.0)
+        if finished:
+            assert claim is None
+            assert replay_shard_journal(path).holder is None
+        else:
+            journal, state, _ = claim
+            journal.close()
+            assert state.done == {spec.fingerprint(): "c0"}
+
     def test_finished_shard_not_claimable(self, tmp_path):
         path = tmp_path / "shard-0000.jsonl"
         journal = ShardJournal(path, campaign="")
