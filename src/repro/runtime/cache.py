@@ -4,23 +4,25 @@ Each result is one line of compact JSON appended to a *segment* file held
 by the writing process.  A line carries the spec, the metrics, a SHA-256
 checksum of the metrics payload, the calibration fingerprint and the
 campaign seed the result was computed under.  A cache is scoped to one
-(calibration, campaign seed) pair: an entry from another calibration
-(anyone edits the link budgets or the power tables) or another seed is
-a benign miss rather than served stale.
+(calibration, campaign seed) pair, its *world*: an entry from another
+calibration (anyone edits the link budgets or the power tables) or
+another seed is a benign miss rather than served stale.
 
 Layout::
 
     <cache_dir>/
         segments/
-            <random>.jsonl                  # one entry per line
+            <world>-<random>.jsonl          # one entry per line
         quarantine/
             <segment>.<offset>.<pid>-<nonce>.json         # copy of the failing line
             <segment>.<offset>.<pid>-<nonce>.reason.json  # diagnosis + tombstone
 
 **Writers.**  A process appends each entry with one ``os.write`` to an
 ``O_APPEND`` segment on which it holds an exclusive ``flock``: the first
-existing segment nobody holds, else a new one under a fresh random name
-(names never recur, even after :meth:`ResultCache.clear`).  ``flock``
+existing segment of its world nobody holds, else a new one under a
+fresh random name (names never recur, even after
+:meth:`ResultCache.clear`).  ``<world>`` is a hash of the calibration
+and seed, so readers never scan another world's lines.  ``flock``
 locks belong to the open file, so two caches in one process, or a
 forked child, each take their own segment; a child re-acquires on its
 first write.  A segment whose last byte is not ``\\n`` (its writer died
@@ -30,12 +32,15 @@ segment, which bounds the segment count by the peak number of
 concurrent writers.
 
 **Readers.**  An in-memory index maps a job fingerprint to the last
-newline-terminated line filed under it; the key is the fingerprint of
-the line's own ``spec``, never a stored key, so a damaged line cannot
-be filed under another job.  A torn tail is neither indexed nor
-diagnosed until a writer terminates it.  A miss re-reads the bytes
-appended since the last scan, which is how a fleet coordinator sees its
-workers' results.  A hit re-reads the line and verifies it again on
+newline-terminated line of this world filed under it; the key is the
+fingerprint of the line's own ``spec``, never a stored key, so a
+damaged line cannot be filed under another job.  Lines are canonical
+JSON with sorted keys, so a line starts with its world and ends with
+its spec text, whose SHA-256 is that fingerprint: the index is built
+without parsing any line ``put`` wrote.  A torn tail is neither
+indexed nor diagnosed until a writer terminates it.  A miss re-reads
+the bytes appended since the last scan, which is how a fleet
+coordinator sees its workers' results.  A hit re-reads the line and verifies it again on
 every call: an entry that fails parsing, carries a drifted schema, or
 whose payload no longer hashes to its recorded checksum is copied to
 ``quarantine/`` with a structured reason instead of being served or
@@ -72,6 +77,14 @@ SEGMENT_DIR = "segments"
 
 #: Subdirectory failing lines are copied into.
 QUARANTINE_DIR = "quarantine"
+
+#: What precedes the spec, the last key of a line ``put`` writes.
+_SPEC_KEY = b',"spec":'
+
+
+def _canonical(document: object) -> str:
+    """The JSON text ``put`` writes: sorted keys, compact separators."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -134,6 +147,11 @@ class ResultCache:
             calibration if calibration is not None else calibration_fingerprint()
         )
         self._campaign_seed = campaign_seed
+        world = _canonical({"calibration": self._calibration, "campaign_seed": campaign_seed})
+        # the bytes every line of this world starts with (keys are sorted)
+        self._line_prefix = world[:-1].encode("utf-8") + b","
+        # the name prefix of this world's segments
+        self._segment_tag = hashlib.sha256(world.encode("utf-8")).hexdigest()[:12] + "-"
         # job fingerprint -> (segment name, offset) of its last line
         self._index: "dict[str, tuple[str, int]]" = {}
         # segment name -> bytes scanned (up to its last complete line)
@@ -175,12 +193,12 @@ class ResultCache:
         segments = self.segment_directory
         segments.mkdir(parents=True, exist_ok=True)
         fd = None
-        for path in sorted(segments.glob("*.jsonl")):
+        for path in sorted(segments.glob(f"{self._segment_tag}*.jsonl")):
             fd = _lock_segment(path, os.O_RDWR | os.O_APPEND)
             if fd is not None:
                 break
         while fd is None:
-            path = segments / f"{secrets.token_hex(8)}.jsonl"
+            path = segments / f"{self._segment_tag}{secrets.token_hex(8)}.jsonl"
             fd = _lock_segment(path, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL)
         self._writer = open(fd, "ab", buffering=0)
         self._writer_pid = os.getpid()
@@ -199,7 +217,7 @@ class ResultCache:
             "spec": spec.to_dict(),
             "metrics": metrics,
         }
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+        line = _canonical(entry) + "\n"
         data = memoryview(line.encode("utf-8"))
         try:
             writer = self._segment_writer()
@@ -221,7 +239,8 @@ class ResultCache:
     # Reading.
 
     def _refresh(self) -> None:
-        """Index the complete lines appended since the last scan."""
+        """Index the complete lines appended to this world's segments
+        since the last scan."""
         if self._tombstones is None:
             self._tombstones = {
                 (record.get("segment"), record.get("offset"))
@@ -237,7 +256,11 @@ class ResultCache:
             name = item.name
             start = self._scanned.get(name, 0)
             try:
-                if not name.endswith(".jsonl") or item.stat().st_size <= start:
+                if (
+                    not name.startswith(self._segment_tag)
+                    or not name.endswith(".jsonl")
+                    or item.stat().st_size <= start
+                ):
                     continue
                 with open(item.path, "rb") as handle:
                     handle.seek(start)
@@ -256,9 +279,27 @@ class ResultCache:
                     if key is not None:
                         self._index[key] = (name, here)
 
+    def _spec_key(self, raw: bytes) -> "str | None":
+        """The job fingerprint of a line of this world as ``put`` wrote
+        it, read off its bytes; ``None`` for a line of any other shape.
+
+        ``put`` writes sorted keys, so its line starts with the world
+        and ends with the spec, in the canonical text whose SHA-256 is
+        the fingerprint.
+        """
+        if raw.startswith(self._line_prefix) and raw.endswith(b"}}"):
+            at = raw.rfind(_SPEC_KEY)
+            if at > 0:
+                return hashlib.sha256(raw[at + len(_SPEC_KEY):-1]).hexdigest()
+        return None
+
     def _line_key(self, segment: str, offset: int, raw: bytes) -> "str | None":
-        """The job a line belongs to, or ``None`` after quarantining a
-        line that names no job."""
+        """The job a line belongs to; ``None`` for another calibration's
+        or seed's line, or after quarantining a line that names no job.
+        Only a line ``put`` did not write is parsed here."""
+        key = self._spec_key(raw)
+        if key is not None:
+            return key
         try:
             entry = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
@@ -270,6 +311,13 @@ class ResultCache:
                 segment, offset, raw, "schema-drift",
                 f"top-level {type(entry).__name__} without a spec object",
             )
+            return None
+        # Another world's line must not shadow this world's line for the
+        # same job, wherever the two sit in the log.
+        if (
+            entry.get("calibration") != self._calibration
+            or entry.get("campaign_seed") != self._campaign_seed
+        ):
             return None
         return spec_fingerprint(spec)
 
@@ -319,9 +367,9 @@ class ResultCache:
         """
         segment, offset = where
         try:
-            with open(self.segment_directory / segment, "rb") as handle:
+            with open(os.path.join(self._directory, SEGMENT_DIR, segment), "rb") as handle:
                 handle.seek(offset)
-                raw = handle.readline()
+                raw = handle.readline().rstrip(b"\n")
         except OSError:  # cleared under us, or unreadable: a miss
             return None
         try:
@@ -331,14 +379,14 @@ class ResultCache:
         else:
             failure = _diagnose(entry)
         if failure is not None:
-            self._quarantine(segment, offset, raw.rstrip(b"\n"), *failure)
+            self._quarantine(segment, offset, raw, *failure)
             self._index.pop(fingerprint, None)
             return None
         # A valid line for another job (the bytes moved under the index)
         # or for another world is not corruption: leave it for whoever
         # keyed it.
         if (
-            spec_fingerprint(entry["spec"]) != fingerprint
+            (self._spec_key(raw) or spec_fingerprint(entry["spec"])) != fingerprint
             or entry.get("calibration") != self._calibration
             or entry.get("campaign_seed") != self._campaign_seed
             or checksum not in (None, entry["checksum"])
@@ -397,14 +445,15 @@ class ResultCache:
         return self.get(spec) is not None
 
     def __len__(self) -> int:
-        """Live entries: jobs with an indexed line, whatever their
-        calibration or seed."""
+        """Live entries of this cache's calibration and campaign seed:
+        jobs with an indexed line."""
         self._refresh()
         return len(self._index)
 
     def clear(self) -> int:
-        """Delete every segment (``quarantine/`` stays); returns how many
-        live entries were removed."""
+        """Delete every segment, whatever world its lines belong to
+        (``quarantine/`` stays); returns how many of this cache's live
+        entries were removed."""
         removed = len(self)
         self.close()
         for path in self.segment_directory.glob("*.jsonl"):

@@ -59,6 +59,45 @@ class TestResultCache:
         assert ResultCache(tmp_path, campaign_seed=0).get(_spec()) == {"gain": 2.0}
         assert ResultCache(tmp_path, campaign_seed=1).quarantined() == []
 
+    def test_other_worlds_lines_do_not_shadow_this_worlds(self, tmp_path):
+        # One job's lines for three worlds, written one after another.
+        worlds = [("cal", 0), ("cal", 1), ("other-cal", 0)]
+        for number, (cal, seed) in enumerate(worlds):
+            writer = ResultCache(tmp_path, cal, seed)
+            writer.put(_spec(), {"gain": float(number)})
+            writer.close()
+        segments = sorted(ResultCache(tmp_path).segment_directory.glob("*.jsonl"))
+        assert len(segments) == 3  # one per world
+        for number, (cal, seed) in enumerate(worlds):
+            reader = ResultCache(tmp_path, cal, seed)
+            assert reader.get(_spec()) == {"gain": float(number)}
+            assert len(reader) == 1
+        assert ResultCache(tmp_path, "cal", 2).get(_spec()) is None
+        # Even in one segment, a later line of another world does not
+        # hide this world's line.
+        (own,) = [
+            path for path in segments
+            if path.read_bytes().startswith(b'{"calibration":"cal","campaign_seed":0,')
+        ]
+        with own.open("ab") as handle:
+            for path in segments:
+                if path != own:
+                    handle.write(path.read_bytes())
+        assert ResultCache(tmp_path, *worlds[0]).get(_spec()) == {"gain": 0.0}
+        assert ResultCache(tmp_path).quarantined() == []
+
+    def test_line_in_another_json_layout_is_still_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(_spec(), {"gain": 1.0})
+        # Reversed keys and spaced separators: keyed by parsing it.
+        rewrite_entry(
+            tmp_path, _spec(),
+            lambda line: json.dumps(dict(reversed(list(json.loads(line).items())))),
+        )
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(_spec()) == {"gain": 1.0}
+        assert fresh.quarantined() == []
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_spec(), {"gain": 1.0})

@@ -163,12 +163,16 @@ class TestCaching:
         warm = run_campaign(specs, seed0)
         assert [o.status for o in warm.outcomes] == ["cached"] * 3
         assert warm.metrics == cold.metrics
-        reseeded = run_campaign(
-            specs, CampaignConfig(cache_dir=tmp_path, campaign_seed=1, n_jobs=n_jobs)
-        )
+        seed1 = CampaignConfig(cache_dir=tmp_path, campaign_seed=1, n_jobs=n_jobs)
+        reseeded = run_campaign(specs, seed1)
         assert [o.status for o in reseeded.outcomes] == ["completed"] * 3
         assert reseeded.metrics == uncached.metrics
         assert reseeded.metrics != cold.metrics
+        # Both seeds' lines now share the log; each campaign stays warm.
+        for config, expected in [(seed1, uncached), (seed0, cold), (seed1, uncached)]:
+            again = run_campaign(specs, config)
+            assert [o.status for o in again.outcomes] == ["cached"] * 3
+            assert again.metrics == expected.metrics
 
     def test_cached_outcomes_have_zero_attempts(self, tmp_path):
         specs = campaign_specs("fig15")[:2]

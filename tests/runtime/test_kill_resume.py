@@ -97,7 +97,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, n_jobs):
     deadline = time.monotonic() + 60.0
     try:
         while time.monotonic() < deadline:
-            if len(ResultCache(victim_cache)) >= 3:
+            if len(ResultCache(victim_cache, campaign_seed=3)) >= 3:
                 break
             if proc.poll() is not None:
                 pytest.fail("victim campaign finished before it could be killed")
@@ -109,7 +109,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, n_jobs):
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
 
-    cached_before_resume = len(ResultCache(victim_cache))
+    cached_before_resume = len(ResultCache(victim_cache, campaign_seed=3))
     assert 3 <= cached_before_resume < 10
 
     # Resume in the same cache; must converge to the reference bit-for-bit.
