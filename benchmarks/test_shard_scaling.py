@@ -1,8 +1,8 @@
-"""Performance bench: sharded campaign workers-vs-wall-clock scaling.
+"""Performance bench: campaign workers-vs-wall-clock scaling.
 
-Not a paper figure — this times the same Monte-Carlo BER campaign through
-the shard coordinator with one worker process and with four, and gates on
-the parallel efficiency the sharding layer was built for: four workers
+Not a paper figure — this times the same Monte-Carlo BER campaign at
+``n_jobs=1`` (in-process) and ``n_jobs=4`` (the shard worker fleet), and
+gates on the parallel efficiency the fleet was built for: four workers
 must finish at least 2.5x faster than one. The merged results manifests
 must also be byte-identical, so the speedup is provably not changing a
 single bit of science.
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.runtime import CampaignConfig, ShardConfig, run_sharded_campaign
+from repro.runtime import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec
 from repro.runtime.shard import write_results_manifest
 
@@ -37,11 +37,10 @@ def _specs():
 
 def _timed_run(tmp_path, workers):
     config = CampaignConfig(
-        cache_dir=tmp_path / f"cache-{workers}w", campaign_seed=3
+        n_jobs=workers, cache_dir=tmp_path / f"cache-{workers}w", campaign_seed=3
     )
-    shard_config = ShardConfig(shards=2 * workers, workers=workers)
     started = time.perf_counter()
-    result = run_sharded_campaign(_specs(), config, shard_config)
+    result = run_campaign(_specs(), config)
     elapsed = time.perf_counter() - started
     assert all(o.status == "completed" for o in result.outcomes)
     manifest = write_results_manifest(
@@ -59,7 +58,7 @@ def test_performance_shard_worker_scaling(tmp_path):
     parallel_s, parallel_manifest, result = _timed_run(tmp_path, workers=4)
     speedup = serial_s / parallel_s
 
-    print(f"\nsharded campaign scaling ({N_JOBS} jobs x {N_BITS:,} bits):")
+    print(f"\ncampaign worker scaling ({N_JOBS} jobs x {N_BITS:,} bits):")
     print(f"  1 worker : {serial_s:7.2f}s")
     print(f"  4 workers: {parallel_s:7.2f}s  ({speedup:.2f}x)")
 
@@ -82,7 +81,7 @@ def test_performance_shard_worker_scaling(tmp_path):
             "serial_s": round(serial_s, 3),
             "parallel_s": round(parallel_s, 3),
             "speedup": round(speedup, 3),
-            "workers": result.manifest.workers,
+            "n_jobs": result.manifest.n_jobs,
             "shards": result.manifest.shards,
             "steals": result.manifest.steals,
         }

@@ -10,8 +10,7 @@ Usage::
     python -m repro campaign fig15 fig18 --jobs 4   # engine-only run
     python -m repro campaign all --cache-dir .cache --resume  # crash-safe continuation
     python -m repro campaign mc-ber --cache-dir .cache \
-        --shards 8 --workers 4                      # journal-leased shard fleet
-    python -m repro deploy city-10k --cache-dir .cache --workers 4  # sharded regions
+        --jobs 4 --lease-s 10                       # journal-leased worker fleet
     python -m repro export fig15 out/ --backend scalar  # force the oracle
     python -m repro campaign fig15 --backend vectorized # whole-grid jobs
     python -m repro profile fig18 --top 30          # cProfile an experiment
@@ -31,9 +30,10 @@ experiment is one registration (DESIGN.md §13).
 
 The ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags drive the
 campaign engine (:mod:`repro.runtime`): figure-level work fans across
-worker processes and completed jobs are cached on disk keyed by content
-fingerprint + calibration version, so a warm re-run skips all simulation
-(verifiable from the printed run manifest's ``cached`` count).  Cached
+``--jobs`` worker processes (the only setting that shapes the fleet)
+and completed jobs are cached on disk keyed by content fingerprint +
+calibration version, so a warm re-run skips all simulation (verifiable
+from the printed run manifest's ``cached`` count).  Cached
 campaigns also keep a write-ahead journal, so a killed sweep continues
 with ``campaign ... --resume`` (bit-identical results; see DESIGN.md
 §10), and ``--max-failures N`` turns a failure storm into an early,
@@ -137,8 +137,7 @@ def _campaign_config(args: argparse.Namespace, seed: int = 0):
 
     return CampaignConfig(
         n_jobs=_capped_jobs(args.jobs),
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         campaign_seed=seed,
         resume=getattr(args, "resume", False),
         max_failures=getattr(args, "max_failures", None),
@@ -196,18 +195,25 @@ def _fault_profile(value: str) -> str:
     )
 
 
-def _shard_config(args: argparse.Namespace):
-    """Resolve ``--shards/--workers`` into a :class:`ShardConfig`, or
-    ``None`` when neither sharding flag was given."""
-    import os
+def _resume_without_cache(config) -> bool:
+    """Report (and return whether) ``--resume`` was asked of a campaign
+    that, once ``--no-cache`` is applied, has no cache to resume from."""
+    if config.resume and config.cache_dir is None:
+        print(
+            "error: --resume needs --cache-dir, without --no-cache (the "
+            "journal and the results being resumed live there)",
+            file=sys.stderr,
+        )
+        return True
+    return False
 
-    from .runtime import ShardConfig
 
-    if args.shards is None and args.workers is None:
-        return None
-    workers = args.workers or min(args.shards, os.cpu_count() or 1)
-    shards = args.shards or 2 * workers
-    return ShardConfig(shards=shards, workers=workers)
+def _fleet_summary(manifest) -> str:
+    """The ``, K shards/S steals`` part of a summary line ("" when the
+    campaign ran in-process)."""
+    if not manifest.shards:
+        return ""
+    return f", {manifest.shards} shards/{manifest.steals} steals"
 
 
 def _shard_progress_printer():
@@ -229,23 +235,10 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     from .experiments import campaignable_ids
     from .runtime import drain_manifests, run_campaign, write_results_manifest
     from .runtime.progress import write_campaign_manifest
-    from .runtime.shard import run_sharded_campaign
     from .runtime.workloads import campaign_specs
 
-    if args.resume and args.cache_dir is None:
-        print(
-            "error: --resume needs --cache-dir (the journal and the results "
-            "being resumed live there)",
-            file=sys.stderr,
-        )
-        return 2
-    shard_config = _shard_config(args)
-    if shard_config is not None and args.cache_dir is None:
-        print(
-            "error: --shards/--workers need --cache-dir (worker processes "
-            "exchange results through the checksum-verified cache)",
-            file=sys.stderr,
-        )
+    config = _campaign_config(args, seed=args.seed)
+    if _resume_without_cache(config):
         return 2
     experiments = args.experiments or ["all"]
     if "all" in experiments:
@@ -257,36 +250,22 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = _campaign_config(args, seed=args.seed)
     drain_manifests()
     failed = 0
     for experiment in experiments:
         specs = campaign_specs(experiment, backend=args.backend)
-        if shard_config is not None:
-            on_progress = (
-                _shard_progress_printer() if sys.stderr.isatty() else None
-            )
-            result = run_sharded_campaign(
-                specs, config, shard_config, on_progress=on_progress
-            )
-        else:
-            result = run_campaign(specs, config)
+        on_progress = _shard_progress_printer() if sys.stderr.isatty() else None
+        result = run_campaign(specs, config, on_progress=on_progress)
         if args.results is not None:
             write_results_manifest(args.results, result)
             print(f"results manifest written to {args.results}", file=sys.stderr)
         failed += len(result.failures)
         manifest = result.manifest
         resumed = f", {manifest.resumed} resumed" if manifest.resumed else ""
-        sharded = (
-            f", {manifest.shards} shards/{manifest.workers} workers"
-            f"/{manifest.steals} steals"
-            if manifest.shards
-            else ""
-        )
         print(
             f"{experiment}: {manifest.total} jobs, {manifest.completed} run, "
             f"{manifest.cached} cached, {manifest.failed} failed{resumed}"
-            f"{sharded}, "
+            f"{_fleet_summary(manifest)}, "
             f"{manifest.wall_time_s:.2f}s ({manifest.jobs_per_s:.0f} jobs/s)"
         )
         if (
@@ -352,54 +331,33 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
     if args.scenario is None:
         print("error: a scenario name or JSON path is required", file=sys.stderr)
         return 2
-    if args.resume and args.cache_dir is None:
-        print(
-            "error: --resume needs --cache-dir (the journal and the results "
-            "being resumed live there)",
-            file=sys.stderr,
-        )
-        return 2
-    shard_config = _shard_config(args)
-    if shard_config is not None and args.cache_dir is None:
-        print(
-            "error: --shards/--workers need --cache-dir (worker processes "
-            "exchange results through the checksum-verified cache)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         spec = _resolve_scenario(args.scenario, args.seed)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = _campaign_config(args, seed=spec.seed)
+    if _resume_without_cache(config):
+        return 2
     fault_plan = (
         region_fault_plan_for(args.faults, spec)
         if args.faults is not None
         else None
     )
     try:
-        run = run_deployment(
-            spec, config, resume=args.resume, shard_config=shard_config,
-            fault_plan=fault_plan,
-        )
+        run = run_deployment(spec, config, fault_plan=fault_plan)
     except CampaignError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     manifest = run.manifest
     engine = run.campaign.manifest
     resumed = f", {engine.resumed} resumed" if engine.resumed else ""
-    sharded = (
-        f", {engine.shards} shards/{engine.workers} workers"
-        f"/{engine.steals} steals"
-        if engine.shards
-        else ""
-    )
     print(
         f"{spec.name}: {manifest['hub_count']} hubs, "
         f"{manifest['device_count']} devices in "
         f"{manifest['region_count']} regions "
-        f"({engine.completed} run, {engine.cached} cached{resumed}{sharded}) "
+        f"({engine.completed} run, {engine.cached} cached{resumed}"
+        f"{_fleet_summary(engine)}) "
         f"in {engine.wall_time_s:.2f}s"
     )
     print(
@@ -433,14 +391,34 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers >= ``minimum``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return number
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+#: The type of every ``--seed``: numpy seed sequences reject negatives.
+_seed = _int_at_least(0)
+
+
+def _positive_seconds(value: str) -> float:
     try:
-        jobs = int(value)
+        seconds = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return jobs
+        raise argparse.ArgumentTypeError(f"expected seconds, got {value!r}")
+    if not seconds > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return seconds
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -456,22 +434,12 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
+def _add_lease_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="K",
-        help="partition the campaign fingerprint-space into K journal-"
-        "leased shards (default: 2x the worker count); needs --cache-dir",
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="fork N worker processes that lease, run and steal shards "
-        "(default: min(shards, CPUs)); needs --cache-dir",
-    )
-    parser.add_argument(
-        "--lease-s", type=float, default=30.0, metavar="S",
-        help="job lease in seconds for --jobs/--shards runs: a job still "
-        "running this long is presumed hung and another worker re-runs "
-        "it (default 30)",
+        "--lease-s", type=_positive_seconds, default=30.0, metavar="S",
+        help="job lease in seconds for --jobs runs: a job still running "
+        "this long is presumed hung and another worker re-runs it "
+        "(default 30)",
     )
 
 
@@ -533,7 +501,7 @@ def _add_variant_subcommand(
         help="packet budget for the session (default 2000)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="simulation seed (default 0)"
+        "--seed", type=_seed, default=0, help="simulation seed (default 0)"
     )
 
 
@@ -597,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         help="campaign-able experiment ids (default: all)",
     )
     campaign.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (default 0)"
+        "--seed", type=_seed, default=0, help="campaign seed (default 0)"
     )
     campaign.add_argument(
         "--manifest", type=Path, default=None, metavar="PATH",
@@ -616,11 +584,11 @@ def main(argv: list[str] | None = None) -> int:
     campaign.add_argument(
         "--results", type=Path, default=None, metavar="PATH",
         help="write the canonical results manifest JSON to PATH "
-        "(byte-identical across serial, sharded and resumed runs of the "
+        "(byte-identical across serial, --jobs and resumed runs of the "
         "same campaign; exactly one experiment)",
     )
     _add_campaign_flags(campaign)
-    _add_shard_flags(campaign)
+    _add_lease_flag(campaign)
     _add_backend_flag(campaign)
     deploy = subparsers.add_parser(
         "deploy",
@@ -637,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
         help="list the scenario catalog with sizes and exit",
     )
     deploy.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="override the scenario seed (changes every derived stream)",
     )
     deploy.add_argument(
@@ -665,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         "re-simulate only regions without a verified result",
     )
     _add_campaign_flags(deploy)
-    _add_shard_flags(deploy)
+    _add_lease_flag(deploy)
 
     args = parser.parse_args(argv)
     if args.command == "list":

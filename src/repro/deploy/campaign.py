@@ -11,8 +11,8 @@ The merge is deterministic by construction: region reports are keyed by
 region index (not completion order), every random stream inside a region
 is content-addressed from the scenario fingerprint, and the merged
 manifest carries no wall-clock or host state.  Same fingerprint ⇒
-bit-identical manifest at any worker count, shard layout, execution order
-or journal resume.
+bit-identical manifest at any worker count, execution order or journal
+resume.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..runtime.executor import CampaignConfig, CampaignResult, run_campaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.region import RegionFaultPlan
-    from ..runtime.shard import ShardConfig
 from ..runtime.jobs import JobSpec
 from .partition import DeploymentPartition, partition
 from .spec import DEPLOY_SCHEMA_VERSION, DeploymentSpec
@@ -185,34 +184,24 @@ class DeploymentRun:
 def run_deployment(
     spec: DeploymentSpec,
     config: "CampaignConfig | None" = None,
-    resume: "bool | None" = None,
-    shard_config: "ShardConfig | None" = None,
     fault_plan: "RegionFaultPlan | None" = None,
 ) -> DeploymentRun:
     """Partition, fan out, simulate and merge one scenario.
 
-    With ``shard_config`` the region jobs run on a worker fleet of that
-    shape (:func:`repro.runtime.shard.run_sharded_campaign`) instead of
-    one derived from ``config.n_jobs``; the merged deployment manifest
-    is byte-identical either way.  A non-empty
-    ``fault_plan`` arms every region's fault schedule (hub blackouts
-    with failover, brownouts, churn storms, noise surges) and surfaces
-    the degradation block in the manifest; ``None`` or an empty plan
-    is bit-identical to a run with no fault machinery at all.
+    The region jobs run as one campaign under ``config`` (worker count,
+    cache, ``resume``); the merged deployment manifest is byte-identical
+    whatever those are.  A non-empty ``fault_plan`` arms every region's
+    fault schedule (hub blackouts with failover, brownouts, churn storms,
+    noise surges) and surfaces the degradation block in the manifest;
+    ``None`` or an empty plan is bit-identical to a run with no fault
+    machinery at all.
 
     Raises:
         CampaignError: if any region job ultimately failed.
     """
     part = partition(spec)
     specs = region_job_specs(spec, part, fault_plan=fault_plan)
-    if config is None:
-        config = CampaignConfig()
-    if shard_config is not None:
-        from ..runtime.shard import run_sharded_campaign
-
-        result = run_sharded_campaign(specs, config, shard_config).raise_on_failure()
-    else:
-        result = run_campaign(specs, config, resume=resume).raise_on_failure()
+    result = run_campaign(specs, config).raise_on_failure()
     reports = [outcome.metrics for outcome in result.outcomes]
     manifest = merge_region_reports(spec, part, reports, fault_plan=fault_plan)  # type: ignore[arg-type]
     return DeploymentRun(

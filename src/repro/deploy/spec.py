@@ -445,6 +445,8 @@ class DeploymentSpec:
             raise ValueError("path-loss exponent must be positive")
         if self.payload_bytes <= 0:
             raise ValueError("payload must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     # -- derived sizes ---------------------------------------------------
 

@@ -31,12 +31,10 @@ from .journal import (
 from .progress import CampaignProgress, RunManifest, ShardBoard, ShardSnapshot
 from .seeding import campaign_seed_sequence, job_rng, job_seed_sequence
 from .shard import (
-    ShardConfig,
     ShardPlan,
     partition_shards,
     replay_shard_journal,
     results_manifest,
-    run_sharded_campaign,
     write_results_manifest,
 )
 from .workloads import (
@@ -59,7 +57,6 @@ __all__ = [
     "ResultCache",
     "RunManifest",
     "ShardBoard",
-    "ShardConfig",
     "ShardPlan",
     "ShardSnapshot",
     "batch_distance_spec",
@@ -83,6 +80,5 @@ __all__ = [
     "replay_shard_journal",
     "results_manifest",
     "run_campaign",
-    "run_sharded_campaign",
     "write_results_manifest",
 ]

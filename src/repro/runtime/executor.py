@@ -3,23 +3,24 @@
 ``run_campaign`` takes a list of :class:`JobSpec` and returns one outcome
 per spec, in submission order.  Execution strategy:
 
-* **resume first** — with ``resume=True`` and a journal on disk, jobs the
-  journal marks ``done`` are served from the result cache after their
+* **resume first** — with ``config.resume`` and a journal on disk, jobs
+  the journal marks ``done`` are served from the result cache after their
   payload checksum is verified against the journaled one;
 * **cache second** — jobs whose fingerprint is already in the result
   cache (same calibration and campaign seed) are served without running
   anything;
-* **write-ahead journal** — when a journal directory is available (any
-  cached campaign gets one by default) every dispatch/done/failed
-  transition is fsync'd to an append-only JSONL file *before* the next
-  state change, so a SIGKILL mid-sweep loses at most the in-flight jobs;
+* **write-ahead journal** — a cached campaign fsyncs every
+  dispatch/done/failed transition to an append-only JSONL file under
+  ``<cache_dir>/journal`` *before* the next state change, so a SIGKILL
+  mid-sweep loses at most the in-flight jobs;
 * **worker fleet** — with ``n_jobs > 1`` the remaining jobs are dealt
   into ``min(pending, 4 * n_jobs)`` shards that ``n_jobs`` forked
   workers lease, run and steal through per-shard journals
   (:mod:`repro.runtime.shard`).  ``timeout_s`` is the job lease: a job
   still running when it runs out is presumed hung and a live worker
   re-runs it.  A dead worker's shard is released at once, and if no
-  worker can start the coordinator drains the shards in-process;
+  worker can start the coordinator drains the shards in-process.
+  ``n_jobs`` is the only setting that shapes the fleet;
 * **bounded retry** — jobs that raise are retried in place with
   exponential backoff, up to ``max_retries`` extra attempts (an attempt
   lost to a dead or hung worker counts); ``max_failures`` turns a
@@ -43,18 +44,14 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .cache import ResultCache, calibration_fingerprint
+from .cache import ResultCache
 from .jobs import JobSpec, job_runner
 from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
 from .progress import CampaignProgress, RunManifest
 from .seeding import job_rng
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .shard import ShardConfig
-
-#: Journal subdirectory created under the cache directory by default.
+#: Journal subdirectory created under the cache directory.
 JOURNAL_SUBDIR = "journal"
 
 
@@ -64,20 +61,16 @@ class CampaignConfig:
 
     Attributes:
         n_jobs: worker processes; 1 means in-process serial execution.
-        timeout_s: the job lease of the worker fleet (``n_jobs > 1`` or a
-            sharded run): a job still running this long after it started
-            is presumed hung, and a live worker (or the coordinator)
-            re-runs it, the overrun counting as one attempt.  ``None``
+        timeout_s: the job lease of the worker fleet (``n_jobs > 1``): a
+            job still running this long after it started is presumed
+            hung, and a live worker (or the coordinator) re-runs it, the
+            overrun counting as one attempt.  ``None``
             never presumes a job hung.  Serial runs ignore it.
         max_retries: extra attempts after a job's first failure.
         backoff_s: base of the exponential retry backoff.
-        campaign_seed: root seed for per-job RNG derivation.
+        campaign_seed: root seed for per-job RNG derivation (>= 0).
         cache_dir: result-cache directory, or ``None`` for no caching.
-        use_cache: when ``False`` the cache is neither read nor written
-            even if ``cache_dir`` is set.
-        journal_dir: where write-ahead journals live; defaults to
-            ``<cache_dir>/journal`` when caching is active, else no
-            journaling.
+            Cached campaigns journal under ``<cache_dir>/journal``.
         resume: replay the campaign's journal and skip jobs whose results
             are journaled ``done`` and still verify against the cache.
         max_failures: abort the campaign once this many jobs have failed
@@ -91,8 +84,6 @@ class CampaignConfig:
     backoff_s: float = 0.05
     campaign_seed: int = 0
     cache_dir: Path | str | None = None
-    use_cache: bool = True
-    journal_dir: Path | str | None = None
     resume: bool = False
     max_failures: int | None = None
 
@@ -105,22 +96,20 @@ class CampaignConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.backoff_s < 0.0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff_s!r}")
+        if self.campaign_seed < 0:
+            raise ValueError(
+                f"campaign_seed must be >= 0, got {self.campaign_seed!r}"
+            )
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {self.max_failures!r}"
             )
 
-    def serial(self) -> "CampaignConfig":
-        """A copy of this config forced to in-process execution."""
-        return replace(self, n_jobs=1)
-
     def resolved_journal_dir(self) -> "Path | None":
         """Where this campaign journals, or ``None`` for no journaling."""
-        if self.journal_dir is not None:
-            return Path(self.journal_dir)
-        if self.cache_dir is not None and self.use_cache:
-            return Path(self.cache_dir) / JOURNAL_SUBDIR
-        return None
+        if self.cache_dir is None:
+            return None
+        return Path(self.cache_dir) / JOURNAL_SUBDIR
 
 
 @dataclass(frozen=True)
@@ -418,42 +407,32 @@ def _settle(
 def run_campaign(
     specs: "list[JobSpec] | tuple[JobSpec, ...]",
     config: CampaignConfig | None = None,
-    resume: "bool | None" = None,
+    on_progress=None,
 ) -> CampaignResult:
     """Execute a campaign and return per-job outcomes plus a manifest.
+
+    The one way to run a campaign: the pre-pass, then the pending jobs
+    in-process (``n_jobs = 1``) or on a fleet of ``n_jobs`` workers
+    (:mod:`repro.runtime.shard`), then the manifest.  With
+    ``config.resume`` the write-ahead journal is replayed first:
+    journaled-``done`` jobs are served from the cache after checksum
+    verification and only the remainder is re-dispatched, bit-identical
+    to an uninterrupted run (content-derived seeding).
 
     Args:
         specs: the jobs, in submission order.
         config: execution knobs (defaults to :class:`CampaignConfig`).
-        resume: overrides ``config.resume`` when given — replay the
-            write-ahead journal, serve journaled-``done`` jobs from the
-            cache after checksum verification, and re-dispatch only the
-            remainder.  Resumed results are bit-identical to an
-            uninterrupted run (content-derived seeding).
+        on_progress: called with a live
+            :class:`~repro.runtime.progress.ShardBoard` while a fleet
+            runs; serial runs never call it.
     """
-    return _execute(specs, config, resume)
-
-
-def _execute(
-    specs: "list[JobSpec] | tuple[JobSpec, ...]",
-    config: "CampaignConfig | None",
-    resume: "bool | None",
-    fleet: "ShardConfig | None" = None,
-    on_progress=None,
-) -> CampaignResult:
-    """The executor behind :func:`run_campaign` and
-    :func:`~repro.runtime.shard.run_sharded_campaign`: pre-pass, then
-    the pending jobs in-process or on the worker fleet (``fleet`` is a
-    :class:`~repro.runtime.shard.ShardConfig`; ``n_jobs > 1`` derives
-    one), then the manifest."""
     config = config if config is not None else CampaignConfig()
-    do_resume = config.resume if resume is None else bool(resume)
     specs = list(specs)
     slot = _claim_manifest_slot()
     progress = CampaignProgress(total=len(specs))
     cache = (
         ResultCache(config.cache_dir, campaign_seed=config.campaign_seed)
-        if (config.cache_dir is not None and config.use_cache)
+        if config.cache_dir is not None
         else None
     )
     calibration = cache.calibration if cache is not None else ""
@@ -462,13 +441,11 @@ def _execute(
     campaign_fp = ""
     journal_dir = config.resolved_journal_dir()
     if journal_dir is not None:
-        campaign_fp = campaign_fingerprint(
-            specs, config.campaign_seed, calibration or calibration_fingerprint()
-        )
+        campaign_fp = campaign_fingerprint(specs, config.campaign_seed, calibration)
         journal = CampaignJournal(journal_dir / f"{campaign_fp}.jsonl", campaign_fp)
 
     replay = None
-    if do_resume and journal is not None and cache is not None:
+    if config.resume and journal is not None:
         replay = journal.replay()
         if replay.campaign and replay.campaign != campaign_fp:
             replay = None  # foreign journal: distrust it entirely
@@ -498,17 +475,7 @@ def _execute(
             outcome = JobOutcome(spec=spec, status=status, metrics=hit)
             _settle(index, outcome, progress, outcomes, ledger)
 
-    # An ``n_jobs`` fleet is an execution detail: its run manifest keeps
-    # the shape of a serial run's; only an explicitly shaped fleet
-    # reports its fields.
-    explicit = fleet is not None
-    if fleet is None and config.n_jobs > 1 and pending:
-        from .shard import ShardConfig
-
-        fleet = ShardConfig(
-            shards=min(len(pending), 4 * config.n_jobs), workers=config.n_jobs
-        )
-    report: "dict[str, int]" = {}
+    shards = steals = 0
     aborted = False
     guard = _SignalGuard()
     try:
@@ -517,20 +484,13 @@ def _execute(
                 journal.begin(len(specs), config.campaign_seed, calibration)
                 for _, spec in pending:
                     journal.dispatched(spec)
-            if pending and fleet is not None:
+            if pending and config.n_jobs > 1:
                 from .shard import run_fleet
 
                 shards, steals, aborted = run_fleet(
-                    pending, config, fleet, cache, journal, campaign_fp,
+                    pending, config, cache, journal, campaign_fp,
                     progress, outcomes, ledger, on_progress,
                 )
-                if explicit:
-                    report = {
-                        "n_jobs": fleet.workers,
-                        "shards": shards,
-                        "workers": fleet.workers,
-                        "steals": steals,
-                    }
             else:
                 _run_serial(pending, config, cache, progress, outcomes, journal, ledger)
     except (KeyboardInterrupt, SystemExit) as exc:
@@ -560,7 +520,7 @@ def _execute(
 
     manifest = _finalize_manifest(
         progress, config, calibration, campaign_fp, journal, outcomes, len(specs),
-        interrupted=aborted, **report,
+        interrupted=aborted, shards=shards, steals=steals,
     )
     _record_manifest(slot, manifest)
     return CampaignResult(
@@ -578,17 +538,20 @@ def _finalize_manifest(
     outcomes: "dict[int, JobOutcome]",
     total: int,
     interrupted: bool,
-    **fleet: int,
+    shards: int = 0,
+    steals: int = 0,
 ) -> RunManifest:
     """Freeze progress into a manifest, merging any energy breakdowns;
-    ``fleet`` overrides ``n_jobs`` and sets the fleet fields."""
+    a fleet run adds its ``shards`` and ``steals``."""
     manifest = progress.manifest(
-        **{"n_jobs": config.n_jobs, **fleet},
+        n_jobs=config.n_jobs,
         calibration=calibration,
         campaign_seed=config.campaign_seed,
         campaign=campaign_fp,
         journal=str(journal.path) if journal is not None else None,
         interrupted=interrupted,
+        shards=shards,
+        steals=steals,
     )
     # Jobs that report a ledger breakdown get their category totals
     # merged into the manifest, so campaign records carry the attributed

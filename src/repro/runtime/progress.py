@@ -64,7 +64,6 @@ class CampaignProgress:
         journal: "str | None" = None,
         interrupted: bool = False,
         shards: int = 0,
-        workers: int = 0,
         steals: int = 0,
     ) -> "RunManifest":
         """Freeze the counters into a manifest."""
@@ -87,7 +86,6 @@ class CampaignProgress:
             journal=journal,
             interrupted=interrupted,
             shards=shards,
-            workers=workers,
             steals=steals,
         )
 
@@ -119,10 +117,9 @@ class RunManifest:
         energy: merged ledger category totals (label -> joules) of jobs
             that reported an energy breakdown, or ``None`` when the
             campaign carried none (omitted from the JSON form).
-        shards: shards the worker fleet ran (0 = everything ran
-            in-process; the fleet fields are then omitted from the JSON
-            form).
-        workers: worker processes of the fleet.
+        shards: shards the worker fleet (``n_jobs`` workers) ran; 0 =
+            everything ran in-process, and the fleet fields are then
+            omitted from the JSON form.
         steals: shards taken over from a worker that died or overran
             its lease.
     """
@@ -144,7 +141,6 @@ class RunManifest:
     journal: "str | None" = None
     interrupted: bool = False
     shards: int = 0
-    workers: int = 0
     steals: int = 0
 
     def to_dict(self) -> dict[str, object]:
@@ -171,7 +167,6 @@ class RunManifest:
             out["interrupted"] = True
         if self.shards:
             out["shards"] = self.shards
-            out["workers"] = self.workers
             out["steals"] = self.steals
         if self.energy is not None:
             out["energy"] = self.energy
@@ -212,7 +207,6 @@ class RunManifest:
         journals = {m.journal for m in manifests if m.journal is not None}
         return RunManifest(
             shards=max(m.shards for m in manifests),
-            workers=max(m.workers for m in manifests),
             steals=sum(m.steals for m in manifests),
             total=sum(m.total for m in manifests),
             completed=sum(m.completed for m in manifests),
@@ -308,7 +302,7 @@ class ShardSnapshot:
 
 @dataclass
 class ShardBoard:
-    """Rolling view of every shard in one sharded campaign.
+    """Rolling view of every shard of one fleet run.
 
     ``observe`` folds a journal replay per shard (anything exposing
     ``done``/``failed``/``dispatched``/``holder``/``deadline``/``steals``

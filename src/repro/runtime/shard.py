@@ -1,16 +1,16 @@
 """The worker fleet: sharded, lease-journaled campaign execution.
 
-Every campaign with ``n_jobs > 1`` — and every ``--shards K --workers N``
-run — executes here, after the executor's pre-pass (resume replay, then
-cache hits) has settled what it can.  The pending jobs are dealt into K
-**shards**, and N forked worker processes *lease* them through
-per-shard append-only journals.  Everything rides the durability
+Every campaign with ``n_jobs > 1`` executes here, after the executor's
+pre-pass (resume replay, then cache hits) has settled what it can.  The
+pending jobs are dealt into ``min(pending, 4 * n_jobs)`` **shards**, and
+``n_jobs`` forked worker processes *lease* them through per-shard
+append-only journals.  Everything rides the durability
 primitives of the executor — the shared result cache, checksummed
 ``done`` records, the crash-tolerant replay — so the fleet adds
 coordination, never new persistence:
 
 * **partition** — specs are ordered by content fingerprint and dealt
-  round-robin into K shards, so the split depends only on the job set,
+  round-robin into the shards, so the split depends only on the job set,
   never on submission order or worker count;
 * **leases** — a worker claims a shard by appending a ``lease`` record
   (worker id, pid, deadline, nonce) and re-reading the journal:
@@ -30,11 +30,9 @@ coordination, never new persistence:
   one dies it appends a ``release`` for the shard the dead worker held,
   so a survivor (or the coordinator's in-process drain) takes it over at
   once instead of after the lease;
-* **failure budgets** — each worker enforces the per-shard budget
-  (distinct failed jobs, including ones journaled by previous holders)
-  and journals an ``interrupted`` record on breach; the coordinator
-  enforces the campaign's ``max_failures`` across all shard journals and
-  tears the fleet down, again with journaled ``interrupted`` records;
+* **failure budget** — the coordinator enforces the campaign's
+  ``max_failures`` across all shard journals and tears the fleet down,
+  with a journaled ``interrupted`` record per unfinished shard;
 * **merge** — the coordinator folds the shard journals back into the
   campaign's outcomes in submission order, reading every payload from
   the checksum-verified cache.  Because job results are pure functions
@@ -67,7 +65,6 @@ from .executor import (
     CampaignResult,
     JobOutcome,
     _commit,
-    _execute,
     _FailureLedger,
     _settle,
     _SignalGuard,
@@ -89,42 +86,9 @@ SHARD_SUBDIR = "shards"
 #: Lease-holder name of the coordinator when it drains shards itself.
 DRAIN_WORKER = "coordinator"
 
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Shape of the worker fleet of a sharded campaign.
-
-    The job lease is the campaign's ``timeout_s``
-    (:class:`~repro.runtime.executor.CampaignConfig`).
-
-    Attributes:
-        shards: number of shards the pending jobs are split into
-            (clamped to the job count).
-        workers: worker processes the coordinator forks.
-        poll_s: how often idle workers look for an expired lease to
-            steal, and the coordinator's tick while it counts failures
-            or reports progress.
-        shard_max_failures: per-shard failure budget (distinct failed
-            jobs, including ones journaled by previous lease holders);
-            breach journals ``interrupted`` and abandons the shard.
-    """
-
-    shards: int = 2
-    workers: int = 2
-    poll_s: float = 0.05
-    shard_max_failures: "int | None" = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.poll_s <= 0.0:
-            raise ValueError(f"poll must be positive, got {self.poll_s!r}")
-        if self.shard_max_failures is not None and self.shard_max_failures < 1:
-            raise ValueError(
-                f"shard_max_failures must be >= 1, got {self.shard_max_failures!r}"
-            )
+#: How often idle workers look for an expired lease to steal, and the
+#: coordinator's tick while it counts failures or reports progress.
+POLL_S = 0.05
 
 
 # --------------------------------------------------------------------------
@@ -171,8 +135,8 @@ class ShardPlan:
         journal: the campaign journal workers append terminal records
             to, or ``None`` for an unjournaled campaign.
         campaign: campaign fingerprint ("" when unjournaled).
-        config: the campaign's seed, retry, backoff and lease knobs.
-        fleet: the fleet's shape, polling tick and per-shard budget.
+        config: the campaign's worker count, seed, retry, backoff and
+            lease knobs.
         coordinator: pid of the coordinating process (the one that
             builds the plan); a worker whose parent is no longer it stops
             at the next job boundary.
@@ -185,7 +149,6 @@ class ShardPlan:
     journal: "Path | None"
     campaign: str
     config: CampaignConfig
-    fleet: ShardConfig
     coordinator: int = field(default_factory=os.getpid)
 
     @property
@@ -368,7 +331,7 @@ def _release(journal: ShardJournal, worker: str) -> None:
 
 
 class _ShardAbort(Exception):
-    """Internal: a shard budget was breached or the coordinator is gone."""
+    """Internal: the worker's coordinator is gone."""
 
 
 def _run_one_shard(
@@ -387,13 +350,10 @@ def _run_one_shard(
     executor's retry loop, after the attempts lost holders spent on it,
     and is committed (cache entry, then journal records) before the next
     job starts.  A holder that overran its lease leaves the shard if
-    another worker took it over.  Raises :class:`_ShardAbort` after
-    journaling an ``interrupted`` record when the per-shard failure
-    budget (distinct failed jobs, including prior holders') is breached,
-    and when a worker finds its coordinator gone.
+    another worker took it over.  Raises :class:`_ShardAbort` when a
+    worker finds its coordinator gone.
     """
     cache = plan.cache
-    budget = _FailureLedger(plan.fleet.shard_max_failures, prior=state.failed)
     journals = (journal,) if campaign_journal is None else (journal, campaign_journal)
     deadline = math.inf
     for _, spec in plan.shard_specs(index):
@@ -413,28 +373,13 @@ def _run_one_shard(
         if hit is not None:
             _commit(JobOutcome(spec=spec, status="completed", metrics=hit), None, journals)
             continue
-        if budget.breached:
-            journal.interrupted(
-                f"shard {index} failure budget "
-                f"(shard_max_failures={plan.fleet.shard_max_failures}) exhausted",
-                len(state.settled()),
-            )
-            raise _ShardAbort(f"shard {index} aborted")
         if not math.isinf(plan.lease_s):
             deadline = now + plan.lease_s
             journal.lease(worker, now, deadline, secrets.token_hex(8))
         journal.dispatched(spec)
-        outcome = run_job(spec, plan.config, lost)
-        _commit(outcome, cache, journals)
-        if outcome.ok:
-            budget.success(fingerprint)
-        else:
-            budget.failure(fingerprint)
-    journal.end(
-        completed=len(replay_shard_journal(journal.path).done),
-        failed=len(budget.failed),
-        skipped=0,
-    )
+        _commit(run_job(spec, plan.config, lost), cache, journals)
+    final = replay_shard_journal(journal.path)
+    journal.end(completed=len(final.done), failed=len(final.failed), skipped=0)
 
 
 def _pick_claimable(
@@ -469,9 +414,9 @@ def run_shard_worker(plan: ShardPlan, worker: str) -> int:
 
     Without a lease timeout an idle worker has nothing to steal, so it
     exits as soon as no shard is claimable.  Returns a process exit
-    code: 0 when done, 3 when the worker stopped because a shard or
-    campaign budget aborted the run or its coordinator is gone, 130/143
-    on SIGINT/SIGTERM.  A worker always releases the shard it leaves.
+    code: 0 when done, 3 when the worker stopped because its coordinator
+    is gone, 130/143 on SIGINT/SIGTERM.  A worker always releases the
+    shard it leaves.
     """
     campaign_journal = (
         CampaignJournal(plan.journal, plan.campaign, fsync=False)
@@ -486,13 +431,11 @@ def run_shard_worker(plan: ShardPlan, worker: str) -> int:
                 states = _replay(plan, states)
                 if all(state.finished for state in states.values()):
                     return 0
-                if any(state.interrupted for state in states.values()):
-                    return 3
                 target = _pick_claimable(plan, states, now)
                 if target is None:
                     if math.isinf(plan.lease_s):
                         return 0
-                    time.sleep(plan.fleet.poll_s)
+                    time.sleep(POLL_S)
                     continue
                 claim = claim_shard(
                     shard_journal_path(plan.root, target), worker, plan.lease_s, now
@@ -616,7 +559,7 @@ class _Coordinator:
 
         Blocks on worker exit (process sentinels) and replays the shard
         journals only when it wakes: at a worker's exit, when a lease is
-        due to expire, and every ``poll_s`` while ``max_failures`` needs
+        due to expire, and every ``POLL_S`` while ``max_failures`` needs
         a count or ``on_progress`` a board.  Each wake releases the
         shards of dead workers at once and settles finished shards.  The
         coordinator drains shards in-process when no worker is left, or
@@ -644,8 +587,6 @@ class _Coordinator:
             self.settle()
             if all(state.finished for state in self.states.values()):
                 return None
-            if any(state.interrupted for state in self.states.values()):
-                return "aborted: a shard journaled an interruption"
             if counting and self.over_budget():
                 return self.ledger.abort_message()
             alive = [p.sentinel for p in workers.values() if p.exitcode is None]
@@ -654,13 +595,13 @@ class _Coordinator:
                 for state in self.states.values()
                 if not state.finished and state.holder is not None
             ]
-            if not alive or any(now - deadline > 2 * plan.fleet.poll_s for deadline in leased):
+            if not alive or any(now - deadline > 2 * POLL_S for deadline in leased):
                 self.drain()
                 continue
-            wake = min(leased, default=now + plan.lease_s) + 2 * plan.fleet.poll_s - now
+            wake = min(leased, default=now + plan.lease_s) + 2 * POLL_S - now
             if counting or board is not None:
-                wake = min(wake, plan.fleet.poll_s)
-            connection.wait(alive, None if math.isinf(wake) else max(wake, plan.fleet.poll_s))
+                wake = min(wake, POLL_S)
+            connection.wait(alive, None if math.isinf(wake) else max(wake, POLL_S))
 
     def drain(self) -> None:
         """Run every currently-claimable shard in this process.
@@ -683,8 +624,6 @@ class _Coordinator:
                 _run_one_shard(
                     self.plan, index, DRAIN_WORKER, journal, state, self.journal
                 )
-            except _ShardAbort:
-                return
             finally:
                 _release(journal, DRAIN_WORKER)
 
@@ -742,7 +681,6 @@ def _journal_abort(plan: ShardPlan, reason: str) -> None:
 def run_fleet(
     pending: "list[tuple[int, JobSpec]]",
     config: CampaignConfig,
-    fleet: ShardConfig,
     cache: "ResultCache | None",
     journal: "CampaignJournal | None",
     campaign: str,
@@ -751,32 +689,34 @@ def run_fleet(
     ledger: _FailureLedger,
     on_progress=None,
 ) -> "tuple[int, int, bool]":
-    """Run the executor's pending jobs on a forked worker fleet and settle
-    each into ``outcomes``; returns (shards, steals, aborted).
+    """Run the executor's pending jobs on ``config.n_jobs`` forked workers
+    and settle each into ``outcomes``; returns (shards, steals, aborted).
 
-    Shard journals live under the campaign's journal directory, replacing
-    any left by an earlier run.  A campaign without a cache gets a
-    temporary cache and journal root, removed before returning.
+    The jobs are dealt into ``min(pending, 4 * n_jobs)`` shards, so a
+    worker that finishes early has shards left to steal.  Shard journals
+    live under the campaign's journal directory, replacing any left by
+    an earlier run.  A campaign without a cache gets a temporary cache
+    and journal root, removed before returning.
     """
     temp = None
-    if cache is None or journal is None:
+    if cache is None:
         temp = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
         root = temp / SHARD_SUBDIR
-        if cache is None:
-            cache = ResultCache(temp / "cache", campaign_seed=config.campaign_seed)
-    else:
-        root = shard_root(journal.path.parent, campaign)
+        cache = ResultCache(temp / "cache", campaign_seed=config.campaign_seed)
+    else:  # a cached campaign always journals
+        root = shard_root(config.resolved_journal_dir(), campaign)
         shutil.rmtree(root, ignore_errors=True)
     specs = [spec for _, spec in pending]
     plan = ShardPlan(
         specs=tuple(specs),
-        shards=tuple(tuple(shard) for shard in partition_shards(specs, fleet.shards)),
+        shards=tuple(
+            tuple(shard) for shard in partition_shards(specs, 4 * config.n_jobs)
+        ),
         root=root,
         cache=cache,
         journal=journal.path if journal is not None else None,
         campaign=campaign,
         config=config,
-        fleet=fleet,
     )
     coordinator = _Coordinator(plan, pending, journal, progress, outcomes, ledger)
     workers: "dict[str, BaseProcess]" = {}
@@ -784,7 +724,7 @@ def run_fleet(
     watched = False  # stays False when a signal or an error cuts the run short
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _start_workers(plan, min(fleet.workers, len(plan.shards)), workers)
+        _start_workers(plan, min(config.n_jobs, len(plan.shards)), workers)
         reason = coordinator.watch(workers, on_progress)
         watched = True
     finally:
@@ -801,35 +741,6 @@ def run_fleet(
             shutil.rmtree(temp, ignore_errors=True)
     steals = sum(state.steals for state in coordinator.states.values())
     return len(plan.shards), steals, reason is not None
-
-
-def run_sharded_campaign(
-    specs: "list[JobSpec] | tuple[JobSpec, ...]",
-    config: "CampaignConfig | None" = None,
-    shard_config: "ShardConfig | None" = None,
-    on_progress=None,
-) -> CampaignResult:
-    """Run a campaign on an explicitly shaped worker fleet.
-
-    The executor of :func:`~repro.runtime.executor.run_campaign` —
-    same pre-pass, retry loop, failure budget, resume and signal path —
-    with the shard and worker counts of ``shard_config`` instead of
-    ones derived from ``n_jobs``.  ``on_progress`` receives a live
-    :class:`~repro.runtime.progress.ShardBoard`.  Requires
-    ``config.cache_dir``: the shard journals and results live there.
-
-    Raises:
-        ValueError: when ``config.cache_dir`` is unset.
-    """
-    config = config if config is not None else CampaignConfig()
-    if config.cache_dir is None or not config.use_cache:
-        raise ValueError(
-            "sharded campaigns need cache_dir: workers exchange results "
-            "through the checksum-verified cache"
-        )
-    return _execute(
-        specs, config, None, shard_config or ShardConfig(), on_progress
-    )
 
 
 # --------------------------------------------------------------------------

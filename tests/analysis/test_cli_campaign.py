@@ -131,11 +131,43 @@ class TestJobsValidation:
         assert main(["campaign", "mc-ber", "--jobs", "1"]) == 0
         assert "capping" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "soon"])
+    def test_non_positive_lease_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "mc-ber", "--lease-s", bad])
+        assert excinfo.value.code == 2
+        assert "--lease-s" in capsys.readouterr().err
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "mc-ber"],
+            ["deploy", "smoke"],
+            ["energy", "braidio-arq"],
+            ["faults", "chaos"],
+        ],
+    )
+    def test_negative_seed_rejected_before_running(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestResumeFlag:
-    def test_resume_requires_cache_dir(self, capsys):
-        assert main(["campaign", "mc-ber", "--resume"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
+    def test_resume_requires_cache_dir(self, tmp_path, capsys):
+        # --no-cache drops the cache, so there is nothing to resume either.
+        no_cache = ["--cache-dir", str(tmp_path), "--no-cache", "--resume"]
+        for argv in (
+            ["campaign", "mc-ber", "--resume"],
+            ["campaign", "mc-ber", *no_cache],
+            ["deploy", "smoke", *no_cache],
+        ):
+            assert main(argv) == 2
+            assert "--cache-dir" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_resume_round_trip(self, tmp_path, capsys):
         assert main(["campaign", "mc-ber", "--cache-dir", str(tmp_path)]) == 0
@@ -199,16 +231,6 @@ class TestMaxFailures:
 
 
 class TestShardFlags:
-    def test_shards_require_cache_dir(self, capsys):
-        assert main(["campaign", "mc-ber", "--shards", "2"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_deploy_workers_require_cache_dir(self, capsys):
-        from repro.__main__ import main as deploy_main
-
-        assert deploy_main(["deploy", "ci-small", "--workers", "2"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
     def test_results_flag_requires_single_experiment(self, tmp_path, capsys):
         code = main([
             "campaign", "mc-ber", "fig15", "--results", str(tmp_path / "r.json"),
@@ -216,7 +238,10 @@ class TestShardFlags:
         assert code == 2
         assert "exactly one experiment" in capsys.readouterr().err
 
-    def test_sharded_run_matches_serial_byte_for_byte(self, tmp_path, capsys):
+    def test_sharded_run_matches_serial_byte_for_byte(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
         serial = tmp_path / "serial.json"
         sharded = tmp_path / "sharded.json"
         assert main([
@@ -227,8 +252,8 @@ class TestShardFlags:
         assert main([
             "campaign", "mc-ber",
             "--cache-dir", str(tmp_path / "b"), "--results", str(sharded),
-            "--shards", "3", "--workers", "2",
+            "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "3 shards/2 workers" in out
+        assert "8 shards/" in out  # 25 jobs: min(25, 4 * 2) shards
         assert serial.read_bytes() == sharded.read_bytes()

@@ -61,9 +61,7 @@ class TestDeterminism:
             spec, CampaignConfig(n_jobs=1, cache_dir=tmp_path)
         )
         resumed = run_deployment(
-            spec,
-            CampaignConfig(n_jobs=1, cache_dir=tmp_path),
-            resume=True,
+            spec, CampaignConfig(n_jobs=1, cache_dir=tmp_path, resume=True)
         )
         assert manifest_json(cold.manifest) == manifest_json(resumed.manifest)
         # The resumed run executed nothing: every region came back from

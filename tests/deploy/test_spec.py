@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="population smaller"):
             _tiny_spec(devices_per_hub=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _tiny_spec(seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            scenario("smoke").scaled(seed=-1)
+
     def test_churn_fraction_bounded(self):
         with pytest.raises(ValueError, match="fraction"):
             ChurnProcess(late_join_fraction=1.5)

@@ -89,7 +89,7 @@ class TestManifestEmbedding:
         from repro.runtime.workloads import energy_breakdown_specs
 
         specs = energy_breakdown_specs(packets=100)[:2]
-        result = run_campaign(specs, CampaignConfig(n_jobs=1, use_cache=False))
+        result = run_campaign(specs, CampaignConfig(n_jobs=1))
         manifest = result.manifest
         assert manifest.energy is not None
         assert manifest.energy["tx_air"] > 0.0
@@ -100,7 +100,7 @@ class TestManifestEmbedding:
         from repro.runtime.workloads import campaign_specs
 
         result = run_campaign(
-            campaign_specs("mc-ber")[:1], CampaignConfig(n_jobs=1, use_cache=False)
+            campaign_specs("mc-ber")[:1], CampaignConfig(n_jobs=1)
         )
         assert result.manifest.energy is None
         assert "energy" not in result.manifest.to_dict()

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentDef,
-    ExportOptions,
     all_experiments,
     campaignable_ids,
     capability_rows,
@@ -88,7 +87,8 @@ class TestCampaignRoundTrip:
     @staticmethod
     def _comparable(manifest):
         data = manifest.to_dict()
-        for volatile in ("wall_time_s", "jobs_per_s", "n_jobs"):
+        # Execution telemetry: the n_jobs fleet adds shards and steals.
+        for volatile in ("wall_time_s", "jobs_per_s", "n_jobs", "shards", "steals"):
             data.pop(volatile, None)
         return data
 

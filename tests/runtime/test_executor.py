@@ -1,6 +1,6 @@
 """Campaign executor tests: determinism across worker counts, caching,
 retry/backoff fault tolerance, failure budgets, outcome parity across the
-serial, ``n_jobs`` and sharded paths, and the manifest registry."""
+serial and ``n_jobs`` paths, and the manifest registry."""
 
 import threading
 import time
@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import repro.runtime.executor as executor_module
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import (
     CampaignConfig,
     CampaignError,
@@ -17,7 +16,6 @@ from repro.runtime.executor import (
     run_campaign,
 )
 from repro.runtime.jobs import JobSpec, register_job_runner
-from repro.runtime.shard import ShardConfig, run_sharded_campaign
 from repro.runtime.workloads import campaign_specs
 
 
@@ -102,17 +100,12 @@ class TestConfigValidation:
             {"timeout_s": 0.0},
             {"max_retries": -1},
             {"backoff_s": -0.1},
+            {"campaign_seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CampaignConfig(**kwargs)
-
-    def test_serial_copy(self):
-        config = CampaignConfig(n_jobs=8, campaign_seed=5)
-        serial = config.serial()
-        assert serial.n_jobs == 1
-        assert serial.campaign_seed == 5
 
 
 class TestDeterminism:
@@ -148,11 +141,6 @@ class TestCaching:
         assert warm.manifest.cached == 6
         assert warm.manifest.completed == 0
         assert warm.metrics == cold.metrics
-
-    def test_no_cache_flag_disables_reads_and_writes(self, tmp_path):
-        specs = campaign_specs("fig15")[:2]
-        run_campaign(specs, CampaignConfig(cache_dir=tmp_path, use_cache=False))
-        assert len(ResultCache(tmp_path)) == 0
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_campaign_seed_scopes_the_cache(self, tmp_path, n_jobs):
@@ -272,26 +260,21 @@ class TestFaultTolerance:
 
 
 class TestOutcomeParity:
-    """Serial, ``n_jobs`` and sharded runs account one campaign alike."""
+    """Serial and ``n_jobs`` runs account one campaign alike."""
 
     def test_statuses_attempts_and_counters_match_across_paths(self, tmp_path):
         cached = _mc_specs(1)[0]
         specs = [cached, *_mc_specs(3)[1:], JobSpec(kind="test.fail")]
         runs = {}
-        for path in ("serial", "jobs", "shards"):
+        for path, n_jobs in (("serial", 1), ("jobs", 2)):
             config = CampaignConfig(
                 cache_dir=tmp_path / path,
                 max_retries=2,
                 backoff_s=0.0,
-                n_jobs=2 if path == "jobs" else 1,
+                n_jobs=n_jobs,
             )
             run_campaign([cached], config)
-            if path == "shards":
-                runs[path] = run_sharded_campaign(
-                    specs, config, ShardConfig(shards=3, workers=2)
-                )
-            else:
-                runs[path] = run_campaign(specs, config)
+            runs[path] = run_campaign(specs, config)
         for result in runs.values():
             assert [o.status for o in result.outcomes] == [
                 "cached", "completed", "completed", "failed",
@@ -300,7 +283,6 @@ class TestOutcomeParity:
             assert _counters(result) == (4, 2, 1, 0, 1, 2)
             assert all(o.duration_s > 0.0 for o in result.outcomes[1:])
         assert runs["jobs"].metrics == runs["serial"].metrics
-        assert runs["shards"].metrics == runs["serial"].metrics
 
 
 class TestRetryBackoff:

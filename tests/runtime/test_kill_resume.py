@@ -37,9 +37,10 @@ def main():
         for i in range(10)
     ]
     config = CampaignConfig(
-        cache_dir=Path(cache_dir), n_jobs=int(n_jobs), campaign_seed=3
+        cache_dir=Path(cache_dir), n_jobs=int(n_jobs), campaign_seed=3,
+        resume=(mode == "resume"),
     )
-    result = run_campaign(specs, config, resume=(mode == "resume"))
+    result = run_campaign(specs, config)
     out = Path(out)
     payload = {
         "fingerprints": [spec.fingerprint() for spec in specs],

@@ -63,7 +63,7 @@ class TestResume:
         assert replay.finished_runs == 0
         # Resume: completes the remainder only, bit-identical overall.
         _arm_crash(None)
-        resumed = run_campaign(specs, config, resume=True)
+        resumed = run_campaign(specs, replace(config, resume=True))
         assert resumed.manifest.resumed == 3
         assert resumed.manifest.completed == 5
         assert resumed.metrics == reference.metrics
@@ -93,7 +93,7 @@ class TestResume:
         first = run_campaign(specs, config)
         # Corrupt one completed entry between crash and resume.
         rewrite_entry(tmp_path, specs[1], edit_metrics(draw=-1.0))
-        resumed = run_campaign(specs, config, resume=True)
+        resumed = run_campaign(specs, replace(config, resume=True))
         assert resumed.manifest.resumed == 3
         assert resumed.manifest.completed == 1  # the corrupted one re-ran
         assert resumed.metrics == first.metrics
@@ -108,7 +108,7 @@ class TestResume:
         # Remove the journal: resume must still work, via plain cache hits.
         for path in config.resolved_journal_dir().iterdir():
             path.unlink()
-        again = run_campaign(specs, config, resume=True)
+        again = run_campaign(specs, replace(config, resume=True))
         assert again.manifest.resumed == 0
         assert again.manifest.cached == 3
 
@@ -121,7 +121,7 @@ class TestResume:
         first = run_campaign(specs, config)
         assert first.manifest.failed == 1
         # Failed jobs are journaled but never skipped on resume.
-        resumed = run_campaign(specs, config, resume=True)
+        resumed = run_campaign(specs, replace(config, resume=True))
         assert resumed.outcomes[0].status == "failed"
         assert resumed.outcomes[0].attempts == 1
         assert resumed.manifest.resumed == 1
@@ -135,7 +135,7 @@ class TestResume:
         assert manifest.campaign  # content fingerprint of the job set
         assert manifest.journal and manifest.journal.endswith(".jsonl")
         assert manifest.campaign in manifest.journal
-        again = run_campaign(specs, config, resume=True)
+        again = run_campaign(specs, replace(config, resume=True))
         assert again.manifest.campaign == manifest.campaign
         assert again.manifest.journal == manifest.journal
 
@@ -180,7 +180,7 @@ class TestMaxFailuresResume:
         assert first.manifest.failed == 2
         assert len(counter.read_text().splitlines()) == 2
         resumed = run_campaign(
-            specs, self._config(tmp_path, max_failures=2), resume=True
+            specs, self._config(tmp_path, max_failures=2, resume=True)
         )
         # Budget already spent by the journaled failures: the failing
         # jobs settle as aborted without a single re-execution.
@@ -206,7 +206,7 @@ class TestMaxFailuresResume:
         first = run_campaign(specs, self._config(tmp_path))
         assert first.manifest.failed == 2
         resumed = run_campaign(
-            specs, self._config(tmp_path, max_failures=3), resume=True
+            specs, self._config(tmp_path, max_failures=3, resume=True)
         )
         # The flaky job now succeeds and leaves the ledger; only the
         # counted_fail job still counts, so the budget of 3 never trips.
@@ -230,7 +230,7 @@ class TestMaxFailuresResume:
             run_campaign(specs, config)
         _arm_crash(None)
         resumed = run_campaign(
-            specs, replace(config, max_failures=2), resume=True
+            specs, replace(config, max_failures=2, resume=True)
         )
         # counted_fail(0) re-fails (still 1 distinct), the third crashy
         # job completes, counted_fail(9) fails -> 2 distinct -> breach.

@@ -1,5 +1,5 @@
-"""Sharded multi-worker campaigns: deterministic partition, the journal
-lease protocol, work stealing, failure budgets and the byte-identical
+"""The ``n_jobs`` worker fleet: deterministic partition, the journal
+lease protocol, work stealing, the failure budget and the byte-identical
 merge (DESIGN.md §10)."""
 
 import json
@@ -11,15 +11,14 @@ import pytest
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec, register_job_runner
+from repro.runtime.progress import ShardBoard
 from repro.runtime.shard import (
-    ShardConfig,
     ShardJournal,
     ShardPlan,
     claim_shard,
     partition_shards,
     replay_shard_journal,
     results_manifest,
-    run_sharded_campaign,
     shard_journal_path,
     write_results_manifest,
 )
@@ -87,8 +86,7 @@ class TestShardPlan:
             cache=ResultCache(tmp_path / "cache"),
             journal=None,
             campaign="abcd",
-            config=CampaignConfig(campaign_seed=7, timeout_s=5.0),
-            fleet=ShardConfig(),
+            config=CampaignConfig(n_jobs=2, campaign_seed=7, timeout_s=5.0),
         )
         assert plan.lease_s == 5.0
         for index in range(len(plan.shards)):
@@ -264,25 +262,20 @@ def _drained(monkeypatch):
 
 
 class TestShardedCampaign:
-    def test_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            run_sharded_campaign(_mc_specs(2), CampaignConfig())
-
     def test_drain_completes_and_matches_serial(self, tmp_path, monkeypatch):
         _drained(monkeypatch)
         specs = _mc_specs(9)
         serial = run_campaign(
             specs, CampaignConfig(cache_dir=tmp_path / "serial", campaign_seed=3)
         )
-        sharded = run_sharded_campaign(
+        sharded = run_campaign(
             specs,
-            CampaignConfig(cache_dir=tmp_path / "sharded", campaign_seed=3),
-            ShardConfig(shards=4, workers=2, poll_s=0.01),
+            CampaignConfig(n_jobs=2, cache_dir=tmp_path / "sharded", campaign_seed=3),
         )
         assert [o.status for o in sharded.outcomes] == ["completed"] * 9
         assert sharded.metrics == serial.metrics
-        assert sharded.manifest.shards == 4
-        assert sharded.manifest.workers == 2
+        assert sharded.manifest.shards == 8  # min(pending, 4 * n_jobs)
+        assert sharded.manifest.n_jobs == 2
         a = write_results_manifest(tmp_path / "serial.json", serial)
         b = write_results_manifest(tmp_path / "sharded.json", sharded)
         assert a.read_bytes() == b.read_bytes()
@@ -290,18 +283,15 @@ class TestShardedCampaign:
     def test_rerun_serves_cache_hits_and_resume_replays_the_journal(
         self, tmp_path, monkeypatch
     ):
-        """A rerun of the same sharded campaign recomputes nothing: its
+        """A rerun of the same fleet campaign recomputes nothing: its
         jobs are cache hits, or journal-verified resumes with ``resume``,
         and the merge is byte-identical."""
         _drained(monkeypatch)
         specs = _mc_specs(6)
-        config = CampaignConfig(cache_dir=tmp_path, campaign_seed=1)
-        shard_config = ShardConfig(shards=3, workers=1, poll_s=0.01)
-        first = run_sharded_campaign(specs, config, shard_config)
-        second = run_sharded_campaign(specs, config, shard_config)
-        resumed = run_sharded_campaign(
-            specs, replace(config, resume=True), shard_config
-        )
+        config = CampaignConfig(n_jobs=2, cache_dir=tmp_path, campaign_seed=1)
+        first = run_campaign(specs, config)
+        second = run_campaign(specs, config)
+        resumed = run_campaign(specs, replace(config, resume=True))
         assert first.manifest.completed == 6
         assert (second.manifest.cached, second.manifest.completed) == (6, 0)
         assert (resumed.manifest.resumed, resumed.manifest.completed) == (6, 0)
@@ -315,11 +305,10 @@ class TestShardedCampaign:
         _drained(monkeypatch)
         specs = [JobSpec(kind="test.shard_fail", seed=i) for i in range(6)]
         config = CampaignConfig(
-            cache_dir=tmp_path, max_retries=0, backoff_s=0.0, max_failures=2
+            n_jobs=2, cache_dir=tmp_path, max_retries=0, backoff_s=0.0,
+            max_failures=2,
         )
-        result = run_sharded_campaign(
-            specs, config, ShardConfig(shards=3, workers=1, poll_s=0.01)
-        )
+        result = run_campaign(specs, config)
         assert result.manifest.interrupted
         assert len(result.failures) == 6
         from repro.runtime.journal import campaign_fingerprint
@@ -328,34 +317,63 @@ class TestShardedCampaign:
         campaign = campaign_fingerprint(specs, 0, ResultCache(tmp_path).calibration)
         root = shard_root(config.resolved_journal_dir(), campaign)
         states = [
-            replay_shard_journal(shard_journal_path(root, i)) for i in range(3)
+            replay_shard_journal(shard_journal_path(root, i))
+            for i in range(result.manifest.shards)
         ]
         assert any(s.interrupted for s in states)
         assert all(s.finished or s.interrupted for s in states)
 
-    def test_per_shard_budget_journals_interruption(self, tmp_path, monkeypatch):
-        _drained(monkeypatch)
-        specs = [JobSpec(kind="test.shard_fail", seed=i) for i in range(4)]
-        config = CampaignConfig(cache_dir=tmp_path, max_retries=0, backoff_s=0.0)
-        result = run_sharded_campaign(
-            specs,
-            config,
-            ShardConfig(shards=1, workers=1, poll_s=0.01, shard_max_failures=2),
-        )
-        assert result.manifest.interrupted
-        errors = [o.error for o in result.failures]
-        assert any("never settled" in e for e in errors)
-
     def test_mixed_failures_merge_in_submission_order(self, tmp_path, monkeypatch):
         _drained(monkeypatch)
         specs = _mc_specs(4) + [JobSpec(kind="test.shard_fail", seed=9)]
-        config = CampaignConfig(cache_dir=tmp_path, max_retries=0, backoff_s=0.0)
-        result = run_sharded_campaign(
-            specs, config, ShardConfig(shards=2, workers=1, poll_s=0.01)
+        config = CampaignConfig(
+            n_jobs=2, cache_dir=tmp_path, max_retries=0, backoff_s=0.0
         )
+        result = run_campaign(specs, config)
         assert [o.spec for o in result.outcomes] == specs
         assert [o.status for o in result.outcomes] == ["completed"] * 4 + ["failed"]
         assert result.manifest.failed == 1
+
+    def test_on_progress_gets_a_board_of_the_pending_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """``run_campaign`` hands its ``on_progress`` callback the live
+        board of a fleet run, covering exactly the jobs the pre-pass left
+        pending."""
+        _drained(monkeypatch)
+        specs = _mc_specs(7)
+        config = CampaignConfig(n_jobs=2, cache_dir=tmp_path)
+        run_campaign(specs[:2], config)  # two cache hits for the pre-pass
+        boards = []
+        result = run_campaign(specs, config, on_progress=boards.append)
+        assert (result.manifest.cached, result.manifest.completed) == (2, 5)
+        assert boards and all(isinstance(b, ShardBoard) for b in boards)
+        assert {board.total for board in boards} == {5}
+        assert len(boards[-1].snapshots) == result.manifest.shards
+
+    def test_serial_run_never_calls_on_progress(self):
+        boards = []
+        run_campaign(_mc_specs(2), CampaignConfig(), on_progress=boards.append)
+        assert boards == []
+
+
+class TestFleetManifest:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_fleet_fields_only_on_fleet_runs(self, tmp_path, monkeypatch, n_jobs):
+        """``n_jobs = 1`` runs in-process and leaves the fleet fields out;
+        an ``n_jobs = 2`` fleet reports its shards and steals."""
+        _drained(monkeypatch)
+        specs = _mc_specs(11)
+        config = CampaignConfig(n_jobs=n_jobs, cache_dir=tmp_path)
+        run_campaign(specs[:1], config)  # one cache hit: 10 jobs pending
+        data = run_campaign(specs, config).manifest.to_dict()
+        assert data["n_jobs"] == n_jobs
+        if n_jobs == 1:
+            assert "shards" not in data and "steals" not in data
+        else:
+            assert data["shards"] == min(10, 4 * n_jobs)
+            assert data["steals"] == 0
+        assert "workers" not in data
 
 
 class TestResultsManifest:

@@ -1,7 +1,7 @@
 """Multi-worker chaos: SIGKILL a fleet worker mid-shard and prove its
 shard is taken over at once, the campaign finishes, and the merged
-manifest is byte-identical to an uninterrupted single-process run — on
-the explicit ``--shards`` fleet and on the ``n_jobs`` fleet alike."""
+manifest is byte-identical to an uninterrupted single-process run — with
+a short lease and with a long one."""
 
 import json
 import os
@@ -14,12 +14,7 @@ import pytest
 from repro.runtime.executor import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec
 from repro.runtime.journal import campaign_fingerprint
-from repro.runtime.shard import (
-    ShardConfig,
-    run_sharded_campaign,
-    shard_root,
-    write_results_manifest,
-)
+from repro.runtime.shard import shard_root, write_results_manifest
 from repro.runtime.cache import ResultCache
 
 
@@ -114,15 +109,14 @@ class TestWorkerKillSteal:
     ):
         specs = _specs()
         cache_dir = tmp_path / "sharded"
-        config = CampaignConfig(cache_dir=cache_dir, campaign_seed=11, timeout_s=1.0)
-        shard_config = ShardConfig(shards=4, workers=2, poll_s=0.02)
+        config = CampaignConfig(
+            n_jobs=2, cache_dir=cache_dir, campaign_seed=11, timeout_s=1.0
+        )
         campaign = campaign_fingerprint(
             specs, config.campaign_seed, ResultCache(cache_dir).calibration
         )
         root = shard_root(config.resolved_journal_dir(), campaign)
-        result, _ = _run_with_chaos_monkey(
-            lambda: run_sharded_campaign(specs, config, shard_config), root
-        )
+        result, _ = _run_with_chaos_monkey(lambda: run_campaign(specs, config), root)
 
         assert [o.status for o in result.outcomes] == ["completed"] * len(specs)
         assert result.manifest.steals >= 1
