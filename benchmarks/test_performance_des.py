@@ -7,21 +7,34 @@ with link-outcome memoization disabled, so the cache's contribution is
 visible in the same history (the two sessions produce bit-identical
 metrics; ``tests/sim/test_link_cache.py`` enforces that).  The third
 check guards the fault-injection hooks: with an empty plan armed they
-must stay within 5% of the unarmed hot path.
+must stay within 5% of the unarmed hot path.  The last bench times the
+hub layer the deployment simulator spends its time in: one TDMA hub
+serving 100 clients through churn, every link under co-channel bursts.
 """
 
+import functools
 import time
 
+import numpy as np
+
 from repro.core.braidio import BraidioRadio
+from repro.core.controller import DynamicOffloadController
 from repro.core.regimes import LinkMap
 from repro.faults import FaultInjector, FaultPlan
 from repro.hardware.battery import Battery
+from repro.net import TdmaSchedule
+from repro.net.session import HubClient, HubSession
+from repro.sim.interference import BurstyInterferer, InterferedLink
 from repro.sim.link import SimulatedLink
 from repro.sim.policies import BraidioPolicy
 from repro.sim.session import CommunicationSession
 from repro.sim.simulator import Simulator
 
 PACKETS = 5_000
+
+#: Hub bench shape: clients per hub and simulated seconds.
+HUB_CLIENTS = 100
+HUB_HORIZON_S = 4.0
 
 
 def _run_session(cache=True, arm_empty_plan=False):
@@ -87,3 +100,51 @@ def test_fault_hooks_add_under_five_percent_when_idle():
     print(f"\nidle fault-hook overhead: {overhead * 100:+.2f}% "
           f"(baseline {baseline_s * 1e3:.1f} ms, armed {armed_s * 1e3:.1f} ms)")
     assert armed_s <= baseline_s * 1.05 + 2e-3
+
+
+def _run_hub_session():
+    """One hub as the region simulator builds it: a shared planning map,
+    interfered links, a 200-packet TDMA round and staggered naps."""
+    sim = Simulator(seed=0)
+    rng = np.random.default_rng(1)
+    link_map = LinkMap()
+    interferer = BurstyInterferer(
+        np.random.default_rng(2),
+        mean_on_s=0.05,
+        mean_off_s=0.25,
+        snr_penalty_db=10.0,
+        horizon_s=HUB_HORIZON_S,
+    )
+    clients = []
+    for i in range(HUB_CLIENTS):
+        distance = round(float(rng.uniform(0.3, 2.0)), 2)
+        link = InterferedLink(link_map, distance, np.random.default_rng(100 + i), interferer)
+        policy = BraidioPolicy(DynamicOffloadController(link_map))
+        radio = BraidioRadio.for_device("Apple Watch")
+        clients.append(HubClient(name=f"d{i}", radio=radio, link=link, policy=policy))
+    weights = {client.name: 1.0 + i % 3 for i, client in enumerate(clients)}
+    tdma = TdmaSchedule(weights, round_packets=2 * HUB_CLIENTS)
+    session = HubSession(
+        sim, BraidioRadio.for_device("Nexus 6P"), clients, tdma, max_time_s=HUB_HORIZON_S
+    )
+    # Every client naps once; naps start in bursts of ten, so several
+    # membership changes land between two packets.
+    for i, client in enumerate(clients):
+        start = 0.1 + 0.05 * (i // 10)
+        nap = 0.05 + 0.01 * (i % 10)
+        sim.schedule_at(start, functools.partial(session.suspend_client, client.name))
+        sim.schedule_at(start + nap, functools.partial(session.resume_client, client.name))
+    return session.run()
+
+
+def test_performance_hub_session_throughput(benchmark):
+    metrics = benchmark(_run_hub_session)
+    packets = metrics.packets_attempted
+    assert metrics.terminated_by == "time"
+    mean_s = benchmark.stats.stats.mean
+    print(f"\nhub session throughput: {packets / mean_s:,.0f} packets/s "
+          f"({packets} packets, {HUB_CLIENTS} clients, {mean_s * 1e3:.0f} ms)")
+    # Guard rail at about half the rate measured on a 2-vCPU x86-64 VM:
+    # 33k-44k packets/s with the bisect slot lookup, deferred schedule
+    # rebuilds and burst-keyed link memo (21k-24k before them).
+    assert packets / mean_s > 17_000

@@ -9,8 +9,11 @@ cross-hub coupling enters through the channel model: a hub that shares a
 reuse channel with a neighbor sees that neighbor's TDMA bursts as a
 :class:`~repro.sim.interference.BurstyInterferer`, attenuated by the
 hub-to-hub path loss, on every one of its client links
-(:class:`~repro.sim.interference.InterferedLink`).  Orthogonal or
-isolated hubs keep the fast memoizing :class:`~repro.sim.link.SimulatedLink`.
+(:class:`~repro.sim.interference.InterferedLink`, which memoizes per
+burst state).  Orthogonal or isolated hubs keep the plain memoizing
+:class:`~repro.sim.link.SimulatedLink`.  Every controller of a region
+plans against one shared, default-configured
+:class:`~repro.core.regimes.LinkMap`.
 
 Churn runs *through the DES*: each device's join/leave/sleep timeline is
 pre-sampled from its own content-addressed stream and compiled into
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.braidio import BraidioRadio
+from ..core.controller import DynamicOffloadController
 from ..core.modes import LinkMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,6 +46,7 @@ from ..phy.propagation import log_distance_path_loss_db
 from ..sim.interference import BurstyInterferer, InterferedLink
 from ..sim.link import SimulatedLink
 from ..sim.mobility import MobilityDriver, RandomWaypoint1D
+from ..sim.policies import BraidioPolicy
 from ..sim.simulator import Simulator
 from .partition import Region, quantize_distance
 from .spec import ChurnProcess, DeploymentSpec
@@ -202,6 +207,20 @@ def _lp_upper_bound(
     return network.plan(objective="total").total_bits
 
 
+@functools.lru_cache(maxsize=1)
+def _region_link_map(region: Region) -> LinkMap:
+    """The default-configured :class:`LinkMap` a region shares.
+
+    Every controller in the region (hub clients and handoff twins alike)
+    plans against it, and the region paths also use it for links and
+    the LP bound.  Its budget and availability memos are pure functions
+    of the calibrated profiles, so sharing them changes no output; it
+    spares each controller its own cold availability scans at start and
+    on every resume.  Only the region simulated last is kept.
+    """
+    return LinkMap()
+
+
 @dataclass
 class _HubRuntime:
     """One hub's live simulation objects, kernel-agnostic.
@@ -259,7 +278,7 @@ def _build_hub(
     clients: "list[HubClient]" = []
     weights: "dict[str, float]" = {}
     drivers: "list[MobilityDriver]" = []
-    from ..sim.policies import BraidioPolicy
+    planning_map = _region_link_map(region)
 
     for plan in plans:
         device_class = spec.device_class(plan.class_name)
@@ -271,7 +290,7 @@ def _build_hub(
             )
         else:
             link = SimulatedLink(link_map, plan.distance_m, link_rng)
-        policy = BraidioPolicy()
+        policy = BraidioPolicy(DynamicOffloadController(planning_map))
         client = HubClient(name=plan.name, radio=radio, link=link, policy=policy)
         clients.append(client)
         weights[plan.name] = device_class.tdma_weight
@@ -331,10 +350,14 @@ def simulate_hub(
     ``[warmup_s, warmup_s + duration_s]`` — the warmup (controllers
     converging, TDMA rotations filling) is simulated but excluded, in
     the classic warmup/measure shape.
+
+    ``link_map`` serves the hub's links and LP bound (default: the
+    region's :func:`_region_link_map`); the controllers always plan
+    against the region's map.
     """
     global_index = region.hub_indices[local_index]
     if link_map is None:
-        link_map = LinkMap()
+        link_map = _region_link_map(region)
     sim_seed = int(spec.stream(f"hub{global_index}:kernel").integers(2**31))
     sim = Simulator(seed=sim_seed)
     runtime = _build_hub(spec, region, local_index, link_map, sim)
@@ -415,8 +438,8 @@ def simulate_region(
 ) -> "dict[str, object]":
     """Simulate every hub of one region; returns the region report.
 
-    Unarmed (no plan, or an empty one) hubs share one
-    :class:`~repro.core.regimes.LinkMap` (its availability cache is the
+    Unarmed (no plan, or an empty one) hubs share the region's
+    :func:`_region_link_map` (its availability cache is the controllers'
     hot path) and run sequentially on their own kernels — the
     parallelism lever is *regions across worker processes*, not hubs
     within a region.  An empty :class:`~repro.faults.region.RegionFaultPlan`
@@ -429,9 +452,8 @@ def simulate_region(
     mid-run.
     """
     if fault_plan is None or fault_plan.is_empty:
-        link_map = LinkMap()
         hubs = [
-            simulate_hub(spec, region, local_index, link_map=link_map)
+            simulate_hub(spec, region, local_index)
             for local_index in range(region.hub_count)
         ]
         return _region_report(spec, region, hubs)
@@ -784,8 +806,6 @@ class HandoffCoordinator:
     def _adopt(
         self, name: str, record: _DeviceHome, local_index: int, distance_m: float
     ) -> None:
-        from ..sim.policies import BraidioPolicy
-
         count = self._adoption_counts.get(name, 0)
         self._adoption_counts[name] = count + 1
         link = SimulatedLink(
@@ -796,9 +816,8 @@ class HandoffCoordinator:
         surge_db = self._surge_db_for(local_index)
         if surge_db:
             link.snr_offset_db = -surge_db
-        twin = HubClient(
-            name=name, radio=record.radio, link=link, policy=BraidioPolicy()
-        )
+        policy = BraidioPolicy(DynamicOffloadController(_region_link_map(self._region)))
+        twin = HubClient(name=name, radio=record.radio, link=link, policy=policy)
         host = self._runtimes[local_index].session
         host.adopt_client(twin, weight=record.tdma_weight)
         self._adopted_at[name] = local_index
@@ -891,7 +910,7 @@ def _simulate_region_resilient(
     from ..faults.deploy import RegionFaultDriver
     from ..faults.seeding import region_fault_rng
 
-    link_map = LinkMap()
+    link_map = _region_link_map(region)
     sim_seed = int(spec.stream(f"region{region.index}:kernel").integers(2**31))
     sim = Simulator(seed=sim_seed)
     runtimes = [

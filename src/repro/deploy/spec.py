@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -52,6 +53,18 @@ def _reject_unknown(
             f"unknown {owner} field(s) {', '.join(repr(k) for k in unknown)} "
             f"(known: {', '.join(known)})"
         )
+
+
+def _require_finite(
+    owner: str, fields: "Mapping[str, float | tuple[float, ...]]"
+) -> None:
+    """NaN and ±inf slip past every range check (``nan <= 0.0`` is false)
+    and an infinite horizon never finishes simulating, so non-finite
+    numbers fail with an error naming the field."""
+    for key, value in fields.items():
+        for number in value if isinstance(value, (tuple, list)) else (value,):
+            if not math.isfinite(number):
+                raise ValueError(f"{owner} field {key!r} must be finite, got {number!r}")
 
 
 def _parse_field(
@@ -133,6 +146,9 @@ class HubLayout:
     positions_m: "tuple[tuple[float, float], ...]" = field(default=())
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "hub layout", {"spacing_m": self.spacing_m, "area_m": self.area_m}
+        )
         if self.strategy not in _STRATEGIES:
             raise ValueError(
                 f"unknown placement strategy {self.strategy!r} "
@@ -143,6 +159,9 @@ class HubLayout:
                 raise ValueError("manual placement needs positions")
             canonical = tuple(
                 (float(x), float(y)) for x, y in self.positions_m
+            )
+            _require_finite(
+                "hub layout", {"positions_m": tuple(c for point in canonical for c in point)}
             )
             object.__setattr__(self, "positions_m", canonical)
         else:
@@ -225,6 +244,15 @@ class DeviceClass:
     mobility: str = "static"
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "device class",
+            {
+                "share": self.share,
+                "min_distance_m": self.min_distance_m,
+                "max_distance_m": self.max_distance_m,
+                "tdma_weight": self.tdma_weight,
+            },
+        )
         if not self.name:
             raise ValueError("device class needs a name")
         if self.device not in DEVICE_BY_NAME:
@@ -312,6 +340,7 @@ class ChurnProcess:
     mean_join_delay_s: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite("churn process", self.to_dict())  # type: ignore[arg-type]
         if self.mean_awake_s < 0.0 or self.mean_asleep_s <= 0.0:
             raise ValueError("dwell means must be non-negative / positive")
         if self.mean_lifetime_s < 0.0:
@@ -416,6 +445,16 @@ class DeploymentSpec:
     lp_plan: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "deployment spec",
+            {
+                "warmup_s": self.warmup_s,
+                "duration_s": self.duration_s,
+                "coupling_threshold_db": self.coupling_threshold_db,
+                "interference_penalty_db": self.interference_penalty_db,
+                "path_loss_exponent": self.path_loss_exponent,
+            },
+        )
         if not self.name:
             raise ValueError("scenario needs a name")
         if not self.classes:

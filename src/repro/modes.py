@@ -23,6 +23,14 @@ class LinkMode(enum.Enum):
     PASSIVE = "passive"
     BACKSCATTER = "backscatter"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with ``==`` and, unlike ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``), costs no interpreted call on every dict or
+    # set lookup the per-packet path makes.  Iteration order of LinkMode
+    # sets already varied between processes (string hashes are salted),
+    # so no output depends on it.
+    __hash__ = object.__hash__
+
     @property
     def carrier_at_tx(self) -> bool:
         """Whether the data transmitter generates the carrier."""

@@ -112,7 +112,11 @@ class HubSession:
         self._hub = hub
         self._clients = {c.name: c for c in clients}
         self._tdma = tdma
+        # Pending (base schedule, inactive names) rebuild; see
+        # _rebuild_schedule.
+        self._tdma_recipe: tuple[TdmaSchedule, set[str]] | None = None
         self._payload_bits = 8 * payload_bytes
+        self._air_bits = self._payload_bits + FRAME_OVERHEAD_BITS
         self._apply_switch_costs = apply_switch_costs
         self._max_packets = max_packets
         self._max_time_s = max_time_s
@@ -475,8 +479,13 @@ class HubSession:
         # ones (slots reclaimed but a stale schedule may still name them)
         # and suspended ones (churn); the schedule rotates among the
         # survivors.
+        if self._tdma_recipe is not None:
+            base, inactive = self._tdma_recipe
+            self._tdma_recipe = None
+            self._tdma = base.without(inactive)
+        client_for_packet = self._tdma.client_for_packet
         for _ in range(self._tdma.round_packets):
-            name = self._tdma.client_for_packet(self._packet_index)
+            name = client_for_packet(self._packet_index)
             if (
                 name not in self._exhausted
                 and name not in self._dark_since
@@ -563,13 +572,19 @@ class HubSession:
         self._rebuild_schedule()
 
     def _rebuild_schedule(self) -> None:
+        # Only record the recipe, with the inactive set as of this event;
+        # _next_live_client builds it when the next packet needs it.  A
+        # burst of churn between two packets then costs one build instead
+        # of one per event, and every packet sees exactly the schedule an
+        # eager rebuild would have produced.
         inactive = set(self._dark_since) | self._exhausted | set(self._suspended)
         if not inactive:
             self._tdma = self._base_tdma
+            self._tdma_recipe = None
         elif len(inactive) < len(self._clients):
             # Reclaim the inactive clients' slots for the survivors.
-            self._tdma = self._base_tdma.without(inactive)
-        # else: everyone is inactive — keep the last schedule; the probe
+            self._tdma_recipe = (self._base_tdma, inactive)
+        # else: everyone is inactive — keep the last recipe; the probe
         # path decides whether anyone comes back or the session ends.
 
     def _serve_packet(self) -> None:
@@ -589,17 +604,20 @@ class HubSession:
         if client is None:
             return
 
+        name = client.name
+        metrics = client.metrics
         decision = client.policy.next_packet()
-        air_bits = self._payload_bits + FRAME_OVERHEAD_BITS
-        duration_s = air_bits / decision.bitrate_bps
-        client_account, shared_account = self._accounts[client.name]
+        mode = decision.mode
+        bitrate_bps = decision.bitrate_bps
+        air_bits = self._air_bits
+        payload_bits = self._payload_bits
+        duration_s = air_bits / bitrate_bps
+        client_account, shared_account = self._accounts[name]
+        hub_account = self._hub_account
 
-        if (
-            self._apply_switch_costs
-            and self._last_mode[client.name] is not None
-            and decision.mode is not self._last_mode[client.name]
-        ):
-            cost = switch_cost(decision.mode, bitrate_bps=decision.bitrate_bps)
+        last_mode = self._last_mode[name]
+        if self._apply_switch_costs and last_mode is not None and mode is not last_mode:
+            cost = switch_cost(mode, bitrate_bps=bitrate_bps)
             try:
                 client_account.drain(cost.tx_j)
                 shared_account.drain(cost.rx_j)
@@ -608,20 +626,20 @@ class HubSession:
                 return
             client_account.note(_MODE_SWITCH, cost.tx_j)
             shared_account.note(_MODE_SWITCH, cost.rx_j)
-            self._hub_account.note(_MODE_SWITCH, cost.rx_j)
-            client.metrics.ledger.pool_switch(cost.total_j)
-            client.metrics.mode_switches += 1
-        self._last_mode[client.name] = decision.mode
+            hub_account.note(_MODE_SWITCH, cost.rx_j)
+            metrics.ledger.pool_switch(cost.total_j)
+            metrics.mode_switches += 1
+        self._last_mode[name] = mode
 
         success = client.link.packet_success(
-            decision.mode, decision.bitrate_bps, air_bits, self._sim.now_s
+            mode, bitrate_bps, air_bits, self._sim.now_s
         )
         # Fault override AFTER the draw: the link stream consumes exactly
         # one value per packet with or without an injector armed.
         if (
             success
             and self._injector is not None
-            and self._injector.client_blocked(client.name, decision.mode)
+            and self._injector.client_blocked(name, mode)
         ):
             success = False
         tx_energy = decision.tx_power_w * duration_s
@@ -630,36 +648,38 @@ class HubSession:
             client_account.drain(tx_energy)
             shared_account.drain(rx_energy)
         except BatteryEmptyError:
-            client.metrics.record_packet(decision.mode, self._payload_bits, False)
+            metrics.record_packet(mode, payload_bits, False)
             self._retire_or_finish(client)
             return
 
-        rx_category = _CARRIER if decision.mode is LinkMode.BACKSCATTER else _RX_AIR
+        rx_category = _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR
         client_account.note(_TX_AIR, tx_energy)
         client_account.meter(tx_energy)
         shared_account.note(rx_category, rx_energy)
         shared_account.meter(rx_energy)
-        self._hub_account.note(rx_category, rx_energy)
-        self._hub_account.meter(rx_energy)
-        client.metrics.record_packet(decision.mode, self._payload_bits, success)
-        self.hub_metrics.record_packet(decision.mode, self._payload_bits, success)
-        client.policy.record_outcome(decision.mode, success)
+        hub_account.note(rx_category, rx_energy)
+        hub_account.meter(rx_energy)
+        metrics.record_packet(mode, payload_bits, success)
+        self.hub_metrics.record_packet(mode, payload_bits, success)
+        client.policy.record_outcome(mode, success)
         if self._dark_after is not None:
             self._note_link_outcome(client, success)
 
         self._packet_index += 1
         self._since_probe += 1
         if self._packet_index % self._energy_update_interval == 0:
+            # Policies never drain a battery, so the hub level is the same
+            # for every client of the sweep.
+            hub_j = max(self._hub.battery.remaining_j, 1e-12)
+            exhausted = self._exhausted
             for other in self._clients.values():
-                if other.name in self._exhausted:
+                if other.name in exhausted:
                     continue
-                if other.radio.battery.is_empty:
-                    self._exhausted.add(other.name)
+                battery = other.radio.battery
+                if battery.is_empty:
+                    exhausted.add(other.name)
                     continue
-                other.policy.update_energy(
-                    other.radio.battery.remaining_j,
-                    max(self._hub.battery.remaining_j, 1e-12),
-                )
+                other.policy.update_energy(battery.remaining_j, hub_j)
 
         self._sim.schedule_in(duration_s, self._serve_packet)
 

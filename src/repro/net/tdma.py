@@ -9,7 +9,10 @@ slot a client pair runs its own mode mix.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -28,12 +31,18 @@ class Slot:
 class TdmaSchedule:
     """Weighted round-robin slot schedule.
 
+    A schedule keeps each client's packets per round and their running
+    totals, so :meth:`client_for_packet` is one bisect; :class:`Slot`
+    objects are built only when :attr:`slots` is read.
+
     Args:
-        weights: client -> relative air-time share (positive).
+        weights: client -> relative air-time share (positive, finite;
+            each client once).
         round_packets: packets per TDMA round.
 
     Raises:
-        ValueError: on empty/negative weights or a round too short to give
+        ValueError: on empty, duplicate, non-positive or non-finite
+            weights (naming the client), or a round too short to give
             every client a slot.
     """
 
@@ -45,33 +54,41 @@ class TdmaSchedule:
         items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
         if not items:
             raise ValueError("at least one client required")
-        if any(w <= 0.0 for _, w in items):
-            raise ValueError("weights must be positive")
+        self._weights = dict(items)
+        if len(self._weights) < len(items) or not all(
+            0.0 < w < math.inf for w in self._weights.values()
+        ):
+            _reject_weights(items)
         if round_packets < len(items):
             raise ValueError("round too short to serve every client")
-
-        total = sum(w for _, w in items)
-        self._weights = dict(items)
-        self._shares = {client: w / total for client, w in items}
         self._round = round_packets
-        self._slots = self._build_slots()
+        self._names = list(self._weights)
+        self._counts = self._apportion(list(self._weights.values()))
+        # Round position p falls in the first slot whose end exceeds p.
+        self._ends = list(accumulate(self._counts))
 
-    def _build_slots(self) -> list[Slot]:
+    def _apportion(self, weights: list[float]) -> list[int]:
         # Largest-remainder with a guaranteed slot per client: unlike mode
         # fractions, starving a client entirely is a fairness failure, so
-        # every client gets at least one packet per round.
-        quotas = {c: share * self._round for c, share in self._shares.items()}
-        counts = {c: max(1, int(q)) for c, q in quotas.items()}
-        while sum(counts.values()) > self._round:
-            richest = max(counts, key=lambda c: counts[c])
-            counts[richest] -= 1
-        leftover = self._round - sum(counts.values())
-        by_remainder = sorted(
-            quotas, key=lambda c: quotas[c] - counts[c], reverse=True
-        )
-        for client in by_remainder[:leftover]:
-            counts[client] += 1
-        return [Slot(client, count) for client, count in counts.items()]
+        # every client gets at least one packet per round.  Ties go to the
+        # earlier client, both when trimming the richest and when handing
+        # out the leftover packets (a stable descending sort).
+        total = sum(weights)
+        quotas = [w / total * self._round for w in weights]
+        counts = [int(q) or 1 for q in quotas]
+        for _ in range(sum(counts) - self._round):
+            counts[counts.index(max(counts))] -= 1
+        leftover = self._round - sum(counts)
+        if leftover:
+            remainders = [q - c for q, c in zip(quotas, counts)]
+            ranked = sorted(
+                range(len(counts)), key=remainders.__getitem__, reverse=True
+            )
+            for index in ranked[:leftover]:
+                counts[index] += 1
+        if min(counts) < 1:
+            raise ValueError("slots must cover at least one packet")
+        return counts
 
     @property
     def round_packets(self) -> int:
@@ -104,12 +121,11 @@ class TdmaSchedule:
         neighbor during hub-to-hub handoff.
 
         Raises:
-            ValueError: for duplicate names or non-positive weights.
+            ValueError: for duplicate names or non-positive or non-finite
+                weights.
         """
         if name in self._weights:
             raise ValueError(f"client {name!r} is already scheduled")
-        if weight <= 0.0:
-            raise ValueError("weights must be positive")
         merged = dict(self._weights)
         merged[name] = weight
         return TdmaSchedule(merged, max(self._round, len(merged)))
@@ -117,11 +133,11 @@ class TdmaSchedule:
     @property
     def slots(self) -> tuple[Slot, ...]:
         """Per-round slots."""
-        return tuple(self._slots)
+        return tuple(Slot(c, n) for c, n in zip(self._names, self._counts))
 
     def air_time_shares(self) -> dict[str, float]:
         """Realized per-round share per client."""
-        return {slot.client: slot.packets / self._round for slot in self._slots}
+        return {c: n / self._round for c, n in zip(self._names, self._counts)}
 
     def client_for_packet(self, index: int) -> str:
         """Client served by the ``index``-th packet.
@@ -131,19 +147,28 @@ class TdmaSchedule:
         """
         if index < 0:
             raise ValueError("packet index must be non-negative")
-        position = index % self._round
-        for slot in self._slots:
-            if position < slot.packets:
-                return slot.client
-            position -= slot.packets
-        raise AssertionError("unreachable: slot accounting is exhaustive")
+        return self._names[bisect_right(self._ends, index % self._round)]
 
     def packet_clients(self) -> Iterator[str]:
         """Infinite per-packet client iterator."""
         while True:
-            for slot in self._slots:
-                for _ in range(slot.packets):
-                    yield slot.client
+            for client, count in zip(self._names, self._counts):
+                for _ in range(count):
+                    yield client
+
+
+def _reject_weights(items: Sequence[tuple[str, float]]) -> None:
+    """Raise the error naming the first duplicate, non-positive or
+    non-finite entry of ``items``."""
+    seen: set[str] = set()
+    for client, weight in items:
+        if client in seen:
+            raise ValueError(f"client {client!r} is listed more than once")
+        seen.add(client)
+        if not math.isfinite(weight):
+            raise ValueError(f"client {client!r} weight must be finite, got {weight!r}")
+        if weight <= 0.0:
+            raise ValueError(f"client {client!r} weight must be positive, got {weight!r}")
 
 
 def assign_reuse_channels(

@@ -10,11 +10,15 @@ mode if the current operating mode is performing poorly").
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 
 from ..core.modes import LinkMode
 from ..core.regimes import LinkMap
 from ..phy.fading import BlockFadingProcess
+from ..phy.modulation import packet_error_rate
 from .link import SimulatedLink
 
 
@@ -29,6 +33,10 @@ class BurstyInterferer:
         mean_on_s / mean_off_s: mean burst / quiet durations.
         snr_penalty_db: SNR degradation while the interferer is on.
         horizon_s: pre-sampled time span.
+
+    Raises:
+        ValueError: for non-positive dwells or horizon, a negative
+            penalty, or any non-finite parameter (naming it).
     """
 
     def __init__(
@@ -39,6 +47,14 @@ class BurstyInterferer:
         snr_penalty_db: float = 20.0,
         horizon_s: float = 3600.0,
     ) -> None:
+        for name, value in (
+            ("mean_on_s", mean_on_s),
+            ("mean_off_s", mean_off_s),
+            ("snr_penalty_db", snr_penalty_db),
+            ("horizon_s", horizon_s),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if mean_on_s <= 0.0 or mean_off_s <= 0.0:
             raise ValueError("dwell times must be positive")
         if snr_penalty_db < 0.0:
@@ -56,8 +72,10 @@ class BurstyInterferer:
             on = not on
             edges.append(t)
             state_on.append(on)
-        self._edges = np.asarray(edges)
-        self._state_on = np.asarray(state_on)
+        # Plain lists: one bisect per query beats a numpy call on a
+        # scalar by an order of magnitude.
+        self._edges = edges
+        self._state_on = state_on
 
     @property
     def penalty_db(self) -> float:
@@ -72,9 +90,7 @@ class BurstyInterferer:
         """
         if time_s < 0.0:
             raise ValueError("time must be non-negative")
-        index = int(np.searchsorted(self._edges, time_s, side="right")) - 1
-        index = min(index, len(self._state_on) - 1)
-        return bool(self._state_on[index])
+        return self._state_on[bisect_right(self._edges, time_s) - 1]
 
     def snr_penalty_at(self, time_s: float) -> float:
         """Penalty (dB) at ``time_s`` — the burst depth or zero."""
@@ -95,7 +111,18 @@ class InterferedLink(SimulatedLink):
     only: the active radio's coherent receiver and channel filtering ride
     the burst out, which is exactly why the fallback target is the active
     mode.
+
+    The burst makes the SNR time-varying, so the static per-(mode,
+    bitrate) memo of the base class stays off (``cache_enabled`` is
+    false).  On a static channel, though, the SNR of a (mode, bitrate)
+    pair takes exactly two values, burst on and burst off, so the packet
+    error rate is memoized per (mode, bitrate, packet bits, burst on)
+    instead, in the same ``_per_cache`` the base class clears on
+    :meth:`set_distance` and on a change of ``snr_offset_db``.  A fading
+    process bypasses this memo too.
     """
+
+    __slots__ = ("_interferer",)
 
     def __init__(
         self,
@@ -105,8 +132,6 @@ class InterferedLink(SimulatedLink):
         interferer: BurstyInterferer,
         fading: BlockFadingProcess | None = None,
     ) -> None:
-        # The burst penalty makes the SNR time-varying even on a static
-        # channel, so the per-(mode, bitrate) memoization must stay off.
         super().__init__(link_map, distance_m, rng, fading=fading, cache=False)
         self._interferer = interferer
 
@@ -121,3 +146,16 @@ class InterferedLink(SimulatedLink):
         if mode is not LinkMode.ACTIVE:
             snr -= self._interferer.snr_penalty_at(time_s)
         return snr
+
+    def _packet_error_rate(
+        self, mode: LinkMode, bitrate_bps: int, packet_bits: int, time_s: float
+    ) -> float:
+        if self._fading is not None:
+            return super()._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
+        burst = mode is not LinkMode.ACTIVE and self._interferer.is_active(time_s)
+        key = (mode, bitrate_bps, packet_bits, burst)
+        per = self._per_cache.get(key)
+        if per is None:
+            per = packet_error_rate(self.ber(mode, bitrate_bps, time_s), packet_bits)
+            self._per_cache[key] = per
+        return per

@@ -159,6 +159,65 @@ class TestHardenedParsing:
         with pytest.raises(ValueError, match=f"field {key!r}"):
             cls.from_dict({**payload, key: bad})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "cls,payload,key",
+        [
+            (HubLayout, HubLayout().to_dict(), "spacing_m"),
+            (HubLayout, HubLayout().to_dict(), "area_m"),
+            (
+                HubLayout,
+                HubLayout(strategy="manual", positions_m=((0.0, 0.0),)).to_dict(),
+                "positions_m",
+            ),
+            (DeviceClass, DeviceClass(name="x", device="iPhone 6S").to_dict(), "share"),
+            (
+                DeviceClass,
+                DeviceClass(name="x", device="iPhone 6S").to_dict(),
+                "min_distance_m",
+            ),
+            (
+                DeviceClass,
+                DeviceClass(name="x", device="iPhone 6S").to_dict(),
+                "max_distance_m",
+            ),
+            (
+                DeviceClass,
+                DeviceClass(name="x", device="iPhone 6S").to_dict(),
+                "tdma_weight",
+            ),
+            (ChurnProcess, ChurnProcess().to_dict(), "mean_awake_s"),
+            (ChurnProcess, ChurnProcess().to_dict(), "mean_asleep_s"),
+            (ChurnProcess, ChurnProcess().to_dict(), "mean_lifetime_s"),
+            (ChurnProcess, ChurnProcess().to_dict(), "late_join_fraction"),
+            (ChurnProcess, ChurnProcess().to_dict(), "mean_join_delay_s"),
+            (DeploymentSpec, _tiny_spec().to_dict(), "warmup_s"),
+            (DeploymentSpec, _tiny_spec().to_dict(), "duration_s"),
+            (DeploymentSpec, _tiny_spec().to_dict(), "coupling_threshold_db"),
+            (DeploymentSpec, _tiny_spec().to_dict(), "interference_penalty_db"),
+            (DeploymentSpec, _tiny_spec().to_dict(), "path_loss_exponent"),
+        ],
+    )
+    def test_non_finite_number_names_the_key(self, cls, payload, key, bad):
+        # NaN and +-inf pass every range check unnoticed; an infinite
+        # horizon used to hang the region job and a NaN TDMA weight to
+        # crash it deep inside the TDMA builder.
+        value = payload[key]
+        if key == "area_m":
+            value = [1.0, bad]
+        elif key == "positions_m":
+            value = [[0.0, bad]]
+        else:
+            value = bad
+        with pytest.raises(ValueError, match=f"field {key!r} must be finite"):
+            cls.from_dict({**payload, key: value})
+
+    def test_json_infinity_rejected(self):
+        text = _tiny_spec().to_json().replace('"duration_s":1.0', '"duration_s":Infinity')
+        assert "Infinity" in text
+        with pytest.raises(ValueError, match="field 'duration_s' must be finite"):
+            DeploymentSpec.from_json(text)
+
     def test_nested_sections_must_be_mappings(self):
         payload = _tiny_spec().to_dict()
         with pytest.raises(ValueError, match="'hubs' must be a mapping"):

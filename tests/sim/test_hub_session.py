@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.braidio import BraidioRadio
+from repro.core.modes import LinkMode
 from repro.core.regimes import LinkMap
 from repro.hardware.battery import Battery, JOULES_PER_WATT_HOUR as WH
 from repro.net import TdmaSchedule
 from repro.net.session import HubClient, HubSession
 from repro.sim.link import SimulatedLink
-from repro.sim.policies import BraidioPolicy
+from repro.sim.policies import BraidioPolicy, FixedModePolicy
 from repro.sim.session import FRAME_OVERHEAD_BITS
 from repro.sim.simulator import Simulator
 
@@ -217,6 +218,98 @@ class TestAdoptRelease:
         assert first.terminated_by == "time"
         assert session.finish("battery") is first
         assert first.terminated_by == "time"  # reason locked at first finish
+
+
+class _EagerRebuildSession(HubSession):
+    """Reference: the original rebuild, one ``base.without(inactive)``
+    schedule built at every membership event."""
+
+    def _rebuild_schedule(self):
+        inactive = set(self._dark_since) | self._exhausted | set(self._suspended)
+        if not inactive:
+            self._tdma = self._base_tdma
+        elif len(inactive) < len(self._clients):
+            self._tdma = self._base_tdma.without(inactive)
+
+
+class _ServeLog(FixedModePolicy):
+    """Active-mode policy that logs (time, client) for every packet."""
+
+    def __init__(self, sim, name, log):
+        super().__init__(LinkMode.ACTIVE)
+        self._sim, self._name, self._log = sim, name, log
+
+    def next_packet(self):
+        self._log.append((self._sim.now_s, self._name))
+        return super().next_packet()
+
+
+# Bursts of churn landing between two packets (one packet is ~0.33 ms).
+_T1, _T2, _T3 = 0.0101, 0.0203, 0.0305
+_CHURN = (
+    (_T1, "suspend", "c0"),
+    (_T1, "suspend", "c1"),
+    (_T1, "resume", "c0"),
+    (_T1, "suspend", "c3"),
+    (_T1, "resume", "c1"),
+    # Every client asleep, then one wakes, all at the same instant.
+    (_T2, "suspend", "c0"),
+    (_T2, "suspend", "c1"),
+    (_T2, "suspend", "c2"),
+    (_T2, "resume", "c2"),
+    (_T3, "resume", "c0"),
+    (_T3, "suspend", "c2"),
+    (_T3, "resume", "c3"),
+    (_T3, "resume", "c1"),
+)
+
+
+def _churned_serve_log(session_cls, monkeypatch):
+    builds = []
+    original_init = TdmaSchedule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(None)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TdmaSchedule, "__init__", counting_init)
+    sim = Simulator(seed=3)
+    hub = BraidioRadio.for_device("iPhone 6S")
+    log = []
+    clients = []
+    for i in range(4):
+        radio = BraidioRadio.for_device("Apple Watch")
+        radio.battery = Battery(1e-3)
+        clients.append(
+            HubClient(
+                name=f"c{i}",
+                radio=radio,
+                link=SimulatedLink(LinkMap(), 0.5, sim.rng),
+                policy=_ServeLog(sim, f"c{i}", log),
+            )
+        )
+    tdma = TdmaSchedule({"c0": 1.0, "c1": 2.0, "c2": 3.0, "c3": 1.0}, round_packets=16)
+    session = session_cls(sim, hub, clients, tdma, max_time_s=0.04)
+    for when, kind, name in _CHURN:
+        action = session.suspend_client if kind == "suspend" else session.resume_client
+        sim.schedule_at(when, lambda action=action, name=name: action(name))
+    session.run()
+    monkeypatch.undo()
+    return log, len(builds)
+
+
+class TestDeferredRebuild:
+    def test_churn_bursts_serve_what_eager_rebuilds_served(self, monkeypatch):
+        eager_log, eager_builds = _churned_serve_log(_EagerRebuildSession, monkeypatch)
+        deferred_log, deferred_builds = _churned_serve_log(HubSession, monkeypatch)
+        assert deferred_log == eager_log
+        assert {name for t, name in deferred_log if _T2 < t < _T3} == {"c2"}
+        assert {name for t, name in deferred_log if _T1 < t < _T2} == {"c0", "c1", "c2"}
+        assert {name for t, name in deferred_log if t > _T3} == {"c0", "c1", "c3"}
+        # One build per burst instead of one per event: the initial
+        # schedule, then one per burst (T1, T2, T3).
+        assert deferred_builds == 4
+        assert eager_builds > deferred_builds
 
 
 class TestLpUpperBound:

@@ -67,6 +67,19 @@ class TestTdmaSchedule:
         with pytest.raises(ValueError, match="positive"):
             schedule.with_client("b", 0.0)
 
+    def test_duplicate_client_rejected_by_name(self):
+        # A repeated name used to be folded into one client whose share
+        # was computed against both weights (shares no longer summed to 1).
+        with pytest.raises(ValueError, match="client 'a' is listed more than once"):
+            TdmaSchedule([("a", 1.0), ("a", 2.0)], round_packets=16)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="client 'b' weight must be finite"):
+            TdmaSchedule({"a": 1.0, "b": bad}, round_packets=16)
+        with pytest.raises(ValueError, match="client 'c' weight must be finite"):
+            TdmaSchedule({"a": 1.0}, round_packets=16).with_client("c", bad)
+
     def test_with_client_round_trips_through_without(self):
         schedule = TdmaSchedule({"a": 2.0, "b": 1.0}, round_packets=24)
         again = schedule.with_client("c", 1.0).without(["c"])
