@@ -1,7 +1,7 @@
 """Performance bench: campaign workers-vs-wall-clock scaling.
 
 Not a paper figure — this times the same Monte-Carlo BER campaign at
-``n_jobs=1`` (in-process) and ``n_jobs=4`` (the shard worker fleet), and
+``n_jobs=1`` (in-process) and ``n_jobs=4`` (the worker fleet), and
 gates on the parallel efficiency the fleet was built for: four workers
 must finish at least 2.5x faster than one. The merged results manifests
 must also be byte-identical, so the speedup is provably not changing a
@@ -17,9 +17,8 @@ import time
 
 import pytest
 
-from repro.runtime import CampaignConfig, run_campaign
+from repro.runtime import CampaignConfig, run_campaign, write_results_manifest
 from repro.runtime.jobs import JobSpec
-from repro.runtime.shard import write_results_manifest
 
 N_JOBS = 16
 N_BITS = 3_000_000  # ~0.9 s per job: serial ~15 s, 4 workers ~4 s
@@ -82,8 +81,6 @@ def test_performance_shard_worker_scaling(tmp_path):
             "parallel_s": round(parallel_s, 3),
             "speedup": round(speedup, 3),
             "n_jobs": result.manifest.n_jobs,
-            "shards": result.manifest.shards,
-            "steals": result.manifest.steals,
         }
         with open(artifact, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

@@ -10,7 +10,7 @@ Usage::
     python -m repro campaign fig15 fig18 --jobs 4   # engine-only run
     python -m repro campaign all --cache-dir .cache --resume  # crash-safe continuation
     python -m repro campaign mc-ber --cache-dir .cache \
-        --jobs 4 --lease-s 10                       # journal-leased worker fleet
+        --jobs 4 --lease-s 10                       # 4 workers, 10 s job timeout
     python -m repro export fig15 out/ --backend scalar  # force the oracle
     python -m repro campaign fig15 --backend vectorized # whole-grid jobs
     python -m repro profile fig18 --top 30          # cProfile an experiment
@@ -43,6 +43,7 @@ non-zero-exit abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -208,25 +209,22 @@ def _resume_without_cache(config) -> bool:
     return False
 
 
-def _fleet_summary(manifest) -> str:
-    """The ``, K shards/S steals`` part of a summary line ("" when the
-    campaign ran in-process)."""
-    if not manifest.shards:
-        return ""
-    return f", {manifest.shards} shards/{manifest.steals} steals"
-
-
-def _shard_progress_printer():
-    """Periodic multi-shard board renderer for interactive runs."""
+def _progress_printer():
+    """A fleet ``on_progress`` that prints the settled count to stderr,
+    at most once a second, for interactive runs."""
     import time
 
     last = [0.0]
 
-    def on_progress(board) -> None:
+    def on_progress(progress) -> None:
         now = time.monotonic()
         if now - last[0] >= 1.0:
             last[0] = now
-            print(board.render(), file=sys.stderr)
+            print(
+                f"{progress.settled}/{progress.total} settled "
+                f"({progress.failed} failed) in {progress.elapsed_s():.1f}s",
+                file=sys.stderr,
+            )
 
     return on_progress
 
@@ -254,7 +252,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     failed = 0
     for experiment in experiments:
         specs = campaign_specs(experiment, backend=args.backend)
-        on_progress = _shard_progress_printer() if sys.stderr.isatty() else None
+        on_progress = _progress_printer() if sys.stderr.isatty() else None
         result = run_campaign(specs, config, on_progress=on_progress)
         if args.results is not None:
             write_results_manifest(args.results, result)
@@ -264,8 +262,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
         resumed = f", {manifest.resumed} resumed" if manifest.resumed else ""
         print(
             f"{experiment}: {manifest.total} jobs, {manifest.completed} run, "
-            f"{manifest.cached} cached, {manifest.failed} failed{resumed}"
-            f"{_fleet_summary(manifest)}, "
+            f"{manifest.cached} cached, {manifest.failed} failed{resumed}, "
             f"{manifest.wall_time_s:.2f}s ({manifest.jobs_per_s:.0f} jobs/s)"
         )
         if (
@@ -356,8 +353,7 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
         f"{spec.name}: {manifest['hub_count']} hubs, "
         f"{manifest['device_count']} devices in "
         f"{manifest['region_count']} regions "
-        f"({engine.completed} run, {engine.cached} cached{resumed}"
-        f"{_fleet_summary(engine)}) "
+        f"({engine.completed} run, {engine.cached} cached{resumed}) "
         f"in {engine.wall_time_s:.2f}s"
     )
     print(
@@ -416,8 +412,8 @@ def _positive_seconds(value: str) -> float:
         seconds = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seconds, got {value!r}")
-    if not seconds > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (math.isfinite(seconds) and seconds > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return seconds
 
 
@@ -437,9 +433,9 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 def _add_lease_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lease-s", type=_positive_seconds, default=30.0, metavar="S",
-        help="job lease in seconds for --jobs runs: a job still running "
-        "this long is presumed hung and another worker re-runs it "
-        "(default 30)",
+        help="job timeout in seconds for --jobs runs: a job still running "
+        "this long is presumed hung, its worker is killed and the job "
+        "re-run (default 30)",
     )
 
 

@@ -2,7 +2,7 @@
 
 Fans embarrassingly-parallel simulation jobs (gain-matrix cells,
 distance-sweep points, Monte-Carlo samples) across a fleet of forked
-worker processes that lease journaled shards, with content-derived
+worker processes that a coordinator feeds over pipes, with content-derived
 deterministic seeding, an on-disk result cache keyed by job fingerprint
 + calibration version (checksummed, with corruption quarantine), a
 write-ahead journal enabling crash-safe ``--resume``, bounded retries
@@ -28,15 +28,13 @@ from .journal import (
     metrics_checksum,
     replay_journal,
 )
-from .progress import CampaignProgress, RunManifest, ShardBoard, ShardSnapshot
-from .seeding import campaign_seed_sequence, job_rng, job_seed_sequence
-from .shard import (
-    ShardPlan,
-    partition_shards,
-    replay_shard_journal,
+from .progress import (
+    CampaignProgress,
+    RunManifest,
     results_manifest,
     write_results_manifest,
 )
+from .seeding import campaign_seed_sequence, job_rng, job_seed_sequence
 from .workloads import (
     batch_distance_spec,
     batch_matrix_spec,
@@ -56,9 +54,6 @@ __all__ = [
     "JournalReplay",
     "ResultCache",
     "RunManifest",
-    "ShardBoard",
-    "ShardPlan",
-    "ShardSnapshot",
     "batch_distance_spec",
     "batch_matrix_spec",
     "calibration_fingerprint",
@@ -73,11 +68,9 @@ __all__ = [
     "job_runner",
     "job_seed_sequence",
     "metrics_checksum",
-    "partition_shards",
     "register_job_runner",
     "registered_kinds",
     "replay_journal",
-    "replay_shard_journal",
     "results_manifest",
     "run_campaign",
     "write_results_manifest",

@@ -39,9 +39,9 @@ JSON with sorted keys, so a line starts with its world and ends with
 its spec text, whose SHA-256 is that fingerprint: the index is built
 without parsing any line ``put`` wrote.  A torn tail is neither
 indexed nor diagnosed until a writer terminates it.  A miss re-reads
-the bytes appended since the last scan, which is how a fleet
-coordinator sees its workers' results.  A hit re-reads the line and verifies it again on
-every call: an entry that fails parsing, carries a drifted schema, or
+the bytes appended since the last scan, so a reader sees what other
+processes appended after it built its index.  A hit re-reads the line
+and verifies it again on every call: an entry that fails parsing, carries a drifted schema, or
 whose payload no longer hashes to its recorded checksum is copied to
 ``quarantine/`` with a structured reason instead of being served or
 crashing the load path (DESIGN.md §10).  Reason records name the

@@ -13,13 +13,12 @@ per spec, in submission order.  Execution strategy:
   dispatch/done/failed transition to an append-only JSONL file under
   ``<cache_dir>/journal`` *before* the next state change, so a SIGKILL
   mid-sweep loses at most the in-flight jobs;
-* **worker fleet** — with ``n_jobs > 1`` the remaining jobs are dealt
-  into ``min(pending, 4 * n_jobs)`` shards that ``n_jobs`` forked
-  workers lease, run and steal through per-shard journals
-  (:mod:`repro.runtime.shard`).  ``timeout_s`` is the job lease: a job
-  still running when it runs out is presumed hung and a live worker
-  re-runs it.  A dead worker's shard is released at once, and if no
-  worker can start the coordinator drains the shards in-process.
+* **worker fleet** — with ``n_jobs > 1`` a coordinator forks up to
+  ``n_jobs`` workers and dispatches the remaining jobs to them over
+  pipes (:mod:`repro.runtime.fleet`).  ``timeout_s`` is the job
+  timeout: a job still running when it runs out is presumed hung, its
+  worker is killed and the job re-dispatched.  A dead worker's job is
+  re-dispatched at once, and what no worker can run runs in-process.
   ``n_jobs`` is the only setting that shapes the fleet;
 * **bounded retry** — jobs that raise are retried in place with
   exponential backoff, up to ``max_retries`` extra attempts (an attempt
@@ -30,14 +29,15 @@ per spec, in submission order.  Execution strategy:
 
 Because every job's RNG derives from (campaign seed, spec fingerprint)
 (:mod:`repro.runtime.seeding`), outcomes are bit-identical whatever the
-worker count, shard layout, execution order — or how many times the
-campaign was killed and resumed along the way.  See DESIGN.md §10 for
+worker count, execution order — or how many times the campaign was
+killed and resumed along the way.  See DESIGN.md §10 for
 the executor contract.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import signal
 import threading
 import time
@@ -61,11 +61,11 @@ class CampaignConfig:
 
     Attributes:
         n_jobs: worker processes; 1 means in-process serial execution.
-        timeout_s: the job lease of the worker fleet (``n_jobs > 1``): a
-            job still running this long after it started is presumed
-            hung, and a live worker (or the coordinator) re-runs it, the
-            overrun counting as one attempt.  ``None``
-            never presumes a job hung.  Serial runs ignore it.
+        timeout_s: the job timeout of the worker fleet (``n_jobs > 1``):
+            a job still running this long after it started is presumed
+            hung, its worker is killed and the job re-run, the overrun
+            counting as one attempt.  ``None`` never presumes a
+            job hung.  Serial runs ignore it.
         max_retries: extra attempts after a job's first failure.
         backoff_s: base of the exponential retry backoff.
         campaign_seed: root seed for per-job RNG derivation (>= 0).
@@ -90,12 +90,16 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ValueError(f"timeout must be positive, got {self.timeout_s!r}")
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0.0
+        ):
+            raise ValueError(
+                f"timeout_s must be finite and positive, or None, got {self.timeout_s!r}"
+            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.backoff_s < 0.0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff_s!r}")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0.0):
+            raise ValueError(f"backoff_s must be finite and >= 0, got {self.backoff_s!r}")
         if self.campaign_seed < 0:
             raise ValueError(
                 f"campaign_seed must be >= 0, got {self.campaign_seed!r}"
@@ -413,7 +417,7 @@ def run_campaign(
 
     The one way to run a campaign: the pre-pass, then the pending jobs
     in-process (``n_jobs = 1``) or on a fleet of ``n_jobs`` workers
-    (:mod:`repro.runtime.shard`), then the manifest.  With
+    (:mod:`repro.runtime.fleet`), then the manifest.  With
     ``config.resume`` the write-ahead journal is replayed first:
     journaled-``done`` jobs are served from the cache after checksum
     verification and only the remainder is re-dispatched, bit-identical
@@ -422,9 +426,9 @@ def run_campaign(
     Args:
         specs: the jobs, in submission order.
         config: execution knobs (defaults to :class:`CampaignConfig`).
-        on_progress: called with a live
-            :class:`~repro.runtime.progress.ShardBoard` while a fleet
-            runs; serial runs never call it.
+        on_progress: called with the campaign's
+            :class:`~repro.runtime.progress.CampaignProgress` after each
+            job the fleet settles; serial runs never call it.
     """
     config = config if config is not None else CampaignConfig()
     specs = list(specs)
@@ -475,8 +479,6 @@ def run_campaign(
             outcome = JobOutcome(spec=spec, status=status, metrics=hit)
             _settle(index, outcome, progress, outcomes, ledger)
 
-    shards = steals = 0
-    aborted = False
     guard = _SignalGuard()
     try:
         with guard:
@@ -484,12 +486,12 @@ def run_campaign(
                 journal.begin(len(specs), config.campaign_seed, calibration)
                 for _, spec in pending:
                     journal.dispatched(spec)
-            if pending and config.n_jobs > 1:
-                from .shard import run_fleet
+            if pending and config.n_jobs > 1 and not ledger.breached:
+                from .fleet import run_fleet
 
-                shards, steals, aborted = run_fleet(
-                    pending, config, cache, journal, campaign_fp,
-                    progress, outcomes, ledger, on_progress,
+                run_fleet(
+                    pending, config, cache, journal, progress, outcomes, ledger,
+                    on_progress,
                 )
             else:
                 _run_serial(pending, config, cache, progress, outcomes, journal, ledger)
@@ -520,7 +522,7 @@ def run_campaign(
 
     manifest = _finalize_manifest(
         progress, config, calibration, campaign_fp, journal, outcomes, len(specs),
-        interrupted=aborted, shards=shards, steals=steals,
+        interrupted=False,
     )
     _record_manifest(slot, manifest)
     return CampaignResult(
@@ -538,11 +540,8 @@ def _finalize_manifest(
     outcomes: "dict[int, JobOutcome]",
     total: int,
     interrupted: bool,
-    shards: int = 0,
-    steals: int = 0,
 ) -> RunManifest:
-    """Freeze progress into a manifest, merging any energy breakdowns;
-    a fleet run adds its ``shards`` and ``steals``."""
+    """Freeze progress into a manifest, merging any energy breakdowns."""
     manifest = progress.manifest(
         n_jobs=config.n_jobs,
         calibration=calibration,
@@ -550,8 +549,6 @@ def _finalize_manifest(
         campaign=campaign_fp,
         journal=str(journal.path) if journal is not None else None,
         interrupted=interrupted,
-        shards=shards,
-        steals=steals,
     )
     # Jobs that report a ledger breakdown get their category totals
     # merged into the manifest, so campaign records carry the attributed
@@ -581,14 +578,16 @@ def _run_serial(
     outcomes: dict[int, JobOutcome],
     journal: "CampaignJournal | None",
     ledger: _FailureLedger,
+    lost: "dict[int, int] | None" = None,
 ) -> None:
     """Run jobs in-process, one after another.
 
-    Honors ``config.max_failures`` through the failure ledger: once the
-    campaign's *distinct* failed-job count — including failures journaled
-    by an interrupted run this one resumed — reaches the bound, every
-    remaining job settles as failed without executing (bounded-failure
-    early abort).
+    ``lost`` maps a job's index to the attempts dead or hung fleet
+    workers already spent on it.  Honors ``config.max_failures`` through
+    the failure ledger: once the campaign's *distinct* failed-job count —
+    including failures journaled by an interrupted run this one resumed —
+    reaches the bound, every remaining job settles as failed without
+    executing (bounded-failure early abort).
     """
     journals = (journal,) if journal is not None else ()
     abort_error = ledger.abort_message() if ledger.breached else None
@@ -596,7 +595,7 @@ def _run_serial(
         if abort_error is not None:
             outcome = JobOutcome(spec=spec, status="failed", metrics=None, error=abort_error)
         else:
-            outcome = run_job(spec, config)
+            outcome = run_job(spec, config, (lost or {}).get(index, 0))
         _commit(outcome, cache, journals)
         _settle(index, outcome, progress, outcomes, ledger)
         if abort_error is None and ledger.breached:

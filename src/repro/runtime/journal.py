@@ -139,17 +139,14 @@ def _settle_stats(record: "dict[str, object]") -> "tuple[int, float]":
     )
 
 
-def replay_journal(
-    path: "Path | str", replay: "JournalReplay | None" = None
-) -> JournalReplay:
-    """Parse a journal into ``replay`` (a fresh :class:`JournalReplay` by
-    default) and return it.
+def replay_journal(path: "Path | str") -> JournalReplay:
+    """Parse a journal into a :class:`JournalReplay`.
 
     Never raises: a missing file replays as empty, malformed lines (the
     crash-truncated tail, bit-rot) are counted and skipped, and a ``done``
     record supersedes an earlier ``failed`` one for the same job.
     """
-    replay = replay if replay is not None else JournalReplay()
+    replay = JournalReplay()
     try:
         text = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError:

@@ -1,9 +1,12 @@
-"""Campaign telemetry: live counters and the structured run manifest.
+"""Campaign telemetry: live counters, the run manifest and the results
+manifest.
 
 The executor feeds a :class:`CampaignProgress` as jobs settle; at the end
 it freezes into a :class:`RunManifest` — the machine-readable record the
 CLI prints and (for ``export --cache-dir``) writes next to the CSVs, so a
 warm-cache rerun is verifiable from the ``cached`` count alone.
+:func:`results_manifest` is its wall-clock-free counterpart: a record of
+the results alone.
 """
 
 from __future__ import annotations
@@ -12,6 +15,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .journal import metrics_checksum
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .executor import CampaignResult
+
+#: Schema version of the results manifest.
+RESULTS_FORMAT = 1
 
 
 @dataclass
@@ -63,8 +75,6 @@ class CampaignProgress:
         campaign: str = "",
         journal: "str | None" = None,
         interrupted: bool = False,
-        shards: int = 0,
-        steals: int = 0,
     ) -> "RunManifest":
         """Freeze the counters into a manifest."""
         wall = self.elapsed_s()
@@ -85,8 +95,6 @@ class CampaignProgress:
             campaign=campaign,
             journal=journal,
             interrupted=interrupted,
-            shards=shards,
-            steals=steals,
         )
 
 
@@ -117,11 +125,6 @@ class RunManifest:
         energy: merged ledger category totals (label -> joules) of jobs
             that reported an energy breakdown, or ``None`` when the
             campaign carried none (omitted from the JSON form).
-        shards: shards the worker fleet (``n_jobs`` workers) ran; 0 =
-            everything ran in-process, and the fleet fields are then
-            omitted from the JSON form.
-        steals: shards taken over from a worker that died or overran
-            its lease.
     """
 
     total: int
@@ -140,8 +143,6 @@ class RunManifest:
     campaign: str = ""
     journal: "str | None" = None
     interrupted: bool = False
-    shards: int = 0
-    steals: int = 0
 
     def to_dict(self) -> dict[str, object]:
         """Primitive form, ready for ``json.dumps``."""
@@ -165,9 +166,6 @@ class RunManifest:
             out["journal"] = self.journal
         if self.interrupted:
             out["interrupted"] = True
-        if self.shards:
-            out["shards"] = self.shards
-            out["steals"] = self.steals
         if self.energy is not None:
             out["energy"] = self.energy
         return out
@@ -206,8 +204,6 @@ class RunManifest:
         campaigns = {m.campaign for m in manifests if m.campaign}
         journals = {m.journal for m in manifests if m.journal is not None}
         return RunManifest(
-            shards=max(m.shards for m in manifests),
-            steals=sum(m.steals for m in manifests),
             total=sum(m.total for m in manifests),
             completed=sum(m.completed for m in manifests),
             failed=sum(m.failed for m in manifests),
@@ -252,193 +248,45 @@ def write_campaign_manifest(
     return merged
 
 
-# --------------------------------------------------------------------------
-# Live multi-shard view.
-#
-# The shard coordinator feeds the board a fresh journal replay each poll;
-# the board turns deltas into per-shard throughput and ETA without ever
-# influencing execution — it is telemetry over the journals, so a dead
-# coordinator loses nothing but the pretty table.
+def results_manifest(result: "CampaignResult") -> "dict[str, object]":
+    """Canonical, wall-clock-free record of a campaign's *results*.
 
-
-@dataclass
-class ShardSnapshot:
-    """One shard's instantaneous view, derived from its journal replay.
-
-    Attributes:
-        index: shard number.
-        total: member jobs.
-        done: settled ``done`` records.
-        failed: settled ``failed`` records (not superseded by ``done``).
-        in_flight: dispatched but unsettled jobs.
-        owner: current lease holder ("" when unleased).
-        lease_remaining_s: seconds until the lease expires (<= 0 means
-            stealable).
-        steals: times an expired lease was picked up by another worker.
-        finished: whether the shard journaled its ``end`` record.
-        interrupted: whether the shard journaled an abort.
-        jobs_per_s: smoothed settle throughput observed by the board.
-        eta_s: remaining / throughput, or ``None`` before any progress.
+    Unlike the run manifest (which reports timing, worker counts, cache
+    hits — telemetry that legitimately differs run to run), this is a
+    pure function of the outcomes: a fleet run, a serial run, a resumed
+    run and a warm-cache run of the same campaign all produce
+    **byte-identical** JSON.
     """
+    jobs = []
+    for outcome in result.outcomes:
+        entry: "dict[str, object]" = {
+            "job": outcome.spec.fingerprint(),
+            "kind": outcome.spec.kind,
+        }
+        if outcome.ok:
+            entry["status"] = "done"
+            entry["checksum"] = metrics_checksum(outcome.metrics or {})
+            entry["metrics"] = outcome.metrics
+        else:
+            entry["status"] = "failed"
+            entry["error"] = outcome.error or ""
+        jobs.append(entry)
+    return {
+        "format": RESULTS_FORMAT,
+        "campaign": result.manifest.campaign,
+        "campaign_seed": result.manifest.campaign_seed,
+        "calibration": result.manifest.calibration,
+        "total": len(result.outcomes),
+        "jobs": jobs,
+    }
 
-    index: int
-    total: int
-    done: int = 0
-    failed: int = 0
-    in_flight: int = 0
-    owner: str = ""
-    lease_remaining_s: float = 0.0
-    steals: int = 0
-    finished: bool = False
-    interrupted: bool = False
-    jobs_per_s: float = 0.0
-    eta_s: "float | None" = None
 
-    @property
-    def remaining(self) -> int:
-        """Unsettled member jobs."""
-        return max(0, self.total - self.done - self.failed)
-
-
-@dataclass
-class ShardBoard:
-    """Rolling view of every shard of one fleet run.
-
-    ``observe`` folds a journal replay per shard (anything exposing
-    ``done``/``failed``/``dispatched``/``holder``/``deadline``/``steals``
-    /``finished``/``interrupted``) into :class:`ShardSnapshot` rows,
-    smoothing throughput with an exponential moving average so the ETA
-    doesn't whiplash on bursty settles.
-    """
-
-    campaign: str
-    snapshots: "list[ShardSnapshot]" = field(default_factory=list)
-    _last_seen: "dict[int, tuple[float, int]]" = field(
-        default_factory=dict, repr=False
+def write_results_manifest(path: "Path | str", result: "CampaignResult") -> Path:
+    """Write :func:`results_manifest` as canonical JSON (byte-stable)."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    payload = json.dumps(
+        results_manifest(result), sort_keys=True, separators=(",", ":")
     )
-    _rates: "dict[int, float]" = field(default_factory=dict, repr=False)
-
-    #: EMA smoothing factor for the per-shard settle rate.
-    SMOOTHING = 0.4
-
-    @classmethod
-    def from_plan(cls, campaign: str, shard_sizes: "list[int]") -> "ShardBoard":
-        """A board with one pristine snapshot per planned shard."""
-        return cls(
-            campaign=campaign,
-            snapshots=[
-                ShardSnapshot(index=i, total=size)
-                for i, size in enumerate(shard_sizes)
-            ],
-        )
-
-    def observe(self, states: "dict[int, object]", now: float) -> None:
-        """Fold fresh journal replays into the snapshots."""
-        for snapshot in self.snapshots:
-            state = states.get(snapshot.index)
-            if state is None:
-                continue
-            done = len(state.done)  # type: ignore[attr-defined]
-            failed = len(state.failed)  # type: ignore[attr-defined]
-            settled = done + failed
-            last = self._last_seen.get(snapshot.index)
-            if last is not None:
-                dt = now - last[0]
-                if dt > 0.0 and settled >= last[1]:
-                    inst = (settled - last[1]) / dt
-                    prev = self._rates.get(snapshot.index, 0.0)
-                    self._rates[snapshot.index] = (
-                        inst if prev == 0.0
-                        else prev + self.SMOOTHING * (inst - prev)
-                    )
-            self._last_seen[snapshot.index] = (now, settled)
-            rate = self._rates.get(snapshot.index, 0.0)
-            snapshot.done = done
-            snapshot.failed = failed
-            snapshot.in_flight = len(
-                set(state.dispatched)  # type: ignore[attr-defined]
-                - set(state.done)  # type: ignore[attr-defined]
-                - set(state.failed)  # type: ignore[attr-defined]
-            )
-            snapshot.owner = state.holder or ""  # type: ignore[attr-defined]
-            snapshot.lease_remaining_s = (
-                state.deadline - now  # type: ignore[attr-defined]
-                if state.holder is not None  # type: ignore[attr-defined]
-                else 0.0
-            )
-            snapshot.steals = state.steals  # type: ignore[attr-defined]
-            snapshot.finished = state.finished  # type: ignore[attr-defined]
-            snapshot.interrupted = state.interrupted  # type: ignore[attr-defined]
-            snapshot.jobs_per_s = rate
-            snapshot.eta_s = (
-                snapshot.remaining / rate if rate > 0.0 and snapshot.remaining
-                else (0.0 if snapshot.remaining == 0 else None)
-            )
-
-    @property
-    def settled(self) -> int:
-        """Settled jobs across every shard."""
-        return sum(s.done + s.failed for s in self.snapshots)
-
-    @property
-    def total(self) -> int:
-        """Member jobs across every shard."""
-        return sum(s.total for s in self.snapshots)
-
-    @property
-    def steals(self) -> int:
-        """Steals across every shard."""
-        return sum(s.steals for s in self.snapshots)
-
-    @property
-    def finished(self) -> bool:
-        """Whether every shard journaled its ``end`` record."""
-        return all(s.finished for s in self.snapshots)
-
-    def render(self) -> str:
-        """Fixed-width table: one row per shard plus a totals line.
-
-        Column widths stretch with the board's contents, so boards with
-        double-digit shard indices, long worker names or four-digit job
-        counts stay aligned instead of overflowing their columns.
-        """
-        snaps = self.snapshots
-        idx_w = max([len("shard")] + [len(str(s.index)) for s in snaps])
-        owner_w = max([len("owner")] + [len(s.owner or "-") for s in snaps])
-        done_w = max([1] + [len(str(s.done)) for s in snaps])
-        total_w = max([1] + [len(str(s.total)) for s in snaps])
-        prog_w = max(len("done"), done_w + 1 + total_w)
-        fail_w = max([len("fail")] + [len(str(s.failed)) for s in snaps])
-        run_w = max([len("run")] + [len(str(s.in_flight)) for s in snaps])
-        steal_w = max([len("steal")] + [len(str(s.steals)) for s in snaps])
-        header = (
-            f"{'shard':>{idx_w}}  {'owner':<{owner_w}} {'done':>{prog_w}} "
-            f"{'fail':>{fail_w}} {'run':>{run_w}} {'steal':>{steal_w}} "
-            f"{'jobs/s':>7} {'eta':>7}  state"
-        )
-        lines = [header]
-        for s in snaps:
-            if s.interrupted:
-                status = "aborted"
-            elif s.finished:
-                status = "finished"
-            elif s.owner:
-                status = (
-                    "leased" if s.lease_remaining_s > 0.0 else "stealable"
-                )
-            else:
-                status = "open"
-            eta = f"{s.eta_s:6.1f}s" if s.eta_s is not None else "     ?"
-            progress = f"{s.done:>{done_w}}/{s.total:<{total_w}}"
-            lines.append(
-                f"{s.index:>{idx_w}}  {s.owner or '-':<{owner_w}} "
-                f"{progress:>{prog_w}} "
-                f"{s.failed:>{fail_w}} {s.in_flight:>{run_w}} "
-                f"{s.steals:>{steal_w}} "
-                f"{s.jobs_per_s:>7.1f} {eta:>7}  {status}"
-            )
-        lines.append(
-            f"total {self.settled}/{self.total} settled, "
-            f"{self.steals} steals"
-        )
-        return "\n".join(lines)
+    target.write_text(payload + "\n", encoding="utf-8")
+    return target

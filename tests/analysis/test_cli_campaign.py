@@ -3,12 +3,16 @@ fallback renderer."""
 
 import json
 import os
+import re
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _progress_printer, main
 from repro.experiments import all_experiments, get
 from repro.runtime.jobs import JobSpec, register_job_runner
+from repro.runtime.progress import CampaignProgress
+
+from ..runtime.job_pids import record_job_pids
 
 
 @register_job_runner("test.cli_fail")
@@ -131,7 +135,7 @@ class TestJobsValidation:
         assert main(["campaign", "mc-ber", "--jobs", "1"]) == 0
         assert "capping" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "soon"])
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "soon"])
     def test_non_positive_lease_rejected(self, bad, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "mc-ber", "--lease-s", bad])
@@ -189,14 +193,16 @@ class TestMaxFailures:
             main(["campaign", "mc-ber", "--max-failures", bad])
         assert excinfo.value.code == 2
 
-    def test_failure_storm_aborts_with_nonzero_exit(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_storm_aborts_with_nonzero_exit(self, monkeypatch, capsys, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
         monkeypatch.setattr(
             "repro.runtime.workloads.campaign_specs",
             lambda experiment, backend="scalar": [
                 JobSpec(kind="test.cli_fail", seed=i) for i in range(6)
             ],
         )
-        code = main(["campaign", "mc-ber", "--max-failures", "2"])
+        code = main(["campaign", "mc-ber", "--max-failures", "2", "--jobs", jobs])
         assert code != 0
         captured = capsys.readouterr()
         assert "aborted" in captured.err
@@ -230,7 +236,7 @@ class TestMaxFailures:
         assert "--max-failures 3" in captured.err
 
 
-class TestShardFlags:
+class TestFleetFlags:
     def test_results_flag_requires_single_experiment(self, tmp_path, capsys):
         code = main([
             "campaign", "mc-ber", "fig15", "--results", str(tmp_path / "r.json"),
@@ -238,22 +244,43 @@ class TestShardFlags:
         assert code == 2
         assert "exactly one experiment" in capsys.readouterr().err
 
-    def test_sharded_run_matches_serial_byte_for_byte(
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_summary_line_is_the_same_on_every_path(self, monkeypatch, capsys, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
+        assert main(["campaign", "mc-ber", "--jobs", jobs]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(
+            r"mc-ber: 25 jobs, 25 run, 0 cached, 0 failed, "
+            r"\d+\.\d\ds \(\d+ jobs/s\)",
+            summary,
+        )
+
+    def test_progress_line_reports_settled_jobs(self, capsys):
+        progress = CampaignProgress(total=4)
+        progress.record("a", "completed")
+        progress.record("a", "failed")
+        _progress_printer()(progress)
+        assert re.fullmatch(
+            r"2/4 settled \(1 failed\) in \d+\.\ds\n", capsys.readouterr().err
+        )
+
+    def test_fleet_run_matches_serial_byte_for_byte(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
         serial = tmp_path / "serial.json"
-        sharded = tmp_path / "sharded.json"
+        fleet = tmp_path / "fleet.json"
         assert main([
             "campaign", "mc-ber",
             "--cache-dir", str(tmp_path / "a"), "--results", str(serial),
         ]) == 0
         capsys.readouterr()
+        pids = record_job_pids(monkeypatch, tmp_path / "pids")
         assert main([
             "campaign", "mc-ber",
-            "--cache-dir", str(tmp_path / "b"), "--results", str(sharded),
+            "--cache-dir", str(tmp_path / "b"), "--results", str(fleet),
             "--jobs", "2",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "8 shards/" in out  # 25 jobs: min(25, 4 * 2) shards
-        assert serial.read_bytes() == sharded.read_bytes()
+        capsys.readouterr()
+        assert pids() and os.getpid() not in pids()  # workers ran every job
+        assert serial.read_bytes() == fleet.read_bytes()

@@ -2,6 +2,7 @@
 handoff, manifest byte parity across execution paths, CLI validation."""
 
 import json
+import os
 
 import pytest
 
@@ -29,6 +30,8 @@ from repro.faults import (
     region_fault_plan_for,
 )
 from repro.runtime import CampaignConfig
+
+from ..runtime.job_pids import record_job_pids
 
 
 def _pair_spec(**overrides):
@@ -174,15 +177,18 @@ class TestArmedDeterminism:
         pooled = run_deployment(spec, CampaignConfig(n_jobs=2), fault_plan=plan)
         assert manifest_json(serial.manifest) == manifest_json(pooled.manifest)
 
-    def test_manifest_bit_identical_through_the_sharded_path(self, tmp_path):
+    def test_manifest_bit_identical_through_the_cached_fleet(
+        self, tmp_path, monkeypatch
+    ):
         spec = scenario("smoke")
         plan = region_fault_plan_for("blackout", spec)
         serial = run_deployment(spec, CampaignConfig(n_jobs=1), fault_plan=plan)
-        sharded = run_deployment(
+        pids = record_job_pids(monkeypatch, tmp_path / "pids")
+        fleet = run_deployment(
             spec, CampaignConfig(n_jobs=2, cache_dir=tmp_path), fault_plan=plan
         )
-        assert sharded.campaign.manifest.shards > 0
-        assert manifest_json(serial.manifest) == manifest_json(sharded.manifest)
+        assert pids() and os.getpid() not in pids()  # workers ran every region
+        assert manifest_json(serial.manifest) == manifest_json(fleet.manifest)
 
     def test_resilience_csv_rows_are_reproducible(self):
         spec = scenario("smoke")

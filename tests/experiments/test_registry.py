@@ -87,8 +87,8 @@ class TestCampaignRoundTrip:
     @staticmethod
     def _comparable(manifest):
         data = manifest.to_dict()
-        # Execution telemetry: the n_jobs fleet adds shards and steals.
-        for volatile in ("wall_time_s", "jobs_per_s", "n_jobs", "shards", "steals"):
+        # Execution telemetry.
+        for volatile in ("wall_time_s", "jobs_per_s", "n_jobs"):
             data.pop(volatile, None)
         return data
 

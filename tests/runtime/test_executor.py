@@ -2,6 +2,7 @@
 retry/backoff fault tolerance, failure budgets, outcome parity across the
 serial and ``n_jobs`` paths, and the manifest registry."""
 
+import multiprocessing
 import threading
 import time
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.runtime.executor import (
     run_campaign,
 )
 from repro.runtime.jobs import JobSpec, register_job_runner
+from repro.runtime.journal import replay_journal
 from repro.runtime.workloads import campaign_specs
 
 
@@ -98,13 +100,18 @@ class TestConfigValidation:
         [
             {"n_jobs": 0},
             {"timeout_s": 0.0},
+            {"timeout_s": float("nan")},
+            {"timeout_s": float("inf")},
             {"max_retries": -1},
             {"backoff_s": -0.1},
+            {"backoff_s": float("nan")},
+            {"backoff_s": float("inf")},
             {"campaign_seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             CampaignConfig(**kwargs)
 
 
@@ -207,10 +214,20 @@ class TestFaultTolerance:
         with pytest.raises(CampaignError, match="1/3"):
             result.raise_on_failure()
 
-    def test_worker_crash_then_serial_failure_keeps_last_error(self):
-        """Regression: when a fleet worker hard-crashes and the in-process
-        retry also fails, the outcome must retain the last error string,
-        not a blank."""
+    def test_worker_crash_then_serial_failure_keeps_last_error(self, monkeypatch):
+        """Regression: when a fleet worker hard-crashes, no replacement can
+        start and the in-process retry also fails, the outcome must retain
+        the last error string, not a blank."""
+        start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def one_process(self):
+            if started:
+                raise OSError("no more processes in this sandbox")
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr("multiprocessing.process.BaseProcess.start", one_process)
         result = run_campaign(
             [JobSpec(kind="test.worker_crash")],
             CampaignConfig(n_jobs=2, max_retries=1, backoff_s=0.0),
@@ -241,8 +258,8 @@ class TestFaultTolerance:
         assert "no job runner" in result.outcomes[0].error
 
     def test_pool_unavailable_degrades_to_serial(self, monkeypatch):
-        """When no worker process can start, the coordinator drains the
-        shards in-process with the metrics of a serial run."""
+        """When no worker process can start, every job runs in-process
+        with the metrics of a serial run."""
 
         def no_processes(self):
             raise OSError("no processes in this sandbox")
@@ -331,8 +348,8 @@ class TestRetryBackoff:
         assert "always broken" in outcome.error
 
     def test_retry_reexecutes_exactly_the_failed_jobs(self, tmp_path):
-        """A job that erred on a fleet worker is retried; its shard-mates
-        that succeeded are never re-executed."""
+        """A job that erred on a fleet worker is retried; the jobs that
+        succeeded are never re-executed."""
         counts = tmp_path / "counts"
         counts.mkdir()
         flaky = JobSpec.with_params(
@@ -355,21 +372,43 @@ class TestRetryBackoff:
             assert executions[spec.fingerprint()] == 1
 
 
+_ABORTED = "aborted: campaign failure budget (max_failures=2) exhausted"
+
+
 class TestFailureBudget:
-    def test_max_failures_aborts_remaining_jobs(self):
-        specs = [JobSpec(kind="test.fail", seed=i) for i in range(6)]
+    @pytest.mark.parametrize("n_specs", [6, 200])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_max_failures_aborts_remaining_jobs(self, n_jobs, n_specs):
+        specs = [JobSpec(kind="test.fail", seed=i) for i in range(n_specs)]
         result = run_campaign(
             specs,
-            CampaignConfig(max_retries=0, backoff_s=0.0, max_failures=2),
+            CampaignConfig(
+                max_retries=0, backoff_s=0.0, max_failures=2, n_jobs=n_jobs
+            ),
         )
         statuses = [o.status for o in result.outcomes]
-        assert statuses == ["failed"] * 6
+        assert statuses == ["failed"] * n_specs
         executed = [o for o in result.outcomes if o.attempts > 0]
         aborted = [o for o in result.outcomes if o.attempts == 0]
         assert len(executed) == 2
-        assert len(aborted) == 4
-        assert all("aborted" in o.error and "max_failures=2" in o.error
-                   for o in aborted)
+        assert len(aborted) == n_specs - 2
+        assert all(o.error == _ABORTED for o in aborted)
+        assert result.manifest.interrupted is False
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_abort_is_journaled_as_failures(self, tmp_path, n_jobs):
+        """Every aborted job leaves a ``failed`` record with the abort
+        error, and the run closes with ``end``, not ``interrupted``."""
+        specs = [JobSpec(kind="test.fail", seed=i) for i in range(6)]
+        config = CampaignConfig(
+            cache_dir=tmp_path, max_retries=0, backoff_s=0.0, max_failures=2,
+            n_jobs=n_jobs,
+        )
+        result = run_campaign(specs, config)
+        replay = replay_journal(result.manifest.journal)
+        assert set(replay.failed) == {spec.fingerprint() for spec in specs}
+        assert list(replay.failed.values()).count(_ABORTED) == 4
+        assert (replay.finished_runs, replay.interrupted) == (1, False)
 
     def test_budget_not_hit_runs_everything(self):
         specs = [

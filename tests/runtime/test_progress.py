@@ -1,10 +1,18 @@
-"""Unit tests for campaign telemetry and the run manifest."""
+"""Unit tests for campaign telemetry, the run manifest and the results
+manifest."""
 
 import json
 
 import pytest
 
-from repro.runtime.progress import CampaignProgress, RunManifest
+from repro.runtime.executor import CampaignConfig, run_campaign
+from repro.runtime.jobs import JobSpec, register_job_runner
+from repro.runtime.progress import (
+    CampaignProgress,
+    RunManifest,
+    results_manifest,
+    write_results_manifest,
+)
 
 
 def _manifest(**overrides):
@@ -82,48 +90,39 @@ class TestRunManifest:
         assert RunManifest.merge([]) is None
 
 
-class TestShardBoardRender:
-    def _board(self, shards=12, total=1200):
-        from repro.runtime.progress import ShardBoard
+@register_job_runner("test.progress_fail")
+def _progress_fail(spec, rng):
+    raise RuntimeError("always broken")
 
-        return ShardBoard.from_plan("demo", [total] * shards)
 
-    def _status_starts(self, rendered, statuses):
-        lines = rendered.splitlines()
-        header, rows = lines[0], lines[1 : 1 + len(statuses)]
-        starts = [header.rindex("state")]
-        for line, status in zip(rows, statuses):
-            assert line.endswith("  " + status)
-            starts.append(len(line) - len(status))
-        return starts
-
-    def test_twelve_shards_stay_aligned(self):
-        # Regression: double-digit shard indices and 4-digit job counts
-        # used to overflow the hard-coded column widths and shear the
-        # table; every row's state column must start where the header's
-        # does.
-        board = self._board(shards=12)
-        board.snapshots[3].owner = "worker-11"
-        board.snapshots[3].done = 1034
-        board.snapshots[11].owner = "w2"
-        board.snapshots[11].done = 7
-        statuses = [
-            "stealable" if s.owner else "open" for s in board.snapshots
+class TestResultsManifest:
+    def _specs(self):
+        return [
+            JobSpec.with_params(
+                "ber.montecarlo", {"snr_db": "6.0", "n_bits": "20000"}, seed=i
+            )
+            for i in range(3)
         ]
-        starts = self._status_starts(board.render(), statuses)
-        assert len(set(starts)) == 1
 
-    def test_long_owner_names_widen_the_column(self):
-        board = self._board(shards=3, total=9)
-        board.snapshots[1].owner = "a-very-long-worker-name-indeed"
-        statuses = ["open", "stealable", "open"]
-        starts = self._status_starts(board.render(), statuses)
-        assert len(set(starts)) == 1
-
-    def test_totals_line_counts_every_shard(self):
-        board = self._board(shards=12, total=100)
-        board.snapshots[0].done = 60
-        board.snapshots[5].failed = 2
-        assert board.render().splitlines()[-1] == (
-            "total 62/1200 settled, 0 steals"
+    def test_wall_clock_free_and_canonical(self, tmp_path):
+        specs = self._specs()
+        first = run_campaign(specs, CampaignConfig(cache_dir=tmp_path / "a"))
+        second = run_campaign(specs, CampaignConfig(cache_dir=tmp_path / "b"))
+        assert json.dumps(results_manifest(first), sort_keys=True) == (
+            json.dumps(results_manifest(second), sort_keys=True)
         )
+        path = write_results_manifest(tmp_path / "r.json", first)
+        payload = path.read_text(encoding="utf-8")
+        assert payload == json.dumps(
+            json.loads(payload), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_failed_jobs_recorded(self, tmp_path):
+        specs = [JobSpec(kind="test.progress_fail", seed=0)]
+        result = run_campaign(
+            specs,
+            CampaignConfig(cache_dir=tmp_path, max_retries=0, backoff_s=0.0),
+        )
+        manifest = results_manifest(result)
+        assert manifest["jobs"][0]["status"] == "failed"
+        assert "RuntimeError" in manifest["jobs"][0]["error"]

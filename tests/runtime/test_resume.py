@@ -112,11 +112,12 @@ class TestResume:
         assert again.manifest.resumed == 0
         assert again.manifest.cached == 3
 
-    def test_journal_records_failures_for_redispatch(self, tmp_path):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_journal_records_failures_for_redispatch(self, tmp_path, n_jobs):
         specs = [JobSpec(kind="test.resume_fail"), _specs(1)[0]]
         _arm_crash(None)
         config = CampaignConfig(
-            cache_dir=tmp_path, max_retries=0, backoff_s=0.0
+            cache_dir=tmp_path, max_retries=0, backoff_s=0.0, n_jobs=n_jobs
         )
         first = run_campaign(specs, config)
         assert first.manifest.failed == 1
@@ -167,8 +168,9 @@ class TestMaxFailuresResume:
             cache_dir=tmp_path, max_retries=0, backoff_s=0.0, **kwargs
         )
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_prior_journaled_failures_breach_budget_without_rerunning(
-        self, tmp_path
+        self, tmp_path, n_jobs
     ):
         counter = tmp_path / "runs.log"
         specs = [
@@ -180,7 +182,8 @@ class TestMaxFailuresResume:
         assert first.manifest.failed == 2
         assert len(counter.read_text().splitlines()) == 2
         resumed = run_campaign(
-            specs, self._config(tmp_path, max_failures=2, resume=True)
+            specs,
+            self._config(tmp_path, max_failures=2, resume=True, n_jobs=n_jobs),
         )
         # Budget already spent by the journaled failures: the failing
         # jobs settle as aborted without a single re-execution.
@@ -193,8 +196,9 @@ class TestMaxFailuresResume:
         # The CLI's non-zero-exit predicate holds on the resumed run.
         assert resumed.manifest.failed >= 2
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_success_on_resume_strikes_prior_failure_from_the_budget(
-        self, tmp_path
+        self, tmp_path, n_jobs
     ):
         counter = tmp_path / "runs.log"
         marker = tmp_path / "flaky.marker"
@@ -206,7 +210,8 @@ class TestMaxFailuresResume:
         first = run_campaign(specs, self._config(tmp_path))
         assert first.manifest.failed == 2
         resumed = run_campaign(
-            specs, self._config(tmp_path, max_failures=3, resume=True)
+            specs,
+            self._config(tmp_path, max_failures=3, resume=True, n_jobs=n_jobs),
         )
         # The flaky job now succeeds and leaves the ledger; only the
         # counted_fail job still counts, so the budget of 3 never trips.

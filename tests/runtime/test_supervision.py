@@ -1,6 +1,6 @@
-"""Hung and lost workers on the fleet: ``timeout_s`` is the job lease, a
-job that overruns it is re-run by a live worker, finished jobs are not,
-and no temporary state outlives a campaign."""
+"""Hung workers on the fleet: a job that overruns ``timeout_s`` has its
+worker killed and is re-run, finished jobs are not, and nothing — no
+temporary directory, no child process — outlives a campaign."""
 
 import multiprocessing
 import os
@@ -23,8 +23,8 @@ def _sup_echo(spec, rng):
 
 @register_job_runner("test.hang_once")
 def _hang_once(spec, rng):
-    """Hang (sleep far past any lease) on first execution, succeed on the
-    next — the marker file outlives the hung worker, so the re-run job
+    """Hang (sleep far past any timeout) on first execution, succeed on
+    the next — the marker file outlives the hung worker, so the re-run job
     completes."""
     marker = Path(spec.param("marker"))
     if not marker.exists():
@@ -60,10 +60,10 @@ def _sup_fail(spec, rng):
     raise RuntimeError("always broken")
 
 
-class TestLease:
+class TestJobTimeout:
     def test_hung_job_does_not_hang_the_campaign(self, tmp_path):
-        """A job that hangs on a fleet worker loses its lease; a live
-        worker re-runs it and every job is accounted for."""
+        """A job that hangs on a fleet worker overruns its timeout; its
+        worker is killed, the job re-runs and every job is accounted for."""
         marker = tmp_path / "hang.marker"
         specs = [
             JobSpec.with_params("test.hang_once", {"marker": str(marker)}, seed=99)
@@ -120,9 +120,9 @@ class TestLease:
         assert len((runs / slow.fingerprint()).read_text().splitlines()) == 1
 
 
-class TestTempRootCleanup:
-    """A pooled campaign without ``cache_dir`` runs on a temporary cache
-    and journal root; it must never outlive the campaign."""
+class TestNoLeftovers:
+    """A fleet campaign without ``cache_dir`` leaves no temporary
+    directory behind, whatever the outcome."""
 
     def _leaked(self, tmp_path):
         return [p.name for p in tmp_path.iterdir() if p.name.startswith("repro-")]
