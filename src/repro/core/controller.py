@@ -27,6 +27,12 @@ from .offload import InfeasibleOffloadError, OffloadSolution, solve_offload
 from .regimes import LinkMap, Regime
 
 
+#: Entries a LinkMap's plan memo holds before it is dropped wholesale.  A
+#: deployment region needs a few hundred; the bound only matters for a
+#: map that outlives many re-plans on drifting energies, which never hit.
+_PLAN_MEMO_MAX = 4096
+
+
 @dataclass(frozen=True)
 class OffloadPlan:
     """A committed operating plan.
@@ -74,7 +80,9 @@ class _ModeHealth:
     Beyond the failure window, each mode carries a blacklist state:
     ``strikes`` counts consecutive exclusions (the back-off doubles per
     strike) and ``clean_streak`` counts successes since the last failure
-    (a full window of clean packets decays one strike).
+    (a full window of clean packets decays one strike).  ``window_ok``
+    counts the successes in ``outcomes``, so the failure rate costs no
+    pass over the window.
     """
 
     successes: int = 0
@@ -83,20 +91,27 @@ class _ModeHealth:
     outcomes: list[bool] = field(default_factory=list)
     strikes: int = 0
     clean_streak: int = 0
+    window_ok: int = 0
 
     def record(self, ok: bool, window: int) -> None:
-        self.outcomes.append(ok)
-        if len(self.outcomes) > window:
-            self.outcomes.pop(0)
+        outcomes = self.outcomes
+        outcomes.append(ok)
+        if len(outcomes) > window and outcomes.pop(0):
+            self.window_ok -= 1
         if ok:
+            self.window_ok += 1
             self.successes += 1
         else:
             self.failures += 1
 
+    def clear_window(self) -> None:
+        self.outcomes.clear()
+        self.window_ok = 0
+
     def recent_failure_rate(self) -> float:
         if not self.outcomes:
             return 0.0
-        return 1.0 - sum(self.outcomes) / len(self.outcomes)
+        return 1.0 - self.window_ok / len(self.outcomes)
 
 
 class DynamicOffloadController:
@@ -152,6 +167,10 @@ class DynamicOffloadController:
         self._health: dict[LinkMode, _ModeHealth] = {
             mode: _ModeHealth() for mode in LinkMode
         }
+        # No blacklisted mode can be readmitted before this packet index
+        # (None: nothing is excluded), so next_packet_mode skips the
+        # exclusion scan until then.
+        self._next_readmit_packet: int | None = None
         self.replans = 0
         self.fallbacks = 0
         self.forced_active = 0
@@ -277,10 +296,24 @@ class DynamicOffloadController:
             raise InfeasibleOffloadError(
                 f"no operating mode available at {self._distance_m} m"
             )
-        solution = solve_offload(candidates, self._e1_j, self._e2_j)
-        schedule = ModeSchedule(dict(solution.mode_fractions()), self._period)
-        bitrates = {p.mode: p.bitrate_bps for p in candidates}
+        # The solution, schedule and bitrates are a pure function of the
+        # candidates, both energies and the period, so every controller
+        # planning against this map shares one computation per input.
+        memo = self._link_map.plan_memo
+        key = (tuple(candidates), self._e1_j, self._e2_j, self._period)
+        planned = memo.get(key)
+        if planned is None:
+            solution = solve_offload(candidates, self._e1_j, self._e2_j)
+            planned = (
+                solution,
+                ModeSchedule(dict(solution.mode_fractions()), self._period),
+                {p.mode: p.bitrate_bps for p in candidates},
+            )
+            if len(memo) >= _PLAN_MEMO_MAX:
+                memo.clear()
+            memo[key] = planned
         self.replans += 1
+        solution, schedule, bitrates = planned
         return OffloadPlan(
             solution=solution,
             schedule=schedule,
@@ -307,12 +340,21 @@ class DynamicOffloadController:
         return mode, self._plan.bitrates[mode]
 
     def _clear_expired_exclusions(self) -> bool:
+        next_readmit = self._next_readmit_packet
+        if next_readmit is None or self._packet_index < next_readmit:
+            return False
         cleared = False
+        pending = None
         for health in self._health.values():
             until = health.excluded_until_packet
-            if until is not None and self._packet_index >= until:
+            if until is None:
+                continue
+            if self._packet_index >= until:
                 health.excluded_until_packet = None
                 cleared = True
+            elif pending is None or until < pending:
+                pending = until
+        self._next_readmit_packet = pending
         return cleared
 
     def record_outcome(self, mode: LinkMode, success: bool) -> None:
@@ -343,8 +385,11 @@ class DynamicOffloadController:
         health.strikes += 1
         doublings = min(health.strikes - 1, self._max_backoff_doublings)
         backoff = self._reprobe_packets * (2 ** doublings)
-        health.excluded_until_packet = self._packet_index + backoff
-        health.outcomes.clear()
+        until = self._packet_index + backoff
+        health.excluded_until_packet = until
+        if self._next_readmit_packet is None or until < self._next_readmit_packet:
+            self._next_readmit_packet = until
+        health.clear_window()
         health.clean_streak = 0
         self.fallbacks += 1
         self._replan()
@@ -353,15 +398,23 @@ class DynamicOffloadController:
         """Refresh battery levels; re-plans when the ratio drifts by more
         than 10% (the paper re-computes "if SNR or loss rate changes
         significantly"; energy drift matters on the same grounds)."""
-        e1_j = as_joules(e1_j)
-        e2_j = as_joules(e2_j)
+        # The hub sweep calls this for every client every 64 packets with
+        # plain floats, which as_joules would only copy.
+        if type(e1_j) is not float:
+            e1_j = as_joules(e1_j)
+        if type(e2_j) is not float:
+            e2_j = as_joules(e2_j)
         if e1_j <= 0.0 or e2_j <= 0.0:
             raise ValueError("energies must stay positive while operating")
+        if self._plan is None:
+            # Nothing planned yet: start() (or a re-plan) uses these.
+            self._e1_j = e1_j
+            self._e2_j = e2_j
+            return
         old_ratio = self._e1_j / self._e2_j
         self._e1_j = e1_j
         self._e2_j = e2_j
-        new_ratio = e1_j / e2_j
-        if self._plan is not None and abs(new_ratio / old_ratio - 1.0) > 0.1:
+        if abs(e1_j / e2_j / old_ratio - 1.0) > 0.1:
             self._replan()
 
     def update_distance(self, distance_m: float) -> None:

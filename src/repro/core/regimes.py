@@ -117,6 +117,12 @@ class LinkMap:
         # the controller and policies repeat.
         self._budget_cache: dict[tuple[LinkMode, int], LinkBudget] = {}
         self._availability_cache: dict[tuple[LinkMode, float], ModeAvailability] = {}
+        self._modes_cache: dict[float, tuple[ModeAvailability, ...]] = {}
+        #: Offload plans of the controllers that plan against this map,
+        #: keyed by their exact inputs and bounded by
+        #: :class:`~repro.core.controller.DynamicOffloadController`.  It
+        #: lives as long as the map: in a deployment, one region.
+        self.plan_memo: dict = {}
 
     @property
     def target_ber(self) -> float:
@@ -167,8 +173,18 @@ class LinkMap:
 
     def available_modes(self, distance_m: float) -> list[ModeAvailability]:
         """Availability of every mode at ``distance_m`` (available first)."""
-        entries = [self.availability(mode, distance_m) for mode in ALL_MODES]
-        return sorted(entries, key=lambda e: not e.available)
+        entries = self._modes_cache.get(distance_m)
+        if entries is None:
+            entries = tuple(
+                sorted(
+                    (self.availability(mode, distance_m) for mode in ALL_MODES),
+                    key=lambda e: not e.available,
+                )
+            )
+            if len(self._modes_cache) >= _AVAILABILITY_CACHE_MAX:
+                self._modes_cache.clear()
+            self._modes_cache[distance_m] = entries
+        return list(entries)
 
     def available_powers(self, distance_m: float) -> list[ModePower]:
         """Calibrated power records of every available mode at its best

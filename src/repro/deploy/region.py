@@ -213,10 +213,12 @@ def _region_link_map(region: Region) -> LinkMap:
 
     Every controller in the region (hub clients and handoff twins alike)
     plans against it, and the region paths also use it for links and
-    the LP bound.  Its budget and availability memos are pure functions
-    of the calibrated profiles, so sharing them changes no output; it
-    spares each controller its own cold availability scans at start and
-    on every resume.  Only the region simulated last is kept.
+    the LP bound.  Its budget, availability and plan memos are pure
+    functions of the calibrated profiles and their keys, so sharing them
+    changes no output; it spares each controller its own cold
+    availability scans and plan solves at start and on every resume.
+    Only the region simulated last is kept, which bounds the plan memo
+    to one region.
     """
     return LinkMap()
 
@@ -391,6 +393,10 @@ def simulate_hub(
     for driver in drivers:
         driver.start()
     session.run()
+    # Drop the calendar (churn, mobility ticks and packets due past the
+    # horizon): it links the kernel to the session in reference cycles,
+    # which would keep the whole hub alive until the next GC pass.
+    sim.stop()
     if not baseline:  # warmup_s == horizon corner: snapshot never beat stop
         snapshot()
 
@@ -951,6 +957,7 @@ def _simulate_region_resilient(
     for runtime in runtimes:
         runtime.session.start()
     sim.run(until_s=spec.horizon_s)
+    sim.stop()  # as in simulate_hub: free the region by reference counting
     for runtime in runtimes:
         runtime.session.finish("time")
     if not counter_base:  # warmup_s == horizon corner

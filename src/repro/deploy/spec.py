@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from ..hardware.devices import DEVICE_BY_NAME
-from ..runtime.seeding import content_seed_sequence
+from ..runtime.seeding import content_rng
 
 #: Bump when scenario semantics change incompatibly (invalidates any
 #: fingerprint-keyed cache entries and derived RNG streams).
@@ -663,4 +663,6 @@ class DeploymentSpec:
         salted = hashlib.sha256(
             f"{self.fingerprint()}:{label}".encode("utf-8")
         ).hexdigest()
-        return np.random.default_rng(content_seed_sequence(salted, self.seed))
+        # Draws exactly what default_rng(content_seed_sequence(salted,
+        # seed)) draws; a city build derives thousands of these.
+        return content_rng(salted, self.seed)

@@ -16,6 +16,7 @@ reconciliation against this table is asserted by the tests.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from ..modes import LinkMode
@@ -129,8 +130,13 @@ class ModePower:
         return self.tx_w / self.rx_w
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def paper_mode_power(mode: LinkMode, bitrate_bps: int) -> ModePower:
     """The calibrated power point for ``mode`` at ``bitrate_bps``.
+
+    Memoized: the table is constant and :class:`ModePower` is frozen, so
+    every caller can share one record per operating point (controllers
+    ask for their candidates on every re-plan).
 
     Raises:
         KeyError: if the paper does not characterize that combination

@@ -588,100 +588,116 @@ class HubSession:
         # path decides whether anyone comes back or the session ends.
 
     def _serve_packet(self) -> None:
-        if self._finished:
-            return
-        if self._powered_down:
-            # The serve chain dies here; power_up() re-arms exactly one.
-            self._down_chain_broken = True
-            return
-        if self._max_packets is not None and self._packet_index >= self._max_packets:
-            self._terminate("packets")
-            return
-        if self._hub.battery.is_empty:
-            self._terminate("battery")
-            return
-        client = self._pick_client()
-        if client is None:
-            return
-
-        name = client.name
-        metrics = client.metrics
-        decision = client.policy.next_packet()
-        mode = decision.mode
-        bitrate_bps = decision.bitrate_bps
+        # One call serves a chained run of packets.  After each packet
+        # the kernel either runs the next one inline (it is due before
+        # every other pending event, so the calendar would pop it next
+        # anyway) or schedules it, which ends the run.  Nothing else
+        # runs inside a chain, so per-session state that only other
+        # events change is read once per run.
+        sim = self._sim
+        hub_battery = self._hub.battery
+        hub_metrics = self.hub_metrics
+        hub_account = self._hub_account
+        accounts = self._accounts
+        last_modes = self._last_mode
+        clients = self._clients
+        exhausted = self._exhausted
+        injector = self._injector
+        dark_after = self._dark_after
+        max_packets = self._max_packets
+        update_interval = self._energy_update_interval
+        apply_switch_costs = self._apply_switch_costs
         air_bits = self._air_bits
         payload_bits = self._payload_bits
-        duration_s = air_bits / bitrate_bps
-        client_account, shared_account = self._accounts[name]
-        hub_account = self._hub_account
+        serve = self._serve_packet
+        while True:
+            if self._finished:
+                return
+            if self._powered_down:
+                # The serve chain dies here; power_up() re-arms exactly one.
+                self._down_chain_broken = True
+                return
+            if max_packets is not None and self._packet_index >= max_packets:
+                self._terminate("packets")
+                return
+            if hub_battery.is_empty:
+                self._terminate("battery")
+                return
+            client = self._pick_client()
+            if client is None:
+                return
 
-        last_mode = self._last_mode[name]
-        if self._apply_switch_costs and last_mode is not None and mode is not last_mode:
-            cost = switch_cost(mode, bitrate_bps=bitrate_bps)
+            name = client.name
+            metrics = client.metrics
+            decision = client.policy.next_packet()
+            mode = decision.mode
+            bitrate_bps = decision.bitrate_bps
+            duration_s = air_bits / bitrate_bps
+            client_account, shared_account = accounts[name]
+
+            last_mode = last_modes[name]
+            if apply_switch_costs and last_mode is not None and mode is not last_mode:
+                cost = switch_cost(mode, bitrate_bps=bitrate_bps)
+                try:
+                    client_account.drain(cost.tx_j)
+                    shared_account.drain(cost.rx_j)
+                except BatteryEmptyError:
+                    self._retire_or_finish(client)
+                    return
+                client_account.note(_MODE_SWITCH, cost.tx_j)
+                shared_account.note(_MODE_SWITCH, cost.rx_j)
+                hub_account.note(_MODE_SWITCH, cost.rx_j)
+                metrics.ledger.pool_switch(cost.total_j)
+                metrics.mode_switches += 1
+            last_modes[name] = mode
+
+            success = client.link.packet_success(
+                mode, bitrate_bps, air_bits, sim.now_s
+            )
+            # Fault override AFTER the draw: the link stream consumes
+            # exactly one value per packet with or without an injector.
+            if success and injector is not None and injector.client_blocked(name, mode):
+                success = False
+            tx_energy = decision.tx_power_w * duration_s
+            rx_energy = decision.rx_power_w * duration_s
             try:
-                client_account.drain(cost.tx_j)
-                shared_account.drain(cost.rx_j)
+                client_account.drain(tx_energy)
+                shared_account.drain(rx_energy)
             except BatteryEmptyError:
+                metrics.record_packet(mode, payload_bits, False)
                 self._retire_or_finish(client)
                 return
-            client_account.note(_MODE_SWITCH, cost.tx_j)
-            shared_account.note(_MODE_SWITCH, cost.rx_j)
-            hub_account.note(_MODE_SWITCH, cost.rx_j)
-            metrics.ledger.pool_switch(cost.total_j)
-            metrics.mode_switches += 1
-        self._last_mode[name] = mode
 
-        success = client.link.packet_success(
-            mode, bitrate_bps, air_bits, self._sim.now_s
-        )
-        # Fault override AFTER the draw: the link stream consumes exactly
-        # one value per packet with or without an injector armed.
-        if (
-            success
-            and self._injector is not None
-            and self._injector.client_blocked(name, mode)
-        ):
-            success = False
-        tx_energy = decision.tx_power_w * duration_s
-        rx_energy = decision.rx_power_w * duration_s
-        try:
-            client_account.drain(tx_energy)
-            shared_account.drain(rx_energy)
-        except BatteryEmptyError:
-            metrics.record_packet(mode, payload_bits, False)
-            self._retire_or_finish(client)
-            return
+            rx_category = _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR
+            client_account.record(_TX_AIR, tx_energy, True)
+            shared_account.record(rx_category, rx_energy, True)
+            hub_account.record(rx_category, rx_energy, True)
+            metrics.record_packet(mode, payload_bits, success)
+            hub_metrics.record_packet(mode, payload_bits, success)
+            client.policy.record_outcome(mode, success)
+            if dark_after is not None:
+                self._note_link_outcome(client, success)
 
-        rx_category = _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR
-        client_account.note(_TX_AIR, tx_energy)
-        client_account.meter(tx_energy)
-        shared_account.note(rx_category, rx_energy)
-        shared_account.meter(rx_energy)
-        hub_account.note(rx_category, rx_energy)
-        hub_account.meter(rx_energy)
-        metrics.record_packet(mode, payload_bits, success)
-        self.hub_metrics.record_packet(mode, payload_bits, success)
-        client.policy.record_outcome(mode, success)
-        if self._dark_after is not None:
-            self._note_link_outcome(client, success)
+            self._packet_index += 1
+            self._since_probe += 1
+            if self._packet_index % update_interval == 0:
+                # Policies never drain a battery, so the hub level is the
+                # same for every client of the sweep; each client battery
+                # is read once (empty means remaining_j <= 0, as
+                # Battery.is_empty defines it).
+                hub_j = max(hub_battery.remaining_j, 1e-12)
+                for other in clients.values():
+                    other_name = other.name
+                    if other_name in exhausted:
+                        continue
+                    remaining_j = other.radio.battery.remaining_j
+                    if remaining_j <= 0.0:
+                        exhausted.add(other_name)
+                        continue
+                    other.policy.update_energy(remaining_j, hub_j)
 
-        self._packet_index += 1
-        self._since_probe += 1
-        if self._packet_index % self._energy_update_interval == 0:
-            # Policies never drain a battery, so the hub level is the same
-            # for every client of the sweep.
-            hub_j = max(self._hub.battery.remaining_j, 1e-12)
-            exhausted = self._exhausted
-            for other in self._clients.values():
-                if other.name in exhausted:
-                    continue
-                battery = other.radio.battery
-                if battery.is_empty:
-                    exhausted.add(other.name)
-                    continue
-                other.policy.update_energy(battery.remaining_j, hub_j)
-
-        self._sim.schedule_in(duration_s, self._serve_packet)
+            if not sim.chain_in(duration_s, serve):
+                return
 
     def _retire_or_finish(self, client: HubClient) -> None:
         # A dead client battery retires that client; a dead hub battery

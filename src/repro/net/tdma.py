@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -51,44 +53,51 @@ class TdmaSchedule:
         weights: Mapping[str, float] | Sequence[tuple[str, float]],
         round_packets: int = 128,
     ) -> None:
-        items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
+        # A mapping cannot list a client twice; a sequence of pairs can.
+        if isinstance(weights, Mapping):
+            self._weights = dict(weights)
+            items = self._weights.items()
+        else:
+            items = list(weights)
+            self._weights = dict(items)
         if not items:
             raise ValueError("at least one client required")
-        self._weights = dict(items)
-        if len(self._weights) < len(items) or not all(
-            0.0 < w < math.inf for w in self._weights.values()
+        values = np.fromiter(self._weights.values(), dtype=float, count=len(self._weights))
+        if (
+            len(self._weights) < len(items)
+            or not values.min() > 0.0
+            or not values.max() < math.inf
         ):
             _reject_weights(items)
         if round_packets < len(items):
             raise ValueError("round too short to serve every client")
         self._round = round_packets
         self._names = list(self._weights)
-        self._counts = self._apportion(list(self._weights.values()))
+        # The total is summed left to right, as Python's sum does (numpy's
+        # pairwise sum can round differently).
+        self._counts = self._apportion(values, sum(self._weights.values()))
         # Round position p falls in the first slot whose end exceeds p.
         self._ends = list(accumulate(self._counts))
 
-    def _apportion(self, weights: list[float]) -> list[int]:
+    def _apportion(self, weights: np.ndarray, total: float) -> list[int]:
         # Largest-remainder with a guaranteed slot per client: unlike mode
         # fractions, starving a client entirely is a fairness failure, so
         # every client gets at least one packet per round.  Ties go to the
-        # earlier client, both when trimming the richest and when handing
-        # out the leftover packets (a stable descending sort).
-        total = sum(weights)
-        quotas = [w / total * self._round for w in weights]
-        counts = [int(q) or 1 for q in quotas]
-        for _ in range(sum(counts) - self._round):
-            counts[counts.index(max(counts))] -= 1
-        leftover = self._round - sum(counts)
-        if leftover:
-            remainders = [q - c for q, c in zip(quotas, counts)]
-            ranked = sorted(
-                range(len(counts)), key=remainders.__getitem__, reverse=True
-            )
-            for index in ranked[:leftover]:
-                counts[index] += 1
-        if min(counts) < 1:
-            raise ValueError("slots must cover at least one packet")
-        return counts
+        # earlier client, both when trimming the richest (argmax returns
+        # the first maximum) and when handing out the leftover packets (a
+        # stable sort of the negated remainders).  Each quota is the
+        # float expression w / total * round, element by element.
+        # Trimming only takes from counts above one (the round holds at
+        # least one packet per client), so no slot ends up empty.
+        quotas = weights / total * self._round
+        counts = np.maximum(quotas.astype(np.int64), 1)
+        excess = int(counts.sum()) - self._round
+        for _ in range(excess):
+            counts[counts.argmax()] -= 1
+        if excess < 0:
+            ranked = np.argsort(counts - quotas, kind="stable")
+            counts[ranked[:-excess]] += 1
+        return counts.tolist()
 
     @property
     def round_packets(self) -> int:
@@ -157,7 +166,7 @@ class TdmaSchedule:
                     yield client
 
 
-def _reject_weights(items: Sequence[tuple[str, float]]) -> None:
+def _reject_weights(items: Iterable[tuple[str, float]]) -> None:
     """Raise the error naming the first duplicate, non-positive or
     non-finite entry of ``items``."""
     seen: set[str] = set()

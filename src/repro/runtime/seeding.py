@@ -21,6 +21,9 @@ from .jobs import JobSpec
 #: Number of 32-bit words of the fingerprint folded into the spawn key.
 _FINGERPRINT_WORDS = 4
 
+#: Words in a SeedSequence entropy pool (numpy's default pool size).
+_POOL_WORDS = np.random.SeedSequence(0).pool_size
+
 
 def campaign_seed_sequence(campaign_seed: int = 0) -> np.random.SeedSequence:
     """Root sequence for a campaign."""
@@ -50,6 +53,34 @@ def content_seed_sequence(
     )
 
 
+def content_rng(fingerprint: str, campaign_seed: int = 0) -> np.random.Generator:
+    """``default_rng(content_seed_sequence(fingerprint, campaign_seed))``,
+    built in about half the time.
+
+    A SeedSequence mixes its pool from one assembled word array: the
+    32-bit words of its entropy, zero-padded to the pool size when a
+    spawn key follows, then the words of the spawn key.  This hands
+    SeedSequence that same array as plain entropy, so it mixes the same
+    pool, and the generator draws the same stream, without numpy
+    coercing each spawn-key word on its own.
+
+    Raises:
+        ValueError: for a negative campaign seed (as SeedSequence does).
+    """
+    if campaign_seed < 0:
+        raise ValueError(f"campaign seed must be >= 0, got {campaign_seed!r}")
+    words = [campaign_seed & 0xFFFFFFFF]
+    rest = campaign_seed >> 32
+    while rest:
+        words.append(rest & 0xFFFFFFFF)
+        rest >>= 32
+    words.extend([0] * (_POOL_WORDS - len(words)))
+    digest = int(fingerprint, 16)
+    words.extend((digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
 def job_seed_sequence(
     spec: JobSpec, campaign_seed: int = 0
 ) -> np.random.SeedSequence:
@@ -58,5 +89,6 @@ def job_seed_sequence(
 
 
 def job_rng(spec: JobSpec, campaign_seed: int = 0) -> np.random.Generator:
-    """Fresh deterministic generator for one job."""
-    return np.random.default_rng(job_seed_sequence(spec, campaign_seed))
+    """Fresh deterministic generator for one job (the generator of
+    :func:`job_seed_sequence`)."""
+    return content_rng(spec.fingerprint(), campaign_seed)

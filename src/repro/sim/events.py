@@ -6,9 +6,12 @@ scheduled at the same instant and keeps the heap comparison away from the
 (uncomparable) callbacks.
 
 The queue is on the per-packet hot path (one schedule + one pop per
-packet), so the classes are ``__slots__``-based and the queue keeps an
-O(1) live-event count: cancelled entries are tallied as they are marked
-and the heap is compacted in place once they outnumber the live ones.
+packet that does not chain, see :meth:`Simulator.chain_in`), so the
+classes are ``__slots__``-based and the queue keeps an O(1) live-event
+count: cancelled entries are tallied as they are marked and the heap is
+compacted in place once they outnumber the live ones.  NaN times are
+rejected: a NaN compares false against everything, so one entry would
+silently break the heap order every later pop relies on.
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ class EventQueue:
         """Schedule ``callback`` at absolute ``time_s``.
 
         Raises:
-            ValueError: for negative times.
+            ValueError: for negative or NaN times.
         """
-        if time_s < 0.0:
+        if not time_s >= 0.0:
+            if time_s != time_s:
+                raise ValueError(f"event time must be a number, got {time_s!r}")
             raise ValueError(f"event time must be non-negative, got {time_s!r}")
         sequence = next(self._counter)
         handle = EventHandle(Event(time_s, sequence, callback), queue=self)
@@ -127,6 +132,17 @@ class EventQueue:
             handle._queue = None
             return handle.event
         return None
+
+    def precedes(self, time_s: float) -> bool:
+        """Whether an event at ``time_s`` would pop before every pending
+        one: strictly earlier than the earliest live entry, because a
+        pending entry at the same instant was scheduled first and wins
+        the tie."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return not heap or time_s < heap[0][0]
 
     def peek_time(self) -> float | None:
         """Firing time of the earliest pending event, or ``None``."""

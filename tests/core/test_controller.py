@@ -1,11 +1,13 @@
 """Unit tests for the dynamic offload controller (§4.2 runtime)."""
 
+import numpy as np
 import pytest
 
 from repro.core.controller import DynamicOffloadController
 from repro.core.modes import LinkMode
 from repro.core.offload import InfeasibleOffloadError
 from repro.core.regimes import Regime
+from repro.energy import EnergyBudget
 
 
 class TestPlanning:
@@ -227,6 +229,27 @@ class TestAdaptation:
         for _ in range(64):
             controller.next_packet_mode()
         assert controller.replans >= replans + 1
+
+    def test_update_energy_before_start_stores_the_energies(self):
+        # Used to divide the unset 0.0 / 0.0 ratio.
+        controller = DynamicOffloadController()
+        controller.update_energy(1.0, 2.0)
+        assert controller.plan is None
+        assert controller.replans == 0
+        with pytest.raises(ValueError):
+            controller.update_energy(0.0, 1.0)
+        controller.start(0.3, 1.0, 1.0)
+        replans = controller.replans
+        controller.update_energy(1.0, 2.0)
+        assert controller.replans == replans + 1
+
+    def test_update_energy_accepts_budget_views(self):
+        controller = DynamicOffloadController()
+        controller.start(0.3, 1.0, 1.0)
+        replans = controller.replans
+        controller.update_energy(EnergyBudget(1.0), np.float64(2.0))
+        assert controller.replans == replans + 1
+        assert controller.plan.solution.energy_ratio == 0.5
 
     def test_update_energy_rejects_dead_batteries(self):
         controller = DynamicOffloadController()

@@ -1,7 +1,9 @@
 """Deployment spec: validation, JSON round-trips, fingerprints, streams."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.deploy import (
@@ -12,6 +14,7 @@ from repro.deploy import (
     HubLayout,
 )
 from repro.deploy.scenarios import scenario
+from repro.runtime.seeding import content_seed_sequence
 
 
 def _tiny_spec(**overrides):
@@ -300,3 +303,19 @@ class TestDerived:
         assert a1 != b  # labels decorrelate
         reseeded = _tiny_spec(seed=7).stream("hub0:place:d0").random(4).tolist()
         assert a1 != reseeded  # scenario seed folds into every stream
+
+    @pytest.mark.parametrize(
+        "seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 7, 2**128 + 3, 2**200 + 1]
+    )
+    def test_stream_draws_the_content_seed_sequence_generator(self, seed):
+        # Seeds of one, two, three, five and seven 32-bit words: the pool
+        # is padded below four words and not above.
+        spec = _tiny_spec(seed=seed)
+        for label in ("hub0:place:d0", "hub3:kernel", "region1:kernel"):
+            salted = hashlib.sha256(f"{spec.fingerprint()}:{label}".encode("utf-8")).hexdigest()
+            expected = np.random.default_rng(content_seed_sequence(salted, seed))
+            stream = spec.stream(label)
+            assert stream.integers(0, 2**63, 16).tolist() == expected.integers(
+                0, 2**63, 16
+            ).tolist()
+            assert stream.random(8).tolist() == expected.random(8).tolist()

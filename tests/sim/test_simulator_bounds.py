@@ -1,6 +1,10 @@
 """Bounded-run semantics of the discrete-event kernel: the ``until_s`` /
 ``max_events`` interplay and the cancelled-event skip paths."""
 
+import math
+
+import pytest
+
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
@@ -60,6 +64,44 @@ class TestUntilMaxEventsInterplay:
         sim.run(until_s=5.0)
         sim.run(until_s=2.0)  # earlier horizon than the current clock
         assert sim.now_s == 5.0
+
+    def test_until_does_not_rewind_the_clock_with_events_pending(self):
+        # An event beyond the bound keeps the queue non-empty, which used
+        # to take a branch that set the clock to until_s unconditionally.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, lambda: fired.append(5.0))
+        sim.schedule_at(6.0, lambda: fired.append(6.0))
+        sim.run(until_s=5.0)
+        assert sim.now_s == 5.0
+        sim.run(until_s=2.0)
+        assert sim.now_s == 5.0
+        assert fired == [5.0]
+        assert sim.pending_events() == 1
+
+    def test_nan_until_is_rejected_by_name(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            # A 1 ms tick, capped so a kernel that ignores the bound
+            # still returns.
+            ticks.append(sim.now_s)
+            if len(ticks) < 1000:
+                sim.schedule_in(1e-3, tick)
+
+        sim.schedule_at(0.0, tick)
+        with pytest.raises(ValueError, match="until_s.*nan"):
+            sim.run(until_s=math.nan)
+        assert ticks == []
+        assert sim.now_s == 0.0
+
+    def test_infinite_until_runs_to_drain(self):
+        sim = Simulator()
+        sim.schedule_at(3.0, lambda: None)
+        sim.run(until_s=math.inf)
+        assert sim.processed_events == 1
+        assert sim.now_s == math.inf
 
     def test_zero_max_events_is_a_no_op(self):
         sim = Simulator()
@@ -123,3 +165,38 @@ class TestCancelledEventSkips:
         event = queue.pop_next()
         assert event is kept.event
         assert queue.pop_next() is None
+
+
+class TestNanEventTimes:
+    def test_queue_rejects_nan_by_name(self):
+        with pytest.raises(ValueError, match="nan"):
+            EventQueue().schedule(math.nan, lambda: None)
+
+    def test_schedule_at_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            Simulator().schedule_at(math.nan, lambda: None)
+
+    def test_schedule_in_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            Simulator().schedule_in(math.nan, lambda: None)
+
+    def test_rejected_nan_leaves_the_calendar_ordered(self):
+        # NaN compares false against everything, so one NaN entry used to
+        # scramble the heap and run the clock backwards.
+        sim = Simulator()
+        fired = []
+        for when in (1.0, math.nan, math.nan, 0.5, 2.0, 0.25):
+            try:
+                sim.schedule_at(when, lambda when=when: fired.append(sim.now_s))
+            except ValueError:
+                pass
+        sim.run()
+        assert fired == [0.25, 0.5, 1.0, 2.0]
+
+    def test_infinite_time_is_accepted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(math.inf, lambda: fired.append(sim.now_s))
+        sim.schedule_in(math.inf, lambda: fired.append(sim.now_s))
+        sim.run()
+        assert fired == [math.inf, math.inf]

@@ -1,14 +1,17 @@
-"""TdmaSchedule against a copy of the dict-based slot builder it replaced.
+"""TdmaSchedule against copies of the slot builders it replaced.
 
-The schedule apportions over plain lists, answers ``client_for_packet``
+The schedule apportions over numpy arrays, answers ``client_for_packet``
 with one bisect and builds :class:`Slot` objects only on demand.  These
 properties pin every observable (slots, the client of each packet, the
-realized shares, the packet iterator) to the original builder, including
-schedules reached through chains of ``without`` and ``with_client``.
+realized shares, the packet iterator) to the original dict-based
+builder, including schedules reached through chains of ``without`` and
+``with_client``, and pin the array split to the list-based split it
+replaced on weights full of repeats and quota ties.
 """
 
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,25 @@ def _reference_slots(weights, round_packets):
     for client in by_remainder[:leftover]:
         counts[client] += 1
     return list(counts.items())
+
+
+def _reference_list_split(weights, round_packets):
+    """The list-based largest-remainder split, verbatim apart from
+    taking the weights as arguments."""
+    total = sum(weights)
+    quotas = [w / total * round_packets for w in weights]
+    counts = [int(q) or 1 for q in quotas]
+    for _ in range(sum(counts) - round_packets):
+        counts[counts.index(max(counts))] -= 1
+    leftover = round_packets - sum(counts)
+    if leftover:
+        remainders = [q - c for q, c in zip(quotas, counts)]
+        ranked = sorted(
+            range(len(counts)), key=remainders.__getitem__, reverse=True
+        )
+        for index in ranked[:leftover]:
+            counts[index] += 1
+    return counts
 
 
 def _reference_client(slots, round_packets, index):
@@ -101,3 +123,36 @@ def test_without_and_with_client_chains_match_reference(case, data):
             weights = {**weights, name: weight}
             round_packets = max(round_packets, len(weights))
         _assert_matches_reference(schedule, weights, round_packets)
+
+
+# Few distinct values, many clients: most quotas tie, and the richest
+# counts tie when a round is trimmed.
+_REPEATED_WEIGHTS = st.lists(
+    st.sampled_from([0.1, 0.5, 1.0, 1.0, 2.0, 3.0, 7.0]), min_size=1, max_size=150
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_REPEATED_WEIGHTS, st.lists(_WEIGHT, min_size=1, max_size=150)),
+    st.data(),
+)
+def test_array_split_matches_the_list_split(weights, data):
+    n = len(weights)
+    round_packets = data.draw(st.integers(n, 3 * n + 64))
+    schedule = TdmaSchedule([(f"c{i}", w) for i, w in enumerate(weights)], round_packets)
+    assert [slot.packets for slot in schedule.slots] == _reference_list_split(
+        weights, round_packets
+    )
+
+
+def test_total_is_summed_left_to_right():
+    # numpy's pairwise sum of these weights differs from Python's
+    # left-to-right sum in the last bit, which moves one slot of the
+    # 34-packet round.
+    weights = [0.3, 0.2, 0.8999999999999999, 0.6000000000000001, 0.1, 0.3]
+    weights += [0.8999999999999999, 0.8999999999999999, 0.6000000000000001, 0.3]
+    weights += [0.3, 0.8999999999999999, 0.8999999999999999, 0.5, 0.3, 0.3, 0.9]
+    assert sum(weights) != float(np.sum(weights))
+    schedule = TdmaSchedule([(f"c{i}", w) for i, w in enumerate(weights)], 34)
+    assert [slot.packets for slot in schedule.slots] == _reference_list_split(weights, 34)
