@@ -11,10 +11,8 @@ Usage::
     python -m repro campaign all --cache-dir .cache --resume  # crash-safe continuation
     python -m repro campaign mc-ber --cache-dir .cache \
         --jobs 4 --lease-s 10                       # 4 workers, 10 s job timeout
-    python -m repro export fig15 out/ --backend scalar  # force the oracle
-    python -m repro campaign fig15 --backend vectorized # whole-grid jobs
     python -m repro profile fig18 --top 30          # cProfile an experiment
-    python -m repro profile sweep-gain-matrix --backend scalar  # a sweep
+    python -m repro profile sweep-gain-matrix       # cProfile a sweep
     python -m repro deploy --list                   # scenario catalog
     python -m repro deploy city-10k --jobs 8 --cache-dir .cache \
         --manifest out/city.json --csv out/city.csv # city-scale deployment
@@ -33,7 +31,8 @@ campaign engine (:mod:`repro.runtime`): figure-level work fans across
 ``--jobs`` worker processes (the only setting that shapes the fleet)
 and completed jobs are cached on disk keyed by content fingerprint +
 calibration version, so a warm re-run skips all simulation (verifiable
-from the printed run manifest's ``cached`` count).  Cached
+from the printed run manifest's ``cached`` count).  Without workers or
+a cache, ``export`` computes the gain sweeps with the batch engine.  Cached
 campaigns also keep a write-ahead journal, so a killed sweep continues
 with ``campaign ... --resume`` (bit-identical results; see DESIGN.md
 §10), and ``--max-failures N`` turns a failure storm into an early,
@@ -84,34 +83,38 @@ def _render_variant(experiment: str, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(
-        defn.render_variant(
+    from .core.offload import InfeasibleOffloadError
+
+    try:
+        report = defn.render_variant(
             args.experiment, args.distance, args.packets, args.seed
         )
-    )
+    except InfeasibleOffloadError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    print(report)
     return 0
 
 
-def _profile(experiment: str, top: int, sort: str, backend: str) -> int:
+def _profile(experiment: str, top: int, sort: str) -> int:
     """Run one experiment — its registered sweep workload when it has
     one, its exporter otherwise — under cProfile and print the top-N
     entries, so perf work can locate the next bottleneck."""
     import cProfile
     import pstats
 
-    from .experiments import ExportOptions, export_experiment, get
+    from .experiments import export_experiment, get
 
     defn = get(experiment)
     profiler = cProfile.Profile()
     if defn.profile is not None:
         profiler.enable()
-        defn.profile(backend)
+        defn.profile()
         profiler.disable()
     else:
-        options = ExportOptions(backend=backend)
         with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
             profiler.enable()
-            export_experiment(experiment, Path(tmp), options)
+            export_experiment(experiment, Path(tmp))
             profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats(sort).print_stats(top)
@@ -251,7 +254,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     drain_manifests()
     failed = 0
     for experiment in experiments:
-        specs = campaign_specs(experiment, backend=args.backend)
+        specs = campaign_specs(experiment)
         on_progress = _progress_printer() if sys.stderr.isatty() else None
         result = run_campaign(specs, config, on_progress=on_progress)
         if args.results is not None:
@@ -286,7 +289,12 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
 
 def _resolve_scenario(target: str, seed: "int | None"):
     """A scenario by catalog name or JSON file path (``--seed`` override
-    re-fingerprints the spec, so derived streams change with it)."""
+    re-fingerprints the spec, so derived streams change with it).
+
+    Raises:
+        ValueError: naming the file, for a missing file, a file that is
+            not JSON or a spec that fails validation.
+    """
     from .deploy import SCENARIOS, DeploymentSpec, scenario
 
     if target in SCENARIOS:
@@ -295,11 +303,14 @@ def _resolve_scenario(target: str, seed: "int | None"):
         path = Path(target)
         if not path.is_file():
             known = ", ".join(sorted(SCENARIOS))
-            raise FileNotFoundError(
+            raise ValueError(
                 f"{target!r} is neither a known scenario ({known}) nor a "
                 "scenario JSON file"
             )
-        spec = DeploymentSpec.from_json(path.read_text(encoding="utf-8"))
+        try:
+            spec = DeploymentSpec.from_json(path.read_text(encoding="utf-8"))
+        except ValueError as error:
+            raise ValueError(f"scenario file {target!r}: {error}") from None
     if seed is not None and seed != spec.seed:
         spec = spec.scaled(seed=seed)
     return spec
@@ -330,7 +341,7 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = _resolve_scenario(args.scenario, args.seed)
-    except FileNotFoundError as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = _campaign_config(args, seed=spec.seed)
@@ -417,17 +428,15 @@ def _positive_seconds(value: str) -> float:
     return seconds
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from .experiments import BACKENDS
-
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="sweep engine: 'vectorized' computes whole grids with the "
-        "numpy batch engine (bit-identical to the scalar oracle), "
-        "'scalar' forces the per-cell reference path, 'auto' (default) "
-        "picks vectorized wherever valid and falls back to scalar "
-        "otherwise (custom link maps; per-cell campaign jobs)",
-    )
+def _metres(value: str) -> float:
+    """The type of ``--distance``: a finite separation of at least 0 m."""
+    try:
+        metres = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected metres, got {value!r}")
+    if not (math.isfinite(metres) and metres >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return metres
 
 
 def _add_lease_flag(parser: argparse.ArgumentParser) -> None:
@@ -489,7 +498,7 @@ def _add_variant_subcommand(
         help="list the registered profile names and exit",
     )
     parser.add_argument(
-        "--distance", type=float, default=0.5, metavar="M",
+        "--distance", type=_metres, default=0.5, metavar="M",
         help="device separation in metres (default 0.5)",
     )
     parser.add_argument(
@@ -522,7 +531,6 @@ def main(argv: list[str] | None = None) -> int:
     export.add_argument("experiment", choices=sorted(exportable_ids()) + ["all"])
     export.add_argument("directory", type=Path)
     _add_campaign_flags(export)
-    _add_backend_flag(export)
     profile = subparsers.add_parser(
         "profile",
         help="run one experiment or sweep workload under cProfile and "
@@ -537,7 +545,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sort", choices=["cumulative", "tottime", "ncalls"],
         default="cumulative", help="pstats sort key (default cumulative)",
     )
-    _add_backend_flag(profile)
     _add_variant_subcommand(
         subparsers, "energy",
         "print the per-device, per-category energy ledger breakdown "
@@ -585,7 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_campaign_flags(campaign)
     _add_lease_flag(campaign)
-    _add_backend_flag(campaign)
     deploy = subparsers.add_parser(
         "deploy",
         help="simulate a city-scale deployment scenario: partition into "
@@ -646,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "show":
         return _show(args.experiment)
     if args.command == "profile":
-        return _profile(args.experiment, args.top, args.sort, args.backend)
+        return _profile(args.experiment, args.top, args.sort)
     if args.command == "energy":
         return _energy(args)
     if args.command == "faults":
@@ -659,7 +665,11 @@ def main(argv: list[str] | None = None) -> int:
     from .experiments import ExportOptions, export_all, export_experiment
     from .runtime import drain_manifests
 
-    options = ExportOptions(campaign=_campaign_config(args), backend=args.backend)
+    # Per-cell engine jobs pay off only with workers or a cache; otherwise
+    # the batch engine computes the gain sweeps in a few array operations.
+    config = _campaign_config(args)
+    use_engine = config.n_jobs > 1 or config.cache_dir is not None
+    options = ExportOptions(campaign=config if use_engine else None)
     drain_manifests()
     if args.experiment == "all":
         for path in export_all(args.directory, options):

@@ -1,4 +1,10 @@
-"""BER-versus-distance sweeps (Fig 12 and Fig 13)."""
+"""BER-versus-distance sweeps (Fig 12 and Fig 13).
+
+Each curve runs the vectorized PHY kernels (:mod:`repro.batch`), except
+that a custom ``link_map``, or a budget the kernels cannot reproduce
+(:func:`~repro.batch.vectorizable_budget`), runs the scalar oracle
+``LinkBudget.ber`` point by point.
+"""
 
 from __future__ import annotations
 
@@ -34,31 +40,20 @@ class BerCurve:
 
 
 def _ber_over_distances(
-    budget: LinkBudget, distances_m: np.ndarray, bitrate_bps: int, backend: str
+    budget: LinkBudget, distances_m: np.ndarray, bitrate_bps: int, oracle: bool
 ) -> np.ndarray:
-    """One BER curve via the chosen backend.
-
-    The vectorized kernels only reproduce plain (non-subclassed) budgets;
-    ``auto`` silently falls back to the scalar loop for anything else,
-    while an explicit ``"vectorized"`` request raises.
-    """
+    """One BER curve: the scalar oracle when asked for or when the
+    kernels cannot reproduce ``budget``, the PHY kernels otherwise."""
     from ..batch import link_ber, vectorizable_budget
-    from ..experiments.backends import resolve_execution
 
-    resolved = resolve_execution(
-        backend,
-        vectorized_ok=vectorizable_budget(budget),
-        reason="custom budget types require the scalar oracle",
-    )
-    if resolved == "vectorized":
-        return np.asarray(link_ber(budget, distances_m, bitrate_bps), dtype=float)
-    return np.array([budget.ber(float(d), bitrate_bps) for d in distances_m])
+    if oracle or not vectorizable_budget(budget):
+        return np.array([budget.ber(float(d), bitrate_bps) for d in distances_m])
+    return np.asarray(link_ber(budget, distances_m, bitrate_bps), dtype=float)
 
 
 def mode_ber_curves(
     distances_m: np.ndarray | None = None,
     link_map: LinkMap | None = None,
-    backend: str = "auto",
 ) -> list[BerCurve]:
     """Fig 13: BER over distance for the backscatter and passive links at
     1 Mbps / 100 kbps / 10 kbps.  (The active link operates far beyond the
@@ -66,12 +61,13 @@ def mode_ber_curves(
     """
     if distances_m is None:
         distances_m = np.linspace(0.1, 6.0, 60)
+    oracle = link_map is not None
     link_map = link_map if link_map is not None else LinkMap()
     curves = []
     for mode in (LinkMode.BACKSCATTER, LinkMode.PASSIVE):
         for bitrate, suffix in ((1_000_000, "1M"), (100_000, "100k"), (10_000, "10k")):
             budget = link_map.budget(mode, bitrate)
-            ber = _ber_over_distances(budget, distances_m, bitrate, backend)
+            ber = _ber_over_distances(budget, distances_m, bitrate, oracle)
             curves.append(
                 BerCurve(
                     label=f"{mode.value}@{suffix}",
@@ -84,7 +80,6 @@ def mode_ber_curves(
 
 def reader_comparison_curves(
     distances_m: np.ndarray | None = None,
-    backend: str = "auto",
 ) -> tuple[list[BerCurve], dict[str, float]]:
     """Fig 12: Braidio's backscatter link vs the AS3993 commercial reader
     at 100 kbps, plus the §6.1 power/efficiency summary.
@@ -101,7 +96,7 @@ def reader_comparison_curves(
 
     curves = []
     for label, budget in (("Braidio", braidio), ("Commercial", commercial)):
-        ber = _ber_over_distances(budget, distances_m, 100_000, backend)
+        ber = _ber_over_distances(budget, distances_m, 100_000, oracle=False)
         curves.append(
             BerCurve(label=label, distances_m=np.asarray(distances_m), ber=ber)
         )

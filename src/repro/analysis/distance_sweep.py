@@ -58,51 +58,19 @@ def distance_gain_curve(
     distances_m: np.ndarray | None = None,
     link_map: LinkMap | None = None,
     campaign: "CampaignConfig | None" = None,
-    backend: str = "auto",
 ) -> DistanceGainCurve:
     """Gain-vs-distance curve for one directed device pair.
 
-    Under the default paper calibration the sweep is computed by the
-    vectorized batch engine (bit-identical to the scalar path); pass
-    ``campaign`` to run per-point scalar jobs through :mod:`repro.runtime`
-    (``backend="vectorized"`` submits the whole curve as one grid job
-    instead).  A custom ``link_map`` computes inline with the scalar
-    oracle.
+    A custom ``link_map`` computes inline with the scalar oracle;
+    ``campaign`` runs one :mod:`repro.runtime` job per point; otherwise
+    the vectorized batch engine computes the curve (bit-identical to the
+    oracle).
     """
     if distances_m is None:
         distances_m = np.linspace(0.3, 6.0, 39)
-    from ..experiments.backends import resolve_execution
-
-    resolved = resolve_execution(
-        backend,
-        vectorized_ok=link_map is None,
-        campaign=campaign,
-        reason="a custom link_map requires the scalar oracle",
-    )
-    if resolved == "vectorized":
-        e_tx = device(tx_name).battery_wh * JOULES_PER_WATT_HOUR
-        e_rx = device(rx_name).battery_wh * JOULES_PER_WATT_HOUR
-        if campaign is not None:
-            from ..runtime import run_campaign
-            from ..runtime.workloads import batch_distance_spec
-
-            spec = batch_distance_spec(tx_name, rx_name, distances_m)
-            result = run_campaign([spec], campaign).raise_on_failure()
-            gains = np.array(result.metrics[0]["gains"], dtype=float)
-        else:
-            from ..batch import distance_gain_curve_grid
-
-            gains = distance_gain_curve_grid(e_tx, e_rx, distances_m)
-    elif link_map is None:
-        from ..runtime import run_campaign
-        from ..runtime.workloads import distance_curve_specs
-
-        specs = distance_curve_specs(tx_name, rx_name, distances_m)
-        result = run_campaign(specs, campaign).raise_on_failure()
-        gains = np.asarray([m["gain"] for m in result.metrics], dtype=float)
-    else:
-        e_tx = device(tx_name).battery_wh * JOULES_PER_WATT_HOUR
-        e_rx = device(rx_name).battery_wh * JOULES_PER_WATT_HOUR
+    e_tx = device(tx_name).battery_wh * JOULES_PER_WATT_HOUR
+    e_rx = device(rx_name).battery_wh * JOULES_PER_WATT_HOUR
+    if link_map is not None:
         values = []
         for d in distances_m:
             if not link_map.available_powers(d):
@@ -111,6 +79,17 @@ def distance_gain_curve(
             braidio = braidio_unidirectional(e_tx, e_rx, float(d), link_map).total_bits
             values.append(braidio / bluetooth_unidirectional(e_tx, e_rx))
         gains = np.asarray(values, dtype=float)
+    elif campaign is not None:
+        from ..runtime import run_campaign
+        from ..runtime.workloads import distance_curve_specs
+
+        specs = distance_curve_specs(tx_name, rx_name, distances_m)
+        result = run_campaign(specs, campaign).raise_on_failure()
+        gains = np.asarray([m["gain"] for m in result.metrics], dtype=float)
+    else:
+        from ..batch import distance_gain_curve_grid
+
+        gains = distance_gain_curve_grid(e_tx, e_rx, distances_m)
     return DistanceGainCurve(
         label=f"{tx_name} to {rx_name}",
         distances_m=np.asarray(distances_m, dtype=float),
@@ -122,15 +101,10 @@ def paper_distance_curves(
     distances_m: np.ndarray | None = None,
     link_map: LinkMap | None = None,
     campaign: "CampaignConfig | None" = None,
-    backend: str = "auto",
 ) -> list[DistanceGainCurve]:
     """All six directed curves of Fig 18."""
     curves = []
     for a, b in PAPER_PAIRS:
-        curves.append(
-            distance_gain_curve(a, b, distances_m, link_map, campaign, backend)
-        )
-        curves.append(
-            distance_gain_curve(b, a, distances_m, link_map, campaign, backend)
-        )
+        curves.append(distance_gain_curve(a, b, distances_m, link_map, campaign))
+        curves.append(distance_gain_curve(b, a, distances_m, link_map, campaign))
     return curves

@@ -6,15 +6,14 @@ baseline, with both starting from full batteries and running until either
 dies.  Fig 15 compares against Bluetooth, Fig 16 against the best single
 Braidio mode, Fig 17 repeats Fig 15 with bidirectional traffic.
 
-The hundred cells of a matrix are independent simulations.  Under the
-default paper calibration the whole grid is computed by the vectorized
-batch engine (:mod:`repro.batch`) in a few array operations —
-bit-identical to the scalar oracle.  Passing a
-:class:`~repro.runtime.CampaignConfig` routes through :mod:`repro.runtime`
-instead: per-cell jobs with ``backend="auto"``/``"scalar"`` (cacheable,
-resumable, parallel), or one whole-grid vectorized job with
-``backend="vectorized"``.  A custom ``link_map`` always falls back to the
-scalar path (inline loop), which remains the ground-truth oracle.
+The hundred cells of a matrix are independent simulations.  Each sweep
+picks its engine from its inputs:
+
+* a custom ``link_map`` runs the scalar oracle inline, cell by cell;
+* a :class:`~repro.runtime.CampaignConfig` runs one :mod:`repro.runtime`
+  job per cell (cacheable, resumable, parallel);
+* anything else runs the vectorized batch engine (:mod:`repro.batch`) in
+  a few array operations, bit-identical to the oracle.
 """
 
 from __future__ import annotations
@@ -88,21 +87,11 @@ def _energies_j(devices: tuple[DeviceSpec, ...]) -> list[float]:
     return [d.battery_wh * JOULES_PER_WATT_HOUR for d in devices]
 
 
-def _campaign_eligible(
-    devices: tuple[DeviceSpec, ...], link_map: LinkMap | None
-) -> bool:
-    """Whether the engine path applies: paper calibration, catalog devices
-    (cache keys and worker-side reconstruction assume both)."""
-    if link_map is not None:
-        return False
-    return all(DEVICE_BY_NAME.get(d.name) == d for d in devices)
-
-
 def _matrix_via_campaign(
     job_kind: str,
     distance_m: float,
     devices: tuple[DeviceSpec, ...],
-    campaign: "CampaignConfig | None",
+    campaign: "CampaignConfig",
 ) -> np.ndarray:
     from ..runtime import run_campaign
     from ..runtime.workloads import gain_matrix_specs
@@ -114,49 +103,22 @@ def _matrix_via_campaign(
     return gains.reshape(len(devices), len(devices))
 
 
-def _matrix_via_grid_job(
-    job_kind: str,
-    distance_m: float,
-    devices: tuple[DeviceSpec, ...],
-    campaign: "CampaignConfig | None",
-) -> np.ndarray:
-    """Submit the whole matrix as one vectorized ``batch.grid`` job."""
-    from ..runtime import run_campaign
-    from ..runtime.workloads import batch_matrix_spec
-
-    names = [d.name for d in devices]
-    spec = batch_matrix_spec(job_kind, distance_m, names)
-    result = run_campaign([spec], campaign).raise_on_failure()
-    return np.array(result.metrics[0]["gains"], dtype=float)
-
-
 def _matrix_gains(
     job_kind: str,
     distance_m: float,
     devices: tuple[DeviceSpec, ...],
     link_map: LinkMap | None,
     campaign: "CampaignConfig | None",
-    backend: str,
     cell: Callable[[float, float], float],
 ) -> np.ndarray:
-    # One policy for every sweep (repro.experiments.backends): "auto"
-    # prefers the vectorized grid, an explicit campaign keeps per-cell
-    # scalar jobs, a custom link_map requires the scalar oracle.
-    from ..experiments.backends import resolve_execution
-
-    resolved = resolve_execution(
-        backend,
-        vectorized_ok=link_map is None,
-        campaign=campaign,
-        reason="a custom link_map requires the scalar oracle",
-    )
-    if resolved == "vectorized":
-        if campaign is not None and _campaign_eligible(devices, link_map):
-            return _matrix_via_grid_job(job_kind, distance_m, devices, campaign)
+    if link_map is not None:
+        return _matrix_inline(cell, devices)
+    if campaign is None:
         from ..batch import gain_matrix_grid
 
         return gain_matrix_grid(job_kind, distance_m, _energies_j(devices))
-    if _campaign_eligible(devices, link_map):
+    # Engine jobs name their devices; workers rebuild them from the catalog.
+    if all(DEVICE_BY_NAME.get(d.name) == d for d in devices):
         return _matrix_via_campaign(job_kind, distance_m, devices, campaign)
     return _matrix_inline(cell, devices)
 
@@ -178,7 +140,6 @@ def bluetooth_gain_matrix(
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
     campaign: "CampaignConfig | None" = None,
-    backend: str = "auto",
 ) -> GainMatrix:
     """Fig 15: Braidio over Bluetooth, unidirectional saturated traffic."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -188,7 +149,7 @@ def bluetooth_gain_matrix(
         return braidio.total_bits / bluetooth_unidirectional(e_tx, e_rx)
 
     gains = _matrix_gains(
-        "gain.bluetooth", distance_m, devices, link_map, campaign, backend, cell
+        "gain.bluetooth", distance_m, devices, link_map, campaign, cell
     )
     return GainMatrix(devices=devices, gains=gains, kind="bluetooth")
 
@@ -198,7 +159,6 @@ def best_mode_gain_matrix(
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
     campaign: "CampaignConfig | None" = None,
-    backend: str = "auto",
 ) -> GainMatrix:
     """Fig 16: Braidio over the best single mode in isolation."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -209,7 +169,7 @@ def best_mode_gain_matrix(
         return braidio.total_bits / best
 
     gains = _matrix_gains(
-        "gain.best_mode", distance_m, devices, link_map, campaign, backend, cell
+        "gain.best_mode", distance_m, devices, link_map, campaign, cell
     )
     return GainMatrix(devices=devices, gains=gains, kind="best-mode")
 
@@ -219,7 +179,6 @@ def bidirectional_gain_matrix(
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
     campaign: "CampaignConfig | None" = None,
-    backend: str = "auto",
 ) -> GainMatrix:
     """Fig 17: Braidio over Bluetooth with equal data in both directions."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -229,6 +188,6 @@ def bidirectional_gain_matrix(
         return braidio.total_bits / bluetooth_bidirectional(e_a, e_b)
 
     gains = _matrix_gains(
-        "gain.bidirectional", distance_m, devices, link_map, campaign, backend, cell
+        "gain.bidirectional", distance_m, devices, link_map, campaign, cell
     )
     return GainMatrix(devices=devices, gains=gains, kind="bidirectional")

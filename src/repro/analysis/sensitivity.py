@@ -85,25 +85,17 @@ def _corner_energies(tx_device: str, rx_device: str) -> tuple[float, float]:
 
 def reader_power_sweep(
     reader_powers_w: np.ndarray | None = None,
-    backend: str = "auto",
 ) -> list[tuple[float, float]]:
     """Corner gain as a function of the backscatter reader's power draw.
 
     The power-proportional corner is pinned by
     ``P_reader / battery_ratio``, so the gain is essentially inversely
     proportional to the reader power — the knob that explains the paper's
-    397x.  The default backend solves every override in one vectorized
-    pass (bit-identical to the scalar per-override loop).
+    397x.  Every override is solved in one vectorized pass, bit-identical
+    to :func:`corner_gain` per override.
     """
-    from ..experiments.backends import resolve_execution
-
     if reader_powers_w is None:
         reader_powers_w = np.array([0.040, 0.054, 0.080, 0.100, 0.129, 0.200])
-    if resolve_execution(backend) == "scalar":
-        return [
-            (float(p), corner_gain(PowerOverrides(backscatter_rx_w=float(p))))
-            for p in reader_powers_w
-        ]
     from ..batch import bluetooth_unidirectional_bits, offload_bits
 
     powers = np.asarray(reader_powers_w, dtype=float)
@@ -142,28 +134,16 @@ def reader_power_matching_paper_corner(
 
 def bluetooth_power_sweep(
     bluetooth_powers_w: np.ndarray | None = None,
-    backend: str = "auto",
 ) -> list[tuple[float, float, float]]:
     """(BT power, corner gain, diagonal gain) across the CC2541 envelope.
 
     The diagonal scales linearly with the baseline power (the Braidio mix
     is fixed); the corner moves with it too.  This is the sensitivity that
-    pins our 56.34 mW choice to the published 1.43x diagonal.
+    pins our 56.34 mW choice to the published 1.43x diagonal.  Solved in
+    one vectorized pass, bit-identical to :func:`corner_gain` per power.
     """
-    from ..experiments.backends import resolve_execution
-
     if bluetooth_powers_w is None:
         bluetooth_powers_w = np.array([0.055, 0.0563, 0.060, 0.063, 0.067])
-    if resolve_execution(backend) == "scalar":
-        rows = []
-        for p in bluetooth_powers_w:
-            overrides = PowerOverrides(bluetooth_w=float(p))
-            corner = corner_gain(overrides)
-            diagonal = corner_gain(
-                overrides, tx_device="Apple Watch", rx_device="Apple Watch"
-            )
-            rows.append((float(p), corner, diagonal))
-        return rows
     from ..batch import offload_bits, point_energies
 
     powers = np.asarray(bluetooth_powers_w, dtype=float)

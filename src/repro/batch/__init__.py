@@ -12,18 +12,17 @@ The contract (DESIGN.md §12):
   :mod:`repro.sim.lifetime`) remain the ground-truth oracle;
 * the lifetime/gain kernels replicate the scalar solver's arithmetic
   operation-for-operation, so gain matrices and distance sweeps are
-  **bit-identical** to the scalar backend under the default calibration;
+  **bit-identical** to the scalar oracle under the default calibration;
 * the PHY kernels (log/exp based) agree with the scalar math to ≤1e-12
   relative tolerance (numpy and libm may differ in the last ulp);
-* anything the kernels cannot express — fading draws, custom
-  ``link_map`` objects, subclassed budgets, the LP-only joint
-  bidirectional solver — falls back to the scalar path (``backend="auto"``)
-  or raises (``backend="vectorized"``).
+* the analysis sweeps pick their engine from their inputs: a custom
+  ``link_map`` or a budget :func:`vectorizable_budget` rejects runs the
+  scalar oracle, a campaign config runs per-cell engine jobs, anything
+  else runs here.
 
-``tests/batch/`` cross-validates randomized grids through both backends.
+``tests/batch/`` cross-validates randomized grids against the oracle.
 """
 
-from ..experiments.backends import BACKENDS, resolve_backend
 from .grid import (
     distance_gain_curve_grid,
     gain_matrix_grid,
@@ -54,7 +53,6 @@ from .phy import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CostGrid",
     "backscatter_round_trip_loss_db",
     "best_single_mode_bits",
@@ -76,6 +74,5 @@ __all__ = [
     "packet_error_rate",
     "paper_mode_ranges_m",
     "point_energies",
-    "resolve_backend",
     "vectorizable_budget",
 ]

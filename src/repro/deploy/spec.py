@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
+from ..core.validation import require_finite
 from ..hardware.devices import DEVICE_BY_NAME
 from ..runtime.seeding import content_rng
 
@@ -47,24 +47,14 @@ def _reject_unknown(
 ) -> None:
     """Unknown keys fail loudly — a typo'd field would otherwise silently
     fall back to its default and fingerprint as a different scenario."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{owner} must be a mapping, got {data!r}")
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(
             f"unknown {owner} field(s) {', '.join(repr(k) for k in unknown)} "
             f"(known: {', '.join(known)})"
         )
-
-
-def _require_finite(
-    owner: str, fields: "Mapping[str, float | tuple[float, ...]]"
-) -> None:
-    """NaN and ±inf slip past every range check (``nan <= 0.0`` is false)
-    and an infinite horizon never finishes simulating, so non-finite
-    numbers fail with an error naming the field."""
-    for key, value in fields.items():
-        for number in value if isinstance(value, (tuple, list)) else (value,):
-            if not math.isfinite(number):
-                raise ValueError(f"{owner} field {key!r} must be finite, got {number!r}")
 
 
 def _parse_field(
@@ -146,7 +136,7 @@ class HubLayout:
     positions_m: "tuple[tuple[float, float], ...]" = field(default=())
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             "hub layout", {"spacing_m": self.spacing_m, "area_m": self.area_m}
         )
         if self.strategy not in _STRATEGIES:
@@ -160,7 +150,7 @@ class HubLayout:
             canonical = tuple(
                 (float(x), float(y)) for x, y in self.positions_m
             )
-            _require_finite(
+            require_finite(
                 "hub layout", {"positions_m": tuple(c for point in canonical for c in point)}
             )
             object.__setattr__(self, "positions_m", canonical)
@@ -244,7 +234,7 @@ class DeviceClass:
     mobility: str = "static"
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             "device class",
             {
                 "share": self.share,
@@ -340,7 +330,7 @@ class ChurnProcess:
     mean_join_delay_s: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite("churn process", self.to_dict())  # type: ignore[arg-type]
+        require_finite("churn process", self.to_dict())  # type: ignore[arg-type]
         if self.mean_awake_s < 0.0 or self.mean_asleep_s <= 0.0:
             raise ValueError("dwell means must be non-negative / positive")
         if self.mean_lifetime_s < 0.0:
@@ -445,7 +435,7 @@ class DeploymentSpec:
     lp_plan: bool = True
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             "deployment spec",
             {
                 "warmup_s": self.warmup_s,

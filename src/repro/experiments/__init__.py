@@ -3,15 +3,12 @@
 One frozen :class:`ExperimentDef` per figure/table/sweep/profile is
 registered in :mod:`repro.experiments.catalog`; the CLI, the generic CSV
 exporter, the campaign spec factory and the profiler all consume that one
-table (DESIGN.md §13).  :mod:`repro.experiments.backends` holds the
-single scalar-vs-vectorized backend-resolution policy.
+table (DESIGN.md §13).
 
 The catalog is imported lazily on first registry *access*, so importing
-this package (or :mod:`repro.batch`, which pulls the backend policy from
-here) stays cheap.
+this package stays cheap.
 """
 
-from .backends import BACKENDS, resolve_backend, resolve_execution
 from .pipeline import (
     capability_rows,
     capability_table,
@@ -35,7 +32,6 @@ from .registry import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CsvTable",
     "ExperimentDef",
     "ExportOptions",
@@ -51,8 +47,6 @@ __all__ = [
     "profileable_ids",
     "register",
     "render_show",
-    "resolve_backend",
-    "resolve_execution",
     "showable_ids",
     "write_rows",
 ]

@@ -3,7 +3,7 @@
 This module is the single place an experiment is wired into the system.
 Each :func:`~repro.experiments.registry.register` call below replaces
 what used to be five parallel hand-maintained registries (``EXPORTERS``,
-``BACKEND_AWARE``/``CAMPAIGN_AWARE``, ``PROFILE_WORKLOADS``,
+``CAMPAIGN_AWARE``, ``PROFILE_WORKLOADS``,
 ``CAMPAIGN_EXPERIMENTS``, the energy/fault profile choice lists) plus a
 ~60-line ``show`` dispatch ladder in ``__main__``.  Adding an experiment
 is now: write a runner/table builder, register one
@@ -166,7 +166,7 @@ def _fig6_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
 def _fig12_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.ber_sweep import reader_comparison_curves
 
-    curves, _ = reader_comparison_curves(backend=options.backend)
+    curves, _ = reader_comparison_curves()
     by_label = {c.label: c for c in curves}
     return (
         CsvTable(
@@ -186,7 +186,7 @@ def _fig12_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
 def _fig13_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.ber_sweep import mode_ber_curves
 
-    curves = mode_ber_curves(backend=options.backend)
+    curves = mode_ber_curves()
     header = ["distance_m"] + [c.label for c in curves]
     stacked = np.column_stack([curves[0].distances_m] + [c.ber for c in curves])
     return (CsvTable("fig13_ber_modes.csv", header, stacked.tolist()),)
@@ -248,27 +248,21 @@ def _matrix_table(filename: str, matrix: "GainMatrix") -> CsvTable:
 def _fig15_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import bluetooth_gain_matrix
 
-    matrix = bluetooth_gain_matrix(
-        campaign=options.campaign, backend=options.backend
-    )
+    matrix = bluetooth_gain_matrix(campaign=options.campaign)
     return (_matrix_table("fig15_gain_matrix.csv", matrix),)
 
 
 def _fig16_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import best_mode_gain_matrix
 
-    matrix = best_mode_gain_matrix(
-        campaign=options.campaign, backend=options.backend
-    )
+    matrix = best_mode_gain_matrix(campaign=options.campaign)
     return (_matrix_table("fig16_vs_best_mode.csv", matrix),)
 
 
 def _fig17_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import bidirectional_gain_matrix
 
-    matrix = bidirectional_gain_matrix(
-        campaign=options.campaign, backend=options.backend
-    )
+    matrix = bidirectional_gain_matrix(campaign=options.campaign)
     return (_matrix_table("fig17_bidirectional.csv", matrix),)
 
 
@@ -296,9 +290,7 @@ def _matrix_show(experiment_id: str) -> str:
 def _fig18_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     from ..analysis.distance_sweep import paper_distance_curves
 
-    curves = paper_distance_curves(
-        campaign=options.campaign, backend=options.backend
-    )
+    curves = paper_distance_curves(campaign=options.campaign)
     header = ["distance_m"] + [c.label for c in curves]
     stacked = np.column_stack(
         [curves[0].distances_m] + [c.gains for c in curves]
@@ -306,47 +298,25 @@ def _fig18_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     return (CsvTable("fig18_distance.csv", header, stacked.tolist()),)
 
 
-def _fig15_campaign(backend: str) -> "list[JobSpec]":
-    from ..runtime.workloads import batch_matrix_spec, gain_matrix_specs
+def _matrix_campaign(kind: str) -> "list[JobSpec]":
+    from ..runtime.workloads import gain_matrix_specs
 
-    if backend == "vectorized":
-        return [batch_matrix_spec("gain.bluetooth")]
-    return gain_matrix_specs("gain.bluetooth")
+    return gain_matrix_specs(kind)
 
 
-def _fig16_campaign(backend: str) -> "list[JobSpec]":
-    from ..runtime.workloads import batch_matrix_spec, gain_matrix_specs
-
-    if backend == "vectorized":
-        return [batch_matrix_spec("gain.best_mode")]
-    return gain_matrix_specs("gain.best_mode")
-
-
-def _fig17_campaign(backend: str) -> "list[JobSpec]":
-    from ..runtime.workloads import batch_matrix_spec, gain_matrix_specs
-
-    if backend == "vectorized":
-        return [batch_matrix_spec("gain.bidirectional")]
-    return gain_matrix_specs("gain.bidirectional")
-
-
-def _fig18_campaign(backend: str) -> "list[JobSpec]":
+def _fig18_campaign() -> "list[JobSpec]":
     from ..analysis.distance_sweep import PAPER_PAIRS
-    from ..runtime.workloads import batch_distance_spec, distance_curve_specs
+    from ..runtime.workloads import distance_curve_specs
 
     distances = np.linspace(0.3, 6.0, 39)
     specs: "list[JobSpec]" = []
     for a, b in PAPER_PAIRS:
-        if backend == "vectorized":
-            specs.append(batch_distance_spec(a, b, distances))
-            specs.append(batch_distance_spec(b, a, distances))
-        else:
-            specs.extend(distance_curve_specs(a, b, distances))
-            specs.extend(distance_curve_specs(b, a, distances))
+        specs.extend(distance_curve_specs(a, b, distances))
+        specs.extend(distance_curve_specs(b, a, distances))
     return specs
 
 
-def _mc_ber_campaign(backend: str) -> "list[JobSpec]":
+def _mc_ber_campaign() -> "list[JobSpec]":
     from ..runtime.jobs import JobSpec
 
     return [
@@ -368,7 +338,7 @@ def _energy_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     return (CsvTable("energy_breakdown.csv", header, rows),)
 
 
-def _energy_campaign(backend: str) -> "list[JobSpec]":
+def _energy_campaign() -> "list[JobSpec]":
     from ..runtime.workloads import energy_breakdown_specs
 
     return energy_breakdown_specs()
@@ -391,7 +361,7 @@ def _faults_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     return (CsvTable("fault_recovery.csv", header, rows),)
 
 
-def _faults_campaign(backend: str) -> "list[JobSpec]":
+def _faults_campaign() -> "list[JobSpec]":
     from ..runtime.workloads import fault_profile_specs
 
     return fault_profile_specs()
@@ -531,32 +501,32 @@ def _deploy_faults_export(directory: Path, options: ExportOptions) -> Path:
 # --------------------------------------------------------------------------
 # Profiler sweep workloads (no CSV; exercised under cProfile)
 
-def _profile_gain_matrix(backend: str) -> None:
+def _profile_gain_matrix() -> None:
     from ..analysis.gain_matrix import bluetooth_gain_matrix
 
-    bluetooth_gain_matrix(backend=backend)
+    bluetooth_gain_matrix()
 
 
-def _profile_distance(backend: str) -> None:
+def _profile_distance() -> None:
     from ..analysis.distance_sweep import paper_distance_curves
 
-    paper_distance_curves(backend=backend)
+    paper_distance_curves()
 
 
-def _profile_ber(backend: str) -> None:
+def _profile_ber() -> None:
     from ..analysis.ber_sweep import mode_ber_curves
 
-    mode_ber_curves(backend=backend)
+    mode_ber_curves()
 
 
-def _profile_sensitivity(backend: str) -> None:
+def _profile_sensitivity() -> None:
     from ..analysis.sensitivity import (
         bluetooth_power_sweep,
         reader_power_sweep,
     )
 
-    reader_power_sweep(backend=backend)
-    bluetooth_power_sweep(backend=backend)
+    reader_power_sweep()
+    bluetooth_power_sweep()
 
 
 # --------------------------------------------------------------------------
@@ -600,13 +570,12 @@ register(ExperimentDef(
     id="fig12", kind="figure",
     title="Braidio versus commercial reader BER",
     tables=_fig12_tables, csv_names=("fig12_reader_comparison.csv",),
-    backend_aware=True,
 ))
 register(ExperimentDef(
     id="fig13", kind="figure",
     title="Per-mode BER curves over distance",
     tables=_fig13_tables, csv_names=("fig13_ber_modes.csv",),
-    backend_aware=True, show=_show_fig13,
+    show=_show_fig13,
 ))
 register(ExperimentDef(
     id="fig14", kind="figure",
@@ -624,28 +593,28 @@ register(ExperimentDef(
     id="fig15", kind="figure",
     title="Gain matrix: Braidio over Bluetooth",
     tables=_fig15_tables, csv_names=("fig15_gain_matrix.csv",),
-    campaign=_fig15_campaign, campaign_aware=True, backend_aware=True,
+    campaign=lambda: _matrix_campaign("gain.bluetooth"), campaign_aware=True,
     show=lambda: _matrix_show("fig15"),
 ))
 register(ExperimentDef(
     id="fig16", kind="figure",
     title="Gain matrix: Braidio over the best single mode",
     tables=_fig16_tables, csv_names=("fig16_vs_best_mode.csv",),
-    campaign=_fig16_campaign, campaign_aware=True, backend_aware=True,
+    campaign=lambda: _matrix_campaign("gain.best_mode"), campaign_aware=True,
     show=lambda: _matrix_show("fig16"),
 ))
 register(ExperimentDef(
     id="fig17", kind="figure",
     title="Gain matrix: bidirectional traffic over Bluetooth",
     tables=_fig17_tables, csv_names=("fig17_bidirectional.csv",),
-    campaign=_fig17_campaign, campaign_aware=True, backend_aware=True,
+    campaign=lambda: _matrix_campaign("gain.bidirectional"), campaign_aware=True,
     show=lambda: _matrix_show("fig17"),
 ))
 register(ExperimentDef(
     id="fig18", kind="figure",
     title="Gain versus distance for the paper's device pairs",
     tables=_fig18_tables, csv_names=("fig18_distance.csv",),
-    campaign=_fig18_campaign, campaign_aware=True, backend_aware=True,
+    campaign=_fig18_campaign, campaign_aware=True,
 ))
 register(ExperimentDef(
     id="mc-ber", kind="campaign",

@@ -79,9 +79,8 @@ def export_all(
 ) -> list[Path]:
     """Write every exportable experiment's CSVs into ``directory``.
 
-    Options apply where a def advertises them (``campaign`` to
-    campaign-aware exporters, ``backend`` to backend-aware ones); the
-    rest run inline as always.
+    ``options.campaign`` applies to campaign-aware exporters; the rest
+    run inline as always.
     """
     options = options if options is not None else ExportOptions()
     return [
@@ -121,8 +120,8 @@ def capability_rows(
 ) -> tuple[list[str], list[list[str]]]:
     """(header, rows) of the registry capability table rendered by
     ``python -m repro list``: one row per experiment with its campaign /
-    backend / profile capabilities and exported files."""
-    header = ["experiment", "kind", "campaign", "backend", "profile", "exports"]
+    profile capabilities and exported files."""
+    header = ["experiment", "kind", "campaign", "profile", "exports"]
     rows = []
     for defn in experiments if experiments is not None else all_experiments():
         exports = " ".join(defn.csv_names) if defn.csv_names else "-"
@@ -133,7 +132,6 @@ def capability_rows(
                 defn.id,
                 defn.kind,
                 _flag(defn.campaignable),
-                _flag(defn.backend_aware),
                 _flag(defn.profileable),
                 exports,
             ]

@@ -11,8 +11,8 @@ table; adding an experiment is one :func:`register` call, not a
 cross-cutting edit (DESIGN.md §13 documents the contract).
 
 The built-in defs live in :mod:`repro.experiments.catalog`, imported
-lazily on first registry access so that light imports (``repro.batch``
-pulling the backend policy) never drag the whole analysis stack in.
+lazily on first registry access so that importing the registry never
+drags the whole analysis stack in.
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ class ExportOptions:
     """Execution options threaded through every exporter hook.
 
     Hooks consume only what they advertise: ``campaign`` applies when the
-    def is ``campaign_aware``, ``backend`` when it is ``backend_aware``;
-    the rest ignore the options entirely.
+    def is ``campaign_aware``; the rest ignore the options entirely.
 
     Attributes:
         campaign: campaign engine config (worker count, cache directory)
-            for exporters that fan work through :mod:`repro.runtime`.
-        backend: sweep engine choice (see
-            :data:`repro.experiments.backends.BACKENDS`).
+            for exporters that fan work through :mod:`repro.runtime`;
+            ``None`` computes the gain sweeps with the batch engine.
     """
 
     campaign: "CampaignConfig | None" = None
-    backend: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -58,12 +55,12 @@ class CsvTable:
 TablesHook = Callable[[ExportOptions], Sequence[CsvTable]]
 #: Full-custom exporter (writes files itself, returns the primary path).
 ExportHook = Callable[[Path, ExportOptions], Path]
-#: Campaign decomposition: backend name -> engine job list.
-CampaignHook = Callable[[str], "list[JobSpec]"]
+#: Campaign decomposition: the experiment's engine job list.
+CampaignHook = Callable[[], "list[JobSpec]"]
 #: Purpose-built ``show`` renderer (None falls back to the CSV dump).
 ShowHook = Callable[[], str]
-#: Profiler workload: runs the underlying sweep for the given backend.
-ProfileHook = Callable[[str], None]
+#: Profiler workload: runs the underlying sweep.
+ProfileHook = Callable[[], None]
 #: Renders one named variant (e.g. an energy/fault profile) as text:
 #: (variant, distance_m, packets, seed) -> report.
 VariantHook = Callable[[str, float, int, int], str]
@@ -88,7 +85,6 @@ class ExperimentDef:
         campaign: builds the engine :class:`~repro.runtime.jobs.JobSpec`
             list for ``python -m repro campaign <id>``.
         campaign_aware: exporter honours ``ExportOptions.campaign``.
-        backend_aware: exporter honours ``ExportOptions.backend``.
         show: purpose-built text renderer for ``show <id>``; when absent
             the pipeline dumps the exporter's CSVs.
         profile: sweep workload for ``profile <id>`` (no CSV); when absent
@@ -106,7 +102,6 @@ class ExperimentDef:
     csv_names: tuple[str, ...] = ()
     campaign: "CampaignHook | None" = None
     campaign_aware: bool = False
-    backend_aware: bool = False
     show: "ShowHook | None" = None
     profile: "ProfileHook | None" = None
     variants: tuple[str, ...] = ()
@@ -168,8 +163,8 @@ _CATALOG_LOADED = False
 
 
 def _ensure_catalog() -> None:
-    """Import the built-in defs exactly once (lazily, so light consumers
-    of :mod:`repro.experiments.backends` skip the analysis stack)."""
+    """Import the built-in defs exactly once (lazily, so importing the
+    registry skips the analysis stack)."""
     global _CATALOG_LOADED
     if not _CATALOG_LOADED:
         _CATALOG_LOADED = True

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..core.modes import LinkMode
+from ..core.validation import require_finite
 
 #: Bump when the fault semantics change incompatibly (invalidates any
 #: fingerprint-keyed cache entries and derived RNG streams).
@@ -88,6 +89,14 @@ class FaultSpec:
     target: str = ""
 
     def __post_init__(self) -> None:
+        require_finite(
+            "fault",
+            {
+                "start_s": self.start_s,
+                "duration_s": self.duration_s,
+                "magnitude": self.magnitude,
+            },
+        )
         if self.start_s < 0.0:
             raise ValueError(f"fault start must be non-negative, got {self.start_s!r}")
         if self.duration_s < 0.0:

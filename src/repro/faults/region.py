@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..core.modes import LinkMode
+from ..core.validation import require_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..deploy.spec import DeploymentSpec
@@ -84,6 +85,14 @@ class RegionFaultSpec:
     hub: int = REGION_WIDE
 
     def __post_init__(self) -> None:
+        require_finite(
+            "region fault",
+            {
+                "start_s": self.start_s,
+                "duration_s": self.duration_s,
+                "magnitude": self.magnitude,
+            },
+        )
         if self.start_s < 0.0:
             raise ValueError(f"fault start must be non-negative, got {self.start_s!r}")
         if self.duration_s <= 0.0:

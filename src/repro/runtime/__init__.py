@@ -36,8 +36,6 @@ from .progress import (
 )
 from .seeding import campaign_seed_sequence, job_rng, job_seed_sequence
 from .workloads import (
-    batch_distance_spec,
-    batch_matrix_spec,
     campaign_specs,
     distance_curve_specs,
     gain_matrix_specs,
@@ -54,8 +52,6 @@ __all__ = [
     "JournalReplay",
     "ResultCache",
     "RunManifest",
-    "batch_distance_spec",
-    "batch_matrix_spec",
     "calibration_fingerprint",
     "campaign_fingerprint",
     "campaign_seed_sequence",

@@ -107,61 +107,6 @@ def run_distance_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
     return {"gain": braidio.total_bits / bluetooth_unidirectional(e_tx, e_rx)}
 
 
-@register_job_runner("batch.grid")
-def run_batch_grid(spec: JobSpec, rng: np.random.Generator) -> dict:
-    """One *whole grid* evaluated by the vectorized batch engine
-    (:mod:`repro.batch`) as a single campaign job.
-
-    Params: ``workload`` — a matrix kind (``gain.bluetooth`` /
-    ``gain.best_mode`` / ``gain.bidirectional``, with ``devices`` a JSON
-    list of catalog names) or ``gain.distance`` (with ``distances`` a JSON
-    list of metres and the spec's device pair).  Deterministic in the spec
-    alone, and cell-for-cell bit-identical to the per-cell scalar jobs.
-    """
-    import json
-
-    from ..hardware.battery import JOULES_PER_WATT_HOUR
-    from ..hardware.devices import device
-
-    workload = spec.param("workload")
-    if workload is None:
-        raise ValueError("batch.grid job needs a 'workload' param")
-    if workload == "gain.distance":
-        from ..batch import distance_gain_curve_grid
-
-        distances_json = spec.param("distances")
-        if distances_json is None:
-            raise ValueError("batch.grid distance job needs a 'distances' param")
-        distances = [float(d) for d in json.loads(distances_json)]
-        e_tx = device(spec.tx_device).battery_wh * JOULES_PER_WATT_HOUR
-        e_rx = device(spec.rx_device).battery_wh * JOULES_PER_WATT_HOUR
-        gains = distance_gain_curve_grid(e_tx, e_rx, np.asarray(distances))
-        return {
-            "workload": workload,
-            "distances_m": distances,
-            "gains": gains.tolist(),
-        }
-    from ..batch import gain_matrix_grid
-    from ..batch.grid import MATRIX_KINDS
-
-    if workload not in MATRIX_KINDS:
-        raise ValueError(
-            f"unknown batch workload {workload!r} "
-            f"(expected gain.distance or one of {MATRIX_KINDS})"
-        )
-    devices_json = spec.param("devices")
-    if devices_json is None:
-        raise ValueError("batch.grid matrix job needs a 'devices' param")
-    names = [str(n) for n in json.loads(devices_json)]
-    energies = [device(n).battery_wh * JOULES_PER_WATT_HOUR for n in names]
-    gains = gain_matrix_grid(workload, spec.distance_m, energies)
-    return {
-        "workload": workload,
-        "devices": names,
-        "gains": gains.tolist(),
-    }
-
-
 @register_job_runner("ber.montecarlo")
 def run_montecarlo_ber(spec: JobSpec, rng: np.random.Generator) -> dict:
     """Monte-Carlo OOK envelope BER sample — the stochastic workload that
@@ -341,48 +286,11 @@ def distance_curve_specs(
     ]
 
 
-def batch_matrix_spec(
-    kind: str, distance_m: float = 0.3, device_names: "list[str] | None" = None
-) -> JobSpec:
-    """One vectorized ``batch.grid`` job covering a whole gain matrix."""
-    import json
-
-    if device_names is None:
-        from ..hardware.devices import DEVICES
-
-        device_names = [d.name for d in DEVICES]
-    return JobSpec.with_params(
-        "batch.grid",
-        {"workload": kind, "devices": json.dumps(list(device_names))},
-        distance_m=float(distance_m),
-    )
-
-
-def batch_distance_spec(
-    tx_device: str, rx_device: str, distances_m
-) -> JobSpec:
-    """One vectorized ``batch.grid`` job covering a whole distance curve."""
-    import json
-
-    distances = [float(d) for d in distances_m]
-    return JobSpec.with_params(
-        "batch.grid",
-        {"workload": "gain.distance", "distances": json.dumps(distances)},
-        tx_device=tx_device,
-        rx_device=rx_device,
-    )
-
-
-def campaign_specs(experiment: str, backend: str = "scalar") -> list[JobSpec]:
-    """The job list behind one campaign-able experiment id.
-
-    The decomposition is the experiment's registered
-    :data:`~repro.experiments.registry.CampaignHook`
-    (:mod:`repro.experiments.catalog`); ``backend="vectorized"``
-    collapses the gain sweeps (fig15-18) into whole-grid ``batch.grid``
-    jobs — one per matrix, one per directed curve — instead of one job
-    per cell.  Other experiments ignore the backend (their jobs are not
-    grid-shaped).
+def campaign_specs(experiment: str) -> list[JobSpec]:
+    """The job list behind one campaign-able experiment id: the
+    experiment's registered :data:`~repro.experiments.registry.CampaignHook`
+    (:mod:`repro.experiments.catalog`), one job per gain cell for the gain
+    sweeps (fig15-18).
 
     Raises:
         ValueError: for ids with no campaign decomposition.
@@ -398,4 +306,4 @@ def campaign_specs(experiment: str, backend: str = "scalar") -> list[JobSpec]:
             f"no campaign decomposition for {experiment!r} "
             f"(supported: {', '.join(campaignable_ids())})"
         )
-    return defn.campaign(backend)
+    return defn.campaign()

@@ -51,6 +51,28 @@ class TestExportCampaignFlags:
         parallel_csv = (parallel_dir / "fig15_gain_matrix.csv").read_bytes()
         assert serial_csv == parallel_csv
 
+    def test_plain_export_runs_the_batch_engine(self, tmp_path, capsys):
+        # Without workers or a cache the gain sweep is one batch-engine
+        # call: no engine job runs, so no engine summary is printed.
+        assert main(["export", "fig15", str(tmp_path / "plain")]) == 0
+        assert "campaign engine" not in capsys.readouterr().err
+        assert main(["export", "fig15", str(tmp_path / "jobs"), "--jobs", "2"]) == 0
+        assert "campaign engine: 100 jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "fig15", "out"],
+            ["campaign", "fig15"],
+            ["profile", "sweep-gain-matrix"],
+        ],
+    )
+    def test_backend_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", "scalar"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_warm_cache_skips_all_jobs(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         cache_dir = tmp_path / "cache"
@@ -160,6 +182,26 @@ class TestSeedValidation:
         assert "--seed" in capsys.readouterr().err
 
 
+class TestDistanceValidation:
+    @pytest.mark.parametrize("command", [["energy", "braidio"], ["faults", "none"]])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf", "-inf", "near"])
+    def test_bad_distance_rejected_before_running(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--distance", bad])
+        assert excinfo.value.code == 2
+        assert "--distance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["energy", "braidio"], ["faults", "none"]])
+    def test_unreachable_distance_is_one_error_line(self, command, capsys):
+        code = main([*command, "--distance", "100", "--packets", "50"])
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no operating mode available at 100.0 m"
+        ]
+
+
 class TestResumeFlag:
     def test_resume_requires_cache_dir(self, tmp_path, capsys):
         # --no-cache drops the cache, so there is nothing to resume either.
@@ -198,7 +240,7 @@ class TestMaxFailures:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
         monkeypatch.setattr(
             "repro.runtime.workloads.campaign_specs",
-            lambda experiment, backend="scalar": [
+            lambda experiment: [
                 JobSpec(kind="test.cli_fail", seed=i) for i in range(6)
             ],
         )
@@ -217,7 +259,7 @@ class TestMaxFailures:
     ):
         monkeypatch.setattr(
             "repro.runtime.workloads.campaign_specs",
-            lambda experiment, backend="scalar": [
+            lambda experiment: [
                 JobSpec(kind="test.cli_fail", seed=i) for i in range(3)
             ],
         )

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: the vectorized batch engine vs the scalar oracle.
+"""Equivalence: the vectorized batch engine vs the scalar oracle.
 
 The lifetime kernels replicate ``solve_offload`` arithmetic operation for
 operation, so every comparison here uses ``==`` / ``np.array_equal`` —
@@ -26,7 +26,6 @@ from repro.batch import (
     offload_bits,
     packet_error_rate,
     point_energies,
-    resolve_backend,
     vectorizable_budget,
 )
 from repro.batch.grid import mode_config_table
@@ -179,7 +178,7 @@ def _scalar_curve(e_tx, e_rx, distances, link_map):
 )
 def test_distance_curve_matches_scalar_on_random_grids(pair, distances):
     """Property: random device pairs and random distance grids (including
-    regions beyond every mode's range, which must be NaN in both backends)
+    regions beyond every mode's range, which must be NaN in both engines)
     agree bit for bit."""
     link_map = LinkMap()
     e_tx = device(pair[0]).battery_wh * JOULES_PER_WATT_HOUR
@@ -269,51 +268,74 @@ def test_bit_error_rate_matches_scalar_across_modulations():
             )
 
 
-def test_resolve_backend_contract():
-    assert resolve_backend("auto", vectorized_ok=True) == "vectorized"
-    assert resolve_backend("auto", vectorized_ok=False) == "scalar"
-    assert resolve_backend("scalar", vectorized_ok=True) == "scalar"
-    assert resolve_backend("vectorized", vectorized_ok=True) == "vectorized"
-    with pytest.raises(ValueError, match="scalar oracle"):
-        resolve_backend(
-            "vectorized", vectorized_ok=False, reason="needs the scalar oracle"
-        )
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("gpu", vectorized_ok=True)
-
-
-def test_analysis_backends_agree_end_to_end():
-    """The user-facing sweeps give identical results whichever backend is
-    forced (the scalar path is the inline oracle here)."""
+def test_analysis_sweeps_match_the_oracle_end_to_end():
+    """The user-facing sweeps give identical results on the batch engine
+    (the default) and on the scalar oracle (an explicit ``link_map``)."""
     from repro.analysis.distance_sweep import distance_gain_curve
-    from repro.analysis.gain_matrix import bluetooth_gain_matrix
+    from repro.analysis.gain_matrix import (
+        best_mode_gain_matrix,
+        bidirectional_gain_matrix,
+        bluetooth_gain_matrix,
+    )
 
-    link_map = LinkMap()
-    vec = bluetooth_gain_matrix(backend="vectorized")
-    sca = bluetooth_gain_matrix(backend="scalar", link_map=link_map)
-    assert np.array_equal(vec.gains, sca.gains)
+    for sweep in (bluetooth_gain_matrix, best_mode_gain_matrix, bidirectional_gain_matrix):
+        assert np.array_equal(sweep().gains, sweep(link_map=LinkMap()).gains)
 
     d = np.linspace(0.0, 40.0, 81)
     cv = distance_gain_curve("Surface Book", "Nexus 6P", distances_m=d)
-    cs = distance_gain_curve(
-        "Surface Book", "Nexus 6P", distances_m=d, link_map=link_map, backend="scalar"
-    )
+    cs = distance_gain_curve("Surface Book", "Nexus 6P", distances_m=d, link_map=LinkMap())
     assert np.array_equal(cv.gains, cs.gains, equal_nan=True)
 
 
-def test_forced_vectorized_with_custom_link_map_raises():
-    from repro.analysis.gain_matrix import bluetooth_gain_matrix
+def test_mode_ber_curves_match_the_oracle():
+    """Fig 13 on the PHY kernels agrees with ``LinkBudget.ber`` point by
+    point (an explicit ``link_map`` runs the oracle)."""
+    from repro.analysis.ber_sweep import mode_ber_curves
 
-    with pytest.raises(ValueError, match="scalar oracle"):
-        bluetooth_gain_matrix(backend="vectorized", link_map=LinkMap())
+    vector = mode_ber_curves()
+    scalar = mode_ber_curves(link_map=LinkMap())
+    assert [c.label for c in vector] == [c.label for c in scalar]
+    for v, s in zip(vector, scalar):
+        assert list(v.ber) == pytest.approx(list(s.ber), rel=PHY_REL_TOL)
 
 
-def test_sensitivity_sweeps_backend_equivalence():
-    from repro.analysis.sensitivity import bluetooth_power_sweep, reader_power_sweep
+def test_reader_comparison_curves_match_the_oracle():
+    """Fig 12 on the PHY kernels agrees with ``LinkBudget.ber``."""
+    from repro.analysis.ber_sweep import reader_comparison_curves
 
-    assert reader_power_sweep(backend="vectorized") == reader_power_sweep(
-        backend="scalar"
+    curves, _ = reader_comparison_curves()
+    profiles = paper_link_profiles()
+    budgets = {
+        "Braidio": profiles[("backscatter", 100_000)],
+        "Commercial": profiles[("as3993", 100_000)],
+    }
+    for curve in curves:
+        budget = budgets[curve.label]
+        oracle = [budget.ber(float(d), 100_000) for d in curve.distances_m]
+        assert list(curve.ber) == pytest.approx(oracle, rel=PHY_REL_TOL)
+
+
+def test_sensitivity_sweeps_match_corner_gain():
+    """Both calibration sweeps equal :func:`corner_gain` per override."""
+    from repro.analysis.sensitivity import (
+        PowerOverrides,
+        bluetooth_power_sweep,
+        corner_gain,
+        reader_power_sweep,
     )
-    assert bluetooth_power_sweep(backend="vectorized") == bluetooth_power_sweep(
-        backend="scalar"
-    )
+
+    assert reader_power_sweep() == [
+        (p, corner_gain(PowerOverrides(backscatter_rx_w=p)))
+        for p in (0.040, 0.054, 0.080, 0.100, 0.129, 0.200)
+    ]
+    expected = []
+    for p in (0.055, 0.0563, 0.060, 0.063, 0.067):
+        overrides = PowerOverrides(bluetooth_w=p)
+        expected.append(
+            (
+                p,
+                corner_gain(overrides),
+                corner_gain(overrides, tx_device="Apple Watch", rx_device="Apple Watch"),
+            )
+        )
+    assert bluetooth_power_sweep() == expected

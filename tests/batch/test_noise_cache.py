@@ -3,8 +3,8 @@
 The cache is keyed on ``(noise model, detector floor, bitrate)`` — never
 on distance — so a 10k-point distance sweep must stay cache-hit after the
 first evaluation per (budget, bitrate), and the bound (4096) must dwarf
-the distinct keys any realistic sweep can produce.  The vectorized
-backend bypasses the cache entirely; that is asserted too.
+the distinct keys any realistic sweep can produce.  The batch engine
+bypasses the cache entirely; that is asserted too.
 """
 
 import numpy as np

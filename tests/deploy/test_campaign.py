@@ -1,7 +1,10 @@
 """Campaign fan-out and the determinism contract of the merged manifest."""
 
+import json
+
 import pytest
 
+from repro.__main__ import main
 from repro.deploy import (
     manifest_json,
     merge_region_reports,
@@ -95,3 +98,43 @@ class TestExporter:
         assert header[:4] == ["scenario", "region", "hub", "channel"]
         assert len(lines) == 1 + 4  # smoke has 4 hubs
         assert (tmp_path / "deploy_smoke_manifest.json").is_file()
+
+
+def _smoke_with(**fields) -> str:
+    return json.dumps({**scenario("smoke").to_dict(), **fields})
+
+
+class TestScenarioFileCli:
+    def test_scenario_file_runs_like_its_catalog_name(self, tmp_path, capsys):
+        path = tmp_path / "smoke.json"
+        path.write_text(scenario("smoke").to_json())
+        assert main(["deploy", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["deploy", "smoke"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == from_file.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "deployment spec must be a mapping, got [1, 2]"),
+            (_smoke_with(devices_per_hub=0), "each hub needs at least one device"),
+            (_smoke_with(classes=[1]), "device class must be a mapping"),
+            (_smoke_with(duration_s=float("nan")), "field 'duration_s' must be finite"),
+        ],
+        ids=["not-json", "not-an-object", "no-devices", "class-not-an-object", "nan-duration"],
+    )
+    def test_bad_scenario_file_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["deploy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: scenario file {str(path)!r}: ")
+        assert message in line
+
+    def test_missing_scenario_is_one_error_line(self, capsys):
+        assert main(["deploy", "no-such-scenario.json"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "neither a known scenario" in line

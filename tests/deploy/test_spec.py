@@ -230,6 +230,15 @@ class TestHardenedParsing:
         with pytest.raises(ValueError, match="'classes' must be a sequence"):
             DeploymentSpec.from_dict({**payload, "classes": "phone"})
 
+    def test_non_mapping_sections_rejected_by_name(self):
+        # A JSON list used to report its items as "unknown field(s)", and
+        # a class entry that is not an object raised a TypeError.
+        with pytest.raises(ValueError, match=r"deployment spec must be a mapping, got \[1, 2\]"):
+            DeploymentSpec.from_json("[1, 2]")
+        payload = _tiny_spec().to_dict()
+        with pytest.raises(ValueError, match="device class must be a mapping, got 1"):
+            DeploymentSpec.from_dict({**payload, "classes": [1]})
+
     def test_missing_required_field_named(self):
         payload = DeviceClass(name="x", device="iPhone 6S").to_dict()
         payload.pop("device")

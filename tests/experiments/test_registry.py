@@ -108,12 +108,6 @@ class TestCampaignRoundTrip:
             parallel.manifest
         )
 
-    def test_vectorized_decomposition_also_builds(self):
-        for experiment in ("fig15", "fig16", "fig17", "fig18"):
-            specs = campaign_specs(experiment, backend="vectorized")
-            assert specs
-            assert len(specs) < len(campaign_specs(experiment))
-
 
 class TestDefValidation:
     def test_export_requires_csv_names(self):
@@ -131,5 +125,5 @@ class TestDefValidation:
         with pytest.raises(ValueError, match="render_variant"):
             ExperimentDef(
                 id="bogus", title="Bogus", kind="report",
-                profile=lambda backend: None, variants=("a",),
+                profile=lambda: None, variants=("a",),
             )

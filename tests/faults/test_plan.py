@@ -26,6 +26,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec(FaultKind.LINK_OUTAGE, start_s=0.1, duration_s=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["start_s", "duration_s", "magnitude"])
+    def test_non_finite_number_names_the_field(self, field, bad):
+        # A NaN onset used to slip past the range checks and break the
+        # canonical sort; NaN/inf magnitudes only failed mid-session.
+        values = {"start_s": 0.1, "duration_s": 0.1, "magnitude": 3.0, field: bad}
+        with pytest.raises(ValueError, match=f"field '{field}' must be finite"):
+            FaultSpec(FaultKind.DEEP_FADE, **values)
+
     def test_window_kind_needs_duration(self):
         with pytest.raises(ValueError):
             FaultSpec(FaultKind.LINK_OUTAGE, start_s=0.1)

@@ -53,6 +53,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="non-negative"):
             _blackout(start=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["start_s", "duration_s", "magnitude"])
+    def test_non_finite_number_names_the_field(self, field, bad):
+        # A NaN onset made a plan's fingerprint depend on textual order,
+        # and NaN/inf surges only failed inside the region job.
+        values = {"start_s": 1.0, "duration_s": 0.5, "magnitude": 6.0, field: bad}
+        with pytest.raises(ValueError, match=f"field '{field}' must be finite"):
+            RegionFaultSpec(kind=RegionFaultKind.NOISE_SURGE, **values)
+
+    def test_non_finite_json_rejected(self):
+        text = RegionFaultPlan.of(_blackout()).to_json().replace(
+            '"start_s":1.0', '"start_s":NaN'
+        )
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="field 'start_s' must be finite"):
+            RegionFaultPlan.from_json(text)
+
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="positive duration"):
             _blackout(duration=0.0)

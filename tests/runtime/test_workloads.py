@@ -35,6 +35,20 @@ class TestSpecBuilders:
         assert specs
         assert len(set(specs)) == len(specs)
 
+    @pytest.mark.parametrize(
+        "experiment, kind, jobs",
+        [
+            ("fig15", "gain.bluetooth", 100),
+            ("fig16", "gain.best_mode", 100),
+            ("fig17", "gain.bidirectional", 100),
+            ("fig18", "gain.distance", 234),
+        ],
+    )
+    def test_gain_sweeps_run_one_job_per_cell(self, experiment, kind, jobs):
+        specs = campaign_specs(experiment)
+        assert len(specs) == jobs
+        assert {s.kind for s in specs} == {kind}
+
     def test_unknown_experiment_raises(self):
         with pytest.raises(ValueError, match="fig15"):
             campaign_specs("fig99")
@@ -42,16 +56,18 @@ class TestSpecBuilders:
 
 class TestRunnersMatchInlinePaths:
     def test_matrix_engine_path_equals_inline_path(self):
-        # Passing an explicit LinkMap forces the pre-engine inline loop;
-        # the default path goes through the campaign engine.  Cells must
-        # be bit-identical.
-        engine = bluetooth_gain_matrix()
+        # Passing an explicit LinkMap runs the inline scalar loop; a
+        # campaign config runs one engine job per cell.  Cells must be
+        # bit-identical.
+        engine = bluetooth_gain_matrix(campaign=CampaignConfig())
         inline = bluetooth_gain_matrix(link_map=LinkMap())
         assert np.array_equal(engine.gains, inline.gains)
 
     def test_distance_engine_path_equals_inline_path(self):
         distances = np.array([0.3, 1.5, 3.0, 100.0])
-        engine = distance_gain_curve("iPhone 6S", "Apple Watch", distances)
+        engine = distance_gain_curve(
+            "iPhone 6S", "Apple Watch", distances, campaign=CampaignConfig()
+        )
         inline = distance_gain_curve(
             "iPhone 6S", "Apple Watch", distances, link_map=LinkMap()
         )
@@ -78,6 +94,7 @@ class TestCampaignEligibility:
             DeviceSpec("Tiny Tag", 0.01, "wearable"),
             DeviceSpec("Big Rig", 50.0, "laptop"),
         )
-        matrix = bluetooth_gain_matrix(devices=customs)
+        matrix = bluetooth_gain_matrix(devices=customs, campaign=CampaignConfig())
         assert matrix.gains.shape == (2, 2)
         assert (matrix.gains >= 1.0 - 1e-9).all()
+        assert np.array_equal(matrix.gains, bluetooth_gain_matrix(devices=customs).gains)
