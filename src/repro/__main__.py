@@ -31,8 +31,9 @@ campaign engine (:mod:`repro.runtime`): figure-level work fans across
 ``--jobs`` worker processes (the only setting that shapes the fleet)
 and completed jobs are cached on disk keyed by content fingerprint +
 calibration version, so a warm re-run skips all simulation (verifiable
-from the printed run manifest's ``cached`` count).  Without workers or
-a cache, ``export`` computes the gain sweeps with the batch engine.  Cached
+from the printed run manifest's ``cached`` count).  ``export`` runs
+engine jobs only with a cache in effect; without one it computes the
+gain sweeps with the batch engine and ignores ``--jobs``.  Cached
 campaigns also keep a write-ahead journal, so a killed sweep continues
 with ``campaign ... --resume`` (bit-identical results; see DESIGN.md
 §10), and ``--max-failures N`` turns a failure storm into an early,
@@ -665,11 +666,12 @@ def main(argv: list[str] | None = None) -> int:
     from .experiments import ExportOptions, export_all, export_experiment
     from .runtime import drain_manifests
 
-    # Per-cell engine jobs pay off only with workers or a cache; otherwise
-    # the batch engine computes the gain sweeps in a few array operations.
+    # Per-cell gain jobs pay off only through a cache: without one the
+    # batch engine runs the gain sweeps faster than workers do.
     config = _campaign_config(args)
-    use_engine = config.n_jobs > 1 or config.cache_dir is not None
-    options = ExportOptions(campaign=config if use_engine else None)
+    options = ExportOptions(
+        campaign=config if config.cache_dir is not None else None
+    )
     drain_manifests()
     if args.experiment == "all":
         for path in export_all(args.directory, options):

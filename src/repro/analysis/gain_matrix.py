@@ -10,8 +10,8 @@ The hundred cells of a matrix are independent simulations.  Each sweep
 picks its engine from its inputs:
 
 * a custom ``link_map`` runs the scalar oracle inline, cell by cell;
-* a :class:`~repro.runtime.CampaignConfig` runs one :mod:`repro.runtime`
-  job per cell (cacheable, resumable, parallel);
+* a :class:`~repro.runtime.CampaignConfig` over catalog devices runs one
+  :mod:`repro.runtime` job per cell (cacheable, resumable, parallel);
 * anything else runs the vectorized batch engine (:mod:`repro.batch`) in
   a few array operations, bit-identical to the oracle.
 """
@@ -113,14 +113,14 @@ def _matrix_gains(
 ) -> np.ndarray:
     if link_map is not None:
         return _matrix_inline(cell, devices)
-    if campaign is None:
-        from ..batch import gain_matrix_grid
-
-        return gain_matrix_grid(job_kind, distance_m, _energies_j(devices))
     # Engine jobs name their devices; workers rebuild them from the catalog.
-    if all(DEVICE_BY_NAME.get(d.name) == d for d in devices):
+    if campaign is not None and all(
+        DEVICE_BY_NAME.get(d.name) == d for d in devices
+    ):
         return _matrix_via_campaign(job_kind, distance_m, devices, campaign)
-    return _matrix_inline(cell, devices)
+    from ..batch import gain_matrix_grid
+
+    return gain_matrix_grid(job_kind, distance_m, _energies_j(devices))
 
 
 def _matrix_inline(

@@ -42,22 +42,39 @@ class TestShowFallback:
 
 
 class TestExportCampaignFlags:
-    def test_parallel_export_matches_serial(self, tmp_path):
+    def test_parallel_export_matches_serial(self, tmp_path, monkeypatch):
+        # A plain export runs the batch engine; a cached one runs per-cell
+        # engine jobs on 2 workers.  Both must write the same bytes.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         assert main(["export", "fig15", str(serial_dir)]) == 0
-        assert main(["export", "fig15", str(parallel_dir), "--jobs", "2"]) == 0
+        assert main([
+            "export", "fig15", str(parallel_dir),
+            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        manifest = json.loads((parallel_dir / "campaign_manifest.json").read_text())
+        assert manifest["n_jobs"] == 2
+        assert manifest["completed"] == 100
         serial_csv = (serial_dir / "fig15_gain_matrix.csv").read_bytes()
         parallel_csv = (parallel_dir / "fig15_gain_matrix.csv").read_bytes()
         assert serial_csv == parallel_csv
 
-    def test_plain_export_runs_the_batch_engine(self, tmp_path, capsys):
-        # Without workers or a cache the gain sweep is one batch-engine
-        # call: no engine job runs, so no engine summary is printed.
-        assert main(["export", "fig15", str(tmp_path / "plain")]) == 0
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_uncached_export_runs_the_batch_engine(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        # Without a cache the gain sweep is one batch-engine call whatever
+        # --jobs says: no engine job runs, so no engine summary is printed.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
+        assert main(["export", "fig15", str(tmp_path), "--jobs", jobs]) == 0
         assert "campaign engine" not in capsys.readouterr().err
-        assert main(["export", "fig15", str(tmp_path / "jobs"), "--jobs", "2"]) == 0
-        assert "campaign engine: 100 jobs" in capsys.readouterr().err
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "export", "fig15", str(tmp_path), "--cache-dir", str(cache_dir),
+            "--no-cache", "--jobs", jobs,
+        ]) == 0
+        assert "campaign engine" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.distance_sweep import distance_gain_curve
 from repro.analysis.gain_matrix import bluetooth_gain_matrix
 from repro.core.regimes import LinkMap
-from repro.runtime.executor import CampaignConfig, run_campaign
+from repro.runtime.executor import CampaignConfig, drain_manifests, run_campaign
 from repro.runtime.jobs import JobSpec
 from repro.experiments import campaignable_ids
 from repro.runtime.workloads import (
@@ -94,7 +94,12 @@ class TestCampaignEligibility:
             DeviceSpec("Tiny Tag", 0.01, "wearable"),
             DeviceSpec("Big Rig", 50.0, "laptop"),
         )
+        drain_manifests()
         matrix = bluetooth_gain_matrix(devices=customs, campaign=CampaignConfig())
+        # Workers rebuild devices from the catalog, so these run no engine
+        # job: the batch engine computes them, equal to the scalar oracle.
+        assert drain_manifests() == []
         assert matrix.gains.shape == (2, 2)
         assert (matrix.gains >= 1.0 - 1e-9).all()
-        assert np.array_equal(matrix.gains, bluetooth_gain_matrix(devices=customs).gains)
+        oracle = bluetooth_gain_matrix(devices=customs, link_map=LinkMap())
+        assert np.array_equal(matrix.gains, oracle.gains)
