@@ -6,7 +6,7 @@ Usage::
     python -m repro show fig15           # print a figure's rows
     python -m repro export fig13 out/    # write one experiment's CSV
     python -m repro export all out/      # write every experiment's CSV
-    python -m repro export fig15 out/ --jobs 4 --cache-dir .cache/
+    python -m repro export all out/ --cache-dir .cache/  # cache deploy regions
     python -m repro campaign fig15 fig18 --jobs 4   # engine-only run
     python -m repro campaign all --cache-dir .cache --resume  # crash-safe continuation
     python -m repro campaign mc-ber --cache-dir .cache \
@@ -26,24 +26,26 @@ decompositions all come from the registered
 :class:`~repro.experiments.registry.ExperimentDef` entries, so adding an
 experiment is one registration (DESIGN.md §13).
 
-The ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags drive the
-campaign engine (:mod:`repro.runtime`): figure-level work fans across
-``--jobs`` worker processes (the only setting that shapes the fleet)
-and completed jobs are cached on disk keyed by content fingerprint +
-calibration version, so a warm re-run skips all simulation (verifiable
-from the printed run manifest's ``cached`` count).  ``export`` runs
-engine jobs only with a cache in effect; without one it computes the
-gain sweeps with the batch engine and ignores ``--jobs``.  Cached
-campaigns also keep a write-ahead journal, so a killed sweep continues
-with ``campaign ... --resume`` (bit-identical results; see DESIGN.md
-§10), and ``--max-failures N`` turns a failure storm into an early,
-non-zero-exit abort.
+The ``--cache-dir`` / ``--no-cache`` flags drive the campaign engine's
+result cache (:mod:`repro.runtime`): completed jobs are cached on disk
+keyed by content fingerprint + calibration version, so a warm re-run
+skips all simulation (verifiable from the printed run manifest's
+``cached`` count).  ``campaign`` and ``deploy`` also take ``--jobs``, the
+worker processes their jobs fan across (the only setting that shapes
+the fleet), and ``--lease-s``, the job timeout.  ``export`` computes the
+gain sweeps with the batch engine; only its two deploy exporters run
+engine jobs, which a cache keeps.  Cached campaigns also keep a
+write-ahead journal, so a killed sweep continues with ``campaign ...
+--resume`` (bit-identical results; see DESIGN.md §10), and
+``--max-failures N`` turns a failure storm into an early, non-zero-exit
+abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -124,8 +126,6 @@ def _profile(experiment: str, top: int, sort: str) -> int:
 
 def _capped_jobs(jobs: int) -> int:
     """Cap a worker request at the machine's CPU count, with a warning."""
-    import os
-
     cpus = os.cpu_count() or 1
     if jobs > cpus:
         print(
@@ -137,17 +137,43 @@ def _capped_jobs(jobs: int) -> int:
     return jobs
 
 
-def _campaign_config(args: argparse.Namespace, seed: int = 0):
+def _campaign_config(args: argparse.Namespace, seed: int):
+    """The ``campaign``/``deploy`` engine config from their flags."""
     from .runtime import CampaignConfig
 
     return CampaignConfig(
         n_jobs=_capped_jobs(args.jobs),
         cache_dir=None if args.no_cache else args.cache_dir,
         campaign_seed=seed,
-        resume=getattr(args, "resume", False),
+        resume=args.resume,
         max_failures=getattr(args, "max_failures", None),
-        timeout_s=getattr(args, "lease_s", None),
+        timeout_s=args.lease_s,
     )
+
+
+def _make_output_dirs(outputs: "dict[str, Path | None]") -> bool:
+    """Create each output file's directory before any work starts, so a
+    long run is not lost to an unwritable path at the end; report the
+    first that cannot be created as one ``error:`` line."""
+    for flag, path in outputs.items():
+        if path is not None and not _make_dir(path.parent, f"{flag} {path}"):
+            return False
+    return True
+
+
+def _make_dir(directory: Path, purpose: str) -> bool:
+    """Create ``directory`` and its parents, or print one ``error:`` line
+    naming it and what it was for."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        print(
+            f"error: cannot create directory '{directory}' for {purpose}: "
+            f"{error.strerror}",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def _summarize_engine_runs(manifest_path: Path | None) -> None:
@@ -252,6 +278,10 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if not _make_output_dirs(
+        {"--manifest": args.manifest, "--results": args.results}
+    ):
+        return 2
     drain_manifests()
     failed = 0
     for experiment in experiments:
@@ -348,6 +378,8 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
     config = _campaign_config(args, seed=spec.seed)
     if _resume_without_cache(config):
         return 2
+    if not _make_output_dirs({"--manifest": args.manifest, "--csv": args.csv}):
+        return 2
     fault_plan = (
         region_fault_plan_for(args.faults, spec)
         if args.faults is not None
@@ -440,7 +472,11 @@ def _metres(value: str) -> float:
     return metres
 
 
-def _add_lease_flag(parser: argparse.ArgumentParser) -> None:
+def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes the engine jobs run on (default 1)",
+    )
     parser.add_argument(
         "--lease-s", type=_positive_seconds, default=30.0, metavar="S",
         help="job timeout in seconds for --jobs runs: a job still running "
@@ -449,11 +485,7 @@ def _add_lease_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for campaign-able experiments (default 1)",
-    )
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
         help="cache campaign job results under DIR (keyed by content "
@@ -531,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     export = subparsers.add_parser("export", help="write CSV output")
     export.add_argument("experiment", choices=sorted(exportable_ids()) + ["all"])
     export.add_argument("directory", type=Path)
-    _add_campaign_flags(export)
+    _add_cache_flags(export)
     profile = subparsers.add_parser(
         "profile",
         help="run one experiment or sweep workload under cProfile and "
@@ -591,8 +623,8 @@ def main(argv: list[str] | None = None) -> int:
         "(byte-identical across serial, --jobs and resumed runs of the "
         "same campaign; exactly one experiment)",
     )
-    _add_campaign_flags(campaign)
-    _add_lease_flag(campaign)
+    _add_cache_flags(campaign)
+    _add_fleet_flags(campaign)
     deploy = subparsers.add_parser(
         "deploy",
         help="simulate a city-scale deployment scenario: partition into "
@@ -635,8 +667,8 @@ def main(argv: list[str] | None = None) -> int:
         help="replay the write-ahead journal under --cache-dir and "
         "re-simulate only regions without a verified result",
     )
-    _add_campaign_flags(deploy)
-    _add_lease_flag(deploy)
+    _add_cache_flags(deploy)
+    _add_fleet_flags(deploy)
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -663,21 +695,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "deploy":
         return _run_deploy_command(args)
 
-    from .experiments import ExportOptions, export_all, export_experiment
-    from .runtime import drain_manifests
+    from .experiments import export_all, export_experiment
+    from .runtime import CampaignConfig, drain_manifests
 
-    # Per-cell gain jobs pay off only through a cache: without one the
-    # batch engine runs the gain sweeps faster than workers do.
-    config = _campaign_config(args)
-    options = ExportOptions(
-        campaign=config if config.cache_dir is not None else None
+    if not _make_dir(args.directory, "the export"):
+        return 2
+    # Only the deploy exporters run engine jobs: a cache keeps their
+    # region results for the next export.
+    config = (
+        None
+        if args.cache_dir is None or args.no_cache
+        else CampaignConfig(cache_dir=args.cache_dir)
     )
     drain_manifests()
     if args.experiment == "all":
-        for path in export_all(args.directory, options):
+        for path in export_all(args.directory, config):
             print(path)
     else:
-        print(export_experiment(args.experiment, args.directory, options))
+        print(export_experiment(args.experiment, args.directory, config))
     manifest_path = (
         args.directory / "campaign_manifest.json"
         if args.cache_dir is not None
@@ -688,4 +723,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+    except BrokenPipeError:
+        # The reader left early (``list | head -1``).  Point stdout at
+        # devnull so the exit flush cannot raise again, and exit 1 as
+        # Python does on EPIPE, without the traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

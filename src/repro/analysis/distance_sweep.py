@@ -11,7 +11,6 @@ collapses to ~1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,9 +18,6 @@ from ..core.regimes import LinkMap
 from ..hardware.battery import JOULES_PER_WATT_HOUR
 from ..hardware.devices import device
 from ..sim.lifetime import bluetooth_unidirectional, braidio_unidirectional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> analysis)
-    from ..runtime import CampaignConfig
 
 #: The device pairs of Fig 18 (each swept in both directions).
 PAPER_PAIRS: tuple[tuple[str, str], ...] = (
@@ -57,14 +53,12 @@ def distance_gain_curve(
     rx_name: str,
     distances_m: np.ndarray | None = None,
     link_map: LinkMap | None = None,
-    campaign: "CampaignConfig | None" = None,
 ) -> DistanceGainCurve:
     """Gain-vs-distance curve for one directed device pair.
 
     A custom ``link_map`` computes inline with the scalar oracle;
-    ``campaign`` runs one :mod:`repro.runtime` job per point; otherwise
-    the vectorized batch engine computes the curve (bit-identical to the
-    oracle).
+    otherwise the vectorized batch engine computes the curve
+    (bit-identical to the oracle).
     """
     if distances_m is None:
         distances_m = np.linspace(0.3, 6.0, 39)
@@ -79,13 +73,6 @@ def distance_gain_curve(
             braidio = braidio_unidirectional(e_tx, e_rx, float(d), link_map).total_bits
             values.append(braidio / bluetooth_unidirectional(e_tx, e_rx))
         gains = np.asarray(values, dtype=float)
-    elif campaign is not None:
-        from ..runtime import run_campaign
-        from ..runtime.workloads import distance_curve_specs
-
-        specs = distance_curve_specs(tx_name, rx_name, distances_m)
-        result = run_campaign(specs, campaign).raise_on_failure()
-        gains = np.asarray([m["gain"] for m in result.metrics], dtype=float)
     else:
         from ..batch import distance_gain_curve_grid
 
@@ -100,11 +87,10 @@ def distance_gain_curve(
 def paper_distance_curves(
     distances_m: np.ndarray | None = None,
     link_map: LinkMap | None = None,
-    campaign: "CampaignConfig | None" = None,
 ) -> list[DistanceGainCurve]:
     """All six directed curves of Fig 18."""
     curves = []
     for a, b in PAPER_PAIRS:
-        curves.append(distance_gain_curve(a, b, distances_m, link_map, campaign))
-        curves.append(distance_gain_curve(b, a, distances_m, link_map, campaign))
+        curves.append(distance_gain_curve(a, b, distances_m, link_map))
+        curves.append(distance_gain_curve(b, a, distances_m, link_map))
     return curves

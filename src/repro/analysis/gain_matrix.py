@@ -7,25 +7,24 @@ dies.  Fig 15 compares against Bluetooth, Fig 16 against the best single
 Braidio mode, Fig 17 repeats Fig 15 with bidirectional traffic.
 
 The hundred cells of a matrix are independent simulations.  Each sweep
-picks its engine from its inputs:
-
-* a custom ``link_map`` runs the scalar oracle inline, cell by cell;
-* a :class:`~repro.runtime.CampaignConfig` over catalog devices runs one
-  :mod:`repro.runtime` job per cell (cacheable, resumable, parallel);
-* anything else runs the vectorized batch engine (:mod:`repro.batch`) in
-  a few array operations, bit-identical to the oracle.
+picks its engine from its inputs: a custom ``link_map`` runs the scalar
+oracle inline, cell by cell; anything else runs the vectorized batch
+engine (:mod:`repro.batch`) in a few array operations, bit-identical to
+the oracle.  ``python -m repro campaign fig15`` runs the same cells as
+per-cell :mod:`repro.runtime` jobs
+(:func:`repro.runtime.workloads.gain_matrix_specs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from ..core.regimes import LinkMap
 from ..hardware.battery import JOULES_PER_WATT_HOUR
-from ..hardware.devices import DEVICE_BY_NAME, DEVICES, DeviceSpec
+from ..hardware.devices import DEVICES, DeviceSpec
 from ..sim.lifetime import (
     best_single_mode_unidirectional,
     bluetooth_bidirectional,
@@ -33,9 +32,6 @@ from ..sim.lifetime import (
     braidio_bidirectional,
     braidio_unidirectional,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> analysis)
-    from ..runtime import CampaignConfig
 
 
 @dataclass(frozen=True)
@@ -87,37 +83,15 @@ def _energies_j(devices: tuple[DeviceSpec, ...]) -> list[float]:
     return [d.battery_wh * JOULES_PER_WATT_HOUR for d in devices]
 
 
-def _matrix_via_campaign(
-    job_kind: str,
-    distance_m: float,
-    devices: tuple[DeviceSpec, ...],
-    campaign: "CampaignConfig",
-) -> np.ndarray:
-    from ..runtime import run_campaign
-    from ..runtime.workloads import gain_matrix_specs
-
-    names = [d.name for d in devices]
-    specs = gain_matrix_specs(job_kind, distance_m, names)
-    result = run_campaign(specs, campaign).raise_on_failure()
-    gains = np.array([m["gain"] for m in result.metrics], dtype=float)
-    return gains.reshape(len(devices), len(devices))
-
-
 def _matrix_gains(
     job_kind: str,
     distance_m: float,
     devices: tuple[DeviceSpec, ...],
     link_map: LinkMap | None,
-    campaign: "CampaignConfig | None",
     cell: Callable[[float, float], float],
 ) -> np.ndarray:
     if link_map is not None:
         return _matrix_inline(cell, devices)
-    # Engine jobs name their devices; workers rebuild them from the catalog.
-    if campaign is not None and all(
-        DEVICE_BY_NAME.get(d.name) == d for d in devices
-    ):
-        return _matrix_via_campaign(job_kind, distance_m, devices, campaign)
     from ..batch import gain_matrix_grid
 
     return gain_matrix_grid(job_kind, distance_m, _energies_j(devices))
@@ -139,7 +113,6 @@ def bluetooth_gain_matrix(
     distance_m: float = 0.3,
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
-    campaign: "CampaignConfig | None" = None,
 ) -> GainMatrix:
     """Fig 15: Braidio over Bluetooth, unidirectional saturated traffic."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -148,9 +121,7 @@ def bluetooth_gain_matrix(
         braidio = braidio_unidirectional(e_tx, e_rx, distance_m, resolved)
         return braidio.total_bits / bluetooth_unidirectional(e_tx, e_rx)
 
-    gains = _matrix_gains(
-        "gain.bluetooth", distance_m, devices, link_map, campaign, cell
-    )
+    gains = _matrix_gains("gain.bluetooth", distance_m, devices, link_map, cell)
     return GainMatrix(devices=devices, gains=gains, kind="bluetooth")
 
 
@@ -158,7 +129,6 @@ def best_mode_gain_matrix(
     distance_m: float = 0.3,
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
-    campaign: "CampaignConfig | None" = None,
 ) -> GainMatrix:
     """Fig 16: Braidio over the best single mode in isolation."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -168,9 +138,7 @@ def best_mode_gain_matrix(
         _, best = best_single_mode_unidirectional(e_tx, e_rx, distance_m, resolved)
         return braidio.total_bits / best
 
-    gains = _matrix_gains(
-        "gain.best_mode", distance_m, devices, link_map, campaign, cell
-    )
+    gains = _matrix_gains("gain.best_mode", distance_m, devices, link_map, cell)
     return GainMatrix(devices=devices, gains=gains, kind="best-mode")
 
 
@@ -178,7 +146,6 @@ def bidirectional_gain_matrix(
     distance_m: float = 0.3,
     devices: tuple[DeviceSpec, ...] = DEVICES,
     link_map: LinkMap | None = None,
-    campaign: "CampaignConfig | None" = None,
 ) -> GainMatrix:
     """Fig 17: Braidio over Bluetooth with equal data in both directions."""
     resolved = link_map if link_map is not None else LinkMap()
@@ -187,7 +154,5 @@ def bidirectional_gain_matrix(
         braidio = braidio_bidirectional(e_a, e_b, distance_m, resolved)
         return braidio.total_bits / bluetooth_bidirectional(e_a, e_b)
 
-    gains = _matrix_gains(
-        "gain.bidirectional", distance_m, devices, link_map, campaign, cell
-    )
+    gains = _matrix_gains("gain.bidirectional", distance_m, devices, link_map, cell)
     return GainMatrix(devices=devices, gains=gains, kind="bidirectional")

@@ -363,61 +363,74 @@ def simulate_hub(
     sim_seed = int(spec.stream(f"hub{global_index}:kernel").integers(2**31))
     sim = Simulator(seed=sim_seed)
     runtime = _build_hub(spec, region, local_index, link_map, sim)
-    plans = runtime.plans
     clients = runtime.clients
     session = runtime.session
-    drivers = runtime.drivers
 
-    baseline: "dict[str, tuple[float, float, int, int]]" = {}
-    hub_baseline: "dict[str, float]" = {}
+    counter_base: "list[tuple[int, int, int]]" = []
+    hub_energy_base: "list[float]" = []
+    client_energy_base: "dict[str, float]" = {}
 
     def snapshot() -> None:
+        counter_base.append(_hub_counters(runtime))
+        hub_energy_base.append(session.hub_metrics.energy_b_j)
         for client in clients:
-            metrics = client.metrics
-            baseline[client.name] = (
-                metrics.energy_a_j,
-                metrics.energy_b_j,
-                metrics.bits_delivered,
-                metrics.packets_attempted,
-            )
-        hub_baseline["bits"] = float(session.hub_metrics.bits_delivered)
-        hub_baseline["packets_delivered"] = float(
-            session.hub_metrics.packets_delivered
-        )
-        hub_baseline["packets_attempted"] = float(
-            session.hub_metrics.packets_attempted
-        )
-        hub_baseline["hub_energy_j"] = session.hub_metrics.energy_b_j
+            client_energy_base[client.name] = client.metrics.energy_a_j
 
     sim.schedule_at(spec.warmup_s, snapshot)
-    for driver in drivers:
+    for driver in runtime.drivers:
         driver.start()
     session.run()
     # Drop the calendar (churn, mobility ticks and packets due past the
     # horizon): it links the kernel to the session in reference cycles,
     # which would keep the whole hub alive until the next GC pass.
     sim.stop()
-    if not baseline:  # warmup_s == horizon corner: snapshot never beat stop
+    if not counter_base:  # warmup_s == horizon corner: snapshot never beat stop
         snapshot()
 
-    bits = session.hub_metrics.bits_delivered - int(hub_baseline["bits"])
-    delivered = session.hub_metrics.packets_delivered - int(
-        hub_baseline["packets_delivered"]
-    )
-    attempted = session.hub_metrics.packets_attempted - int(
-        hub_baseline["packets_attempted"]
-    )
     client_energy = 0.0
     for client in clients:
-        start_a, _, _, _ = baseline[client.name]
-        client_energy += client.metrics.energy_a_j - start_a
-    hub_energy = session.hub_metrics.energy_b_j - hub_baseline["hub_energy_j"]
+        client_energy += client.metrics.energy_a_j - client_energy_base[client.name]
+    hub_energy = session.hub_metrics.energy_b_j - hub_energy_base[0]
+    return _hub_report(
+        spec, region, runtime, link_map, counter_base[0], client_energy, hub_energy
+    )
 
+
+def _hub_counters(runtime: _HubRuntime) -> "tuple[int, int, int]":
+    """A hub's (bits delivered, packets delivered, packets attempted)."""
+    metrics = runtime.session.hub_metrics
+    return (
+        metrics.bits_delivered,
+        metrics.packets_delivered,
+        metrics.packets_attempted,
+    )
+
+
+def _hub_report(
+    spec: DeploymentSpec,
+    region: Region,
+    runtime: _HubRuntime,
+    link_map: LinkMap,
+    counters_at_warmup: "tuple[int, int, int]",
+    client_energy_j: float,
+    hub_energy_j: float,
+) -> "dict[str, object]":
+    """The per-hub report keys both region paths share.
+
+    Counters are the measured window's deltas (now minus
+    ``counters_at_warmup``); each path measures the window's client and
+    hub energy its own way and passes it in.  ``lp_bits`` rides along
+    when the spec solves the fleet LP against ``link_map``.
+    """
+    bits, delivered, attempted = (
+        now - then for now, then in zip(_hub_counters(runtime), counters_at_warmup)
+    )
+    session = runtime.session
     report: "dict[str, object]" = {
-        "hub": global_index,
+        "hub": runtime.global_index,
         "region": region.index,
-        "channel": region.channels[local_index],
-        "devices": len(plans),
+        "channel": region.channels[runtime.local_index],
+        "devices": len(runtime.plans),
         "co_channel_neighbors": runtime.neighbor_count,
         "interfered": runtime.interfered,
         "bits_delivered": int(bits),
@@ -425,15 +438,15 @@ def simulate_hub(
         "packets_attempted": int(attempted),
         "delivery_ratio": (delivered / attempted) if attempted else 1.0,
         "goodput_bps": bits / spec.duration_s,
-        "client_energy_j": client_energy,
-        "hub_energy_j": hub_energy,
+        "client_energy_j": float(client_energy_j),
+        "hub_energy_j": float(hub_energy_j),
         "suspensions": session.churn_suspensions,
         "resumes": session.churn_resumes,
         "suspended_s": session.suspended_time_s,
         "terminated_by": session.hub_metrics.terminated_by,
     }
     if spec.lp_plan:
-        report["lp_bits"] = _lp_upper_bound(spec, plans, link_map)
+        report["lp_bits"] = _lp_upper_bound(spec, runtime.plans, link_map)
     return report
 
 
@@ -938,12 +951,7 @@ def _simulate_region_resilient(
 
     def snapshot() -> None:
         for runtime in runtimes:
-            metrics = runtime.session.hub_metrics
-            counter_base[runtime.local_index] = (
-                metrics.bits_delivered,
-                metrics.packets_delivered,
-                metrics.packets_attempted,
-            )
+            counter_base[runtime.local_index] = _hub_counters(runtime)
             hub_battery_base[runtime.local_index] = (
                 runtime.hub_radio.battery.remaining_j
             )
@@ -966,12 +974,6 @@ def _simulate_region_resilient(
     resilience = coordinator.summarize()
     hubs: "list[dict[str, object]]" = []
     for runtime in runtimes:
-        session = runtime.session
-        metrics = session.hub_metrics
-        bits0, delivered0, attempted0 = counter_base[runtime.local_index]
-        bits = metrics.bits_delivered - bits0
-        delivered = metrics.packets_delivered - delivered0
-        attempted = metrics.packets_attempted - attempted0
         client_energy = sum(
             battery_base[client.name] - client.radio.battery.remaining_j
             for client in runtime.clients
@@ -980,30 +982,14 @@ def _simulate_region_resilient(
             hub_battery_base[runtime.local_index]
             - runtime.hub_radio.battery.remaining_j
         )
-        report: "dict[str, object]" = {
-            "hub": runtime.global_index,
-            "region": region.index,
-            "channel": region.channels[runtime.local_index],
-            "devices": len(runtime.plans),
-            "co_channel_neighbors": runtime.neighbor_count,
-            "interfered": runtime.interfered,
-            "bits_delivered": int(bits),
-            "packets_delivered": int(delivered),
-            "packets_attempted": int(attempted),
-            "delivery_ratio": (delivered / attempted) if attempted else 1.0,
-            "goodput_bps": bits / spec.duration_s,
-            "client_energy_j": float(client_energy),
-            "hub_energy_j": float(hub_energy),
-            "suspensions": session.churn_suspensions,
-            "resumes": session.churn_resumes,
-            "suspended_s": session.suspended_time_s,
-            "terminated_by": metrics.terminated_by,
-            "fault_events": metrics.fault_events,
-            "reboots": metrics.reboots,
-        }
+        report = _hub_report(
+            spec, region, runtime, link_map,
+            counter_base[runtime.local_index], client_energy, hub_energy,
+        )
+        metrics = runtime.session.hub_metrics
+        report["fault_events"] = metrics.fault_events
+        report["reboots"] = metrics.reboots
         report.update(resilience["per_hub"][runtime.local_index])  # type: ignore[index, call-overload]
-        if spec.lp_plan:
-            report["lp_bits"] = _lp_upper_bound(spec, runtime.plans, link_map)
         hubs.append(report)
     region_report = _region_report(spec, region, hubs)
     region_block = dict(resilience["region"])  # type: ignore[arg-type, call-overload]

@@ -20,7 +20,6 @@ from .pipeline import (
 from .registry import (
     CsvTable,
     ExperimentDef,
-    ExportOptions,
     all_experiments,
     campaignable_ids,
     experiment_ids,
@@ -34,7 +33,6 @@ from .registry import (
 __all__ = [
     "CsvTable",
     "ExperimentDef",
-    "ExportOptions",
     "all_experiments",
     "campaignable_ids",
     "capability_rows",

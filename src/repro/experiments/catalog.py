@@ -26,17 +26,18 @@ import numpy as np
 from ..analysis.energy_report import ENERGY_PROFILES
 from ..faults import FAULT_PROFILES
 from .pipeline import write_rows
-from .registry import CsvTable, ExperimentDef, ExportOptions, register
+from .registry import CsvTable, ExperimentDef, register
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..analysis.gain_matrix import GainMatrix
+    from ..runtime import CampaignConfig
     from ..runtime.jobs import JobSpec
 
 
 # --------------------------------------------------------------------------
 # Table and show builders: static tables (Fig 1, Tables 1/2/5)
 
-def _fig1_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig1_tables() -> tuple[CsvTable, ...]:
     from ..analysis.tables import fig1_rows
 
     return (
@@ -48,7 +49,7 @@ def _fig1_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _table1_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _table1_tables() -> tuple[CsvTable, ...]:
     from ..analysis.tables import table1_rows
 
     return (
@@ -60,7 +61,7 @@ def _table1_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _table2_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _table2_tables() -> tuple[CsvTable, ...]:
     from ..analysis.tables import table2_rows
 
     return (
@@ -72,7 +73,7 @@ def _table2_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _table5_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _table5_tables() -> tuple[CsvTable, ...]:
     from ..analysis.tables import table5_rows
 
     return (
@@ -111,7 +112,7 @@ def _show_table5() -> str:
 # --------------------------------------------------------------------------
 # Circuit and PHY figures (Fig 3, 4, 6, 12, 13, 14)
 
-def _fig3_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig3_tables() -> tuple[CsvTable, ...]:
     from ..analysis.charge_pump_fig import charge_pump_figure
 
     result = charge_pump_figure().result
@@ -131,7 +132,7 @@ def _fig3_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _fig4_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig4_tables() -> tuple[CsvTable, ...]:
     from ..analysis.phase_maps import line_profile, phase_cancellation_map
 
     result = phase_cancellation_map(resolution=100)
@@ -150,7 +151,7 @@ def _fig4_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _fig6_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig6_tables() -> tuple[CsvTable, ...]:
     from ..analysis.phase_maps import diversity_comparison
 
     result = diversity_comparison()
@@ -163,7 +164,7 @@ def _fig6_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _fig12_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig12_tables() -> tuple[CsvTable, ...]:
     from ..analysis.ber_sweep import reader_comparison_curves
 
     curves, _ = reader_comparison_curves()
@@ -183,7 +184,7 @@ def _fig12_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
     )
 
 
-def _fig13_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig13_tables() -> tuple[CsvTable, ...]:
     from ..analysis.ber_sweep import mode_ber_curves
 
     curves = mode_ber_curves()
@@ -204,7 +205,7 @@ def _show_fig13() -> str:
     )
 
 
-def _fig14_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig14_tables() -> tuple[CsvTable, ...]:
     from ..analysis.region import region_sweep
 
     rows = [
@@ -245,24 +246,24 @@ def _matrix_table(filename: str, matrix: "GainMatrix") -> CsvTable:
     return CsvTable(filename, header, rows)
 
 
-def _fig15_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig15_tables() -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import bluetooth_gain_matrix
 
-    matrix = bluetooth_gain_matrix(campaign=options.campaign)
+    matrix = bluetooth_gain_matrix()
     return (_matrix_table("fig15_gain_matrix.csv", matrix),)
 
 
-def _fig16_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig16_tables() -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import best_mode_gain_matrix
 
-    matrix = best_mode_gain_matrix(campaign=options.campaign)
+    matrix = best_mode_gain_matrix()
     return (_matrix_table("fig16_vs_best_mode.csv", matrix),)
 
 
-def _fig17_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig17_tables() -> tuple[CsvTable, ...]:
     from ..analysis.gain_matrix import bidirectional_gain_matrix
 
-    matrix = bidirectional_gain_matrix(campaign=options.campaign)
+    matrix = bidirectional_gain_matrix()
     return (_matrix_table("fig17_bidirectional.csv", matrix),)
 
 
@@ -287,10 +288,10 @@ def _matrix_show(experiment_id: str) -> str:
     )
 
 
-def _fig18_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _fig18_tables() -> tuple[CsvTable, ...]:
     from ..analysis.distance_sweep import paper_distance_curves
 
-    curves = paper_distance_curves(campaign=options.campaign)
+    curves = paper_distance_curves()
     header = ["distance_m"] + [c.label for c in curves]
     stacked = np.column_stack(
         [curves[0].distances_m] + [c.gains for c in curves]
@@ -331,7 +332,7 @@ def _mc_ber_campaign() -> "list[JobSpec]":
 # --------------------------------------------------------------------------
 # Energy ledger and fault-injection reports
 
-def _energy_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _energy_tables() -> tuple[CsvTable, ...]:
     from ..analysis.energy_report import breakdown_rows
 
     header, rows = breakdown_rows()
@@ -354,7 +355,7 @@ def _render_energy_variant(
     )
 
 
-def _faults_tables(options: ExportOptions) -> tuple[CsvTable, ...]:
+def _faults_tables() -> tuple[CsvTable, ...]:
     from ..faults import recovery_rows
 
     header, rows = recovery_rows()
@@ -422,14 +423,14 @@ def deployment_hub_rows(manifest: Mapping[str, Any]) -> list[list[object]]:
     return rows
 
 
-def _deploy_export(directory: Path, options: ExportOptions) -> Path:
+def _deploy_export(directory: Path, config: "CampaignConfig | None") -> Path:
     """Per-hub metrics of the ``smoke`` deployment scenario (the tiny
     catalog entry, so ``export all`` stays fast); the merged deployment
     manifest lands next to the CSV.  Use ``python -m repro deploy`` for
     the larger scenarios."""
     from ..deploy import run_deployment, scenario, write_manifest
 
-    run = run_deployment(scenario("smoke"), options.campaign)
+    run = run_deployment(scenario("smoke"), config)
     write_manifest(directory / "deploy_smoke_manifest.json", run.manifest)
     return write_rows(
         directory / "deploy_hubs.csv",
@@ -479,7 +480,9 @@ def deployment_resilience_rows(
     return rows
 
 
-def _deploy_faults_export(directory: Path, options: ExportOptions) -> Path:
+def _deploy_faults_export(
+    directory: Path, config: "CampaignConfig | None"
+) -> Path:
     """Degradation metrics of the ``smoke`` scenario under the
     ``blackout`` chaos profile: hubs go dark mid-run, their devices
     re-associate to neighbor hubs, coverage dips and recovers.  The
@@ -489,7 +492,7 @@ def _deploy_faults_export(directory: Path, options: ExportOptions) -> Path:
 
     spec = scenario("smoke")
     plan = region_fault_plan_for("blackout", spec)
-    run = run_deployment(spec, options.campaign, fault_plan=plan)
+    run = run_deployment(spec, config, fault_plan=plan)
     write_manifest(directory / "deploy_blackout_manifest.json", run.manifest)
     return write_rows(
         directory / "deploy_resilience.csv",
@@ -593,28 +596,28 @@ register(ExperimentDef(
     id="fig15", kind="figure",
     title="Gain matrix: Braidio over Bluetooth",
     tables=_fig15_tables, csv_names=("fig15_gain_matrix.csv",),
-    campaign=lambda: _matrix_campaign("gain.bluetooth"), campaign_aware=True,
+    campaign=lambda: _matrix_campaign("gain.bluetooth"),
     show=lambda: _matrix_show("fig15"),
 ))
 register(ExperimentDef(
     id="fig16", kind="figure",
     title="Gain matrix: Braidio over the best single mode",
     tables=_fig16_tables, csv_names=("fig16_vs_best_mode.csv",),
-    campaign=lambda: _matrix_campaign("gain.best_mode"), campaign_aware=True,
+    campaign=lambda: _matrix_campaign("gain.best_mode"),
     show=lambda: _matrix_show("fig16"),
 ))
 register(ExperimentDef(
     id="fig17", kind="figure",
     title="Gain matrix: bidirectional traffic over Bluetooth",
     tables=_fig17_tables, csv_names=("fig17_bidirectional.csv",),
-    campaign=lambda: _matrix_campaign("gain.bidirectional"), campaign_aware=True,
+    campaign=lambda: _matrix_campaign("gain.bidirectional"),
     show=lambda: _matrix_show("fig17"),
 ))
 register(ExperimentDef(
     id="fig18", kind="figure",
     title="Gain versus distance for the paper's device pairs",
     tables=_fig18_tables, csv_names=("fig18_distance.csv",),
-    campaign=_fig18_campaign, campaign_aware=True,
+    campaign=_fig18_campaign,
 ))
 register(ExperimentDef(
     id="mc-ber", kind="campaign",
@@ -640,14 +643,12 @@ register(ExperimentDef(
     title="City-scale smoke deployment: per-hub metrics + manifest",
     export=_deploy_export,
     csv_names=("deploy_hubs.csv", "deploy_smoke_manifest.json"),
-    campaign_aware=True,
 ))
 register(ExperimentDef(
     id="deploy-faults", kind="scenario",
     title="Smoke deployment under the blackout profile: degradation CSV",
     export=_deploy_faults_export,
     csv_names=("deploy_resilience.csv", "deploy_blackout_manifest.json"),
-    campaign_aware=True,
 ))
 register(ExperimentDef(
     id="sweep-gain-matrix", kind="sweep",

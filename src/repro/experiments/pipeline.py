@@ -14,14 +14,12 @@ from __future__ import annotations
 import csv
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .registry import (
-    ExperimentDef,
-    ExportOptions,
-    all_experiments,
-    get,
-)
+from .registry import ExperimentDef, all_experiments, get
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..runtime import CampaignConfig
 
 
 def write_rows(
@@ -39,12 +37,14 @@ def write_rows(
 def export_experiment(
     experiment_id: str,
     directory: Path,
-    options: "ExportOptions | None" = None,
+    config: "CampaignConfig | None" = None,
 ) -> Path:
     """Write one experiment's CSV output into ``directory``.
 
     Returns the last written path (the primary artifact for multi-file
     exporters, matching the historical ``export_figN`` contract).
+    ``config`` reaches only the custom exporters (the deploy scenarios,
+    whose region jobs it caches); table builders compute inline.
 
     Raises:
         KeyError: for unknown experiment ids.
@@ -52,16 +52,15 @@ def export_experiment(
             profile-only entries such as ``mc-ber``).
     """
     defn = get(experiment_id)
-    options = options if options is not None else ExportOptions()
     if defn.export is not None:
-        return defn.export(directory, options)
+        return defn.export(directory, config)
     if defn.tables is None:
         raise ValueError(
             f"experiment {experiment_id!r} has no exporter "
             f"(exportable ids: {', '.join(_exportable())})"
         )
     path: "Path | None" = None
-    for table in defn.tables(options):
+    for table in defn.tables():
         path = write_rows(directory / table.filename, table.header, table.rows)
     if path is None:
         raise ValueError(f"experiment {experiment_id!r} produced no tables")
@@ -75,16 +74,12 @@ def _exportable() -> tuple[str, ...]:
 
 
 def export_all(
-    directory: Path, options: "ExportOptions | None" = None
+    directory: Path, config: "CampaignConfig | None" = None
 ) -> list[Path]:
-    """Write every exportable experiment's CSVs into ``directory``.
-
-    ``options.campaign`` applies to campaign-aware exporters; the rest
-    run inline as always.
-    """
-    options = options if options is not None else ExportOptions()
+    """Write every exportable experiment's CSVs into ``directory``,
+    passing ``config`` to each as :func:`export_experiment` does."""
     return [
-        export_experiment(defn.id, directory, options)
+        export_experiment(defn.id, directory, config)
         for defn in all_experiments()
         if defn.exportable
     ]

@@ -27,22 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 
 @dataclass(frozen=True)
-class ExportOptions:
-    """Execution options threaded through every exporter hook.
-
-    Hooks consume only what they advertise: ``campaign`` applies when the
-    def is ``campaign_aware``; the rest ignore the options entirely.
-
-    Attributes:
-        campaign: campaign engine config (worker count, cache directory)
-            for exporters that fan work through :mod:`repro.runtime`;
-            ``None`` computes the gain sweeps with the batch engine.
-    """
-
-    campaign: "CampaignConfig | None" = None
-
-
-@dataclass(frozen=True)
 class CsvTable:
     """One declarative CSV output: filename, header, materialized rows."""
 
@@ -52,9 +36,11 @@ class CsvTable:
 
 
 #: Builds an experiment's CSV tables (the declarative exporter form).
-TablesHook = Callable[[ExportOptions], Sequence[CsvTable]]
-#: Full-custom exporter (writes files itself, returns the primary path).
-ExportHook = Callable[[Path, ExportOptions], Path]
+TablesHook = Callable[[], Sequence[CsvTable]]
+#: Full-custom exporter (writes files itself, returns the primary path);
+#: the only exporters that run engine jobs, under the given campaign
+#: config (``None``: the engine's defaults, no cache).
+ExportHook = Callable[[Path, "CampaignConfig | None"], Path]
 #: Campaign decomposition: the experiment's engine job list.
 CampaignHook = Callable[[], "list[JobSpec]"]
 #: Purpose-built ``show`` renderer (None falls back to the CSV dump).
@@ -84,7 +70,6 @@ class ExperimentDef:
             and the CI export smoke check.
         campaign: builds the engine :class:`~repro.runtime.jobs.JobSpec`
             list for ``python -m repro campaign <id>``.
-        campaign_aware: exporter honours ``ExportOptions.campaign``.
         show: purpose-built text renderer for ``show <id>``; when absent
             the pipeline dumps the exporter's CSVs.
         profile: sweep workload for ``profile <id>`` (no CSV); when absent
@@ -101,7 +86,6 @@ class ExperimentDef:
     export: "ExportHook | None" = None
     csv_names: tuple[str, ...] = ()
     campaign: "CampaignHook | None" = None
-    campaign_aware: bool = False
     show: "ShowHook | None" = None
     profile: "ProfileHook | None" = None
     variants: tuple[str, ...] = ()

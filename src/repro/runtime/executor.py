@@ -187,7 +187,7 @@ class CampaignError(RuntimeError):
 # Manifest registry.
 #
 # The CLI uses this to surface telemetry from campaigns that run behind
-# library calls (e.g. ``export fig15 --jobs 4``) without threading a
+# library calls (e.g. ``export deploy --cache-dir``) without threading a
 # collector through every analysis signature.  Campaigns *claim a slot* at
 # start and fill it at completion, so concurrent campaigns (threaded
 # callers) drain in deterministic start order, protected by a lock.

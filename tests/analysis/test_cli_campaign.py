@@ -8,7 +8,6 @@ import re
 import pytest
 
 from repro.__main__ import _progress_printer, main
-from repro.experiments import all_experiments, get
 from repro.runtime.jobs import JobSpec, register_job_runner
 from repro.runtime.progress import CampaignProgress
 
@@ -42,39 +41,47 @@ class TestShowFallback:
 
 
 class TestExportCampaignFlags:
-    def test_parallel_export_matches_serial(self, tmp_path, monkeypatch):
-        # A plain export runs the batch engine; a cached one runs per-cell
-        # engine jobs on 2 workers.  Both must write the same bytes.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        assert main(["export", "fig15", str(serial_dir)]) == 0
-        assert main([
-            "export", "fig15", str(parallel_dir),
-            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        manifest = json.loads((parallel_dir / "campaign_manifest.json").read_text())
-        assert manifest["n_jobs"] == 2
-        assert manifest["completed"] == 100
-        serial_csv = (serial_dir / "fig15_gain_matrix.csv").read_bytes()
-        parallel_csv = (parallel_dir / "fig15_gain_matrix.csv").read_bytes()
-        assert serial_csv == parallel_csv
+    #: What `export deploy` writes; its smoke regions are the only engine
+    #: jobs an export runs.
+    DEPLOY_FILES = ("deploy_hubs.csv", "deploy_smoke_manifest.json")
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_uncached_export_runs_the_batch_engine(
-        self, tmp_path, monkeypatch, capsys, jobs
-    ):
-        # Without a cache the gain sweep is one batch-engine call whatever
-        # --jobs says: no engine job runs, so no engine summary is printed.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs caps at CPUs
-        assert main(["export", "fig15", str(tmp_path), "--jobs", jobs]) == 0
-        assert "campaign engine" not in capsys.readouterr().err
+    def _export_deploy(self, out_dir, *flags):
+        assert main(["export", "deploy", str(out_dir), *flags]) == 0
+        return [(out_dir / name).read_bytes() for name in self.DEPLOY_FILES]
+
+    def test_cached_export_matches_plain(self, tmp_path, capsys):
+        # A plain export and a cold and a warm cached one write the same
+        # bytes; the warm one serves every region job from the cache.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        plain = self._export_deploy(tmp_path / "plain")
+        cold = self._export_deploy(tmp_path / "cold", *cache)
+        warm = self._export_deploy(tmp_path / "warm", *cache)
+        assert plain == cold == warm
+        assert "2 jobs (0 run, 2 cached, 0 failed)" in capsys.readouterr().err
+        cold_run, warm_run = (
+            json.loads((tmp_path / run / "campaign_manifest.json").read_text())
+            for run in ("cold", "warm")
+        )
+        assert cold_run["completed"] == cold_run["total"] == 2
+        assert warm_run["cached"] == warm_run["total"] == 2
+        assert warm_run["completed"] == 0
+
+    def test_no_cache_leaves_cache_dir_empty(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        self._export_deploy(
+            tmp_path / "out", "--cache-dir", str(cache_dir), "--no-cache"
+        )
+        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
+
+    def test_cached_gain_export_runs_no_engine_job(self, tmp_path, capsys):
+        # The gain sweeps run on the batch engine even with a cache at hand.
         cache_dir = tmp_path / "cache"
         assert main([
-            "export", "fig15", str(tmp_path), "--cache-dir", str(cache_dir),
-            "--no-cache", "--jobs", jobs,
+            "export", "fig15", str(tmp_path / "out"), "--cache-dir", str(cache_dir),
         ]) == 0
         assert "campaign engine" not in capsys.readouterr().err
+        assert not (tmp_path / "out" / "campaign_manifest.json").exists()
+        assert not cache_dir.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -90,35 +97,38 @@ class TestExportCampaignFlags:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
-    def test_warm_cache_skips_all_jobs(self, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        cache_dir = tmp_path / "cache"
-        argv = ["export", "fig15", str(out_dir), "--cache-dir", str(cache_dir)]
-        assert main(argv) == 0
-        cold = (out_dir / "fig15_gain_matrix.csv").read_bytes()
-        capsys.readouterr()
-        assert main(argv) == 0
-        capsys.readouterr()
-        warm = (out_dir / "fig15_gain_matrix.csv").read_bytes()
-        assert cold == warm
-        manifest = json.loads((out_dir / "campaign_manifest.json").read_text())
-        assert manifest["cached"] == manifest["total"] == 100
-        assert manifest["completed"] == 0
+    def test_export_jobs_flag_is_gone(self, tmp_path, capsys):
+        # Only `campaign` and `deploy` fan jobs across workers.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["export", "all", str(tmp_path / "out"), "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
-    def test_no_cache_leaves_cache_dir_empty(self, tmp_path):
-        out_dir = tmp_path / "out"
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "export", "fig15", str(out_dir),
-            "--cache-dir", str(cache_dir), "--no-cache",
-        ]) == 0
-        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
 
-    def test_campaign_aware_experiments_are_exportable(self):
-        aware = {d.id for d in all_experiments() if d.campaign_aware}
-        exportable = {d.id for d in all_experiments() if d.exportable}
-        assert aware <= exportable
-        assert get("fig15").campaign_aware
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "fig1", "{F}/out"],
+            ["deploy", "smoke", "--manifest", "{F}/m.json"],
+            ["deploy", "smoke", "--csv", "{F}/c.csv"],
+            ["campaign", "mc-ber", "--results", "{F}/r.json"],
+            ["campaign", "mc-ber", "--manifest", "{F}/m.json"],
+        ],
+    )
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, argv):
+        # F is a regular file, so nothing can be written below it; the run
+        # must not start (no summary on stdout).
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        argv = [arg.replace("{F}", str(blocker)) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert str(blocker) in line
 
 
 class TestCampaignCommand:

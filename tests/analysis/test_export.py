@@ -1,6 +1,10 @@
 """Unit tests for the registry-backed CSV exporters and the CLI runner."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown campaign experiment 'fig99'" in err
         assert "fig15" in err
+
+    @pytest.mark.parametrize("argv", [["list"], ["show", "fig4"]])
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        # `python -m repro list | head -1`: the reader is gone before the
+        # output is.  A pipe whose read end is already closed makes that
+        # deterministic.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

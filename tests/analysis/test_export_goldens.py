@@ -8,9 +8,9 @@ by double-run at capture time).  Any byte drift here is a regression in
 the spec → campaign → export pipeline, not a formatting nit:
 downstream plots and the reproduction report consume these files.
 
-Without a campaign config the gain sweeps (fig15-18) run on the batch
-engine; with one they run as per-cell engine jobs.  Both paths must
-reproduce the same bytes.
+The gain sweeps (fig15-18) run on the batch engine; its per-cell
+counterparts (``campaign fig15``...) are checked against the scalar
+oracle in ``tests/runtime/test_workloads.py``.
 
 Regenerate deliberately (only with a matching analysis-layer change)::
 
@@ -23,8 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExportOptions, export_all, export_experiment, get
-from repro.runtime import CampaignConfig
+from repro.experiments import export_all
 
 GOLDENS = Path(__file__).parent / "goldens" / "export_all.sha256"
 
@@ -57,23 +56,3 @@ class TestExportGoldens:
             "docstring before regenerating"
         )
 
-
-#: The exporters whose sweeps run per-cell engine jobs under a campaign.
-GAIN_SWEEPS = ("fig15", "fig16", "fig17", "fig18")
-
-
-@pytest.fixture(scope="module")
-def exported_per_cell(tmp_path_factory) -> Path:
-    directory = tmp_path_factory.mktemp("export_per_cell")
-    options = ExportOptions(campaign=CampaignConfig())
-    for experiment in GAIN_SWEEPS:
-        export_experiment(experiment, directory, options)
-    return directory
-
-
-class TestPerCellExportGoldens:
-    @pytest.mark.parametrize("experiment", GAIN_SWEEPS)
-    def test_per_cell_jobs_reproduce_the_golden(self, exported_per_cell, experiment):
-        (name,) = get(experiment).csv_names
-        digest = hashlib.sha256((exported_per_cell / name).read_bytes()).hexdigest()
-        assert digest == _parse_goldens()[name]

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.distance_sweep import distance_gain_curve
-from repro.analysis.gain_matrix import bluetooth_gain_matrix
+from repro.analysis.gain_matrix import (
+    best_mode_gain_matrix,
+    bidirectional_gain_matrix,
+    bluetooth_gain_matrix,
+)
 from repro.core.regimes import LinkMap
-from repro.runtime.executor import CampaignConfig, drain_manifests, run_campaign
+from repro.runtime.executor import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec
 from repro.experiments import campaignable_ids
 from repro.runtime.workloads import (
@@ -55,24 +59,33 @@ class TestSpecBuilders:
 
 
 class TestRunnersMatchInlinePaths:
-    def test_matrix_engine_path_equals_inline_path(self):
-        # Passing an explicit LinkMap runs the inline scalar loop; a
-        # campaign config runs one engine job per cell.  Cells must be
+    @pytest.mark.parametrize(
+        "kind, oracle",
+        [
+            ("gain.bluetooth", bluetooth_gain_matrix),
+            ("gain.best_mode", best_mode_gain_matrix),
+            ("gain.bidirectional", bidirectional_gain_matrix),
+        ],
+    )
+    def test_matrix_runner_equals_scalar_oracle(self, kind, oracle):
+        # `campaign fig15`-`fig17` run one engine job per cell; passing an
+        # explicit LinkMap runs the scalar oracle.  Cells must be
         # bit-identical.
-        engine = bluetooth_gain_matrix(campaign=CampaignConfig())
-        inline = bluetooth_gain_matrix(link_map=LinkMap())
-        assert np.array_equal(engine.gains, inline.gains)
+        result = run_campaign(gain_matrix_specs(kind), CampaignConfig())
+        gains = np.array([m["gain"] for m in result.raise_on_failure().metrics])
+        expected = oracle(link_map=LinkMap()).gains
+        assert np.array_equal(gains.reshape(expected.shape), expected)
 
-    def test_distance_engine_path_equals_inline_path(self):
+    def test_distance_runner_equals_scalar_oracle(self):
         distances = np.array([0.3, 1.5, 3.0, 100.0])
-        engine = distance_gain_curve(
-            "iPhone 6S", "Apple Watch", distances, campaign=CampaignConfig()
-        )
-        inline = distance_gain_curve(
+        specs = distance_curve_specs("iPhone 6S", "Apple Watch", distances)
+        result = run_campaign(specs, CampaignConfig()).raise_on_failure()
+        gains = np.array([m["gain"] for m in result.metrics], dtype=float)
+        oracle = distance_gain_curve(
             "iPhone 6S", "Apple Watch", distances, link_map=LinkMap()
         )
-        assert np.array_equal(engine.gains, inline.gains, equal_nan=True)
-        assert math.isnan(engine.gains[-1])
+        assert np.array_equal(gains, oracle.gains, equal_nan=True)
+        assert math.isnan(gains[-1])
 
     def test_montecarlo_runner_uses_derived_rng(self):
         spec = JobSpec.with_params(
@@ -94,11 +107,9 @@ class TestCampaignEligibility:
             DeviceSpec("Tiny Tag", 0.01, "wearable"),
             DeviceSpec("Big Rig", 50.0, "laptop"),
         )
-        drain_manifests()
-        matrix = bluetooth_gain_matrix(devices=customs, campaign=CampaignConfig())
-        # Workers rebuild devices from the catalog, so these run no engine
-        # job: the batch engine computes them, equal to the scalar oracle.
-        assert drain_manifests() == []
+        # Devices outside the catalog have no engine job (workers rebuild
+        # devices by name); the batch engine must equal the scalar oracle.
+        matrix = bluetooth_gain_matrix(devices=customs)
         assert matrix.gains.shape == (2, 2)
         assert (matrix.gains >= 1.0 - 1e-9).all()
         oracle = bluetooth_gain_matrix(devices=customs, link_map=LinkMap())
