@@ -154,9 +154,15 @@ def _campaign_config(args: argparse.Namespace, seed: int):
 def _make_output_dirs(outputs: "dict[str, Path | None]") -> bool:
     """Create each output file's directory before any work starts, so a
     long run is not lost to an unwritable path at the end; report the
-    first that cannot be created as one ``error:`` line."""
+    first path that is a directory, or whose directory cannot be
+    created, as one ``error:`` line."""
     for flag, path in outputs.items():
-        if path is not None and not _make_dir(path.parent, f"{flag} {path}"):
+        if path is None:
+            continue
+        if path.is_dir():
+            print(f"error: {flag} {path} is a directory, not a file", file=sys.stderr)
+            return False
+        if not _make_dir(path.parent, f"{flag} {path}"):
             return False
     return True
 

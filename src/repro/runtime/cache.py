@@ -207,18 +207,30 @@ class ResultCache:
             self._writer.write(b"\n")  # terminate the line a dead writer tore
         return self._writer
 
-    def put(self, spec: JobSpec, metrics: dict) -> None:
-        """Append ``metrics`` for ``spec`` to this process's segment."""
-        entry = {
-            "format": CACHE_FORMAT,
-            "calibration": self._calibration,
-            "campaign_seed": self._campaign_seed,
-            "checksum": metrics_checksum(metrics),
-            "spec": spec.to_dict(),
-            "metrics": metrics,
-        }
-        line = _canonical(entry) + "\n"
-        data = memoryview(line.encode("utf-8"))
+    def put(self, spec: JobSpec, metrics: dict) -> str:
+        """Append ``metrics`` for ``spec`` to this process's segment and
+        return their checksum (:func:`~repro.runtime.journal.metrics_checksum`).
+
+        The metrics are serialized once, for both the checksum and the
+        line; the line is byte for byte the canonical JSON of the entry,
+        whose keys sort as the world, ``checksum``, ``format``,
+        ``metrics``, ``spec``.
+        """
+        payload = _canonical(metrics).encode("utf-8")
+        checksum = hashlib.sha256(payload).hexdigest()
+        data = memoryview(
+            b"".join(
+                (
+                    self._line_prefix,
+                    b'"checksum":"%s","format":%d,"metrics":'
+                    % (checksum.encode("ascii"), CACHE_FORMAT),
+                    payload,
+                    _SPEC_KEY,
+                    _canonical(spec.to_dict()).encode("utf-8"),
+                    b"}\n",
+                )
+            )
+        )
         try:
             writer = self._segment_writer()
             while data:  # one write unless the kernel cuts it short
@@ -226,6 +238,7 @@ class ResultCache:
         except OSError:
             self.close()  # the next writer seals whatever was torn
             raise
+        return checksum
 
     def close(self) -> None:
         """Release this process's segment (safe to call twice).  In a

@@ -9,10 +9,14 @@ per spec, in submission order.  Execution strategy:
 * **cache second** — jobs whose fingerprint is already in the result
   cache (same calibration and campaign seed) are served without running
   anything;
-* **write-ahead journal** — a cached campaign fsyncs every
+* **write-ahead journal** — a cached campaign appends every
   dispatch/done/failed transition to an append-only JSONL file under
-  ``<cache_dir>/journal`` *before* the next state change, so a SIGKILL
-  mid-sweep loses at most the in-flight jobs;
+  ``<cache_dir>/journal`` *before* the next state change (all pending
+  dispatches in one write, each settle after its cache line), so a
+  SIGKILL mid-sweep loses at most the in-flight jobs.  Only the closing
+  ``end`` or ``interrupted`` record is fsynced: an OS crash can lose the
+  newest records with the cache lines they vouch for, and a resume
+  re-runs those jobs;
 * **worker fleet** — with ``n_jobs > 1`` a coordinator forks up to
   ``n_jobs`` workers and dispatches the remaining jobs to them over
   pipes (:mod:`repro.runtime.fleet`).  ``timeout_s`` is the job
@@ -368,22 +372,22 @@ def run_job(spec: JobSpec, config: CampaignConfig, lost: int = 0) -> JobOutcome:
 def _commit(
     outcome: JobOutcome,
     cache: "ResultCache | None",
-    journals: "Iterable[CampaignJournal]",
+    journal: "CampaignJournal | None",
 ) -> None:
     """Persist a fresh outcome: the result to the cache first, then its
-    terminal record to every journal."""
+    terminal record to the journal, with the checksum ``put`` returned."""
     spec = outcome.spec
     if outcome.metrics is not None:
-        if cache is not None:
-            cache.put(spec, outcome.metrics)
-        checksum = metrics_checksum(outcome.metrics)
-        for journal in journals:
-            journal.done(spec, checksum, outcome.attempts, outcome.duration_s)
-    else:
-        for journal in journals:
-            journal.failed(
-                spec, outcome.error or "", outcome.attempts, outcome.duration_s
+        checksum = cache.put(spec, outcome.metrics) if cache is not None else None
+        if journal is not None:
+            journal.done(
+                spec,
+                checksum or metrics_checksum(outcome.metrics),
+                outcome.attempts,
+                outcome.duration_s,
             )
+    elif journal is not None:
+        journal.failed(spec, outcome.error or "", outcome.attempts, outcome.duration_s)
 
 
 def _settle(
@@ -484,8 +488,7 @@ def run_campaign(
         with guard:
             if journal is not None:
                 journal.begin(len(specs), config.campaign_seed, calibration)
-                for _, spec in pending:
-                    journal.dispatched(spec)
+                journal.dispatched(*(spec for _, spec in pending))
             if pending and config.n_jobs > 1 and not ledger.breached:
                 from .fleet import run_fleet
 
@@ -589,14 +592,13 @@ def _run_serial(
     reaches the bound, every remaining job settles as failed without
     executing (bounded-failure early abort).
     """
-    journals = (journal,) if journal is not None else ()
     abort_error = ledger.abort_message() if ledger.breached else None
     for index, spec in pending:
         if abort_error is not None:
             outcome = JobOutcome(spec=spec, status="failed", metrics=None, error=abort_error)
         else:
             outcome = run_job(spec, config, (lost or {}).get(index, 0))
-        _commit(outcome, cache, journals)
+        _commit(outcome, cache, journal)
         _settle(index, outcome, progress, outcomes, ledger)
         if abort_error is None and ledger.breached:
             abort_error = ledger.abort_message()

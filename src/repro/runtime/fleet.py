@@ -6,11 +6,13 @@ pending)`` workers and deals them the pending jobs in submission order,
 each as (job index, lost attempts) over the worker's pipe.  A worker
 runs each job through the executor's retry loop, commits it — the
 result to its own cache segment, then its ``done``/``failed`` record to
-the campaign journal, without fsync — and replies with the outcome,
-metrics included.  The coordinator blocks on the pipes and the workers'
-process sentinels, waking otherwise only at the nearest ``timeout_s``
-deadline of a running job.  It settles each reply and checks the
-failure ledger at once.  A worker that dies mid-job, or is killed for
+the campaign journal through its own descriptor — and replies with the
+outcome, metrics included.  No worker fsyncs: the ``fsync`` after the
+coordinator's closing record flushes every record of the run (DESIGN.md
+§10).  The coordinator blocks on the pipes and the workers' process
+sentinels, waking otherwise only at the nearest ``timeout_s`` deadline
+of a running job.  It settles each reply and checks the failure ledger
+at once.  A worker that dies mid-job, or is killed for
 overrunning the job's deadline, costs that job one attempt: the job is
 re-dispatched — or settles ``presumed hung`` once its lost attempts
 exceed ``max_retries`` — and a replacement worker is forked.
@@ -69,16 +71,12 @@ def _serve(
     """
     for end in inherited:
         end.close()
-    journals = (
-        (CampaignJournal(journal.path, journal.campaign, fsync=False),)
-        if journal is not None
-        else ()
-    )
+    own = CampaignJournal(journal.path, journal.campaign) if journal is not None else None
     try:
         while True:
             position, lost = conn.recv()
             outcome = run_job(pending[position][1], config, lost)
-            _commit(outcome, cache, journals)
+            _commit(outcome, cache, own)
             conn.send(
                 (position, outcome.status, outcome.metrics, outcome.error,
                  outcome.attempts, outcome.duration_s)
@@ -239,7 +237,7 @@ class _Coordinator:
             # run_job does not execute a job whose lost attempts already
             # spend its budget; it reports it presumed hung.
             outcome = run_job(self.pending[position][1], self.config, lost + 1)
-            _commit(outcome, None, (self.journal,) if self.journal is not None else ())
+            _commit(outcome, None, self.journal)
             self.settle(position, outcome)
         else:
             self.queue.appendleft((position, lost + 1))

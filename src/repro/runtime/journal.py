@@ -2,11 +2,15 @@
 
 One append-only JSONL file per campaign records every job lifecycle
 transition (``dispatched`` → ``done`` / ``failed``), framed by ``begin``
-and ``end`` records.  Appends are single ``os.write`` calls on an
-``O_APPEND`` descriptor followed by ``fsync``, so a crash — SIGKILL, OOM,
-power loss — leaves a readable prefix: complete lines survive, at most
-the final line is truncated, and :func:`replay_journal` tolerates exactly
-that.
+and ``end`` records.  Each append is one ``os.write`` of whole lines to
+an ``O_APPEND`` descriptor (repeated only for what a short write left),
+so a process death — SIGKILL, OOM — loses no record it wrote, and a
+crash leaves a readable prefix: complete lines survive, at most the
+final line is truncated, and :func:`replay_journal` tolerates exactly
+that.  A run calls ``fsync`` once, after its closing ``end`` or
+``interrupted`` record, which flushes every record of the run, fleet
+workers' included: a ``done`` record is only as durable as the cache
+line it vouches for, and cache lines are never fsynced (DESIGN.md §10).
 
 The journal is keyed by a **campaign fingerprint** — a content hash of
 the sorted job fingerprints, the campaign seed and the calibration — so
@@ -170,16 +174,11 @@ class CampaignJournal:
         path: journal file (created on first append; parent directories
             are created as needed).
         campaign: campaign fingerprint stamped into every ``begin``.
-        fsync: ``fsync`` settling records; fleet workers' writers skip it
-            (DESIGN.md §10: their records share the kernel's writeback
-            window with the cache entries they describe, and the
-            coordinator's closing record flushes them).
     """
 
-    def __init__(self, path: "Path | str", campaign: str, fsync: bool = True) -> None:
+    def __init__(self, path: "Path | str", campaign: str) -> None:
         self._path = Path(path)
         self._campaign = campaign
-        self._fsync = fsync
         self._fd: "int | None" = None
 
     @property
@@ -196,20 +195,31 @@ class CampaignJournal:
         """Replay whatever this journal already holds on disk."""
         return replay_journal(self._path)
 
-    def _append(self, record: "dict[str, object]", sync: bool = True) -> None:
-        """Write one record as a single atomic ``O_APPEND`` line."""
+    def _append(self, *records: "dict[str, object]") -> None:
+        """Write ``records`` as whole lines with one ``O_APPEND`` write,
+        repeated only for whatever the kernel cut short."""
         if self._fd is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(
                 self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        os.write(self._fd, line.encode("utf-8"))
-        if sync and self._fsync:
-            try:
-                os.fsync(self._fd)
-            except OSError:  # pragma: no cover - fs without fsync support
-                pass
+        data = memoryview(
+            "".join(
+                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                for record in records
+            ).encode("utf-8")
+        )
+        while data:
+            data = data[os.write(self._fd, data):]
+
+    def _sync(self) -> None:
+        """Flush the journal file to disk: the run's one ``fsync``, which
+        also covers the records fleet workers appended through their own
+        descriptors."""
+        try:
+            os.fsync(self._fd)
+        except OSError:  # pragma: no cover - fs without fsync support
+            pass
 
     def begin(self, total: int, campaign_seed: int, calibration: str) -> None:
         """Open a run: journal the campaign identity and job count."""
@@ -224,16 +234,19 @@ class CampaignJournal:
             }
         )
 
-    def dispatched(self, spec: JobSpec) -> None:
-        """Write-ahead: ``spec`` is about to execute."""
+    def dispatched(self, *specs: JobSpec) -> None:
+        """Write-ahead: ``specs`` are about to execute (one record each,
+        all in one append)."""
         self._append(
-            {
-                "event": "dispatched",
-                "job": spec.fingerprint(),
-                "kind": spec.kind,
-                "seed": spec.seed,
-            },
-            sync=False,
+            *(
+                {
+                    "event": "dispatched",
+                    "job": spec.fingerprint(),
+                    "kind": spec.kind,
+                    "seed": spec.seed,
+                }
+                for spec in specs
+            )
         )
 
     def done(
@@ -275,6 +288,7 @@ class CampaignJournal:
         self._append(
             {"event": "interrupted", "reason": reason, "settled": settled}
         )
+        self._sync()
 
     def end(self, completed: int, failed: int, skipped: int) -> None:
         """Close a run with its settlement counts."""
@@ -286,6 +300,7 @@ class CampaignJournal:
                 "skipped": skipped,
             }
         )
+        self._sync()
 
     def close(self) -> None:
         """Release the file descriptor (safe to call twice)."""

@@ -130,6 +130,30 @@ class TestOutputPaths:
         assert line.startswith("error: ")
         assert str(blocker) in line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deploy", "smoke", "--manifest", "{D}"],
+            ["deploy", "smoke", "--csv", "{D}"],
+            ["campaign", "mc-ber", "--results", "{D}"],
+            ["campaign", "mc-ber", "--manifest", "{D}"],
+        ],
+    )
+    def test_directory_output_is_one_error_line(self, tmp_path, capsys, argv):
+        # D is an existing directory, so no file can be written at it; the
+        # run must not start (no summary on stdout).
+        directory = tmp_path / "D"
+        directory.mkdir()
+        flag = argv[2]
+        argv = [arg.replace("{D}", str(directory)) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert flag in line and str(directory) in line
+        assert list(directory.iterdir()) == []
+
 
 class TestCampaignCommand:
     def test_runs_and_prints_manifest(self, capsys):

@@ -2,6 +2,10 @@
 
 import json
 import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.cache import CACHE_FORMAT, ResultCache, calibration_fingerprint
 from repro.runtime.executor import CampaignConfig, run_campaign
@@ -146,6 +150,68 @@ class TestResultCache:
         assert cache.get_verified(_spec(), "deadbeef") is None
         # the entry itself is intact, so it must not be quarantined
         assert cache.get(_spec()) == {"gain": 1.5}
+
+
+_TRICKY_TEXT = st.sampled_from(
+    ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "ünïcødé", "日本", "😀", "\u2028"]
+)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=12), _TRICKY_TEXT
+)
+_KEYS = st.one_of(st.text(max_size=8), _TRICKY_TEXT)
+_METRICS = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)
+        ),
+        max_leaves=16,
+    ),
+    max_size=6,
+)
+
+
+def _canonical_text(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class TestPutBytes:
+    """``put`` serializes the metrics once, yet appends exactly the
+    canonical JSON of the format-3 entry."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        metrics=_METRICS,
+        calibration=st.one_of(st.just(calibration_fingerprint()), _KEYS),
+        campaign_seed=st.integers(0, 2**63),
+        param=st.one_of(st.text(max_size=8), _TRICKY_TEXT),
+    )
+    def test_line_is_the_canonical_entry(self, metrics, calibration, campaign_seed, param):
+        spec = JobSpec.with_params("gain.bluetooth", {"note": param}, tx_device="Apple Watch")
+        with tempfile.TemporaryDirectory() as root:
+            cache = ResultCache(root, calibration=calibration, campaign_seed=campaign_seed)
+            checksum = cache.put(spec, metrics)
+            cache.close()
+            (segment,) = cache.segment_directory.glob("*.jsonl")
+            entry = {
+                "format": CACHE_FORMAT,
+                "calibration": calibration,
+                "campaign_seed": campaign_seed,
+                "checksum": metrics_checksum(metrics),
+                "spec": spec.to_dict(),
+                "metrics": metrics,
+            }
+            assert segment.read_bytes() == (_canonical_text(entry) + "\n").encode("utf-8")
+            assert checksum == metrics_checksum(metrics)
+            fresh = ResultCache(root, calibration=calibration, campaign_seed=campaign_seed)
+            # NaN != NaN, so compare the canonical texts
+            assert _canonical_text(fresh.get(spec)) == _canonical_text(metrics)
+            assert fresh.quarantined() == []
 
 
 class TestQuarantine:

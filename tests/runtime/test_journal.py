@@ -1,8 +1,14 @@
 """Unit tests for the write-ahead campaign journal."""
 
 import json
+import os
 
-from repro.runtime.jobs import JobSpec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.runtime.executor import CampaignConfig, run_campaign
+from repro.runtime.jobs import JobSpec, register_job_runner
 from repro.runtime.journal import (
     CampaignJournal,
     campaign_fingerprint,
@@ -13,6 +19,13 @@ from repro.runtime.journal import (
 
 def _specs(n=3):
     return [JobSpec(kind="test.echo", seed=i) for i in range(n)]
+
+
+@register_job_runner("test.durable_draw")
+def _durable_draw(spec, rng):
+    if spec.param("interrupt") == "yes":
+        raise KeyboardInterrupt
+    return {"seed": spec.seed, "draw": float(rng.random())}
 
 
 class TestChecksum:
@@ -203,3 +216,105 @@ class TestTornWriteFuzz:
             assert set(expected) <= set(replay.done)
             for job, checksum in expected.items():
                 assert replay.done[job] == checksum
+
+
+class TestBatchedDispatch:
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 9), max_size=25), settled=st.integers(0, 25))
+    def test_one_call_replays_like_one_call_per_spec(self, tmp_path_factory, seeds, settled):
+        """``dispatched(*specs)`` writes the lines of one ``dispatched``
+        call per spec, so a replay cannot tell them apart."""
+        specs = [JobSpec(kind="test.echo", seed=seed) for seed in seeds]
+        root = tmp_path_factory.mktemp("batched")
+        batched, single = root / "batched.jsonl", root / "single.jsonl"
+        with CampaignJournal(batched, "fp") as journal:
+            journal.begin(len(specs), 0, "cal")
+            journal.dispatched(*specs)
+            for spec in specs[:settled]:
+                journal.done(spec, "ck")
+        with CampaignJournal(single, "fp") as journal:
+            journal.begin(len(specs), 0, "cal")
+            for spec in specs:
+                journal.dispatched(spec)
+            for spec in specs[:settled]:
+                journal.done(spec, "ck")
+        assert batched.read_bytes() == single.read_bytes()
+        replay = replay_journal(batched)
+        assert replay.dispatched == replay_journal(single).dispatched
+        assert replay.in_flight() == replay_journal(single).in_flight()
+        assert replay.in_flight() == {spec.fingerprint() for spec in specs[settled:]} - {
+            spec.fingerprint() for spec in specs[:settled]
+        }
+
+    def test_no_specs_appends_nothing(self, tmp_path):
+        with CampaignJournal(tmp_path / "j.jsonl", "fp") as journal:
+            journal.begin(0, 0, "cal")
+            size = journal.path.stat().st_size
+            journal.dispatched()
+        assert journal.path.stat().st_size == size
+
+
+class TestDurabilityContract:
+    """A campaign calls ``fsync`` once, after its closing ``end`` or
+    ``interrupted`` record; no other record and no cache line is synced
+    (DESIGN.md §10)."""
+
+    JOBS = 24
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def _specs(self, **params):
+        return [
+            JobSpec.with_params("test.durable_draw", params, seed=seed)
+            for seed in range(self.JOBS)
+        ]
+
+    def test_cached_serial_campaign_fsyncs_once(self, tmp_path, fsyncs):
+        result = run_campaign(self._specs(), CampaignConfig(cache_dir=tmp_path))
+        assert result.manifest.completed == self.JOBS
+        assert len(fsyncs) == 1
+        records = [json.loads(line) for line in open(result.manifest.journal)]
+        assert records[-1]["event"] == "end"
+
+    def test_resumed_campaign_fsyncs_once(self, tmp_path, fsyncs):
+        config = CampaignConfig(cache_dir=tmp_path)
+        run_campaign(self._specs(), config)
+        fsyncs.clear()
+        result = run_campaign(self._specs(), CampaignConfig(cache_dir=tmp_path, resume=True))
+        assert result.manifest.resumed == self.JOBS
+        assert len(fsyncs) == 1
+
+    def test_fleet_coordinator_fsyncs_once(self, tmp_path, fsyncs):
+        result = run_campaign(self._specs(), CampaignConfig(cache_dir=tmp_path, n_jobs=2))
+        assert result.manifest.completed == self.JOBS
+        assert len(fsyncs) == 1
+        replay = replay_journal(result.manifest.journal)
+        assert len(replay.done) == self.JOBS  # the workers' records
+
+    def test_interrupted_campaign_fsyncs_once(self, tmp_path, fsyncs):
+        specs = self._specs()
+        specs[self.JOBS // 2] = JobSpec.with_params(
+            "test.durable_draw", {"interrupt": "yes"}, seed=self.JOBS // 2
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(specs, CampaignConfig(cache_dir=tmp_path))
+        assert len(fsyncs) == 1
+        (journal,) = (tmp_path / "journal").glob("*.jsonl")
+        replay = replay_journal(journal)
+        assert replay.interrupted and replay.finished_runs == 0
+        assert len(replay.done) == self.JOBS // 2
+
+    def test_uncached_campaign_never_fsyncs(self, fsyncs):
+        result = run_campaign(self._specs(), CampaignConfig())
+        assert result.manifest.completed == self.JOBS
+        assert fsyncs == []
