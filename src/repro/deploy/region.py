@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from ..core.braidio import BraidioRadio
 from ..core.controller import DynamicOffloadController
-from ..core.modes import LinkMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.region import RegionFaultPlan
@@ -520,28 +519,6 @@ class _DeviceHome:
     neighbor_order: "tuple[tuple[float, int], ...]"
 
 
-class _BrownoutGate:
-    """Per-session hook blocking carrier-dependent modes while the
-    hub's carrier is browned out (duck-types the
-    :class:`~repro.faults.injector.FaultInjector` interface the serve
-    loop consults AFTER the link draw, so the link RNG order is
-    untouched)."""
-
-    __slots__ = ("_depth",)
-
-    def __init__(self) -> None:
-        self._depth = 0
-
-    def begin(self) -> None:
-        self._depth += 1
-
-    def end(self) -> None:
-        self._depth -= 1
-
-    def client_blocked(self, name: str, mode: LinkMode) -> bool:
-        return self._depth > 0 and mode is not LinkMode.ACTIVE
-
-
 class HandoffCoordinator:
     """Executes hub-to-hub failover for one region under fault pressure.
 
@@ -584,11 +561,6 @@ class HandoffCoordinator:
         self._runtimes = runtimes
         self._link_map = link_map
         self._rng = rng
-        self._gates = {}
-        for runtime in runtimes:
-            gate = _BrownoutGate()
-            runtime.session.attach_injector(gate)
-            self._gates[runtime.local_index] = gate
         self._devices: "dict[str, _DeviceHome]" = {}
         for runtime in runtimes:
             hx, hy = region.positions_m[runtime.local_index]
@@ -707,11 +679,11 @@ class HandoffCoordinator:
     def begin_brownout(self, local_index: int) -> None:
         """Carrier brownout onset: envelope-detector modes fail on this
         hub (its adopted twins included — they ride the same carrier)."""
-        self._gates[local_index].begin()
+        self._runtimes[local_index].session.begin_brownout()
 
     def end_brownout(self, local_index: int) -> None:
         """Carrier brownout cleared."""
-        self._gates[local_index].end()
+        self._runtimes[local_index].session.end_brownout()
 
     def begin_surge(self, magnitude_db: float, local_index: "int | None" = None) -> None:
         """Noise-floor surge onset: every in-scope link (twins included)

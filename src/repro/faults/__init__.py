@@ -8,7 +8,7 @@ live in :mod:`repro.faults.profiles`.
 """
 
 from .deploy import RegionFaultDriver
-from .injector import HUB_KINDS, FaultInjector
+from .injector import FaultInjector
 from .plan import (
     FAULT_SCHEMA_VERSION,
     FaultKind,
@@ -48,7 +48,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "HUB_KINDS",
     "RECOVERY_FIELDS",
     "REGION_FAULT_PROFILES",
     "REGION_FAULT_SCHEMA_VERSION",

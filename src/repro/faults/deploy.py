@@ -8,7 +8,8 @@ schedules begin/end callbacks on the region's shared kernel.  The
 *mechanics* of surviving the faults — powering hubs down and up,
 orphaning and re-associating devices, blocking carrier modes, shifting
 noise floors — live in
-:class:`~repro.deploy.region.HandoffCoordinator`; the driver only
+:class:`~repro.deploy.region.HandoffCoordinator` and the hub sessions it
+drives; the driver only
 decides *when* each lever is pulled, and pre-samples every churn-storm
 draw at arm time in canonical order so runtime event interleaving can
 never perturb the stream.

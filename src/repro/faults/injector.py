@@ -23,27 +23,15 @@ Determinism contract (DESIGN.md §9):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
 from ..core.modes import LinkMode
 from .plan import FaultKind, FaultPlan, FaultSpec, validate_windows
 from .seeding import fault_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..net.session import HubSession
     from ..sim.session import CommunicationSession
     from ..sim.simulator import Simulator
-
-#: Fault kinds :meth:`FaultInjector.arm_hub` can compile (hub sessions
-#: have no ARQ, no RF switch sharing, and no misreportable pair policy).
-HUB_KINDS = frozenset(
-    {
-        FaultKind.LINK_OUTAGE,
-        FaultKind.CARRIER_DROPOUT,
-        FaultKind.NODE_CRASH,
-        FaultKind.BATTERY_STEP_DRAIN,
-    }
-)
 
 
 class FaultInjector:
@@ -65,7 +53,6 @@ class FaultInjector:
         self._armed = False
         # O(1) hook state, mutated only by scheduled begin/end events.
         self._blocked_depth: Dict[LinkMode, int] = {m: 0 for m in LinkMode}
-        self._client_block: Dict[str, Dict[LinkMode, int]] = {}
         self._ack_corrupt_p = 0.0
         self._stuck_depth = 0
         self._scale_a = 1.0
@@ -83,13 +70,6 @@ class FaultInjector:
     def blocked(self, mode: LinkMode) -> bool:
         """Whether an active fault kills packets of ``mode`` right now."""
         return self._blocked_depth[mode] > 0
-
-    def client_blocked(self, name: str, mode: LinkMode) -> bool:
-        """Hub variant: whether ``name``'s link is dead for ``mode``."""
-        if self._blocked_depth[mode] > 0:
-            return True
-        depths = self._client_block.get(name)
-        return depths is not None and depths[mode] > 0
 
     def corrupt_ack(self) -> bool:
         """Draw whether the current ACK is corrupted (private stream;
@@ -124,26 +104,6 @@ class FaultInjector:
             self._compile_pair(sim, session, spec)
         return self
 
-    def arm_hub(self, session: "HubSession") -> "FaultInjector":
-        """Attach to a hub session (client-scoped faults only).
-
-        Raises:
-            RuntimeError: if the injector is already armed.
-            ValueError: for plan kinds outside :data:`HUB_KINDS`.
-        """
-        unsupported = self._plan.kinds() - HUB_KINDS
-        if unsupported:
-            names = sorted(kind.value for kind in unsupported)
-            raise ValueError(f"hub sessions cannot inject {names}")
-        if self._armed:
-            raise RuntimeError("injector already armed")
-        self._armed = True
-        session.attach_injector(self)
-        sim = session.simulator
-        for spec in self._plan:
-            self._compile_hub(sim, session, spec)
-        return self
-
     # -- compilation -----------------------------------------------------
 
     def _compile_pair(
@@ -154,11 +114,9 @@ class FaultInjector:
         if modes is not None:
             reboot = session if kind is FaultKind.NODE_CRASH else None
             sim.schedule_at(
-                spec.start_s, lambda: self._begin_block(session, spec, modes, None)
+                spec.start_s, lambda: self._begin_block(session, spec, modes)
             )
-            sim.schedule_at(
-                spec.end_s, lambda: self._end_block(spec, modes, None, reboot)
-            )
+            sim.schedule_at(spec.end_s, lambda: self._end_block(spec, modes, reboot))
         elif kind is FaultKind.DEEP_FADE:
             link = session.link
             sim.schedule_at(spec.start_s, lambda: self._begin_fade(session, spec, link))
@@ -177,24 +135,6 @@ class FaultInjector:
         else:  # pragma: no cover - FaultKind is closed
             raise AssertionError(f"unhandled fault kind {kind!r}")
 
-    def _compile_hub(
-        self, sim: "Simulator", session: "HubSession", spec: FaultSpec
-    ) -> None:
-        kind = spec.kind
-        if kind is FaultKind.BATTERY_STEP_DRAIN:
-            sim.schedule_at(spec.start_s, lambda: self._fire_step_drain(session, spec))
-            return
-        modes = spec.blocked_modes()
-        assert modes is not None  # every other HUB_KIND is a blocking fault
-        client = spec.target or None
-        rebooting = session if kind is FaultKind.NODE_CRASH and client else None
-        sim.schedule_at(
-            spec.start_s, lambda: self._begin_block(session, spec, modes, client)
-        )
-        sim.schedule_at(
-            spec.end_s, lambda: self._end_block(spec, modes, client, rebooting)
-        )
-
     # -- event bodies ----------------------------------------------------
 
     def _log(self, spec: FaultSpec, time_s: float, edge: str) -> None:
@@ -208,40 +148,17 @@ class FaultInjector:
     def _clear(self, spec: FaultSpec, time_s: float) -> None:
         self._log(spec, time_s, "end")
 
-    def _begin_block(
-        self, session, spec: FaultSpec, modes: FrozenSet[LinkMode], client: Optional[str]
-    ) -> None:
+    def _begin_block(self, session, spec: FaultSpec, modes: FrozenSet[LinkMode]) -> None:
         self._onset(session, spec)
-        if client is None:
-            for mode in modes:
-                self._blocked_depth[mode] += 1
-        else:
-            depths = self._client_block.setdefault(
-                client, {m: 0 for m in LinkMode}
-            )
-            for mode in modes:
-                depths[mode] += 1
+        for mode in modes:
+            self._blocked_depth[mode] += 1
 
-    def _end_block(
-        self,
-        spec: FaultSpec,
-        modes: FrozenSet[LinkMode],
-        client: Optional[str],
-        rebooting,
-    ) -> None:
-        if client is None:
-            for mode in modes:
-                self._blocked_depth[mode] -= 1
-        else:
-            depths = self._client_block[client]
-            for mode in modes:
-                depths[mode] -= 1
+    def _end_block(self, spec: FaultSpec, modes: FrozenSet[LinkMode], rebooting) -> None:
+        for mode in modes:
+            self._blocked_depth[mode] -= 1
         self._clear(spec, spec.end_s)
         if rebooting is not None:
-            if client is None:
-                rebooting.on_peer_reboot()
-            else:
-                rebooting.on_client_reboot(client)
+            rebooting.on_peer_reboot()
 
     def _begin_fade(self, session, spec: FaultSpec, link) -> None:
         self._onset(session, spec)

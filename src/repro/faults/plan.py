@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a frozen list of :class:`FaultSpec` records — each
 one names a fault kind, a start time, a duration, and kind-specific knobs
-(magnitude, target device/client, mode scope).  Plans are pure data:
+(magnitude, target device, mode scope).  Plans are pure data:
 hashable, JSON-serializable, and carrying a stable content fingerprint,
 so the same plan always derives the same fault RNG stream and the same
 campaign cache entry (mirroring :mod:`repro.runtime.jobs`).
@@ -60,7 +60,7 @@ class FaultKind(enum.Enum):
 #: Kinds that are instantaneous events rather than windows.
 _INSTANT_KINDS = frozenset({FaultKind.BATTERY_STEP_DRAIN})
 
-#: Kinds whose ``target`` names a device side ("a"/"b") or hub client.
+#: Kinds whose ``target`` names a device side ("a"/"b").
 _TARGETED_KINDS = frozenset(
     {FaultKind.BATTERY_MISREPORT, FaultKind.BATTERY_STEP_DRAIN, FaultKind.NODE_CRASH}
 )
@@ -78,8 +78,8 @@ class FaultSpec:
             a scale factor for :attr:`FaultKind.BATTERY_MISREPORT`, joules
             for :attr:`FaultKind.BATTERY_STEP_DRAIN`, a probability for
             :attr:`FaultKind.ACK_CORRUPTION`; unused otherwise.
-        target: ledger account name ("a"/"b") or hub client name for the
-            targeted kinds; "" applies to the pair link / both sides.
+        target: ledger account name ("a"/"b") for the targeted kinds; ""
+            applies to the pair link / both sides.
     """
 
     kind: FaultKind
@@ -113,7 +113,7 @@ class FaultSpec:
         if self.kind is FaultKind.BATTERY_STEP_DRAIN and self.magnitude <= 0.0:
             raise ValueError(f"step drain must remove a positive amount, got {self.magnitude!r}")
         if self.kind in _TARGETED_KINDS and not self.target:
-            raise ValueError(f"{self.kind.value} needs a target device/client")
+            raise ValueError(f"{self.kind.value} needs a target device")
 
     @property
     def end_s(self) -> float:
@@ -196,17 +196,9 @@ class FaultPlan:
         """Whether the plan schedules anything at all."""
         return not self.faults
 
-    def kinds(self) -> "frozenset[FaultKind]":
-        """The distinct fault kinds scheduled."""
-        return frozenset(spec.kind for spec in self.faults)
-
     def horizon_s(self) -> float:
         """Time by which every scheduled fault has cleared."""
         return max((spec.end_s for spec in self.faults), default=0.0)
-
-    def targeting(self, target: str) -> "tuple[FaultSpec, ...]":
-        """Specs aimed at one device/client (plus untargeted ones)."""
-        return tuple(s for s in self.faults if s.target in ("", target))
 
     def to_json(self) -> str:
         """Canonical JSON form (stable ordering, version-stamped)."""

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..core.modes import LinkMode
 from ..core.validation import require_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -123,13 +122,6 @@ class RegionFaultSpec:
     def sort_key(self) -> "tuple[float, str, int, float, float]":
         """Canonical ordering: by onset, then kind/hub for stability."""
         return (self.start_s, self.kind.value, self.hub, self.duration_s, self.magnitude)
-
-    def blocked_modes(self) -> "frozenset[LinkMode] | None":
-        """Modes this fault kills while active (``None`` = not a
-        mode-blocking fault)."""
-        if self.kind is RegionFaultKind.HUB_BROWNOUT:
-            return frozenset({LinkMode.BACKSCATTER, LinkMode.PASSIVE})
-        return None
 
     def to_dict(self) -> "dict[str, object]":
         """Primitive form for JSON round-trips."""

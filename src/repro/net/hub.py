@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.modes import LinkMode
 from ..core.regimes import LinkMap
-from ..energy import BudgetLike, EnergyBudget, as_joules
+from ..hardware.battery import JOULES_PER_WATT_HOUR
 from ..hardware.devices import DeviceSpec, device
 from ..hardware.power_models import ModePower
 
@@ -145,11 +145,9 @@ class HubNetwork:
         """The client placements."""
         return self._clients
 
-    def _candidate_points(
-        self, clients: "tuple[ClientPlacement, ...]"
-    ) -> list[list[ModePower]]:
+    def _candidate_points(self) -> list[list[ModePower]]:
         points = []
-        for client in clients:
+        for client in self._clients:
             available = self._link_map.available_powers(client.distance_m)
             if not available:
                 raise ValueError(
@@ -158,61 +156,26 @@ class HubNetwork:
             points.append(available)
         return points
 
-    def plan(
-        self,
-        objective: str = "total",
-        client_budgets: "dict[str, BudgetLike] | None" = None,
-        hub_budget: "BudgetLike | None" = None,
-        exclude: "Sequence[str] | None" = None,
-    ) -> HubPlan:
-        """Solve the fleet allocation.
+    def plan(self, objective: str = "total") -> HubPlan:
+        """Solve the fleet allocation on every device's fresh nameplate
+        battery.
 
         Args:
             objective: "total" (maximize fleet bits) or "maxmin"
                 (maximize the minimum weight-normalized per-client bits).
-            client_budgets: optional per-client energy budgets (name ->
-                joules or :class:`~repro.energy.EnergyBudget`, e.g. a live
-                ledger account's view).  Defaults to each client's fresh
-                nameplate battery.  Only the *planned* (non-excluded)
-                clients need budgets.
-            hub_budget: optional hub energy budget (same forms); defaults
-                to the hub's fresh nameplate battery.
-            exclude: client names to leave out of the allocation — the
-                re-plan path when a client goes dark mid-session; its hub
-                energy is freed for the survivors.
 
         Raises:
-            ValueError: on unknown objectives, out-of-range clients,
-                ``client_budgets`` not covering every planned client, or
-                an ``exclude`` set that leaves no clients (or names
-                unknown clients).
+            ValueError: on unknown objectives or out-of-range clients.
         """
         if objective not in ("total", "maxmin"):
             raise ValueError(f"unknown objective {objective!r}")
-        excluded = set(exclude) if exclude is not None else set()
-        unknown = excluded - {c.name for c in self._clients}
-        if unknown:
-            raise ValueError(f"cannot exclude unknown clients {sorted(unknown)}")
-        clients = tuple(c for c in self._clients if c.name not in excluded)
-        if not clients:
-            raise ValueError("exclusions leave no clients to plan for")
-        points = self._candidate_points(clients)
-        if client_budgets is None:
-            budgets = [EnergyBudget.from_device(c.spec) for c in clients]
-        else:
-            missing = {c.name for c in clients} - set(client_budgets)
-            if missing:
-                raise ValueError(f"missing budgets for clients {sorted(missing)}")
-            budgets = [client_budgets[c.name] for c in clients]
-        energies = [as_joules(b) for b in budgets]
-        if hub_budget is None:
-            hub_budget = EnergyBudget.from_device(self._hub)
-        hub_energy = as_joules(hub_budget)
+        clients = self._clients
+        points = self._candidate_points()
+        energies = [c.spec.battery_wh * JOULES_PER_WATT_HOUR for c in clients]
+        hub_energy = self._hub.battery_wh * JOULES_PER_WATT_HOUR
         if objective == "total":
-            solution = self._solve_total(clients, points, energies, hub_energy)
-        else:
-            solution = self._solve_maxmin(clients, points, energies, hub_energy)
-        return solution
+            return self._solve_total(clients, points, energies, hub_energy)
+        return self._solve_maxmin(clients, points, energies, hub_energy)
 
     def _solve_total(self, clients, points, energies, hub_energy) -> HubPlan:
         from scipy.optimize import linprog

@@ -28,7 +28,6 @@ _TX_AIR = int(ChargeCategory.TX_AIR)
 _RX_AIR = int(ChargeCategory.RX_AIR)
 _CARRIER = int(ChargeCategory.CARRIER)
 _MODE_SWITCH = int(ChargeCategory.MODE_SWITCH)
-_FAULT = int(ChargeCategory.FAULT)
 
 
 @dataclass
@@ -64,14 +63,6 @@ class HubSession:
         max_packets / max_time_s: stop conditions.
         energy_update_interval: packets between battery refreshes pushed
             to each policy.
-        dark_after: consecutive failures before a client is declared dark
-            and its TDMA slots are reclaimed (``None`` — the default —
-            disables dark-client handling entirely, preserving the
-            original behavior bit for bit).
-        max_reprobes: probe packets a dark client gets before it is
-            retired for good.
-        reprobe_interval: served packets between probes of dark clients
-            (defaults to one TDMA round).
     """
 
     def __init__(
@@ -85,9 +76,6 @@ class HubSession:
         max_packets: int | None = None,
         max_time_s: float | None = None,
         energy_update_interval: int = 64,
-        dark_after: int | None = None,
-        max_reprobes: int = 3,
-        reprobe_interval: int | None = None,
     ) -> None:
         if not clients:
             raise ValueError("at least one client required")
@@ -101,12 +89,6 @@ class HubSession:
             raise ValueError("payload must be positive")
         if energy_update_interval <= 0:
             raise ValueError("energy update interval must be positive")
-        if dark_after is not None and dark_after <= 0:
-            raise ValueError("dark-after threshold must be positive")
-        if max_reprobes <= 0:
-            raise ValueError("re-probe budget must be positive")
-        if reprobe_interval is not None and reprobe_interval <= 0:
-            raise ValueError("re-probe interval must be positive")
 
         self._sim = simulator
         self._hub = hub
@@ -126,19 +108,7 @@ class HubSession:
         self._last_mode: dict[str, LinkMode | None] = {c.name: None for c in clients}
         self._exhausted: set[str] = set()
         self._finished = False
-        # Resilience state (inert unless dark_after is set / an injector
-        # is armed — the defaults keep legacy runs bit-identical).
-        self._injector = None
-        self._dark_after = dark_after
-        self._max_reprobes = max_reprobes
-        self._reprobe_interval = (
-            reprobe_interval if reprobe_interval is not None else tdma.round_packets
-        )
         self._base_tdma = tdma
-        self._fail_streak: dict[str, int] = {c.name: 0 for c in clients}
-        self._dark_since: dict[str, float] = {}
-        self._probes_used: dict[str, int] = {}
-        self._since_probe = 0
         # Churn state (deployment simulator): suspended clients keep their
         # batteries and policies but are skipped by the serve loop until
         # resumed.  Unused -> bit-identical to the pre-churn behavior.
@@ -152,7 +122,12 @@ class HubSession:
         # Unused -> bit-identical to the pre-failover behavior.
         self._powered_down = False
         self._down_since = 0.0
-        self._down_chain_broken = False
+        # Set when the serve chain died, or was woken from idle, while the
+        # hub was dark: power_up() owes the hub one chain.
+        self._rearm_on_power_up = False
+        # Carrier brownout depth (deploy-layer faults): while positive,
+        # carrier-dependent packets fail.
+        self._brownout_depth = 0
         self.power_downs = 0
         self.powered_down_s = 0.0
         self.adoptions = 0
@@ -178,21 +153,6 @@ class HubSession:
         return self._finished
 
     @property
-    def simulator(self) -> Simulator:
-        """The event kernel this session schedules on."""
-        return self._sim
-
-    @property
-    def metrics(self) -> SessionMetrics:
-        """Alias for :attr:`hub_metrics` (the injector's uniform view)."""
-        return self.hub_metrics
-
-    @property
-    def dark_clients(self) -> frozenset[str]:
-        """Clients currently declared dark (slots reclaimed)."""
-        return frozenset(self._dark_since)
-
-    @property
     def suspended_clients(self) -> frozenset[str]:
         """Clients currently suspended by churn (asleep or departed)."""
         return frozenset(self._suspended)
@@ -204,8 +164,7 @@ class HubSession:
 
     @property
     def exhausted_clients(self) -> frozenset[str]:
-        """Clients retired for good (dead battery or burned probe
-        budget)."""
+        """Clients retired for good (dead battery)."""
         return frozenset(self._exhausted)
 
     @property
@@ -238,7 +197,8 @@ class HubSession:
         The client rejoins the TDMA rotation and its policy re-plans from
         the *current* batteries and link distance (it kept moving while
         asleep — mobility models are functions of time).  If the whole
-        session idled because everyone was suspended, serving restarts.
+        session idled because everyone was suspended, serving restarts,
+        at once or, on a dark hub, at :meth:`power_up`.
 
         Raises:
             KeyError: for unknown client names.
@@ -258,16 +218,15 @@ class HubSession:
         )
         self._last_mode[name] = None
         self._rebuild_schedule()
-        if self._idle and not self._powered_down:
-            self._idle = False
-            self._sim.schedule_in(0.0, self._serve_packet)
+        self._wake()
 
     def power_down(self) -> None:
         """Blackout: the hub stops serving entirely until :meth:`power_up`.
 
         Clients stay attached (batteries idle, churn timers keep
         running); the in-flight serve chain dies at its next event and
-        :meth:`power_up` re-arms it.  No-op on a finished or
+        :meth:`power_up` re-arms it, as it does a chain that a resume
+        woke from idle during the blackout.  No-op on a finished or
         already-dark session.
         """
         if self._finished or self._powered_down:
@@ -294,9 +253,20 @@ class HubSession:
                 max(self._hub.battery.remaining_j, 1e-12),
             )
             self._last_mode[name] = None
-        if self._down_chain_broken:
-            self._down_chain_broken = False
+        if self._rearm_on_power_up:
+            self._rearm_on_power_up = False
             self._sim.schedule_in(0.0, self._serve_packet)
+
+    def begin_brownout(self) -> None:
+        """Carrier brownout onset: backscatter and passive packets fail
+        until the matching :meth:`end_brownout` (windows nest).  The
+        failure is applied after the link draw, so the link stream
+        advances once per packet either way."""
+        self._brownout_depth += 1
+
+    def end_brownout(self) -> None:
+        """Carrier brownout cleared (one level of nesting)."""
+        self._brownout_depth -= 1
 
     def adopt_client(self, client: HubClient, weight: float = 1.0) -> None:
         """Hub-to-hub handoff: admit a dark neighbor's device mid-run.
@@ -321,7 +291,6 @@ class HubSession:
         self._base_tdma = self._base_tdma.with_client(name, weight)
         self._clients[name] = client
         self._last_mode[name] = None
-        self._fail_streak[name] = 0
         account_a = client.metrics.ledger.account("a")
         account_b = client.metrics.ledger.account("b")
         account_a.bind_battery(client.radio.battery)
@@ -334,9 +303,7 @@ class HubSession:
         )
         self.adoptions += 1
         self._rebuild_schedule()
-        if self._idle:
-            self._idle = False
-            self._sim.schedule_in(0.0, self._serve_packet)
+        self._wake()
 
     def release_client(self, name: str) -> HubClient:
         """Undo an adoption: detach a client and return it.
@@ -356,12 +323,7 @@ class HubSession:
         del self._clients[name]
         self._accounts.pop(name, None)
         self._last_mode.pop(name, None)
-        self._fail_streak.pop(name, None)
-        self._probes_used.pop(name, None)
         self._exhausted.discard(name)
-        went_dark = self._dark_since.pop(name, None)
-        if went_dark is not None:
-            self.hub_metrics.outage_s += self._sim.now_s - went_dark
         suspended_at = self._suspended.pop(name, None)
         if suspended_at is not None:
             asleep_s = self._sim.now_s - suspended_at
@@ -371,50 +333,6 @@ class HubSession:
         self.releases += 1
         self._rebuild_schedule()
         return client
-
-    def attach_injector(self, injector) -> None:
-        """Accept a :class:`~repro.faults.injector.FaultInjector`.
-
-        Raises:
-            RuntimeError: if a different injector is already attached.
-        """
-        if self._injector is not None and self._injector is not injector:
-            raise RuntimeError("session already has an injector attached")
-        self._injector = injector
-
-    def apply_step_drain(self, account: str, joules: float) -> None:
-        """Instantly remove ``joules`` from a client's battery (by client
-        name) or from the shared hub battery (``"hub"``), attributed to
-        the FAULT ledger category."""
-        if account == "hub":
-            self._hub_account.note(_FAULT, joules)
-            try:
-                self._hub.battery.drain_energy(joules)
-            except BatteryEmptyError:
-                self._terminate("battery")
-            return
-        client = self._clients[account]
-        client_account, _ = self._accounts[account]
-        client_account.note(_FAULT, joules)
-        try:
-            client_account.drain(joules)
-        except BatteryEmptyError:
-            self._retire_or_finish(client)
-
-    def on_client_reboot(self, name: str) -> None:
-        """A crashed client came back: restart its policy from current
-        batteries and forget its committed mode."""
-        if self._finished or name in self._exhausted:
-            return
-        client = self._clients[name]
-        client.policy.start(
-            client.link.distance_m,
-            max(client.radio.battery.remaining_j, 1e-12),
-            max(self._hub.battery.remaining_j, 1e-12),
-        )
-        self._last_mode[name] = None
-        client.metrics.reboots += 1
-        self.hub_metrics.reboots += 1
 
     def client(self, name: str) -> HubClient:
         """Look up a client.
@@ -460,9 +378,6 @@ class HubSession:
         if self._powered_down:
             self._powered_down = False
             self.powered_down_s += now - self._down_since
-        for went_dark in self._dark_since.values():
-            self.hub_metrics.outage_s += now - went_dark
-        self._dark_since.clear()
         for name, suspended_at in self._suspended.items():
             asleep_s = now - suspended_at
             self.suspended_time_s += asleep_s
@@ -475,10 +390,9 @@ class HubSession:
             client.metrics.duration_s = now
 
     def _next_live_client(self) -> HubClient | None:
-        # Skip the slots of exhausted clients (their battery died), dark
-        # ones (slots reclaimed but a stale schedule may still name them)
-        # and suspended ones (churn); the schedule rotates among the
-        # survivors.
+        # Skip the slots of exhausted clients (their battery died) and
+        # suspended ones (churn) that a stale schedule may still name;
+        # the schedule rotates among the survivors.
         if self._tdma_recipe is not None:
             base, inactive = self._tdma_recipe
             self._tdma_recipe = None
@@ -486,90 +400,33 @@ class HubSession:
         client_for_packet = self._tdma.client_for_packet
         for _ in range(self._tdma.round_packets):
             name = client_for_packet(self._packet_index)
-            if (
-                name not in self._exhausted
-                and name not in self._dark_since
-                and name not in self._suspended
-            ):
+            if name not in self._exhausted and name not in self._suspended:
                 return self._clients[name]
             self._packet_index += 1
         return None
 
-    # -- dark-client handling (active only when dark_after is set) -------
+    def _wake(self) -> None:
+        # A client came on the air: an idle session serves again, at once
+        # or, on a dark hub, from power_up().
+        if self._idle:
+            self._idle = False
+            if self._powered_down:
+                self._rearm_on_power_up = True
+            else:
+                self._sim.schedule_in(0.0, self._serve_packet)
 
     def _pick_client(self) -> HubClient | None:
-        """The client to serve next: a scheduled live client, or — at the
-        re-probe cadence — a dark one.  Terminates the session (and
-        returns ``None``) when nobody is servable."""
-        if self._dark_since:
-            probe = self._maybe_probe()
-            if probe is not None:
-                return probe
+        """The next scheduled live client.  With none, idles the session
+        while some client is suspended (a resume restarts serving) and
+        terminates it otherwise; returns ``None`` in both cases."""
         client = self._next_live_client()
         if client is not None:
             return client
-        if self._dark_since:
-            probe = self._maybe_probe(force=True)
-            if probe is not None:
-                return probe
         if self._suspended:
-            # Every servable client is suspended by churn (the dark ones
-            # already got their forced probe above): idle until a resume
-            # restarts serving instead of declaring the fleet dead.
             self._idle = True
-            return None
-        self._terminate("link_lost" if self._dark_since else "battery")
+        else:
+            self._terminate("battery")
         return None
-
-    def _maybe_probe(self, force: bool = False) -> HubClient | None:
-        # Per-client exponential spacing: the n-th probe of a dark client
-        # waits reprobe_interval * 2**n served packets, so a bounded probe
-        # budget still spans outages much longer than one TDMA round.
-        out_of_budget = True
-        for name in sorted(self._dark_since):
-            used = self._probes_used.get(name, 0)
-            if used >= self._max_reprobes:
-                continue
-            out_of_budget = False
-            if force or self._since_probe >= self._reprobe_interval * (2 ** used):
-                self._probes_used[name] = used + 1
-                self._since_probe = 0
-                self.hub_metrics.resyncs += 1
-                return self._clients[name]
-        if out_of_budget:
-            # Every dark client burned its probe budget: retire for good.
-            now = self._sim.now_s
-            for name, went_dark in list(self._dark_since.items()):
-                self.hub_metrics.outage_s += now - went_dark
-                del self._dark_since[name]
-                self._exhausted.add(name)
-        return None
-
-    def _note_link_outcome(self, client: HubClient, success: bool) -> None:
-        name = client.name
-        if success:
-            self._fail_streak[name] = 0
-            if name in self._dark_since:
-                self._readmit(client)
-            return
-        streak = self._fail_streak[name] + 1
-        self._fail_streak[name] = streak
-        if name not in self._dark_since and streak >= self._dark_after:
-            self._mark_dark(client)
-
-    def _mark_dark(self, client: HubClient) -> None:
-        self._dark_since[client.name] = self._sim.now_s
-        self._probes_used[client.name] = 0
-        self._rebuild_schedule()
-
-    def _readmit(self, client: HubClient) -> None:
-        went_dark = self._dark_since.pop(client.name)
-        latency = self._sim.now_s - went_dark
-        self.hub_metrics.outage_s += latency
-        if latency > self.hub_metrics.recovery_latency_s:
-            self.hub_metrics.recovery_latency_s = latency
-        self.hub_metrics.recoveries += 1
-        self._rebuild_schedule()
 
     def _rebuild_schedule(self) -> None:
         # Only record the recipe, with the inactive set as of this event;
@@ -577,15 +434,15 @@ class HubSession:
         # burst of churn between two packets then costs one build instead
         # of one per event, and every packet sees exactly the schedule an
         # eager rebuild would have produced.
-        inactive = set(self._dark_since) | self._exhausted | set(self._suspended)
+        inactive = self._exhausted | set(self._suspended)
         if not inactive:
             self._tdma = self._base_tdma
             self._tdma_recipe = None
         elif len(inactive) < len(self._clients):
             # Reclaim the inactive clients' slots for the survivors.
             self._tdma_recipe = (self._base_tdma, inactive)
-        # else: everyone is inactive — keep the last recipe; the probe
-        # path decides whether anyone comes back or the session ends.
+        # else: everyone is inactive — keep the last recipe; the session
+        # idles or ends at its next packet.
 
     def _serve_packet(self) -> None:
         # One call serves a chained run of packets.  After each packet
@@ -593,7 +450,8 @@ class HubSession:
         # every other pending event, so the calendar would pop it next
         # anyway) or schedules it, which ends the run.  Nothing else
         # runs inside a chain, so per-session state that only other
-        # events change is read once per run.
+        # events change (the brownout depth among it) is read once per
+        # run.
         sim = self._sim
         hub_battery = self._hub.battery
         hub_metrics = self.hub_metrics
@@ -602,8 +460,7 @@ class HubSession:
         last_modes = self._last_mode
         clients = self._clients
         exhausted = self._exhausted
-        injector = self._injector
-        dark_after = self._dark_after
+        browned_out = self._brownout_depth > 0
         max_packets = self._max_packets
         update_interval = self._energy_update_interval
         apply_switch_costs = self._apply_switch_costs
@@ -615,7 +472,7 @@ class HubSession:
                 return
             if self._powered_down:
                 # The serve chain dies here; power_up() re-arms exactly one.
-                self._down_chain_broken = True
+                self._rearm_on_power_up = True
                 return
             if max_packets is not None and self._packet_index >= max_packets:
                 self._terminate("packets")
@@ -654,9 +511,9 @@ class HubSession:
             success = client.link.packet_success(
                 mode, bitrate_bps, air_bits, sim.now_s
             )
-            # Fault override AFTER the draw: the link stream consumes
-            # exactly one value per packet with or without an injector.
-            if success and injector is not None and injector.client_blocked(name, mode):
+            # Brownout override AFTER the draw: the link stream consumes
+            # exactly one value per packet with or without a brownout.
+            if success and browned_out and mode is not LinkMode.ACTIVE:
                 success = False
             tx_energy = decision.tx_power_w * duration_s
             rx_energy = decision.rx_power_w * duration_s
@@ -675,11 +532,8 @@ class HubSession:
             metrics.record_packet(mode, payload_bits, success)
             hub_metrics.record_packet(mode, payload_bits, success)
             client.policy.record_outcome(mode, success)
-            if dark_after is not None:
-                self._note_link_outcome(client, success)
 
             self._packet_index += 1
-            self._since_probe += 1
             if self._packet_index % update_interval == 0:
                 # Policies never drain a battery, so the hub level is the
                 # same for every client of the sweep; each client battery

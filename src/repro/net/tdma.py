@@ -112,7 +112,8 @@ class TdmaSchedule:
     def without(self, names: Iterable[str]) -> "TdmaSchedule":
         """A new schedule with ``names`` removed and their air time
         redistributed to the survivors by weight (same round length) —
-        how a hub reclaims the slots of a client that went dark.
+        how a hub reclaims the slots of clients that are suspended,
+        retired or released.
 
         Raises:
             ValueError: if nothing would remain.
@@ -126,7 +127,7 @@ class TdmaSchedule:
     def with_client(self, name: str, weight: float) -> "TdmaSchedule":
         """A new schedule admitting ``name`` at ``weight``, the existing
         clients' air time shrinking proportionally (same round length) —
-        how a hub grants slots to a device it adopts from a dark
+        how a hub grants slots to a device it adopts from a blacked-out
         neighbor during hub-to-hub handoff.
 
         Raises:

@@ -112,19 +112,10 @@ class TestPlanCanonicalForm:
         assert plan.is_empty
         assert len(plan) == 0
         assert plan.horizon_s() == 0.0
-        assert plan.kinds() == frozenset()
 
     def test_horizon_covers_latest_end(self):
         plan = FaultPlan.of(_outage(0.1, 0.5), _outage(0.3, 0.1))
         assert plan.horizon_s() == pytest.approx(0.6)
-
-    def test_targeting_includes_untargeted(self):
-        crash = FaultSpec(
-            FaultKind.NODE_CRASH, start_s=0.2, duration_s=0.1, target="b"
-        )
-        plan = FaultPlan.of(_outage(), crash)
-        assert plan.targeting("b") == plan.faults
-        assert plan.targeting("a") == (_outage(),)
 
 
 class TestSerialization:

@@ -99,17 +99,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive dB"):
             _surge(db=0.0)
 
-    def test_brownout_blocks_carrier_modes(self):
-        from repro.core.modes import LinkMode
-
-        spec = RegionFaultSpec(
-            kind=RegionFaultKind.HUB_BROWNOUT, start_s=0.0, duration_s=1.0, hub=3
-        )
-        assert spec.blocked_modes() == frozenset(
-            {LinkMode.BACKSCATTER, LinkMode.PASSIVE}
-        )
-        assert _blackout().blocked_modes() is None
-
 
 class TestPlanCanonicalForm:
     def test_specs_sorted_by_onset(self):

@@ -1,6 +1,8 @@
 """Unit/integration tests for the packet-level hub session."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.braidio import BraidioRadio
 from repro.core.modes import LinkMode
@@ -22,6 +24,7 @@ def _build_session(
     distances=(0.4, 0.6),
     weights=None,
     seed=0,
+    policy=BraidioPolicy,
     **kwargs,
 ):
     sim = Simulator(seed=seed)
@@ -37,7 +40,7 @@ def _build_session(
                 name=f"c{i}",
                 radio=radio,
                 link=SimulatedLink(link_map, d, sim.rng),
-                policy=BraidioPolicy(),
+                policy=policy(),
             )
         )
     weights = weights or {c.name: 1.0 for c in clients}
@@ -162,6 +165,52 @@ class TestPowerCycle:
         session.run()
         assert session.powered_down_s == pytest.approx(0.1, abs=1e-9)
 
+    def test_resume_during_blackout_of_an_idle_hub_serves_after_reboot(self):
+        # Everyone asleep idles the hub; a client that wakes while the hub
+        # is dark is served once power_up() re-arms the serve chain.
+        sim, _, clients, session = _build_session(max_time_s=1.0)
+        served = lambda: clients[0].metrics.packets_attempted
+        marks = {}
+        for name in ("c0", "c1"):
+            sim.schedule_at(0.1, lambda name=name: session.suspend_client(name))
+        sim.schedule_at(0.2, session.power_down)
+        sim.schedule_at(0.3, lambda: session.resume_client("c0"))
+        sim.schedule_at(0.4, lambda: marks.setdefault("reboot", served()))
+        sim.schedule_at(0.4, session.power_up)
+        session.run()
+        assert served() > marks["reboot"]
+
+
+def _browned_out_run(mode, brownout):
+    sim, _, _, session = _build_session(
+        client_whs=(1e-4, 1e-4),
+        policy=lambda: FixedModePolicy(mode),
+        max_time_s=0.1,
+    )
+    if brownout:
+        sim.schedule_at(0.02, session.begin_brownout)
+        sim.schedule_at(0.03, session.begin_brownout)  # windows nest
+        sim.schedule_at(0.05, session.end_brownout)
+        sim.schedule_at(0.07, session.end_brownout)
+    metrics = session.run()
+    return metrics, sim.rng.bit_generator.state
+
+
+class TestBrownout:
+    @pytest.mark.parametrize("mode", [LinkMode.BACKSCATTER, LinkMode.PASSIVE])
+    def test_carrier_packets_fail_without_moving_the_link_stream(self, mode):
+        plain, plain_rng = _browned_out_run(mode, brownout=False)
+        browned, browned_rng = _browned_out_run(mode, brownout=True)
+        assert browned.packets_attempted == plain.packets_attempted
+        assert browned.packets_delivered < plain.packets_delivered
+        # One link draw per packet, failed by the brownout or not.
+        assert browned_rng == plain_rng
+
+    def test_active_packets_are_untouched(self):
+        plain, _ = _browned_out_run(LinkMode.ACTIVE, brownout=False)
+        browned, _ = _browned_out_run(LinkMode.ACTIVE, brownout=True)
+        assert browned._comparable_state() == plain._comparable_state()
+
 
 class TestAdoptRelease:
     def test_adopted_client_gets_served(self):
@@ -225,7 +274,7 @@ class _EagerRebuildSession(HubSession):
     schedule built at every membership event."""
 
     def _rebuild_schedule(self):
-        inactive = set(self._dark_since) | self._exhausted | set(self._suspended)
+        inactive = self._exhausted | set(self._suspended)
         if not inactive:
             self._tdma = self._base_tdma
         elif len(inactive) < len(self._clients):
@@ -264,6 +313,26 @@ _CHURN = (
 )
 
 
+def _logged_session(sim, weights, log, max_time_s, session_cls=HubSession):
+    """ACTIVE clients at 0.5 m, one per ``weights`` entry, whose packets
+    append (time, client) to ``log``."""
+    hub = BraidioRadio.for_device("iPhone 6S")
+    clients = []
+    for name in weights:
+        radio = BraidioRadio.for_device("Apple Watch")
+        radio.battery = Battery(1e-3)
+        clients.append(
+            HubClient(
+                name=name,
+                radio=radio,
+                link=SimulatedLink(LinkMap(), 0.5, sim.rng),
+                policy=_ServeLog(sim, name, log),
+            )
+        )
+    tdma = TdmaSchedule(weights, round_packets=16)
+    return session_cls(sim, hub, clients, tdma, max_time_s=max_time_s)
+
+
 def _churned_serve_log(session_cls, monkeypatch):
     builds = []
     original_init = TdmaSchedule.__init__
@@ -274,22 +343,9 @@ def _churned_serve_log(session_cls, monkeypatch):
 
     monkeypatch.setattr(TdmaSchedule, "__init__", counting_init)
     sim = Simulator(seed=3)
-    hub = BraidioRadio.for_device("iPhone 6S")
     log = []
-    clients = []
-    for i in range(4):
-        radio = BraidioRadio.for_device("Apple Watch")
-        radio.battery = Battery(1e-3)
-        clients.append(
-            HubClient(
-                name=f"c{i}",
-                radio=radio,
-                link=SimulatedLink(LinkMap(), 0.5, sim.rng),
-                policy=_ServeLog(sim, f"c{i}", log),
-            )
-        )
-    tdma = TdmaSchedule({"c0": 1.0, "c1": 2.0, "c2": 3.0, "c3": 1.0}, round_packets=16)
-    session = session_cls(sim, hub, clients, tdma, max_time_s=0.04)
+    weights = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "c3": 1.0}
+    session = _logged_session(sim, weights, log, 0.04, session_cls)
     for when, kind, name in _CHURN:
         action = session.suspend_client if kind == "suspend" else session.resume_client
         sim.schedule_at(when, lambda action=action, name=name: action(name))
@@ -310,6 +366,95 @@ class TestDeferredRebuild:
         # schedule, then one per burst (T1, T2, T3).
         assert deferred_builds == 4
         assert eager_builds > deferred_builds
+
+
+# Serve-chain property: membership and power events land on a grid of
+# _HORIZON_S / _GRID (15.6 ms) cells, so a cell in which the hub is up
+# and some client is awake spans more than 10 ms and must carry a packet.
+_HORIZON_S = 0.25
+_GRID = 16
+_CELL_S = _HORIZON_S / _GRID
+_AIR_S = (240 + FRAME_OVERHEAD_BITS) / 1e6  # one ACTIVE packet at 1 Mbps
+
+
+def _serve_times(events):
+    """Serve two ACTIVE clients under ``events`` ((cell, kind, client)
+    triples, fired in list order within a cell); returns the packet start
+    times and, per cell, whether the hub was up with some client awake
+    once that cell's events had fired."""
+    sim = Simulator(seed=0)
+    log = []
+    session = _logged_session(sim, {"c0": 1.0, "c1": 1.0}, log, _HORIZON_S)
+    actions = {
+        "suspend": session.suspend_client,
+        "resume": session.resume_client,
+        "power_down": lambda _: session.power_down(),
+        "power_up": lambda _: session.power_up(),
+    }
+    for cell, kind, name in events:
+        action = actions[kind]
+        sim.schedule_at(cell * _CELL_S, lambda action=action, name=name: action(name))
+    session.run()
+
+    up, asleep, serving = True, set(), []
+    fired = sorted(events, key=lambda event: event[0])  # stable: list order
+    for cell in range(_GRID):
+        for _, kind, name in (e for e in fired if e[0] == cell):
+            if kind == "suspend":
+                asleep.add(name)
+            elif kind == "resume":
+                asleep.discard(name)
+            else:
+                up = kind == "power_up"
+        serving.append(up and len(asleep) < 2)
+    return [t for t, _ in log], serving
+
+
+# Sleep windows per client and blackout windows for the hub, as
+# (start cell, length in cells); a window still open at the horizon has
+# no closing event.
+_WINDOWS = st.lists(
+    st.tuples(st.integers(0, _GRID - 1), st.integers(0, _GRID)), max_size=2
+)
+
+
+@st.composite
+def _churn_and_blackouts(draw):
+    events = []
+    for name, (begin, end) in (
+        ("c0", ("suspend", "resume")),
+        ("c1", ("suspend", "resume")),
+        ("c0", ("power_down", "power_up")),
+    ):
+        for start, length in draw(_WINDOWS):
+            events.append((start, begin, name))
+            if start + length < _GRID:
+                events.append((start + length, end, name))
+    # The list order decides the firing order of events in one cell.
+    return draw(st.permutations(events))
+
+
+class TestServeChain:
+    @settings(max_examples=200, deadline=None)
+    @given(_churn_and_blackouts())
+    @example(
+        [
+            (0, "suspend", "c0"),
+            (0, "suspend", "c1"),
+            (8, "power_down", "c0"),
+            (8, "resume", "c0"),
+            (10, "power_up", "c0"),
+        ]
+    )
+    def test_one_chain_never_lost(self, events):
+        times, serving = _serve_times(events)
+        # At most one chain: packets never overlap on the air.
+        assert all(b - a >= _AIR_S * (1 - 1e-9) for a, b in zip(times, times[1:]))
+        # No lost chain: every cell the hub could serve carries a packet.
+        for cell, should_serve in enumerate(serving):
+            if should_serve:
+                start = cell * _CELL_S
+                assert any(start <= t < start + _CELL_S for t in times), cell
 
 
 class TestLpUpperBound:

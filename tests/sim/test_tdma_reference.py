@@ -12,6 +12,7 @@ replaced on weights full of repeats and quota ties.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +157,20 @@ def test_total_is_summed_left_to_right():
     assert sum(weights) != float(np.sum(weights))
     schedule = TdmaSchedule([(f"c{i}", w) for i, w in enumerate(weights)], 34)
     assert [slot.packets for slot in schedule.slots] == _reference_list_split(weights, 34)
+
+
+class TestTdmaReclaim:
+    def test_without_drops_named_clients(self):
+        schedule = TdmaSchedule({"a": 1.0, "b": 3.0}, round_packets=32)
+        reduced = schedule.without(["b"])
+        assert set(reduced.weights) == {"a"}
+        assert reduced.air_time_shares()["a"] == pytest.approx(1.0)
+
+    def test_without_everyone_rejected(self):
+        schedule = TdmaSchedule({"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError):
+            schedule.without(["a", "b"])
+
+    def test_without_unknown_is_noop(self):
+        schedule = TdmaSchedule({"a": 1.0, "b": 1.0}, round_packets=16)
+        assert set(schedule.without(["zz"]).weights) == {"a", "b"}
