@@ -132,6 +132,32 @@ class TestBlackoutHandoff:
         assert sum(h["fault_events"] for h in report["hubs"]) >= 1
 
 
+class TestBrownout:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = _pair_spec()
+        plan = region_fault_plan_for("brownout", spec)
+        region = _single_region(spec)
+        return spec, plan, simulate_region(spec, region), simulate_region(
+            spec, region, plan
+        )
+
+    def test_browned_hub_fails_carrier_packets(self, runs):
+        _, plan, plain, armed = runs
+        browned = next(iter(plan)).hub
+
+        def failures(report):
+            hub = next(h for h in report["hubs"] if h["hub"] == browned)
+            return hub["packets_attempted"] - hub["packets_delivered"]
+
+        assert failures(armed) > failures(plain)
+
+    def test_browned_region_replays_bit_identically(self, runs):
+        spec, plan, _, armed = runs
+        again = simulate_region(spec, _single_region(spec), plan)
+        assert json.dumps(again, sort_keys=True) == json.dumps(armed, sort_keys=True)
+
+
 class TestEveryProfileRuns:
     @pytest.mark.parametrize(
         "profile", [p for p in REGION_FAULT_PROFILES if p != "none"]

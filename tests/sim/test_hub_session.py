@@ -97,6 +97,21 @@ class TestHubSession:
             clients[0].metrics.packets_attempted
         )
 
+    def test_dead_client_is_retired_for_good(self):
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-7, 1e-4),  # c0 dies within ~12 ms on ACTIVE
+            policy=lambda: FixedModePolicy(LinkMode.ACTIVE),
+            max_time_s=0.1,
+        )
+        sim.schedule_at(0.05, lambda: session.suspend_client("c0"))
+        sim.schedule_at(0.06, lambda: session.resume_client("c0"))
+        metrics = session.run()
+        assert metrics.terminated_by == "time"
+        assert session.exhausted_clients == {"c0"}
+        # Churn neither suspends nor brings back a dead client.
+        assert session.churn_suspensions == session.churn_resumes == 0
+        assert clients[0].metrics.suspended_s == 0.0
+
     def test_rejects_mismatched_tdma(self):
         sim = Simulator()
         hub = BraidioRadio.for_device("iPhone 6S")
@@ -180,6 +195,110 @@ class TestPowerCycle:
         session.run()
         assert served() > marks["reboot"]
 
+    def test_resume_after_reboot_of_an_idle_hub_serves(self):
+        # The chain idled before the blackout, so power_up() owes nothing;
+        # the first resume after it restarts serving.
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), max_time_s=0.5
+        )
+        served = lambda: sum(c.metrics.packets_attempted for c in clients)
+        marks = {}
+        for name in ("c0", "c1"):
+            sim.schedule_at(0.1, lambda name=name: session.suspend_client(name))
+        sim.schedule_at(0.15, lambda: marks.setdefault("asleep", served()))
+        sim.schedule_at(0.2, session.power_down)
+        sim.schedule_at(0.3, session.power_up)
+        sim.schedule_at(0.35, lambda: marks.setdefault("rebooted", served()))
+        sim.schedule_at(0.4, lambda: session.resume_client("c1"))
+        session.run()
+        assert marks["asleep"] == marks["rebooted"]  # nobody awake to serve
+        assert clients[1].metrics.packets_attempted > 0
+        assert served() > marks["rebooted"]
+
+    def test_resume_during_blackout_of_a_busy_hub_serves_both_after_reboot(self):
+        # c1 keeps the chain alive until the blackout kills it; c0 wakes
+        # while the hub is dark and joins the one chain power_up() re-arms.
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), max_time_s=0.5
+        )
+        marks = {}
+        sim.schedule_at(0.1, lambda: session.suspend_client("c0"))
+        sim.schedule_at(0.2, session.power_down)
+        sim.schedule_at(0.25, lambda: session.resume_client("c0"))
+        sim.schedule_at(
+            0.3,
+            lambda: marks.setdefault(
+                "reboot", [c.metrics.packets_attempted for c in clients]
+            ),
+        )
+        sim.schedule_at(0.3, session.power_up)
+        session.run()
+        for client, at_reboot in zip(clients, marks["reboot"]):
+            assert client.metrics.packets_attempted > at_reboot
+
+
+class TestHubDeterminism:
+    def test_faulted_hub_run_replays_bit_identically(self):
+        # Churn, a blackout and a brownout overlapping on an adaptive hub.
+        def run():
+            sim, _, clients, session = _build_session(
+                client_whs=(1e-4, 1e-4), max_time_s=0.12
+            )
+            sim.schedule_at(0.02, lambda: session.suspend_client("c1"))
+            sim.schedule_at(0.03, session.begin_brownout)
+            sim.schedule_at(0.04, session.power_down)
+            sim.schedule_at(0.05, lambda: session.resume_client("c1"))
+            sim.schedule_at(0.06, session.power_up)
+            sim.schedule_at(0.08, session.end_brownout)
+            metrics = session.run()
+            return (
+                metrics._comparable_state(),
+                [c.metrics._comparable_state() for c in clients],
+                session.powered_down_s,
+                session.suspended_time_s,
+                sim.rng.bit_generator.state,
+            )
+
+        first = run()
+        assert first[0][3] > 0  # packets were attempted
+        assert run() == first
+
+
+class _OutcomeLog(FixedModePolicy):
+    """Fixed-mode policy that logs (start time, success) for every packet."""
+
+    def __init__(self, sim, mode, log):
+        super().__init__(mode)
+        self._sim, self._log = sim, log
+
+    def record_outcome(self, mode, success):
+        self._log.append((self._sim.now_s, success))
+        super().record_outcome(mode, success)
+
+
+def _outcomes(edges, mode=LinkMode.BACKSCATTER, max_time_s=0.1):
+    """(start time, success) of every packet of a two-client fixed-mode
+    hub, with ``edges`` ((time, session method name) pairs) scheduled."""
+    sim, _, clients, session = _build_session(
+        client_whs=(1e-4, 1e-4), max_time_s=max_time_s
+    )
+    log = []
+    for client in clients:
+        client.policy = _OutcomeLog(sim, mode, log)
+    for when, edge in edges:
+        sim.schedule_at(when, getattr(session, edge))
+    session.run()
+    return log
+
+
+def _assert_failed_exactly_within(browned, plain, begin_s, end_s):
+    """``browned`` sent ``plain``'s packets at the same times, and failed
+    every one that started in [begin_s, end_s) and no other."""
+    assert [t for t, _ in browned] == [t for t, _ in plain]
+    assert any(ok for t, ok in plain if begin_s <= t < end_s)
+    for (t, ok), (_, plain_ok) in zip(browned, plain):
+        assert ok == (plain_ok and not begin_s <= t < end_s), t
+
 
 def _browned_out_run(mode, brownout):
     sim, _, _, session = _build_session(
@@ -210,6 +329,50 @@ class TestBrownout:
         plain, _ = _browned_out_run(LinkMode.ACTIVE, brownout=False)
         browned, _ = _browned_out_run(LinkMode.ACTIVE, brownout=True)
         assert browned._comparable_state() == plain._comparable_state()
+
+    def test_packets_fail_exactly_inside_the_window(self):
+        # Edges are kernel events between serve chains, so the packet
+        # after an edge already sees the new state.
+        browned = _outcomes(((0.02, "begin_brownout"), (0.05, "end_brownout")))
+        _assert_failed_exactly_within(browned, _outcomes(()), 0.02, 0.05)
+
+    def test_nested_windows_fail_until_the_outermost_end(self):
+        browned = _outcomes(
+            (
+                (0.02, "begin_brownout"),
+                (0.03, "begin_brownout"),
+                (0.05, "end_brownout"),
+                (0.07, "end_brownout"),
+            )
+        )
+        _assert_failed_exactly_within(browned, _outcomes(()), 0.02, 0.07)
+
+    def test_reboot_does_not_clear_a_brownout(self):
+        blackout = ((0.03, "power_down"), (0.04, "power_up"))
+        browned = _outcomes(
+            ((0.02, "begin_brownout"), *blackout, (0.06, "end_brownout"))
+        )
+        _assert_failed_exactly_within(browned, _outcomes(blackout), 0.02, 0.06)
+
+    def test_adopted_client_rides_the_browned_carrier(self):
+        def guest_log(brownout):
+            sim, _, _, session = _build_session(
+                client_whs=(1e-4, 1e-4),
+                policy=lambda: FixedModePolicy(LinkMode.ACTIVE),
+                max_time_s=0.1,
+            )
+            log = []
+            guest = _extra_client(sim)
+            guest.policy = _OutcomeLog(sim, LinkMode.BACKSCATTER, log)
+            if brownout:
+                sim.schedule_at(0.01, session.begin_brownout)
+            sim.schedule_at(0.02, lambda: session.adopt_client(guest))
+            session.run()
+            return [ok for _, ok in log]
+
+        assert any(guest_log(brownout=False))
+        browned = guest_log(brownout=True)
+        assert browned and not any(browned)
 
 
 class TestAdoptRelease:

@@ -16,6 +16,20 @@ def _clients():
     ]
 
 
+def _spent_budgets(network, plan):
+    """Per device ("hub" or client name), whether ``plan`` spends its
+    whole nameplate battery."""
+    spent = {
+        "hub": plan.hub_energy_used_j
+        == pytest.approx(network.hub.battery_wh * JOULES_PER_WATT_HOUR, rel=1e-6)
+    }
+    for client in network.clients:
+        budget = client.spec.battery_wh * JOULES_PER_WATT_HOUR
+        used = plan.allocation(client.name).client_energy_j
+        spent[client.name] = used == pytest.approx(budget, rel=1e-6)
+    return spent
+
+
 class TestTdmaSchedule:
     def test_shares_match_weights(self):
         schedule = TdmaSchedule({"a": 1.0, "b": 3.0}, round_packets=128)
@@ -114,6 +128,17 @@ class TestHubNetwork:
             allocation = plan.allocation(client.name)
             budget = client.spec.battery_wh * JOULES_PER_WATT_HOUR
             assert allocation.client_energy_j <= budget * (1 + 1e-6)
+
+    def test_total_optimum_spends_the_nameplate_budgets(self):
+        # Slack in the hub's battery and in some client's would buy that
+        # client more bits, so one side is spent down to its nameplate.
+        network = HubNetwork("iPhone 6S", _clients())
+        spent = _spent_budgets(network, network.plan("total"))
+        assert spent["hub"] or all(spent[c.name] for c in network.clients)
+
+    def test_maxmin_optimum_spends_a_nameplate_budget(self):
+        network = HubNetwork("iPhone 6S", _clients())
+        assert any(_spent_budgets(network, network.plan("maxmin")).values())
 
     def test_bigger_hub_moves_clients_to_backscatter(self):
         # With a laptop hub, the shared battery is plentiful, so clients
