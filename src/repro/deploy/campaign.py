@@ -96,8 +96,8 @@ def merge_region_reports(
         "region_count": len(part.regions),
         "channels": list(part.channels),
         "interference_edges": sorted(list(edge) for edge in part.edges),
-        "warmup_s": spec.warmup_s,
-        "duration_s": spec.duration_s,
+        "warmup_s": float(spec.warmup_s),
+        "duration_s": float(spec.duration_s),
         "bits_delivered": int(sum(r["bits_delivered"] for r in ordered)),  # type: ignore[misc]
         "packets_delivered": int(sum(r["packets_delivered"] for r in ordered)),  # type: ignore[misc]
         "packets_attempted": int(sum(r["packets_attempted"] for r in ordered)),  # type: ignore[misc]

@@ -4,11 +4,11 @@ A :class:`DeploymentSpec` describes an entire deployment as pure data —
 where the hubs sit (grid / poisson / manual), what population of devices
 each hub serves (class mixes of energy-rich phones vs. tiny harvesting
 tags), how long to warm up and measure, and how devices churn (join /
-leave / sleep).  Specs are frozen, JSON round-trippable and carry a
-stable SHA-256 content fingerprint (mirroring
-:mod:`repro.faults.plan` and :mod:`repro.runtime.jobs`), so the same
-scenario always derives the same RNG streams, the same region jobs and
-the same cache entries.
+leave / sleep).  Specs are frozen :class:`~repro.core.records.Record`
+trees: their JSON form, strict parser and stable SHA-256 content
+fingerprint all derive from the dataclass fields, so the same scenario
+always derives the same RNG streams, the same region jobs and the same
+cache entries.
 
 The spec says *what the city looks like*; carving it into independently
 simulable regions is :mod:`repro.deploy.partition`'s job and running one
@@ -18,13 +18,11 @@ region is :mod:`repro.deploy.region`'s.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
-from ..core.validation import require_finite
+from ..core.records import Record, as_pair, as_pairs, as_record, as_records
 from ..hardware.devices import DEVICE_BY_NAME
 from ..runtime.seeding import content_rng
 
@@ -38,85 +36,9 @@ _STRATEGIES = ("grid", "poisson", "manual")
 #: Mobility models :class:`DeviceClass` understands.
 _MOBILITY = ("static", "waypoint")
 
-#: Sentinel distinguishing "field absent" from any real value.
-_MISSING = object()
-
-
-def _reject_unknown(
-    owner: str, data: "Mapping[str, object]", known: "tuple[str, ...]"
-) -> None:
-    """Unknown keys fail loudly — a typo'd field would otherwise silently
-    fall back to its default and fingerprint as a different scenario."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{owner} must be a mapping, got {data!r}")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(
-            f"unknown {owner} field(s) {', '.join(repr(k) for k in unknown)} "
-            f"(known: {', '.join(known)})"
-        )
-
-
-def _parse_field(
-    owner: str,
-    data: "Mapping[str, object]",
-    key: str,
-    convert,
-    default: object = _MISSING,
-):
-    """One field through its type gate; failures name the offending key."""
-    if key not in data:
-        if default is _MISSING:
-            raise ValueError(f"{owner} is missing required field {key!r}")
-        return default
-    raw = data[key]
-    try:
-        return convert(raw)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{owner} field {key!r} has invalid value {raw!r}"
-        ) from None
-
-
-def _as_str(value: object) -> str:
-    if not isinstance(value, str):
-        raise ValueError(value)
-    return value
-
-
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(value)
-    return int(value)
-
-
-def _as_float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(value)
-    return float(value)
-
-
-def _as_bool(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
-
-
-def _as_pair(value: object) -> "tuple[float, float]":
-    if isinstance(value, (str, bytes, Mapping)):
-        raise ValueError(value)
-    x, y = value  # type: ignore[misc]
-    return (_as_float(x), _as_float(y))
-
-
-def _as_positions(value: object) -> "tuple[tuple[float, float], ...]":
-    if isinstance(value, (str, bytes, Mapping)):
-        raise ValueError(value)
-    return tuple(_as_pair(point) for point in value)  # type: ignore[union-attr]
-
 
 @dataclass(frozen=True)
-class HubLayout:
+class HubLayout(Record):
     """Where the hubs sit.
 
     Attributes:
@@ -135,10 +57,11 @@ class HubLayout:
     area_m: "tuple[float, float]" = (200.0, 200.0)
     positions_m: "tuple[tuple[float, float], ...]" = field(default=())
 
+    OWNER = "hub layout"
+    GATES = {"area_m": as_pair, "positions_m": as_pairs}
+
     def __post_init__(self) -> None:
-        require_finite(
-            "hub layout", {"spacing_m": self.spacing_m, "area_m": self.area_m}
-        )
+        self.require_finite()
         if self.strategy not in _STRATEGIES:
             raise ValueError(
                 f"unknown placement strategy {self.strategy!r} "
@@ -149,9 +72,6 @@ class HubLayout:
                 raise ValueError("manual placement needs positions")
             canonical = tuple(
                 (float(x), float(y)) for x, y in self.positions_m
-            )
-            require_finite(
-                "hub layout", {"positions_m": tuple(c for point in canonical for c in point)}
             )
             object.__setattr__(self, "positions_m", canonical)
         else:
@@ -173,41 +93,9 @@ class HubLayout:
             return len(self.positions_m)
         return self.count
 
-    def to_dict(self) -> "dict[str, object]":
-        """Primitive form for JSON round-trips."""
-        return {
-            "strategy": self.strategy,
-            "count": self.count,
-            "spacing_m": self.spacing_m,
-            "area_m": list(self.area_m),
-            "positions_m": [list(p) for p in self.positions_m],
-        }
-
-    _FIELDS = ("strategy", "count", "spacing_m", "area_m", "positions_m")
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, object]") -> "HubLayout":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: naming the offending key, for unknown fields or
-                wrong-typed values.
-        """
-        _reject_unknown("hub layout", data, cls._FIELDS)
-        owner = "hub layout"
-        return cls(
-            strategy=_parse_field(owner, data, "strategy", _as_str, "grid"),
-            count=_parse_field(owner, data, "count", _as_int, 1),
-            spacing_m=_parse_field(owner, data, "spacing_m", _as_float, 25.0),
-            area_m=_parse_field(owner, data, "area_m", _as_pair, (200.0, 200.0)),
-            positions_m=_parse_field(
-                owner, data, "positions_m", _as_positions, ()
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class DeviceClass:
+class DeviceClass(Record):
     """One slice of every hub's device population.
 
     Attributes:
@@ -233,16 +121,10 @@ class DeviceClass:
     tdma_weight: float = 1.0
     mobility: str = "static"
 
+    OWNER = "device class"
+
     def __post_init__(self) -> None:
-        require_finite(
-            "device class",
-            {
-                "share": self.share,
-                "min_distance_m": self.min_distance_m,
-                "max_distance_m": self.max_distance_m,
-                "tdma_weight": self.tdma_weight,
-            },
-        )
+        self.require_finite()
         if not self.name:
             raise ValueError("device class needs a name")
         if self.device not in DEVICE_BY_NAME:
@@ -262,50 +144,9 @@ class DeviceClass:
                 f"(supported: {', '.join(_MOBILITY)})"
             )
 
-    def to_dict(self) -> "dict[str, object]":
-        """Primitive form for JSON round-trips."""
-        return {
-            "name": self.name,
-            "device": self.device,
-            "share": self.share,
-            "min_distance_m": self.min_distance_m,
-            "max_distance_m": self.max_distance_m,
-            "tdma_weight": self.tdma_weight,
-            "mobility": self.mobility,
-        }
-
-    _FIELDS = (
-        "name", "device", "share", "min_distance_m", "max_distance_m",
-        "tdma_weight", "mobility",
-    )
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, object]") -> "DeviceClass":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: naming the offending key, for unknown fields or
-                wrong-typed values.
-        """
-        _reject_unknown("device class", data, cls._FIELDS)
-        owner = "device class"
-        return cls(
-            name=_parse_field(owner, data, "name", _as_str),
-            device=_parse_field(owner, data, "device", _as_str),
-            share=_parse_field(owner, data, "share", _as_float, 1.0),
-            min_distance_m=_parse_field(
-                owner, data, "min_distance_m", _as_float, 0.3
-            ),
-            max_distance_m=_parse_field(
-                owner, data, "max_distance_m", _as_float, 2.0
-            ),
-            tdma_weight=_parse_field(owner, data, "tdma_weight", _as_float, 1.0),
-            mobility=_parse_field(owner, data, "mobility", _as_str, "static"),
-        )
-
 
 @dataclass(frozen=True)
-class ChurnProcess:
+class ChurnProcess(Record):
     """How devices come and go.
 
     All waiting times are exponential draws from the scenario's seeded,
@@ -329,8 +170,10 @@ class ChurnProcess:
     late_join_fraction: float = 0.0
     mean_join_delay_s: float = 1.0
 
+    OWNER = "churn process"
+
     def __post_init__(self) -> None:
-        require_finite("churn process", self.to_dict())  # type: ignore[arg-type]
+        self.require_finite()
         if self.mean_awake_s < 0.0 or self.mean_asleep_s <= 0.0:
             raise ValueError("dwell means must be non-negative / positive")
         if self.mean_lifetime_s < 0.0:
@@ -349,50 +192,9 @@ class ChurnProcess:
             and self.late_join_fraction == 0.0
         )
 
-    def to_dict(self) -> "dict[str, object]":
-        """Primitive form for JSON round-trips."""
-        return {
-            "mean_awake_s": self.mean_awake_s,
-            "mean_asleep_s": self.mean_asleep_s,
-            "mean_lifetime_s": self.mean_lifetime_s,
-            "late_join_fraction": self.late_join_fraction,
-            "mean_join_delay_s": self.mean_join_delay_s,
-        }
-
-    _FIELDS = (
-        "mean_awake_s", "mean_asleep_s", "mean_lifetime_s",
-        "late_join_fraction", "mean_join_delay_s",
-    )
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, object]") -> "ChurnProcess":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: naming the offending key, for unknown fields or
-                wrong-typed values.
-        """
-        _reject_unknown("churn process", data, cls._FIELDS)
-        owner = "churn process"
-        return cls(
-            mean_awake_s=_parse_field(owner, data, "mean_awake_s", _as_float, 0.0),
-            mean_asleep_s=_parse_field(
-                owner, data, "mean_asleep_s", _as_float, 2.0
-            ),
-            mean_lifetime_s=_parse_field(
-                owner, data, "mean_lifetime_s", _as_float, 0.0
-            ),
-            late_join_fraction=_parse_field(
-                owner, data, "late_join_fraction", _as_float, 0.0
-            ),
-            mean_join_delay_s=_parse_field(
-                owner, data, "mean_join_delay_s", _as_float, 1.0
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(Record):
     """One complete city-scale scenario, as pure data.
 
     Attributes:
@@ -434,17 +236,16 @@ class DeploymentSpec:
     payload_bytes: int = 30
     lp_plan: bool = True
 
+    OWNER = "deployment spec"
+    SCHEMA_VERSION = DEPLOY_SCHEMA_VERSION
+    GATES = {
+        "hubs": as_record(HubLayout),
+        "classes": as_records(DeviceClass),
+        "churn": as_record(ChurnProcess),
+    }
+
     def __post_init__(self) -> None:
-        require_finite(
-            "deployment spec",
-            {
-                "warmup_s": self.warmup_s,
-                "duration_s": self.duration_s,
-                "coupling_threshold_db": self.coupling_threshold_db,
-                "interference_penalty_db": self.interference_penalty_db,
-                "path_loss_exponent": self.path_loss_exponent,
-            },
-        )
+        self.require_finite()
         if not self.name:
             raise ValueError("scenario needs a name")
         if not self.classes:
@@ -528,120 +329,6 @@ class DeploymentSpec:
     def scaled(self, **overrides: object) -> "DeploymentSpec":
         """A copy with fields replaced (convenience for sweeps)."""
         return replace(self, **overrides)  # type: ignore[arg-type]
-
-    # -- identity --------------------------------------------------------
-
-    def to_dict(self) -> "dict[str, object]":
-        """Canonical primitive form (stable across processes/sessions)."""
-        return {
-            "version": DEPLOY_SCHEMA_VERSION,
-            "name": self.name,
-            "hubs": self.hubs.to_dict(),
-            "classes": [c.to_dict() for c in self.classes],
-            "devices_per_hub": self.devices_per_hub,
-            "hub_device": self.hub_device,
-            "warmup_s": self.warmup_s,
-            "duration_s": self.duration_s,
-            "churn": self.churn.to_dict(),
-            "seed": self.seed,
-            "coupling_threshold_db": self.coupling_threshold_db,
-            "n_channels": self.n_channels,
-            "interference_penalty_db": self.interference_penalty_db,
-            "path_loss_exponent": self.path_loss_exponent,
-            "payload_bytes": self.payload_bytes,
-            "lp_plan": self.lp_plan,
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON form (stable ordering, version-stamped)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    _FIELDS = (
-        "version", "name", "hubs", "classes", "devices_per_hub",
-        "hub_device", "warmup_s", "duration_s", "churn", "seed",
-        "coupling_threshold_db", "n_channels", "interference_penalty_db",
-        "path_loss_exponent", "payload_bytes", "lp_plan",
-    )
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, object]") -> "DeploymentSpec":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: on schema-version mismatch, unknown fields, or
-                wrong-typed values — always naming the offending key.
-        """
-        _reject_unknown("deployment spec", data, cls._FIELDS)
-        owner = "deployment spec"
-        version = _parse_field(
-            owner, data, "version", _as_int, DEPLOY_SCHEMA_VERSION
-        )
-        if version != DEPLOY_SCHEMA_VERSION:
-            raise ValueError(
-                f"deployment schema {version!r} != supported {DEPLOY_SCHEMA_VERSION}"
-            )
-        hubs_data = data.get("hubs")
-        if not isinstance(hubs_data, Mapping):
-            raise ValueError(
-                f"deployment spec field 'hubs' must be a mapping, "
-                f"got {hubs_data!r}"
-            )
-        classes_data = data.get("classes")
-        if isinstance(classes_data, (str, bytes, Mapping)) or not hasattr(
-            classes_data, "__iter__"
-        ):
-            raise ValueError(
-                f"deployment spec field 'classes' must be a sequence of "
-                f"mappings, got {classes_data!r}"
-            )
-        churn_data = data.get("churn", {})
-        if not isinstance(churn_data, Mapping):
-            raise ValueError(
-                f"deployment spec field 'churn' must be a mapping, "
-                f"got {churn_data!r}"
-            )
-        return cls(
-            name=_parse_field(owner, data, "name", _as_str),
-            hubs=HubLayout.from_dict(hubs_data),
-            classes=tuple(
-                DeviceClass.from_dict(entry) for entry in classes_data
-            ),
-            devices_per_hub=_parse_field(owner, data, "devices_per_hub", _as_int),
-            hub_device=_parse_field(
-                owner, data, "hub_device", _as_str, "Nexus 6P"
-            ),
-            warmup_s=_parse_field(owner, data, "warmup_s", _as_float, 1.0),
-            duration_s=_parse_field(owner, data, "duration_s", _as_float, 10.0),
-            churn=ChurnProcess.from_dict(churn_data),
-            seed=_parse_field(owner, data, "seed", _as_int, 0),
-            coupling_threshold_db=_parse_field(
-                owner, data, "coupling_threshold_db", _as_float, 62.0
-            ),
-            n_channels=_parse_field(owner, data, "n_channels", _as_int, 3),
-            interference_penalty_db=_parse_field(
-                owner, data, "interference_penalty_db", _as_float, 20.0
-            ),
-            path_loss_exponent=_parse_field(
-                owner, data, "path_loss_exponent", _as_float, 2.0
-            ),
-            payload_bytes=_parse_field(owner, data, "payload_bytes", _as_int, 30),
-            lp_plan=_parse_field(owner, data, "lp_plan", _as_bool, True),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeploymentSpec":
-        """Rebuild a scenario serialized with :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-    def fingerprint(self) -> str:
-        """Stable content hash (hex SHA-256) — the scenario's identity
-        for seeding, caching and manifest lineage.  Memoized: deriving a
-        per-device stream calls this once per device."""
-        cached = getattr(self, "_fingerprint_cache", None)
-        if cached is None:
-            cached = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_fingerprint_cache", cached)
-        return cached
 
     def stream(self, label: str) -> np.random.Generator:
         """A content-addressed RNG stream for one purpose.

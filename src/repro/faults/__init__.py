@@ -38,7 +38,6 @@ from .seeding import (
     fault_rng,
     fault_seed_sequence,
     region_fault_rng,
-    region_fault_seed_sequence,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "recovery_rows",
     "region_fault_plan_for",
     "region_fault_rng",
-    "region_fault_seed_sequence",
     "render_faults",
     "run_fault_session",
     "validate_windows",

@@ -4,15 +4,18 @@ DES events.
 The driver is the deployment-scale sibling of the pair-level
 :class:`~repro.faults.injector.FaultInjector`: it walks the plan's
 canonically ordered specs, keeps the ones in scope for its region, and
-schedules begin/end callbacks on the region's shared kernel.  The
-*mechanics* of surviving the faults — powering hubs down and up,
+schedules begin/end callbacks on the region's shared kernel.  The plan
+checked its windows when it was built (no two same-kind windows overlap
+on one hub scope), so each begin/end pair toggles unambiguous state.
+The *mechanics* of surviving the faults — powering hubs down and up,
 orphaning and re-associating devices, blocking carrier modes, shifting
 noise floors — live in
 :class:`~repro.deploy.region.HandoffCoordinator` and the hub sessions it
 drives; the driver only
 decides *when* each lever is pulled, and pre-samples every churn-storm
-draw at arm time in canonical order so runtime event interleaving can
-never perturb the stream.
+draw at arm time, in canonical order, from the region fault stream of
+:mod:`repro.faults.seeding`, so runtime event interleaving can never
+perturb the stream.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
 from ..core.modes import LinkMode
-from .plan import FaultKind, FaultPlan, FaultSpec, validate_windows
+from .plan import FaultKind, FaultPlan, FaultSpec
 from .seeding import fault_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,13 +41,9 @@ class FaultInjector:
         plan: the declarative schedule to compile.
         seed: root seed for the injector's private stream (combined with
             the plan fingerprint; see :mod:`repro.faults.seeding`).
-
-    Raises:
-        ValueError: for plans with ambiguous overlapping windows.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
-        validate_windows(plan)
         self._plan = plan
         self._rng = fault_rng(plan, seed)
         self._armed = False

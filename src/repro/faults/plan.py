@@ -5,7 +5,10 @@ one names a fault kind, a start time, a duration, and kind-specific knobs
 (magnitude, target device, mode scope).  Plans are pure data:
 hashable, JSON-serializable, and carrying a stable content fingerprint,
 so the same plan always derives the same fault RNG stream and the same
-campaign cache entry (mirroring :mod:`repro.runtime.jobs`).
+campaign cache entry.  Both the pair plan and the deploy layer's
+:class:`~repro.faults.region.RegionFaultPlan` are a
+:class:`FaultSchedule`, whose JSON form, strict parser and fingerprint
+derive from the dataclass fields (:mod:`repro.core.records`).
 
 The plan says *what goes wrong when*; compiling it into discrete-event
 hooks is the :class:`~repro.faults.injector.FaultInjector`'s job.
@@ -14,13 +17,12 @@ hooks is the :class:`~repro.faults.injector.FaultInjector`'s job.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from operator import methodcaller
+from typing import Iterable, Iterator, TypeVar
 
 from ..core.modes import LinkMode
-from ..core.validation import require_finite
+from ..core.records import Record, as_enum, as_records
 
 #: Bump when the fault semantics change incompatibly (invalidates any
 #: fingerprint-keyed cache entries and derived RNG streams).
@@ -65,9 +67,16 @@ _TARGETED_KINDS = frozenset(
     {FaultKind.BATTERY_MISREPORT, FaultKind.BATTERY_STEP_DRAIN, FaultKind.NODE_CRASH}
 )
 
+#: Kinds whose set/reset compilation would be ambiguous if two windows
+#: on one target overlapped (misreport scale, fade depth, ACK
+#: probability); the blocking kinds stack via depth counters.
+_STATEFUL_KINDS = frozenset(
+    {FaultKind.BATTERY_MISREPORT, FaultKind.DEEP_FADE, FaultKind.ACK_CORRUPTION}
+)
+
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """One scheduled fault.
 
     Attributes:
@@ -88,15 +97,11 @@ class FaultSpec:
     magnitude: float = 0.0
     target: str = ""
 
+    OWNER = "fault"
+    GATES = {"kind": as_enum(FaultKind)}
+
     def __post_init__(self) -> None:
-        require_finite(
-            "fault",
-            {
-                "start_s": self.start_s,
-                "duration_s": self.duration_s,
-                "magnitude": self.magnitude,
-            },
-        )
+        self.require_finite()
         if self.start_s < 0.0:
             raise ValueError(f"fault start must be non-negative, got {self.start_s!r}")
         if self.duration_s < 0.0:
@@ -124,6 +129,13 @@ class FaultSpec:
         """Canonical ordering: by onset, then kind/target for stability."""
         return (self.start_s, self.kind.value, self.target, self.duration_s, self.magnitude)
 
+    def window_scope(self) -> "str | None":
+        """Where this spec's same-kind windows may not overlap: on its
+        target for the stateful kinds, nowhere (``None``) for the rest."""
+        if self.kind not in _STATEFUL_KINDS:
+            return None
+        return repr(self.target) if self.target else ""
+
     def blocked_modes(self) -> "frozenset[LinkMode] | None":
         """Modes this fault kills while active (``None`` = not a blocking
         fault)."""
@@ -133,59 +145,40 @@ class FaultSpec:
             return frozenset({LinkMode.BACKSCATTER, LinkMode.PASSIVE})
         return None
 
-    def to_dict(self) -> "dict[str, object]":
-        """Primitive form for JSON round-trips."""
-        return {
-            "kind": self.kind.value,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "magnitude": self.magnitude,
-            "target": self.target,
-        }
 
-    @classmethod
-    def from_dict(cls, data: "dict[str, object]") -> "FaultSpec":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: for unknown kinds or invalid fields.
-        """
-        return cls(
-            kind=FaultKind(data["kind"]),
-            start_s=float(data["start_s"]),  # type: ignore[arg-type]
-            duration_s=float(data.get("duration_s", 0.0)),  # type: ignore[arg-type]
-            magnitude=float(data.get("magnitude", 0.0)),  # type: ignore[arg-type]
-            target=str(data.get("target", "")),
-        )
+_S = TypeVar("_S", bound="FaultSchedule")
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """An immutable, canonically-ordered fault schedule.
+class FaultSchedule(Record):
+    """An immutable, canonically-ordered fault schedule: the container
+    :class:`FaultPlan` and :class:`~repro.faults.region.RegionFaultPlan`
+    share (each names its spec type's gate for ``faults``).
 
     Specs are sorted on construction so two plans with the same faults in
     different textual order share a fingerprint (and hence an RNG stream
-    and a cache identity).
+    and a cache identity), and :func:`validate_windows` rejects windows
+    whose set/reset compilation would be ambiguous.
     """
 
-    faults: "tuple[FaultSpec, ...]" = field(default=())
+    faults: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "faults", tuple(sorted(self.faults, key=FaultSpec.sort_key))
-        )
+        ordered = tuple(sorted(self.faults, key=methodcaller("sort_key")))
+        object.__setattr__(self, "faults", ordered)
+        validate_windows(ordered)
 
     @classmethod
-    def of(cls, *faults: FaultSpec) -> "FaultPlan":
+    def of(cls: "type[_S]", *faults: object) -> _S:
         """Build a plan from individual specs."""
-        return cls(faults=tuple(faults))
+        return cls(faults)
 
     @classmethod
-    def empty(cls) -> "FaultPlan":
+    def empty(cls: "type[_S]") -> _S:
         """The no-fault plan (arming it is a behavioral no-op)."""
-        return cls()
+        return cls(())
 
-    def __iter__(self) -> Iterator[FaultSpec]:
+    def __iter__(self) -> Iterator:
         return iter(self.faults)
 
     def __len__(self) -> int:
@@ -200,64 +193,38 @@ class FaultPlan:
         """Time by which every scheduled fault has cleared."""
         return max((spec.end_s for spec in self.faults), default=0.0)
 
-    def to_json(self) -> str:
-        """Canonical JSON form (stable ordering, version-stamped)."""
-        return json.dumps(
-            {
-                "version": FAULT_SCHEMA_VERSION,
-                "faults": [spec.to_dict() for spec in self.faults],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Rebuild a plan serialized with :meth:`to_json`.
+@dataclass(frozen=True)
+class FaultPlan(FaultSchedule):
+    """A pair-level fault schedule of :class:`FaultSpec` records."""
 
-        Raises:
-            ValueError: on schema-version mismatch or invalid specs.
-        """
-        data = json.loads(text)
-        version = data.get("version")
-        if version != FAULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"fault plan schema {version!r} != supported {FAULT_SCHEMA_VERSION}"
-            )
-        return cls(
-            faults=tuple(FaultSpec.from_dict(entry) for entry in data["faults"])
-        )
+    faults: "tuple[FaultSpec, ...]"
 
-    def fingerprint(self) -> str:
-        """Stable content hash (hex) — the plan's identity for seeding
-        and caching."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+    OWNER = "fault plan"
+    SCHEMA_VERSION = FAULT_SCHEMA_VERSION
+    GATES = {"faults": as_records(FaultSpec)}
 
 
-def validate_windows(specs: Iterable[FaultSpec]) -> None:
-    """Reject same-kind overlapping windows for stateful kinds where the
-    injector's set/reset compilation would be ambiguous (misreport scale,
-    fade depth, ACK probability).
+def validate_windows(specs: Iterable) -> None:
+    """Reject two same-kind windows that overlap where their spec type
+    forbids it (its ``window_scope``): set/reset compilation of the pair
+    (stateful kinds, per target) or a region's (every kind, per hub
+    scope) would be ambiguous.
 
     Raises:
-        ValueError: when two same-kind windows (same target) overlap.
+        ValueError: naming the kind, the scope and both windows.
     """
-    stateful = (
-        FaultKind.BATTERY_MISREPORT,
-        FaultKind.DEEP_FADE,
-        FaultKind.ACK_CORRUPTION,
-    )
-    by_key: "dict[tuple[FaultKind, str], list[FaultSpec]]" = {}
-    for spec in specs:
-        if spec.kind in stateful:
-            by_key.setdefault((spec.kind, spec.target), []).append(spec)
-    for (kind, target), entries in by_key.items():
-        entries.sort(key=FaultSpec.sort_key)
-        for earlier, later in zip(entries, entries[1:]):
-            if later.start_s < earlier.end_s:
-                raise ValueError(
-                    f"overlapping {kind.value} windows"
-                    f"{f' on {target!r}' if target else ''}: "
-                    f"[{earlier.start_s}, {earlier.end_s}) and "
-                    f"[{later.start_s}, {later.end_s})"
-                )
+    last: "dict[tuple[object, str], object]" = {}
+    for spec in sorted(specs, key=methodcaller("sort_key")):
+        scope = spec.window_scope()
+        if scope is None:
+            continue
+        earlier = last.get((spec.kind, scope))
+        if earlier is not None and spec.start_s < earlier.end_s:
+            raise ValueError(
+                f"overlapping {spec.kind.value} windows"
+                f"{f' on {scope}' if scope else ''}: "
+                f"[{earlier.start_s}, {earlier.end_s}) and "
+                f"[{spec.start_s}, {spec.end_s})"
+            )
+        last[(spec.kind, scope)] = spec

@@ -1,13 +1,15 @@
 """Deploy-layer fault schedules: what goes wrong across a city region.
 
-A :class:`RegionFaultPlan` is the deployment-scale sibling of the
-pair-level :class:`~repro.faults.plan.FaultPlan` — a frozen, canonically
+A :class:`RegionFaultPlan` shares the pair-level
+:class:`~repro.faults.plan.FaultPlan`'s schedule container
+(:class:`~repro.faults.plan.FaultSchedule`): a frozen, canonically
 ordered list of :class:`RegionFaultSpec` records, JSON round-trippable
-and carrying a stable SHA-256 content fingerprint, so the same plan
-always derives the same fault RNG streams and the same campaign cache
-entries.  Faults here target *infrastructure*, not single links: a hub
-goes dark and reboots, a hub's carrier browns out, a whole region's
-noise floor surges, or the device population flaps en masse.
+through a strict parser and carrying a stable SHA-256 content
+fingerprint, so the same plan always derives the same fault RNG streams
+and the same campaign cache entries.  Faults here target
+*infrastructure*, not single links: a hub goes dark and reboots, a hub's
+carrier browns out, a whole region's noise floor surges, or the device
+population flaps en masse.
 
 The plan says *what goes wrong when*; compiling it into region DES
 events — and driving the hub-to-hub handoff that lets devices survive
@@ -17,12 +19,11 @@ it — is :class:`~repro.faults.deploy.RegionFaultDriver`'s job.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-from ..core.validation import require_finite
+from ..core.records import Record, as_enum, as_records
+from .plan import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..deploy.spec import DeploymentSpec
@@ -63,7 +64,7 @@ _HUB_SCOPED_KINDS = frozenset(
 
 
 @dataclass(frozen=True)
-class RegionFaultSpec:
+class RegionFaultSpec(Record):
     """One scheduled deployment-layer fault.
 
     Attributes:
@@ -83,15 +84,11 @@ class RegionFaultSpec:
     magnitude: float = 0.0
     hub: int = REGION_WIDE
 
+    OWNER = "region fault"
+    GATES = {"kind": as_enum(RegionFaultKind)}
+
     def __post_init__(self) -> None:
-        require_finite(
-            "region fault",
-            {
-                "start_s": self.start_s,
-                "duration_s": self.duration_s,
-                "magnitude": self.magnitude,
-            },
-        )
+        self.require_finite()
         if self.start_s < 0.0:
             raise ValueError(f"fault start must be non-negative, got {self.start_s!r}")
         if self.duration_s <= 0.0:
@@ -123,78 +120,22 @@ class RegionFaultSpec:
         """Canonical ordering: by onset, then kind/hub for stability."""
         return (self.start_s, self.kind.value, self.hub, self.duration_s, self.magnitude)
 
-    def to_dict(self) -> "dict[str, object]":
-        """Primitive form for JSON round-trips."""
-        return {
-            "kind": self.kind.value,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "magnitude": self.magnitude,
-            "hub": self.hub,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "dict[str, object]") -> "RegionFaultSpec":
-        """Rebuild from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: for unknown kinds or invalid fields.
-        """
-        return cls(
-            kind=RegionFaultKind(data["kind"]),
-            start_s=float(data["start_s"]),  # type: ignore[arg-type]
-            duration_s=float(data["duration_s"]),  # type: ignore[arg-type]
-            magnitude=float(data.get("magnitude", 0.0)),  # type: ignore[arg-type]
-            hub=int(data.get("hub", REGION_WIDE)),  # type: ignore[arg-type]
-        )
+    def window_scope(self) -> str:
+        """Where this spec's same-kind windows may not overlap: on its
+        hub scope, for every kind."""
+        return "region-wide" if self.hub == REGION_WIDE else f"hub {self.hub}"
 
 
 @dataclass(frozen=True)
-class RegionFaultPlan:
-    """An immutable, canonically-ordered deployment fault schedule.
+class RegionFaultPlan(FaultSchedule):
+    """A deployment fault schedule of :class:`RegionFaultSpec` records;
+    same-kind windows on one hub scope may not overlap."""
 
-    Specs are sorted on construction so two plans with the same faults
-    in different textual order share a fingerprint (and hence an RNG
-    stream and a cache identity).  Same-kind windows on the same hub
-    scope are rejected when they overlap — set/reset compilation would
-    be ambiguous.
-    """
+    faults: "tuple[RegionFaultSpec, ...]"
 
-    faults: "tuple[RegionFaultSpec, ...]" = field(default=())
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.faults, key=RegionFaultSpec.sort_key))
-        object.__setattr__(self, "faults", ordered)
-        _validate_region_windows(ordered)
-
-    @classmethod
-    def of(cls, *faults: RegionFaultSpec) -> "RegionFaultPlan":
-        """Build a plan from individual specs."""
-        return cls(faults=tuple(faults))
-
-    @classmethod
-    def empty(cls) -> "RegionFaultPlan":
-        """The no-fault plan (arming it is a behavioral no-op)."""
-        return cls()
-
-    def __iter__(self) -> Iterator[RegionFaultSpec]:
-        return iter(self.faults)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether the plan schedules anything at all."""
-        return not self.faults
-
-    def kinds(self) -> "frozenset[RegionFaultKind]":
-        """The distinct fault kinds scheduled."""
-        return frozenset(spec.kind for spec in self.faults)
-
-    def horizon_s(self) -> float:
-        """Time by which every scheduled fault has cleared."""
-        return max((spec.end_s for spec in self.faults), default=0.0)
+    OWNER = "region fault plan"
+    SCHEMA_VERSION = REGION_FAULT_SCHEMA_VERSION
+    GATES = {"faults": as_records(RegionFaultSpec)}
 
     def scoped_to(self, hub_indices: Iterable[int]) -> "tuple[RegionFaultSpec, ...]":
         """Specs touching any of ``hub_indices`` (plus region-wide ones),
@@ -203,62 +144,6 @@ class RegionFaultPlan:
         return tuple(
             s for s in self.faults if s.hub == REGION_WIDE or s.hub in members
         )
-
-    def to_json(self) -> str:
-        """Canonical JSON form (stable ordering, version-stamped)."""
-        return json.dumps(
-            {
-                "version": REGION_FAULT_SCHEMA_VERSION,
-                "faults": [spec.to_dict() for spec in self.faults],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionFaultPlan":
-        """Rebuild a plan serialized with :meth:`to_json`.
-
-        Raises:
-            ValueError: on schema-version mismatch or invalid specs.
-        """
-        data = json.loads(text)
-        version = data.get("version")
-        if version != REGION_FAULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"region fault plan schema {version!r} != supported "
-                f"{REGION_FAULT_SCHEMA_VERSION}"
-            )
-        return cls(
-            faults=tuple(RegionFaultSpec.from_dict(entry) for entry in data["faults"])
-        )
-
-    def fingerprint(self) -> str:
-        """Stable content hash (hex) — the plan's identity for seeding
-        and caching."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-
-def _validate_region_windows(specs: "tuple[RegionFaultSpec, ...]") -> None:
-    """Reject same-kind overlapping windows on the same hub scope.
-
-    Raises:
-        ValueError: when two same-kind windows with the same ``hub``
-            overlap.
-    """
-    by_key: "dict[tuple[RegionFaultKind, int], list[RegionFaultSpec]]" = {}
-    for spec in specs:
-        by_key.setdefault((spec.kind, spec.hub), []).append(spec)
-    for (kind, hub), entries in by_key.items():
-        entries.sort(key=RegionFaultSpec.sort_key)
-        for earlier, later in zip(entries, entries[1:]):
-            if later.start_s < earlier.end_s:
-                scope = "region-wide" if hub == REGION_WIDE else f"hub {hub}"
-                raise ValueError(
-                    f"overlapping {kind.value} windows on {scope}: "
-                    f"[{earlier.start_s}, {earlier.end_s}) and "
-                    f"[{later.start_s}, {later.end_s})"
-                )
 
 
 # -- named chaos profiles ------------------------------------------------

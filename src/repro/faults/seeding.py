@@ -2,11 +2,19 @@
 
 The injector owns a private random stream so its draws (ACK-corruption
 coin flips) never perturb the simulator's link RNG: an armed session
-consumes exactly the same link-stream values as an unarmed one.  The
-stream is derived content-addressed from the fault plan's fingerprint —
-the same ``SeedSequence`` spawn-key discipline as
-:mod:`repro.runtime.seeding` — so a (seed, plan) pair always produces
-the same fault stream regardless of worker count or execution order.
+consumes exactly the same link-stream values as an unarmed one.  Both
+kinds of fault stream come from one derivation — the same
+``SeedSequence`` spawn-key discipline as :mod:`repro.runtime.seeding`,
+under a domain word of their own and keyed by content, never by worker
+identity or execution order:
+
+* a pair plan's stream by the plan's fingerprint, so a (seed, plan)
+  pair always produces the same fault stream;
+* a deploy-layer stream by the scenario fingerprint, the region plan's
+  fingerprint and a purpose label (``"region3:handoff"``), so armed
+  deployment runs are bit-identical at any worker count, chunking or
+  resume, and never overlap the scenario's own
+  ``DeploymentSpec.stream`` draws.
 """
 
 from __future__ import annotations
@@ -34,51 +42,30 @@ _FAULT_DOMAIN = 0xFA0175
 _REGION_FAULT_DOMAIN = 0xD401FA
 
 
-def fault_seed_sequence(plan: FaultPlan, seed: int = 0) -> np.random.SeedSequence:
-    """Child sequence for one (seed, plan) pair, derived content-addressed."""
+def _domain_seed_sequence(
+    domain: int, fingerprint: str, seed: int
+) -> np.random.SeedSequence:
+    """Child of the root ``seed`` whose spawn key is ``domain`` plus the
+    low words of the hex ``fingerprint``."""
     root = np.random.SeedSequence(seed)
-    digest = int(plan.fingerprint(), 16)
+    digest = int(fingerprint, 16)
     words = tuple(
         (digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS)
     )
     return np.random.SeedSequence(
         entropy=root.entropy,
-        spawn_key=root.spawn_key + (_FAULT_DOMAIN,) + words,
+        spawn_key=root.spawn_key + (domain,) + words,
     )
+
+
+def fault_seed_sequence(plan: FaultPlan, seed: int = 0) -> np.random.SeedSequence:
+    """Child sequence for one (seed, plan) pair, derived content-addressed."""
+    return _domain_seed_sequence(_FAULT_DOMAIN, plan.fingerprint(), seed)
 
 
 def fault_rng(plan: FaultPlan, seed: int = 0) -> np.random.Generator:
     """Fresh deterministic generator for one (seed, plan) pair."""
     return np.random.default_rng(fault_seed_sequence(plan, seed))
-
-
-def region_fault_seed_sequence(
-    scenario_fingerprint: str,
-    plan: "RegionFaultPlan",
-    label: str,
-    seed: int = 0,
-) -> np.random.SeedSequence:
-    """Child sequence for one (scenario, plan, label) triple.
-
-    Deploy-layer fault streams are addressed by the *scenario*
-    fingerprint, the *plan* fingerprint and a purpose label (e.g.
-    ``"region3:handoff"``) — never by worker identity or execution
-    order — so armed deployment runs are bit-identical at any worker
-    count, chunking or resume, and the streams never overlap the
-    scenario's own ``DeploymentSpec.stream`` draws.
-    """
-    root = np.random.SeedSequence(seed)
-    salted = hashlib.sha256(
-        f"{scenario_fingerprint}:{plan.fingerprint()}:{label}".encode("utf-8")
-    ).hexdigest()
-    digest = int(salted, 16)
-    words = tuple(
-        (digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS)
-    )
-    return np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_REGION_FAULT_DOMAIN,) + words,
-    )
 
 
 def region_fault_rng(
@@ -89,6 +76,9 @@ def region_fault_rng(
 ) -> np.random.Generator:
     """Fresh deterministic generator for one (scenario, plan, label)
     triple."""
+    salted = hashlib.sha256(
+        f"{scenario_fingerprint}:{plan.fingerprint()}:{label}".encode("utf-8")
+    ).hexdigest()
     return np.random.default_rng(
-        region_fault_seed_sequence(scenario_fingerprint, plan, label, seed)
+        _domain_seed_sequence(_REGION_FAULT_DOMAIN, salted, seed)
     )

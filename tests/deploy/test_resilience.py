@@ -196,9 +196,13 @@ class TestEveryProfileRuns:
 
 
 class TestArmedDeterminism:
-    def test_manifest_bit_identical_across_worker_counts(self):
+    @pytest.mark.parametrize(
+        "profile", [p for p in REGION_FAULT_PROFILES if p != "none"]
+    )
+    def test_manifest_bit_identical_across_worker_counts(self, profile):
+        # Workers see the plan only as job-param JSON, through its parser.
         spec = scenario("smoke")
-        plan = region_fault_plan_for("blackout", spec)
+        plan = region_fault_plan_for(profile, spec)
         serial = run_deployment(spec, CampaignConfig(n_jobs=1), fault_plan=plan)
         pooled = run_deployment(spec, CampaignConfig(n_jobs=2), fault_plan=plan)
         assert manifest_json(serial.manifest) == manifest_json(pooled.manifest)

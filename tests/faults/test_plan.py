@@ -1,6 +1,8 @@
 """Unit tests for the declarative fault schedules (plans, specs,
 canonical ordering, serialization, fingerprints, window validation)."""
 
+import json
+
 import pytest
 
 from repro.core.modes import LinkMode
@@ -9,6 +11,9 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    RegionFaultKind,
+    RegionFaultPlan,
+    RegionFaultSpec,
     validate_windows,
 )
 
@@ -192,3 +197,111 @@ class TestWindowValidation:
     def test_overlapping_outages_allowed(self):
         # Blocking faults stack via depth counters; overlap is fine.
         validate_windows([_outage(0.1, 0.3), _outage(0.2, 0.3)])
+
+    def test_plan_rejects_ambiguous_windows_when_built(self):
+        # Such a plan used to be accepted until an injector armed it.
+        first = FaultSpec(
+            FaultKind.DEEP_FADE, start_s=0.1, duration_s=0.2, magnitude=3.0, target="a"
+        )
+        second = FaultSpec(
+            FaultKind.DEEP_FADE, start_s=0.2, duration_s=0.2, magnitude=6.0, target="a"
+        )
+        with pytest.raises(ValueError, match="overlapping deep_fade windows on 'a'"):
+            FaultPlan.of(first, second)
+        payload = json.loads(FaultPlan.of(first).to_json())
+        payload["faults"].append(second.to_dict())
+        with pytest.raises(ValueError, match="overlapping deep_fade"):
+            FaultPlan.from_json(json.dumps(payload))
+
+
+#: One plan of each kind, whose first fault the cases below edit.
+_PLANS = {
+    "pair": FaultPlan.of(
+        FaultSpec(FaultKind.DEEP_FADE, start_s=1.0, duration_s=0.5, magnitude=3.0, target="a")
+    ),
+    "region": RegionFaultPlan.of(
+        RegionFaultSpec(
+            RegionFaultKind.NOISE_SURGE, start_s=1.0, duration_s=0.5, magnitude=6.0, hub=1
+        )
+    ),
+}
+
+#: Marks a key the edit removes.
+_DROP = object()
+
+
+def _edited(kind, edit):
+    payload = json.loads(_PLANS[kind].to_json())
+    fault = payload["faults"][0]
+    for key, value in edit.items():
+        if value is _DROP:
+            del fault[key]
+        else:
+            fault[key] = value
+    return json.dumps(payload)
+
+
+class TestStrictPlanJson:
+    """Fault-plan JSON fails the way scenario JSON does: one ValueError
+    that names the key.  Each case used to be coerced, dropped or end in
+    a KeyError/AttributeError/TypeError."""
+
+    @pytest.mark.parametrize("kind", sorted(_PLANS))
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("start_s", "1.0"),
+            ("start_s", True),
+            ("duration_s", None),
+            ("magnitude", "3"),
+            ("kind", "gremlins"),
+            ("kind", _DROP),
+            ("start_s", _DROP),
+            ("targte", "a"),
+            ("hubs", 3),
+        ],
+        ids=[
+            "string-start", "bool-start", "null-duration", "string-magnitude",
+            "unknown-kind", "missing-kind", "missing-start", "typo-targte",
+            "typo-hubs",
+        ],
+    )
+    def test_bad_fault_names_the_key(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            type(_PLANS[kind]).from_json(_edited(kind, {key: value}))
+
+    @pytest.mark.parametrize("value", [1.9, "1", True])
+    def test_region_hub_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="field 'hub' must be an integer"):
+            RegionFaultPlan.from_json(_edited("region", {"hub": value}))
+
+    def test_region_hubs_typo_is_not_region_wide(self):
+        # A typo'd "hubs" used to drop the key and turn a one-hub surge
+        # into a region-wide one.
+        with pytest.raises(ValueError, match="unknown region fault field\\(s\\) 'hubs'"):
+            RegionFaultPlan.from_json(_edited("region", {"hub": _DROP, "hubs": 3}))
+
+    @pytest.mark.parametrize("value", [5, None])
+    def test_pair_target_must_be_a_string(self, value):
+        with pytest.raises(ValueError, match="field 'target' must be a string"):
+            FaultPlan.from_json(_edited("pair", {"target": value}))
+
+    @pytest.mark.parametrize("kind", sorted(_PLANS))
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('{"version": 1}', "missing required field 'faults'"),
+            ('{"version": 1, "faults": 3}', "field 'faults' must be a sequence"),
+            ('{"version": 1, "faults": [1]}', "fault must be a mapping, got 1"),
+            ('{"version": 1, "faults": [], "fault": []}', "field\\(s\\) 'fault'"),
+            ('{"version": "1", "faults": []}', "schema '1' != supported 1"),
+            ("[1]", "plan must be a mapping, got \\[1\\]"),
+        ],
+        ids=[
+            "missing-faults", "faults-not-a-list", "fault-not-a-mapping",
+            "typo-fault", "string-version", "not-a-mapping",
+        ],
+    )
+    def test_bad_plan_names_the_key(self, kind, text, needle):
+        with pytest.raises(ValueError, match=needle):
+            type(_PLANS[kind]).from_json(text)

@@ -124,15 +124,11 @@ class TestPlanCanonicalForm:
         assert plan.is_empty
         assert len(plan) == 0
         assert plan.horizon_s() == 0.0
-        assert plan.kinds() == frozenset()
 
     def test_derived_views(self):
         plan = RegionFaultPlan.of(_blackout(start=1.0, duration=0.5, hub=2),
                                   _surge(start=2.0, duration=1.0))
         assert plan.horizon_s() == 3.0
-        assert plan.kinds() == {
-            RegionFaultKind.HUB_BLACKOUT, RegionFaultKind.NOISE_SURGE,
-        }
 
     def test_scoped_to_keeps_region_wide_and_members(self):
         plan = RegionFaultPlan.of(
