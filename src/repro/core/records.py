@@ -16,6 +16,10 @@ parsed with a stale default:
   one ``ValueError`` that names the key.  An absent optional field
   takes the dataclass default.
 
+Campaign job specs (:class:`~repro.runtime.jobs.JobSpec`) take the
+parser and keep a primitive form of their own, which every result-cache
+key already hashes.
+
 A field's gate is the scalar gate of its annotation (``str``, ``int``,
 ``float``, ``bool``) or one the class names in ``GATES``.  Under PEP 563
 an annotation is its source text, and a quoted one keeps its quotes, so

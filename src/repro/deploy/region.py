@@ -3,9 +3,13 @@
 A region (:class:`~repro.deploy.partition.Region`) is a set of hubs with
 no RF path to the rest of the city, so it simulates independently.
 Inside the region each hub runs a full packet-level
-:class:`~repro.net.session.HubSession` — its own DES kernel, TDMA
-rotation, shared hub battery and per-client offload controllers — while
-cross-hub coupling enters through the channel model: a hub that shares a
+:class:`~repro.net.session.HubSession` — its own event calendar, TDMA
+rotation, shared hub battery and per-client offload controllers: a
+private kernel when the region is unarmed, a lane of the region kernel
+(:meth:`~repro.sim.simulator.Simulator.lane`) when a fault plan arms it,
+so that faults and hub-to-hub handoff, which run on the region kernel,
+see every hub at their instant.  Cross-hub coupling otherwise enters
+through the channel model: a hub that shares a
 reuse channel with a neighbor sees that neighbor's TDMA bursts as a
 :class:`~repro.sim.interference.BurstyInterferer`, attenuated by the
 hub-to-hub path loss, on every one of its client links
@@ -227,9 +231,11 @@ class _HubRuntime:
     """One hub's live simulation objects, kernel-agnostic.
 
     Built identically whether the hub runs on its own private kernel
-    (the unarmed fast path) or shares one region kernel with its
-    neighbors (the fault-armed path, where mid-run hub-to-hub handoff
-    needs every session on the same timeline).
+    (the unarmed fast path) or on its own lane of the region kernel
+    (the fault-armed path, where mid-run hub-to-hub handoff needs every
+    session on one timeline).  Either way every event of the hub's
+    calendar touches only this hub's session, clients, links, policies
+    and batteries.
     """
 
     local_index: int
@@ -339,6 +345,12 @@ def _build_hub(
     )
 
 
+def _hub_kernel_seed(spec: DeploymentSpec, global_index: int) -> int:
+    """Seed of a hub's kernel (or lane), from its ``hub<g>:kernel``
+    stream."""
+    return int(spec.stream(f"hub{global_index}:kernel").integers(2**31))
+
+
 def simulate_hub(
     spec: DeploymentSpec,
     region: Region,
@@ -359,8 +371,7 @@ def simulate_hub(
     global_index = region.hub_indices[local_index]
     if link_map is None:
         link_map = _region_link_map(region)
-    sim_seed = int(spec.stream(f"hub{global_index}:kernel").integers(2**31))
-    sim = Simulator(seed=sim_seed)
+    sim = Simulator(seed=_hub_kernel_seed(spec, global_index))
     runtime = _build_hub(spec, region, local_index, link_map, sim)
     clients = runtime.clients
     session = runtime.session
@@ -464,10 +475,10 @@ def simulate_region(
     takes exactly this path, so it is bit-identical to a run with the
     fault machinery absent.
 
-    A non-empty plan routes through the resilient shared-kernel path
-    (:func:`_simulate_region_resilient`): all hubs ride one simulator
-    so a blackout on one hub can hand its devices to a live neighbor
-    mid-run.
+    A non-empty plan routes through the resilient path
+    (:func:`_simulate_region_resilient`): every hub rides its own lane
+    of one region kernel, which runs the faults and the handoffs, so a
+    blackout on one hub can hand its devices to a live neighbor mid-run.
     """
     if fault_plan is None or fault_plan.is_empty:
         hubs = [
@@ -507,16 +518,16 @@ def _region_report(
 
 @dataclass(frozen=True)
 class _DeviceHome:
-    """One device's failover identity: where it lives, what it weighs,
-    and which neighbor hubs could plausibly adopt it."""
+    """One device's failover identity: where it lives and what it
+    weighs."""
 
     name: str
     home_local: int
     home_global: int
+    #: Separation from the home hub (cm-quantized, as planned).
+    distance_m: float
     tdma_weight: float
     radio: BraidioRadio
-    #: (distance_m, local_index) per candidate hub, nearest first.
-    neighbor_order: "tuple[tuple[float, int], ...]"
 
 
 class HandoffCoordinator:
@@ -534,9 +545,12 @@ class HandoffCoordinator:
     dark-hub time accrue for the degradation metrics.
 
     Determinism: backoff jitter draws from a content-addressed region
-    fault stream consumed in DES order, and each twin link draws from
-    its own scenario stream (``hub<g>:handoff:<name>:<n>``) — never
-    from worker or wall-clock state.
+    fault stream consumed in DES order, each twin link draws from its
+    own scenario stream (``hub<g>:handoff:<name>:<n>``), and a device's
+    position, drawn on its first handoff attempt, from its
+    ``hub<g>:angle:<name>`` stream — never from worker or wall-clock
+    state.  Every method runs as a region-kernel event: it may touch
+    several hubs, so each hub's lane has run up to its instant.
     """
 
     #: Re-association attempts before a device waits for its home hub.
@@ -563,38 +577,16 @@ class HandoffCoordinator:
         self._rng = rng
         self._devices: "dict[str, _DeviceHome]" = {}
         for runtime in runtimes:
-            hx, hy = region.positions_m[runtime.local_index]
             for plan, client in zip(runtime.plans, runtime.clients):
-                theta = float(
-                    spec.stream(
-                        f"hub{runtime.global_index}:angle:{plan.name}"
-                    ).uniform(0.0, 2.0 * math.pi)
-                )
-                x = hx + plan.distance_m * math.cos(theta)
-                y = hy + plan.distance_m * math.sin(theta)
-                order = tuple(
-                    sorted(
-                        (
-                            quantize_distance(
-                                math.hypot(
-                                    x - region.positions_m[other.local_index][0],
-                                    y - region.positions_m[other.local_index][1],
-                                )
-                            ),
-                            other.local_index,
-                        )
-                        for other in runtimes
-                        if other.local_index != runtime.local_index
-                    )
-                )
                 self._devices[plan.name] = _DeviceHome(
                     name=plan.name,
                     home_local=runtime.local_index,
                     home_global=runtime.global_index,
+                    distance_m=plan.distance_m,
                     tdma_weight=spec.device_class(plan.class_name).tdma_weight,
                     radio=client.radio,
-                    neighbor_order=order,
                 )
+        self._neighbor_orders: "dict[str, tuple[tuple[float, int], ...]]" = {}
         # Failover state.
         self._adopted_at: "dict[str, int]" = {}
         self._adoption_counts: "dict[str, int]" = {}
@@ -616,7 +608,7 @@ class HandoffCoordinator:
 
     @property
     def simulator(self) -> Simulator:
-        """The region's shared event kernel."""
+        """The region kernel, whose lanes carry the hubs."""
         return self._sim
 
     def runtime(self, local_index: int) -> _HubRuntime:
@@ -755,6 +747,40 @@ class HandoffCoordinator:
             if scope is None or scope == local_index
         )
 
+    def _neighbor_order(self, record: _DeviceHome) -> "tuple[tuple[float, int], ...]":
+        """(distance_m, local_index) per other hub of the region, nearest
+        first.  Computed on the device's first handoff attempt and kept:
+        its angle stream is content-addressed, so when it is drawn
+        changes no value."""
+        order = self._neighbor_orders.get(record.name)
+        if order is None:
+            positions = self._region.positions_m
+            hx, hy = positions[record.home_local]
+            theta = float(
+                self._spec.stream(
+                    f"hub{record.home_global}:angle:{record.name}"
+                ).uniform(0.0, 2.0 * math.pi)
+            )
+            x = hx + record.distance_m * math.cos(theta)
+            y = hy + record.distance_m * math.sin(theta)
+            order = tuple(
+                sorted(
+                    (
+                        quantize_distance(
+                            math.hypot(
+                                x - positions[other.local_index][0],
+                                y - positions[other.local_index][1],
+                            )
+                        ),
+                        other.local_index,
+                    )
+                    for other in self._runtimes
+                    if other.local_index != record.home_local
+                )
+            )
+            self._neighbor_orders[record.name] = order
+        return order
+
     def _begin_orphan(self, name: str, now: float) -> None:
         self._orphan_since[name] = now
         self._schedule_attempt(name, 0)
@@ -781,7 +807,7 @@ class HandoffCoordinator:
             return  # home is back; reclaim already settled the orphan
         if name in home.suspended_clients:
             return  # asleep through the blackout: it never notices
-        for distance_m, local_index in record.neighbor_order:
+        for distance_m, local_index in self._neighbor_order(record):
             host = self._runtimes[local_index].session
             if host.powered_down or host.finished:
                 continue
@@ -889,8 +915,16 @@ class HandoffCoordinator:
 def _simulate_region_resilient(
     spec: DeploymentSpec, region: Region, fault_plan: "RegionFaultPlan"
 ) -> "dict[str, object]":
-    """Armed path: all hubs of the region share one kernel so faults
-    and hub-to-hub handoff cross hub boundaries mid-run.
+    """Armed path: faults and hub-to-hub handoff cross hub boundaries
+    mid-run.
+
+    Each hub runs on its own lane of one region kernel, seeded from its
+    ``hub<g>:kernel`` stream as :func:`simulate_hub` seeds its private
+    kernel, so its serve chains run inline up to the next cross-hub
+    event.  Only what touches several hubs runs on the region kernel:
+    the fault driver's edges, the handoff coordinator and the warmup
+    snapshot.  The kernel orders the two kinds of event as one calendar
+    would (:meth:`~repro.sim.simulator.Simulator.lane`).
 
     Energy here is accounted by *battery deltas* over the measured
     window (a device adopted by a neighbor drains the same physical
@@ -905,7 +939,13 @@ def _simulate_region_resilient(
     sim_seed = int(spec.stream(f"region{region.index}:kernel").integers(2**31))
     sim = Simulator(seed=sim_seed)
     runtimes = [
-        _build_hub(spec, region, local_index, link_map, sim)
+        _build_hub(
+            spec,
+            region,
+            local_index,
+            link_map,
+            sim.lane(_hub_kernel_seed(spec, region.hub_indices[local_index])),
+        )
         for local_index in range(region.hub_count)
     ]
     handoff_rng = region_fault_rng(

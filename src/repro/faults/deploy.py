@@ -4,7 +4,8 @@ DES events.
 The driver is the deployment-scale sibling of the pair-level
 :class:`~repro.faults.injector.FaultInjector`: it walks the plan's
 canonically ordered specs, keeps the ones in scope for its region, and
-schedules begin/end callbacks on the region's shared kernel.  The plan
+schedules begin/end callbacks on the region kernel, whose lanes carry
+the hubs, so each edge sees every hub at its instant.  The plan
 checked its windows when it was built (no two same-kind windows overlap
 on one hub scope), so each begin/end pair toggles unambiguous state.
 The *mechanics* of surviving the faults — powering hubs down and up,
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class RegionFaultDriver:
-    """Arms one region's fault schedule on its shared kernel.
+    """Arms one region's fault schedule on its region kernel.
 
     Attributes:
         timeline: (time_s, label) records appended as fault edges fire —

@@ -200,6 +200,13 @@ class HubSession:
         session idled because everyone was suspended, serving restarts,
         at once or, on a dark hub, at :meth:`power_up`.
 
+        On a dark hub the re-plan waits for :meth:`power_up`, which
+        re-plans every live client before the hub serves again; no
+        packet and no report would read a plan made before.  The device
+        battery may meanwhile be draining through a twin another hub
+        adopted, on that hub's lane of the region kernel, so reading it
+        here would make this hub's events depend on another hub's.
+
         Raises:
             KeyError: for unknown client names.
         """
@@ -211,11 +218,12 @@ class HubSession:
         self.suspended_time_s += asleep_s
         client.metrics.suspended_s += asleep_s
         self.churn_resumes += 1
-        client.policy.start(
-            client.link.distance_m,
-            max(client.radio.battery.remaining_j, 1e-12),
-            max(self._hub.battery.remaining_j, 1e-12),
-        )
+        if not self._powered_down:
+            client.policy.start(
+                client.link.distance_m,
+                max(client.radio.battery.remaining_j, 1e-12),
+                max(self._hub.battery.remaining_j, 1e-12),
+            )
         self._last_mode[name] = None
         self._rebuild_schedule()
         self._wake()
@@ -364,9 +372,9 @@ class HubSession:
     def finish(self, reason: str = "time") -> SessionMetrics:
         """Stop the session at the current simulation time.
 
-        For shared-kernel runs (several hub sessions riding one
-        simulator) where the kernel loop is owned by the caller, not
-        :meth:`run`.  Idempotent; returns the hub-side metrics.
+        For a session whose kernel someone else runs, such as a hub on
+        a lane of a region kernel, whose run belongs to the region and
+        not to :meth:`run`.  Idempotent; returns the hub-side metrics.
         """
         if not self._finished:
             self._terminate(reason)

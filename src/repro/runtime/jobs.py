@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+
+from ..core.records import Record, Refused
 
 #: Signature of a job runner: (spec, per-job generator) -> JSON-able metrics.
 JobRunner = Callable[["JobSpec", np.random.Generator], "dict[str, object]"]
@@ -27,8 +30,40 @@ JobRunner = Callable[["JobSpec", np.random.Generator], "dict[str, object]"]
 _RUNNERS: dict[str, JobRunner] = {}
 
 
+def _as_distance(value: object) -> float:
+    # to_dict writes the distance as its float's repr text; any other
+    # text would re-encode differently and so change the fingerprint.
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if repr(number) == value:
+            return number
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise Refused("a number or the repr text of one")
+
+
+def _as_bitrate(value: object) -> "int | None":
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise Refused("an integer or null")
+
+
+def _as_params(value: object) -> "tuple[tuple[str, str], ...]":
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(item, str) for item in pair)
+        for pair in value
+    ):
+        raise Refused("a list of [key, value] pairs of strings")
+    return tuple((key, item) for key, item in value)
+
+
 @dataclass(frozen=True, order=True)
-class JobSpec:
+class JobSpec(Record):
     """One unit of campaign work.
 
     Attributes:
@@ -39,7 +74,19 @@ class JobSpec:
         bitrate_bps: fixed bitrate, or ``None`` to let the runner pick.
         seed: per-job salt folded into the derived RNG stream.
         params: extra (key, value-as-string) pairs, canonically sorted.
+
+    :meth:`from_dict` is the strict parser of the record codec
+    (:mod:`repro.core.records`); :meth:`to_dict` keeps the job's own
+    primitive form, with the distance as its float's repr text, because
+    every cache key is the fingerprint of that form.
     """
+
+    OWNER = "JobSpec"
+    GATES = {
+        "distance_m": _as_distance,
+        "bitrate_bps": _as_bitrate,
+        "params": _as_params,
+    }
 
     kind: str
     tx_device: str = ""
@@ -52,9 +99,13 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         if not self.kind:
-            raise ValueError("job kind must be non-empty")
-        if self.distance_m <= 0.0:
-            raise ValueError(f"distance must be positive, got {self.distance_m!r}")
+            raise ValueError("JobSpec field 'kind' must be non-empty")
+        # Written so that NaN fails too (nan <= 0.0 is false).
+        if not 0.0 < self.distance_m < math.inf:
+            raise ValueError(
+                "JobSpec field 'distance_m' must be positive and finite, "
+                f"got {self.distance_m!r}"
+            )
         canonical = tuple(sorted((str(k), str(v)) for k, v in self.params))
         object.__setattr__(self, "params", canonical)
 
@@ -103,19 +154,6 @@ class JobSpec:
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> JobSpec:
-        """Inverse of :meth:`to_dict`."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        kwargs["distance_m"] = float(kwargs.get("distance_m", 0.3))
-        kwargs["params"] = tuple(
-            (str(k), str(v)) for k, v in kwargs.get("params", ())
-        )
-        return cls(**kwargs)
 
 
 def spec_fingerprint(data: Mapping[str, object]) -> str:

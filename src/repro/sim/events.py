@@ -12,6 +12,10 @@ count: cancelled entries are tallied as they are marked and the heap is
 compacted in place once they outnumber the live ones.  NaN times are
 rejected: a NaN compares false against everything, so one entry would
 silently break the heap order every later pop relies on.
+
+Queues made by :meth:`EventQueue.sibling` share one sequence counter, so
+entries of several queues order among each other exactly as they would
+in one queue; a kernel's lanes (:meth:`Simulator.lane`) rely on it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ class EventQueue:
         self._counter = itertools.count()
         self._cancelled = 0
 
+    def sibling(self) -> "EventQueue":
+        """A new, empty queue that draws sequence numbers from this
+        queue's counter: an entry of either queue orders against an
+        entry of the other as it would if both were in one queue."""
+        queue = EventQueue()
+        queue._counter = self._counter
+        return queue
+
     def schedule(self, time_s: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute ``time_s``.
 
@@ -132,6 +144,35 @@ class EventQueue:
             handle._queue = None
             return handle.event
         return None
+
+    def pop_before(self, time_s: float, sequence: float) -> Event | None:
+        """Remove and return the earliest live event ordered before
+        ``(time_s, sequence)``, or ``None`` when there is none.  With
+        ``sequence`` infinite, every event due at ``time_s`` or earlier
+        qualifies."""
+        heap = self._heap
+        while heap:
+            entry_time, entry_sequence, handle = heap[0]
+            if entry_time > time_s or (
+                entry_time == time_s and entry_sequence > sequence
+            ):
+                return None
+            heapq.heappop(heap)
+            if handle.cancelled:
+                self._cancelled -= 1
+                continue
+            handle._queue = None
+            return handle.event
+        return None
+
+    def peek_key(self) -> tuple[float, int] | None:
+        """``(time, sequence)`` of the earliest pending event, or
+        ``None``."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][:2] if heap else None
 
     def precedes(self, time_s: float) -> bool:
         """Whether an event at ``time_s`` would pop before every pending

@@ -36,6 +36,7 @@ from repro.faults import (
     region_fault_plan_for,
 )
 from repro.faults.plan import FaultSchedule
+from repro.runtime.jobs import JobSpec
 
 #: SHA-256 fingerprints of the catalog scenarios.
 SCENARIO_FINGERPRINTS = {
@@ -142,9 +143,14 @@ def _samples():
     region_fault = RegionFaultSpec(
         RegionFaultKind.NOISE_SURGE, start_s=1, duration_s=2, magnitude=6, hub=3
     )
+    job = JobSpec(
+        kind="gain.bluetooth", tx_device="Apple Watch", rx_device="iPhone 6S",
+        distance_m=2, traffic="bursty", bitrate_bps=100_000, seed=3,
+        params=(("snr_db", "8.0"),),
+    )
     return [
         layout, tag, churn, spec, fault, FaultPlan.of(fault), region_fault,
-        RegionFaultPlan.of(region_fault),
+        RegionFaultPlan.of(region_fault), job,
     ]
 
 

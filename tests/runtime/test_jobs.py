@@ -69,6 +69,52 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec.from_dict({"kind": "x", "bogus": 1})
 
+    def test_parsed_spec_keeps_its_bytes_and_fingerprint(self):
+        spec = JobSpec.with_params(
+            "ber.montecarlo", {"snr_db": "8.0"},
+            distance_m=1.25, seed=3, bitrate_bps=100_000,
+        )
+        data = spec.to_dict()
+        assert data["distance_m"] == "1.25"
+        parsed = JobSpec.from_dict(data)
+        assert parsed.to_dict() == data
+        assert parsed.fingerprint() == spec.fingerprint() == (
+            "30fb5376d6dee98f2d783b50b6aaa95cda80a9f4fbd7fba348deb0746b89a489"
+        )
+        assert JobSpec.from_dict({"kind": "x", "distance_m": 2}).distance_m == 2.0
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"kind": "x", "seed": "7"}, "seed"),
+            ({"kind": "x", "seed": True}, "seed"),
+            ({"kind": "x", "distance_m": True}, "distance_m"),
+            ({"kind": "x", "distance_m": "inf"}, "distance_m"),
+            ({"kind": "x", "distance_m": "nan"}, "distance_m"),
+            ({"kind": "x", "distance_m": "0.30"}, "distance_m"),
+            ({"kind": "x", "distance_m": "far"}, "distance_m"),
+            ({"kind": "x", "bitrate_bps": "fast"}, "bitrate_bps"),
+            ({"kind": "x", "bitrate_bps": 1.5}, "bitrate_bps"),
+            ({"kind": "x", "params": [["a", 1]]}, "params"),
+            ({"kind": "x", "params": "a=1"}, "params"),
+            ({"kind": 7}, "kind"),
+            ({"kind": ""}, "kind"),
+            ({"seed": 1}, "kind"),
+        ],
+    )
+    def test_from_dict_rejects_bad_values_naming_the_key(self, data, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_a_non_mapping(self):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            JobSpec.from_dict([1])
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_and_negative_distances(self, distance):
+        with pytest.raises(ValueError, match="'distance_m'"):
+            JobSpec(kind="x", distance_m=distance)
+
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):

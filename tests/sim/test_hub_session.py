@@ -237,6 +237,44 @@ class TestPowerCycle:
             assert client.metrics.packets_attempted > at_reboot
 
 
+class _StartLog(BraidioPolicy):
+    """A Braidio policy that counts its (re-)negotiations."""
+
+    def __init__(self):
+        super().__init__()
+        self.starts = 0
+
+    def start(self, distance_m, e1_j, e2_j):
+        self.starts += 1
+        super().start(distance_m, e1_j, e2_j)
+
+
+class TestDarkResume:
+    def test_resume_on_a_dark_hub_replans_at_power_up(self):
+        # On a region kernel the device battery of a client that wakes on
+        # a dark hub may be draining through a twin on another hub's lane,
+        # so its re-plan waits for power_up, which re-plans every live
+        # client anyway.  A resume on a lit hub re-plans at once.
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), max_time_s=0.5, policy=_StartLog
+        )
+        policy = clients[0].policy
+        starts = {}
+        sim.schedule_at(0.1, lambda: session.suspend_client("c0"))
+        sim.schedule_at(0.2, session.power_down)
+        sim.schedule_at(0.25, lambda: session.resume_client("c0"))
+        sim.schedule_at(0.3, session.power_up)
+        sim.schedule_at(0.35, lambda: session.suspend_client("c0"))
+        sim.schedule_at(0.4, lambda: session.resume_client("c0"))
+        for label, at_s in (("dark", 0.26), ("rebooted", 0.31), ("lit", 0.41)):
+            sim.schedule_at(
+                at_s, lambda label=label: starts.setdefault(label, policy.starts)
+            )
+        session.run()
+        assert starts == {"dark": 1, "rebooted": 2, "lit": 3}
+        assert session.churn_resumes == 2
+
+
 class TestHubDeterminism:
     def test_faulted_hub_run_replays_bit_identically(self):
         # Churn, a blackout and a brownout overlapping on an adaptive hub.

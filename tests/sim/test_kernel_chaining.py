@@ -38,15 +38,23 @@ class DecliningSimulator(Simulator):
         return False
 
 
-def _recording(kernel_cls, kernels):
-    """A subclass of ``kernel_cls`` that appends each instance to
-    ``kernels``, so a test can read the event counts of kernels built
-    deep inside the deploy layer."""
+def _recording(kernel_cls, kernels, lanes):
+    """A subclass of ``kernel_cls`` that appends each top-level instance
+    to ``kernels`` and each lane to ``lanes``, so a test can read the
+    event counts of kernels built deep inside the deploy layer.  A lane
+    is built from its parent's class, so a declining kernel's lanes
+    decline too."""
 
     class Recording(kernel_cls):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             kernels.append(self)
+
+        def lane(self, seed):
+            lane = super().lane(seed)
+            kernels.remove(lane)
+            lanes.append(lane)
+            return lane
 
     return Recording
 
@@ -304,10 +312,14 @@ def test_max_events_run_serves_one_packet_per_event():
 
 
 def _region_reports(monkeypatch, kernel_cls, spec, fault_plan):
-    kernels = []
-    monkeypatch.setattr(region_module, "Simulator", _recording(kernel_cls, kernels))
+    kernels, lanes = [], []
+    monkeypatch.setattr(
+        region_module, "Simulator", _recording(kernel_cls, kernels, lanes)
+    )
     reports = [simulate_region(spec, region, fault_plan) for region in partition(spec).regions]
-    return reports, sum(kernel.processed_events for kernel in kernels), len(kernels)
+    assert all(isinstance(kernel, kernel_cls) for kernel in kernels + lanes)
+    # A kernel's processed events include its lanes'.
+    return reports, sum(kernel.processed_events for kernel in kernels), len(kernels), len(lanes)
 
 
 @pytest.mark.parametrize("armed", [True, False], ids=["metro-chaos", "unarmed"])
@@ -321,15 +333,18 @@ def test_city_regions_match_the_reference_kernel(monkeypatch, armed):
         lp_plan=False,
     )
     plan = region_fault_plan_for("metro-chaos", spec) if armed else None
-    reference, ref_events, ref_kernels = _region_reports(
+    reference, ref_events, ref_kernels, ref_lanes = _region_reports(
         monkeypatch, DecliningSimulator, spec, plan
     )
-    chained, events, kernels = _region_reports(monkeypatch, Simulator, spec, plan)
+    chained, events, kernels, lanes = _region_reports(monkeypatch, Simulator, spec, plan)
     if armed:
-        # One shared kernel per region, with hub-to-hub handoffs.
-        assert kernels == len(reference)
+        # One region kernel per region with one lane per hub (declining
+        # in the reference), and hub-to-hub handoffs.
+        assert kernels == ref_kernels == len(reference)
+        assert lanes == ref_lanes == spec.hub_count
         assert sum(r["resilience"]["handoffs"] for r in reference) > 0
     else:
-        assert kernels == spec.hub_count
+        assert kernels == ref_kernels == spec.hub_count
+        assert lanes == ref_lanes == 0
     assert chained == reference
     assert events == ref_events
