@@ -6,7 +6,8 @@ Braidio simply falls back to the active mode if the current operating mode
 is performing poorly."  Here a watch walks away from a laptop in steps:
 the controller downgrades bitrates, loses backscatter (regime A -> B),
 then loses the passive receiver (regime B -> C), and keeps the session
-alive on the active link.
+alive on the active link.  The watch dwells one simulated second at
+each distance.
 
 Run:
     python examples/mobility_fallback.py
@@ -22,6 +23,9 @@ from repro.sim import (
     Simulator,
 )
 from repro.sim.session import FRAME_OVERHEAD_BITS
+
+#: Simulated seconds the watch spends at each distance of the walk.
+DWELL_S = 1.0
 
 
 def main() -> None:
@@ -54,7 +58,7 @@ def main() -> None:
     for distance in (0.3, 0.8, 1.5, 2.2, 3.0, 4.0, 5.0, 6.5):
         link.set_distance(distance)
         policy.update_distance(distance)
-        simulator.run(max_events=2_000)
+        simulator.run(until_s=simulator.now_s + DWELL_S)
         if session.finished:
             break
         plan = policy.controller.plan

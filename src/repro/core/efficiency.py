@@ -96,12 +96,6 @@ class Mixture:
         return self.tx_energy_per_bit_j + self.rx_energy_per_bit_j
 
     @property
-    def tx_rx_energy_ratio(self) -> float:
-        """Ratio of TX to RX energy per bit (matches the battery ratio when
-        operating power-proportionally)."""
-        return self.tx_energy_per_bit_j / self.rx_energy_per_bit_j
-
-    @property
     def mean_bitrate_bps(self) -> float:
         """Harmonic-style mean bitrate: total bits over total air time."""
         time_per_bit = sum(

@@ -93,12 +93,6 @@ class OffloadSolution:
             out[p.mode] = out.get(p.mode, 0.0) + f
         return out
 
-    def active_points(self) -> list[tuple[ModePower, float]]:
-        """(point, fraction) pairs with non-negligible share."""
-        return [
-            (p, f) for p, f in zip(self.points, self.fractions) if f > 1e-12
-        ]
-
     def mean_bitrate_bps(self) -> float:
         """Delivered bits per second of air time under this mix."""
         time_per_bit = sum(

@@ -15,8 +15,8 @@ reuse channel with a neighbor sees that neighbor's TDMA bursts as a
 hub-to-hub path loss, on every one of its client links
 (:class:`~repro.sim.interference.InterferedLink`, which memoizes per
 burst state).  Orthogonal or isolated hubs keep the plain memoizing
-:class:`~repro.sim.link.SimulatedLink`.  Every controller of a region
-plans against one shared, default-configured
+:class:`~repro.sim.link.SimulatedLink`.  Every link, controller and LP
+bound of a region uses one shared, default-configured
 :class:`~repro.core.regimes.LinkMap`.
 
 Churn runs *through the DES*: each device's join/leave/sleep timeline is
@@ -214,14 +214,13 @@ def _lp_upper_bound(
 def _region_link_map(region: Region) -> LinkMap:
     """The default-configured :class:`LinkMap` a region shares.
 
-    Every controller in the region (hub clients and handoff twins alike)
-    plans against it, and the region paths also use it for links and
-    the LP bound.  Its budget, availability and plan memos are pure
-    functions of the calibrated profiles and their keys, so sharing them
-    changes no output; it spares each controller its own cold
-    availability scans and plan solves at start and on every resume.
-    Only the region simulated last is kept, which bounds the plan memo
-    to one region.
+    Every link, controller (hub clients and handoff twins alike) and LP
+    bound of the region uses it.  Its budget, availability and plan
+    memos are pure functions of the calibrated profiles and their keys,
+    so sharing them changes no output; it spares each controller its own
+    cold availability scans and plan solves at start and on every
+    resume.  Only the region simulated last is kept, which bounds the
+    plan memo to one region.
     """
     return LinkMap()
 
@@ -253,7 +252,6 @@ def _build_hub(
     spec: DeploymentSpec,
     region: Region,
     local_index: int,
-    link_map: LinkMap,
     sim: Simulator,
 ) -> _HubRuntime:
     """Instantiate one hub's session, clients, mobility and churn on
@@ -285,7 +283,7 @@ def _build_hub(
     clients: "list[HubClient]" = []
     weights: "dict[str, float]" = {}
     drivers: "list[MobilityDriver]" = []
-    planning_map = _region_link_map(region)
+    link_map = _region_link_map(region)
 
     for plan in plans:
         device_class = spec.device_class(plan.class_name)
@@ -297,7 +295,7 @@ def _build_hub(
             )
         else:
             link = SimulatedLink(link_map, plan.distance_m, link_rng)
-        policy = BraidioPolicy(DynamicOffloadController(planning_map))
+        policy = BraidioPolicy(DynamicOffloadController(link_map))
         client = HubClient(name=plan.name, radio=radio, link=link, policy=policy)
         clients.append(client)
         weights[plan.name] = device_class.tdma_weight
@@ -352,10 +350,7 @@ def _hub_kernel_seed(spec: DeploymentSpec, global_index: int) -> int:
 
 
 def simulate_hub(
-    spec: DeploymentSpec,
-    region: Region,
-    local_index: int,
-    link_map: "LinkMap | None" = None,
+    spec: DeploymentSpec, region: Region, local_index: int
 ) -> "dict[str, object]":
     """Run one hub's full DES session and report post-warmup metrics.
 
@@ -363,16 +358,10 @@ def simulate_hub(
     ``[warmup_s, warmup_s + duration_s]`` — the warmup (controllers
     converging, TDMA rotations filling) is simulated but excluded, in
     the classic warmup/measure shape.
-
-    ``link_map`` serves the hub's links and LP bound (default: the
-    region's :func:`_region_link_map`); the controllers always plan
-    against the region's map.
     """
     global_index = region.hub_indices[local_index]
-    if link_map is None:
-        link_map = _region_link_map(region)
     sim = Simulator(seed=_hub_kernel_seed(spec, global_index))
-    runtime = _build_hub(spec, region, local_index, link_map, sim)
+    runtime = _build_hub(spec, region, local_index, sim)
     clients = runtime.clients
     session = runtime.session
 
@@ -386,6 +375,8 @@ def simulate_hub(
         for client in clients:
             client_energy_base[client.name] = client.metrics.energy_a_j
 
+    # Due before the horizon (a spec's duration_s is positive), and the
+    # run includes events at its bound, so the snapshot always fires.
     sim.schedule_at(spec.warmup_s, snapshot)
     for driver in runtime.drivers:
         driver.start()
@@ -394,15 +385,13 @@ def simulate_hub(
     # horizon): it links the kernel to the session in reference cycles,
     # which would keep the whole hub alive until the next GC pass.
     sim.stop()
-    if not counter_base:  # warmup_s == horizon corner: snapshot never beat stop
-        snapshot()
 
     client_energy = 0.0
     for client in clients:
         client_energy += client.metrics.energy_a_j - client_energy_base[client.name]
     hub_energy = session.hub_metrics.energy_b_j - hub_energy_base[0]
     return _hub_report(
-        spec, region, runtime, link_map, counter_base[0], client_energy, hub_energy
+        spec, region, runtime, counter_base[0], client_energy, hub_energy
     )
 
 
@@ -420,7 +409,6 @@ def _hub_report(
     spec: DeploymentSpec,
     region: Region,
     runtime: _HubRuntime,
-    link_map: LinkMap,
     counters_at_warmup: "tuple[int, int, int]",
     client_energy_j: float,
     hub_energy_j: float,
@@ -430,7 +418,7 @@ def _hub_report(
     Counters are the measured window's deltas (now minus
     ``counters_at_warmup``); each path measures the window's client and
     hub energy its own way and passes it in.  ``lp_bits`` rides along
-    when the spec solves the fleet LP against ``link_map``.
+    when the spec solves the fleet LP.
     """
     bits, delivered, attempted = (
         now - then for now, then in zip(_hub_counters(runtime), counters_at_warmup)
@@ -456,7 +444,9 @@ def _hub_report(
         "terminated_by": session.hub_metrics.terminated_by,
     }
     if spec.lp_plan:
-        report["lp_bits"] = _lp_upper_bound(spec, runtime.plans, link_map)
+        report["lp_bits"] = _lp_upper_bound(
+            spec, runtime.plans, _region_link_map(region)
+        )
     return report
 
 
@@ -566,14 +556,13 @@ class HandoffCoordinator:
         region: Region,
         sim: Simulator,
         runtimes: "list[_HubRuntime]",
-        link_map: LinkMap,
         rng,
     ) -> None:
         self._spec = spec
         self._region = region
         self._sim = sim
         self._runtimes = runtimes
-        self._link_map = link_map
+        self._link_map = _region_link_map(region)
         self._rng = rng
         self._devices: "dict[str, _DeviceHome]" = {}
         for runtime in runtimes:
@@ -833,7 +822,7 @@ class HandoffCoordinator:
         surge_db = self._surge_db_for(local_index)
         if surge_db:
             link.snr_offset_db = -surge_db
-        policy = BraidioPolicy(DynamicOffloadController(_region_link_map(self._region)))
+        policy = BraidioPolicy(DynamicOffloadController(self._link_map))
         twin = HubClient(name=name, radio=record.radio, link=link, policy=policy)
         host = self._runtimes[local_index].session
         host.adopt_client(twin, weight=record.tdma_weight)
@@ -935,7 +924,6 @@ def _simulate_region_resilient(
     from ..faults.deploy import RegionFaultDriver
     from ..faults.seeding import region_fault_rng
 
-    link_map = _region_link_map(region)
     sim_seed = int(spec.stream(f"region{region.index}:kernel").integers(2**31))
     sim = Simulator(seed=sim_seed)
     runtimes = [
@@ -943,7 +931,6 @@ def _simulate_region_resilient(
             spec,
             region,
             local_index,
-            link_map,
             sim.lane(_hub_kernel_seed(spec, region.hub_indices[local_index])),
         )
         for local_index in range(region.hub_count)
@@ -951,9 +938,7 @@ def _simulate_region_resilient(
     handoff_rng = region_fault_rng(
         spec.fingerprint(), fault_plan, f"region{region.index}:handoff", spec.seed
     )
-    coordinator = HandoffCoordinator(
-        spec, region, sim, runtimes, link_map, handoff_rng
-    )
+    coordinator = HandoffCoordinator(spec, region, sim, runtimes, handoff_rng)
     driver = RegionFaultDriver(spec, region, fault_plan, coordinator)
     driver.arm()
 
@@ -970,7 +955,7 @@ def _simulate_region_resilient(
             for client in runtime.clients:
                 battery_base[client.name] = client.radio.battery.remaining_j
 
-    sim.schedule_at(spec.warmup_s, snapshot)
+    sim.schedule_at(spec.warmup_s, snapshot)  # always fires, as in simulate_hub
     for runtime in runtimes:
         for driver_ in runtime.drivers:
             driver_.start()
@@ -980,8 +965,6 @@ def _simulate_region_resilient(
     sim.stop()  # as in simulate_hub: free the region by reference counting
     for runtime in runtimes:
         runtime.session.finish("time")
-    if not counter_base:  # warmup_s == horizon corner
-        snapshot()
 
     resilience = coordinator.summarize()
     hubs: "list[dict[str, object]]" = []
@@ -995,7 +978,7 @@ def _simulate_region_resilient(
             - runtime.hub_radio.battery.remaining_j
         )
         report = _hub_report(
-            spec, region, runtime, link_map,
+            spec, region, runtime,
             counter_base[runtime.local_index], client_energy, hub_energy,
         )
         metrics = runtime.session.hub_metrics

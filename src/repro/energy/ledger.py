@@ -342,11 +342,6 @@ class LedgerAccount:
         """The legacy per-device energy total."""
         return self._metered_j
 
-    def set_metered_j(self, value: float) -> None:
-        """Rebase the metered total (compatibility shim for callers that
-        assigned ``SessionMetrics.energy_*_j`` directly)."""
-        self._metered_j = value
-
     def category_j(self, category: int) -> float:
         """Attributed joules in one category."""
         return self._categories[category]
@@ -477,18 +472,10 @@ class EnergyLedger:
         """Pooled switch energy across all accounts."""
         return self._switch_pool_j
 
-    def set_switch_energy_j(self, value: float) -> None:
-        """Rebase the pooled switch counter (compatibility shim)."""
-        self._switch_pool_j = value
-
     @property
     def idle_energy_j(self) -> float:
         """Pooled idle energy across all accounts."""
         return self._idle_pool_j
-
-    def set_idle_energy_j(self, value: float) -> None:
-        """Rebase the pooled idle counter (compatibility shim)."""
-        self._idle_pool_j = value
 
     # -- views ------------------------------------------------------------
 

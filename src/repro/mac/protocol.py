@@ -24,7 +24,6 @@ from ..modes import LinkMode
 from .frames import Frame, FrameType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..energy import EnergyBudget, LedgerAccount
     from ..hardware.battery import Battery
 
 _MODE_CODES = {LinkMode.ACTIVE: 0, LinkMode.PASSIVE: 1, LinkMode.BACKSCATTER: 2}
@@ -75,29 +74,6 @@ class BatteryStatus:
     def from_battery(cls, battery: "Battery") -> "BatteryStatus":
         """Announce a live battery's state."""
         return cls(remaining_j=battery.remaining_j, capacity_j=battery.capacity_j)
-
-    @classmethod
-    def from_account(cls, account: "LedgerAccount") -> "BatteryStatus":
-        """Announce the state of a ledger account's capacity store.
-
-        Raises:
-            ValueError: for metering-only accounts (nothing to announce).
-        """
-        battery = account.battery
-        if battery is None:
-            raise ValueError(
-                f"ledger account {account.name!r} has no battery to announce"
-            )
-        return cls.from_battery(battery)
-
-    def as_budget(self) -> "EnergyBudget":
-        """The planning-layer view of this announcement (what the peer
-        may assume about our remaining energy)."""
-        from ..energy import EnergyBudget
-
-        return EnergyBudget(
-            available_j=self.remaining_j, capacity_j=self.capacity_j
-        )
 
 
 @dataclass(frozen=True)

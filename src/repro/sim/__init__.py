@@ -2,7 +2,7 @@
 traffic patterns, policies, sessions and the analytic lifetime engine."""
 
 from .estimation import LinkProber, ProbeResult, SnrEstimator
-from .events import Event, EventHandle, EventQueue
+from .events import EventQueue
 from .interference import BurstyInterferer, InterferedLink
 from .lifetime import (
     DemandLifetime,
@@ -54,8 +54,6 @@ __all__ = [
     "BraidioPolicy",
     "CommunicationSession",
     "ConstantBitrateTraffic",
-    "Event",
-    "EventHandle",
     "EventQueue",
     "FRAME_OVERHEAD_BITS",
     "FixedModePolicy",

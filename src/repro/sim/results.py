@@ -18,10 +18,7 @@ class SessionMetrics:
     ``idle_energy_j`` read the ledger's pooled accumulators.  Totals are
     bit-identical to the pre-ledger scalar accumulation; the ledger adds
     the per-category attribution exposed by :meth:`energy_breakdown`.
-
-    Assignment to the energy properties still works (the setters rebase
-    the underlying ledger counters), so existing callers that built
-    metrics by hand keep functioning.
+    The views are read-only: energy enters only through the ledger.
 
     Attributes:
         bits_delivered: payload bits successfully received.
@@ -115,36 +112,20 @@ class SessionMetrics:
         """Energy drained from device A (metered total of account "a")."""
         return self._account_a.metered_j
 
-    @energy_a_j.setter
-    def energy_a_j(self, value: float) -> None:
-        self._account_a.set_metered_j(value)
-
     @property
     def energy_b_j(self) -> float:
         """Energy drained from device B (metered total of account "b")."""
         return self._account_b.metered_j
-
-    @energy_b_j.setter
-    def energy_b_j(self, value: float) -> None:
-        self._account_b.set_metered_j(value)
 
     @property
     def switch_energy_j(self) -> float:
         """Pooled two-sided mode-switch energy."""
         return self.ledger.switch_energy_j
 
-    @switch_energy_j.setter
-    def switch_energy_j(self, value: float) -> None:
-        self.ledger.set_switch_energy_j(value)
-
     @property
     def idle_energy_j(self) -> float:
         """Pooled two-sided idle energy."""
         return self.ledger.idle_energy_j
-
-    @idle_energy_j.setter
-    def idle_energy_j(self, value: float) -> None:
-        self.ledger.set_idle_energy_j(value)
 
     def energy_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Account name -> category label -> attributed joules."""

@@ -4,16 +4,21 @@ Single-threaded, deterministic given a seed: a clock, an event calendar
 and a random generator.  Sessions schedule packet events against it;
 experiments run it until a stop condition.
 
+One loop runs every event (:meth:`Simulator._advance`): it pops the
+calendar's head while that head is ordered no later than a given
+(time, sequence) bound and fires it.  A plain kernel's :meth:`run` is
+that loop bounded by ``until_s``.
+
 A kernel can also host *lanes* (:meth:`Simulator.lane`): child kernels
 with their own calendar, clock and generator for work that touches only
 its own state, such as one hub of a region.  The parent's :meth:`run`
-advances every lane through the events ordered before the parent's own
-next event, then runs that event, so each lane's self-rescheduling
-chains run inline up to the next event that may touch several lanes.
-Parent and lanes draw sequence numbers from one counter, and a lane
-event never touches another lane's state, so every lane sees its
-events, and every parent event sees every lane, exactly as one calendar
-holding all of them would order them.
+advances every lane, through the same loop, over the events ordered
+before the parent's own next event, then runs that event, so each lane's
+self-rescheduling chains run inline up to the next event that may touch
+several lanes.  Parent and lanes draw sequence numbers from one counter,
+and a lane event never touches another lane's state, so every lane sees
+its events, and every parent event sees every lane, exactly as one
+calendar holding all of them would order them.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from typing import Callable
 
 import numpy as np
 
-from .events import EventHandle, EventQueue
+from .events import EventQueue
 
 #: Lanes run ahead of the parent's calendar up to its next event, so a
-#: lane event that cancels that event, or adds one due before it, would
-#: break the order one calendar gives.
+#: lane event that adds one due before it would break the order one
+#: calendar gives.
 _LANE_TOUCHED_PARENT = (
-    "a lane event scheduled or cancelled an event of its parent kernel "
-    "due before the parent's next event"
+    "a lane event scheduled an event of its parent kernel due before the "
+    "parent's next event"
 )
 
 
@@ -47,8 +52,7 @@ class Simulator:
         self._rng = np.random.default_rng(seed)
         self._event_count = 0
         # Latest time chain_in may run an event inline: the bound of the
-        # run in progress (for a lane, of its current advance), -inf
-        # outside run() and in max_events runs.
+        # loop in progress, -inf outside run().
         self._chain_until_s = -math.inf
         self._lanes: list[Simulator] = []
         self._parent: Simulator | None = None
@@ -81,7 +85,7 @@ class Simulator:
         on this kernel, where it runs with every lane's clock at its
         instant.  :meth:`run` raises ``RuntimeError`` when a lane event
         schedules an event of this kernel due before this kernel's next
-        one, or cancels that next one.
+        one.
 
         Raises:
             RuntimeError: on a lane, or once this kernel has run.
@@ -96,7 +100,7 @@ class Simulator:
         self._lanes.append(lane)
         return lane
 
-    def schedule_at(self, time_s: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time_s: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute time ``time_s``.
 
         Raises:
@@ -106,9 +110,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past: {time_s} < {self._now_s}"
             )
-        return self._queue.schedule(time_s, callback)
+        self._queue.schedule(time_s, callback)
 
-    def schedule_in(self, delay_s: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_in(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay_s`` seconds.
 
         Raises:
@@ -116,7 +120,7 @@ class Simulator:
         """
         if delay_s < 0.0:
             raise ValueError(f"delay must be non-negative, got {delay_s!r}")
-        return self._queue.schedule(self._now_s + delay_s, callback)
+        self._queue.schedule(self._now_s + delay_s, callback)
 
     def chain_in(self, delay_s: float, callback: Callable[[], None]) -> bool:
         """Continue a self-rescheduling ``callback`` after ``delay_s``.
@@ -127,9 +131,9 @@ class Simulator:
         would pop it next anyway.  The clock then stands at its time and
         it counts as processed.  Otherwise ``callback`` is scheduled as
         by :meth:`schedule_in` and the result is ``False``.  Nothing
-        chains outside :meth:`run` or in a ``max_events`` run.  A lane
-        chains only strictly before its parent's next event, and never
-        while a parent event runs; a kernel with lanes never chains.
+        chains outside :meth:`run`.  A lane chains only strictly before
+        its parent's next event, and never while a parent event runs; a
+        kernel with lanes never chains.
 
         Raises:
             ValueError: for negative or NaN delays.
@@ -146,13 +150,9 @@ class Simulator:
         self.schedule_in(delay_s, callback)
         return False
 
-    def run(
-        self,
-        until_s: float | None = None,
-        max_events: int | None = None,
-    ) -> None:
-        """Process events until the queue drains, ``until_s`` is reached,
-        or ``max_events`` have fired — whichever comes first.
+    def run(self, until_s: float | None = None) -> None:
+        """Process events until the queue drains or ``until_s`` is
+        passed; events due at exactly ``until_s`` run.
 
         Time advances to ``until_s`` even if the queue drains earlier, so
         repeated bounded runs observe a consistent clock; it never moves
@@ -161,67 +161,31 @@ class Simulator:
 
         Raises:
             ValueError: for a NaN ``until_s``.
-            RuntimeError: on a lane, or for a ``max_events`` run of a
-                kernel with lanes.
+            RuntimeError: on a lane.
         """
         if until_s is not None and until_s != until_s:
             raise ValueError(f"run bound until_s must be a number, got {until_s!r}")
         if self._parent is not None:
             raise RuntimeError("a lane runs only inside its parent's run")
-        if self._lanes and max_events is not None:
-            raise RuntimeError("a kernel with lanes cannot run a max_events run")
         self._started = True
+        bound = math.inf if until_s is None else until_s
         if self._lanes:
-            self._run_lanes(until_s)
-            return
-        outer_chain_until_s = self._chain_until_s
-        if max_events is None:
-            self._chain_until_s = math.inf if until_s is None else until_s
+            self._run_lanes(bound)
         else:
-            self._chain_until_s = -math.inf
-        try:
-            self._run(until_s, max_events)
-        finally:
-            self._chain_until_s = outer_chain_until_s
+            self._advance(bound, math.inf, bound)
+        if until_s is not None and until_s > self._now_s:
+            self._now_s = until_s
+        for lane in self._lanes:
+            lane._now_s = self._now_s
 
-    def _run(self, until_s: float | None, max_events: int | None) -> None:
-        if until_s is None and max_events is None:
-            # Unbounded fast path: no per-event bound checks and a single
-            # heap operation per event (no peek-then-pop double scan).
-            pop_next = self._queue.pop_next
-            while (event := pop_next()) is not None:
-                self._now_s = event.time_s
-                event.callback()
-                self._event_count += 1
-            return
-        peek_time = self._queue.peek_time
-        pop_next = self._queue.pop_next
-        fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
-                return
-            next_time = peek_time()
-            if next_time is None or (until_s is not None and next_time > until_s):
-                if until_s is not None:
-                    self._now_s = max(self._now_s, until_s)
-                return
-            event = pop_next()
-            if event is None:
-                continue
-            self._now_s = event.time_s
-            event.callback()
-            self._event_count += 1
-            fired += 1
-
-    def _run_lanes(self, until_s: float | None) -> None:
+    def _run_lanes(self, bound: float) -> None:
         # Each of this kernel's events is a barrier: every lane first runs
         # the events one calendar would run before it, with its chains
         # held strictly before its instant (an inline event would have
         # drawn a later sequence number and lost the tie), then every
         # clock stands at that instant while the event runs.
-        bound = math.inf if until_s is None else until_s
         peek_key = self._queue.peek_key
-        pop_next = self._queue.pop_next
+        pop_before = self._queue.pop_before
         lanes = self._lanes
         while (key := peek_key()) is not None and key[0] <= bound:
             time_s, sequence = key
@@ -229,35 +193,31 @@ class Simulator:
             for lane in lanes:
                 lane._advance(time_s, sequence, chain_until_s)
                 lane._now_s = time_s
-            if peek_key() != key:
+            entry = pop_before(time_s, sequence)
+            if entry is None or entry[1] != sequence:
                 raise RuntimeError(_LANE_TOUCHED_PARENT)
-            event = pop_next()
             self._now_s = time_s
-            event.callback()  # type: ignore[union-attr]
+            entry[2]()
             self._event_count += 1
         for lane in lanes:
             lane._advance(bound, math.inf, bound)
         if (key := peek_key()) is not None and key[0] <= bound:
             raise RuntimeError(_LANE_TOUCHED_PARENT)
-        end_s = max(self._now_s, max(lane._now_s for lane in lanes))
-        if until_s is not None:
-            end_s = max(end_s, until_s)
-        self._now_s = end_s
-        for lane in lanes:
-            lane._now_s = end_s
+        self._now_s = max(self._now_s, max(lane._now_s for lane in lanes))
 
     def _advance(self, time_s: float, sequence: float, chain_until_s: float) -> None:
-        """Run this lane's events ordered before ``(time_s, sequence)``,
+        """Run the events ordered no later than ``(time_s, sequence)``,
         chaining no later than ``chain_until_s``."""
         pop_before = self._queue.pop_before
+        outer_chain_until_s = self._chain_until_s
         self._chain_until_s = chain_until_s
         try:
-            while (event := pop_before(time_s, sequence)) is not None:
-                self._now_s = event.time_s
-                event.callback()
+            while (entry := pop_before(time_s, sequence)) is not None:
+                self._now_s = entry[0]
+                entry[2]()
                 self._event_count += 1
         finally:
-            self._chain_until_s = -math.inf
+            self._chain_until_s = outer_chain_until_s
 
     def pending_events(self) -> int:
         """Number of events still scheduled (those of every lane
@@ -265,8 +225,8 @@ class Simulator:
         return len(self._queue) + sum(len(lane._queue) for lane in self._lanes)
 
     def stop(self) -> None:
-        """Cancel everything still pending, on every lane too (used by
-        sessions when a battery dies)."""
+        """Drop everything still pending, on every lane too (used to free
+        a finished hub or region)."""
         self._queue.clear()
         for lane in self._lanes:
             lane._queue.clear()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.regimes import LinkMap
 from repro.deploy import DeploymentSpec, DeviceClass, HubLayout, partition
 from repro.deploy.region import (
     churn_timeline,
@@ -182,17 +181,6 @@ class TestSimulateHub:
         assert report["terminated_by"] == "time"
         assert report["suspensions"] > 0
         assert report["resumes"] > 0
-
-    def test_custom_link_map_leaves_controllers_on_the_default_map(self):
-        # The map passed in serves the links (whose budgets are the same
-        # under any availability criterion); the controllers keep
-        # planning against the region's default-configured map, so a
-        # stricter availability criterion changes nothing.
-        spec = _micro_spec(devices_per_hub=6, lp_plan=False)
-        region = partition(spec).regions[0]
-        default = simulate_hub(spec, region, 0)
-        strict = LinkMap(packet_bits=328, max_packet_error=1e-3)
-        assert simulate_hub(spec, region, 0, link_map=strict) == default
 
     def test_warmup_excluded_from_measured_window(self):
         # Same 2.0 s horizon twice: once measured in full, once with the

@@ -127,12 +127,6 @@ class TestPrimitives:
         account.note(ChargeCategory.HARVEST_CREDIT, 2.0)
         assert account.attributed_j == pytest.approx(3.0)
 
-    def test_set_metered_rebases(self):
-        account = LedgerAccount("a")
-        account.meter(1.0)
-        account.set_metered_j(0.25)
-        assert account.metered_j == 0.25
-
 
 class TestPools:
     def test_pooled_counters(self):
@@ -142,14 +136,6 @@ class TestPools:
         ledger.pool_idle(2.0)
         assert ledger.switch_energy_j == 1.5
         assert ledger.idle_energy_j == 2.0
-
-    def test_pool_setters_rebase(self):
-        ledger = EnergyLedger.for_pair()
-        ledger.pool_switch(1.0)
-        ledger.set_switch_energy_j(0.0)
-        ledger.set_idle_energy_j(3.0)
-        assert ledger.switch_energy_j == 0.0
-        assert ledger.idle_energy_j == 3.0
 
     def test_category_total_across_accounts(self):
         ledger = EnergyLedger.for_pair()

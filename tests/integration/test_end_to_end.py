@@ -118,12 +118,14 @@ class TestLifecycle:
             sim, a, b, link, policy, max_packets=10_000_000
         )
         session.start()
-        sim.run(max_events=500)
+        sim.run(until_s=0.1)
+        assert not session.finished
         assert policy.controller.plan.regime is Regime.A
 
         link.set_distance(3.0)
         policy.update_distance(3.0)
-        sim.run(max_events=500)
+        sim.run(until_s=sim.now_s + 0.1)
+        assert not session.finished
         assert policy.controller.plan.regime is Regime.B
         # In regime B with the watch transmitting, only the active link
         # helps (passive would cost the watch more than active).

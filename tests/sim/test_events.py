@@ -1,8 +1,16 @@
 """Unit tests for the event calendar."""
 
+import math
+
 import pytest
 
 from repro.sim.events import EventQueue
+
+
+def _drain(queue):
+    """Fire every pending entry in calendar order."""
+    while (entry := queue.pop_before(math.inf, math.inf)) is not None:
+        entry[2]()
 
 
 class TestOrdering:
@@ -12,8 +20,7 @@ class TestOrdering:
         queue.schedule(2.0, lambda: fired.append("b"))
         queue.schedule(1.0, lambda: fired.append("a"))
         queue.schedule(3.0, lambda: fired.append("c"))
-        while (event := queue.pop_next()) is not None:
-            event.callback()
+        _drain(queue)
         assert fired == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -22,8 +29,7 @@ class TestOrdering:
         queue.schedule(1.0, lambda: fired.append(1))
         queue.schedule(1.0, lambda: fired.append(2))
         queue.schedule(1.0, lambda: fired.append(3))
-        while (event := queue.pop_next()) is not None:
-            event.callback()
+        _drain(queue)
         assert fired == [1, 2, 3]
 
     def test_rejects_negative_time(self):
@@ -31,84 +37,73 @@ class TestOrdering:
             EventQueue().schedule(-1.0, lambda: None)
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, lambda: None)
-        handle.cancel()
-        assert queue.pop_next() is None
+class TestPopBefore:
+    # (bound time, bound sequence relative to the entry's own, pops?) for
+    # one entry due at 1.0.
+    @pytest.mark.parametrize(
+        "time_s, sequence_offset, pops",
+        [
+            (2.0, -1, True),
+            (1.0, +1, True),
+            (1.0, 0, True),
+            (1.0, -1, False),
+            (1.0, math.inf, True),
+            (0.5, math.inf, False),
+        ],
+        ids=[
+            "earlier-time",
+            "same-time-lower-sequence",
+            "same-key",
+            "same-time-higher-sequence",
+            "infinite-sequence",
+            "later-time",
+        ],
+    )
+    def test_pops_only_an_entry_ordered_no_later_than_the_bound(
+        self, time_s, sequence_offset, pops
+    ):
+        def callback():
+            pass
 
-    def test_cancelled_event_not_counted(self):
         queue = EventQueue()
+        queue.schedule(1.0, callback)
+        _, sequence = queue.peek_key()
+        entry = queue.pop_before(time_s, sequence + sequence_offset)
+        if pops:
+            assert entry == (1.0, sequence, callback)
+            assert len(queue) == 0
+        else:
+            assert entry is None
+            assert len(queue) == 1
+
+    def test_sibling_queues_share_the_sequence_counter(self):
+        queue = EventQueue()
+        sibling = queue.sibling()
         queue.schedule(1.0, lambda: None)
-        handle = queue.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert len(queue) == 1
-
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
-
-
-class TestLiveCountAndCompaction:
-    def test_len_tracks_cancellations(self):
-        queue = EventQueue()
-        handles = [queue.schedule(float(i), lambda: None) for i in range(10)]
-        for handle in handles[:4]:
-            handle.cancel()
-        assert len(queue) == 6
-
-    def test_cancel_is_idempotent(self):
-        queue = EventQueue()
+        sibling.schedule(1.0, lambda: None)
         queue.schedule(1.0, lambda: None)
-        handle = queue.schedule(2.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert len(queue) == 1
+        first = queue.pop_before(1.0, math.inf)
+        second = queue.pop_before(1.0, math.inf)
+        between = sibling.pop_before(1.0, math.inf)
+        assert first[1] < between[1] < second[1]
 
-    def test_cancel_after_pop_does_not_corrupt_count(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        assert queue.pop_next() is handle.event
-        handle.cancel()  # already fired; must not decrement the live count
-        assert len(queue) == 1
-        assert queue.pop_next() is not None
-        assert queue.pop_next() is None
 
-    def test_compaction_shrinks_heap_and_preserves_order(self):
+class TestPrecedes:
+    def test_only_strictly_before_the_head(self):
         queue = EventQueue()
-        fired = []
-        handles = [
-            queue.schedule(float(i), lambda i=i: fired.append(i)) for i in range(100)
-        ]
-        for handle in handles[::2]:  # cancel 50 of 100 -> majority dead soon
-            handle.cancel()
-        handles[1].cancel()  # tips cancelled past half the heap
-        assert len(queue._heap) < 100  # physically compacted
-        assert len(queue) == 49
-        while (event := queue.pop_next()) is not None:
-            event.callback()
-        assert fired == [i for i in range(3, 100, 2)]
-
-    def test_small_heaps_skip_compaction(self):
-        queue = EventQueue()
-        handles = [queue.schedule(float(i), lambda: None) for i in range(8)]
-        for handle in handles[:6]:
-            handle.cancel()
-        # Below the compaction floor the dead entries stay until popped.
-        assert len(queue._heap) == 8
-        assert len(queue) == 2
+        assert queue.precedes(5.0)
+        queue.schedule(1.0, lambda: None)
+        assert queue.precedes(0.5)
+        # A pending event at the same instant was scheduled first.
+        assert not queue.precedes(1.0)
+        assert not queue.precedes(2.0)
 
 
 class TestHousekeeping:
     def test_empty_queue(self):
         queue = EventQueue()
-        assert queue.pop_next() is None
-        assert queue.peek_time() is None
+        assert queue.pop_before(math.inf, math.inf) is None
+        assert queue.peek_key() is None
         assert len(queue) == 0
 
     def test_clear(self):

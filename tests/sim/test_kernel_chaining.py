@@ -135,19 +135,6 @@ class TestChainIn:
         assert sim.pending_events() == 1
         assert sim.now_s == 2.0
 
-    def test_never_chains_in_a_max_events_run(self):
-        sim = Simulator()
-        chained = []
-
-        def packet():
-            chained.append(sim.chain_in(1.0, packet))
-
-        sim.schedule_at(0.0, packet)
-        sim.run(max_events=3)
-        assert chained == [False, False, False]
-        assert sim.processed_events == 3
-        assert sim.now_s == 2.0
-
     def test_rejects_negative_and_nan_delays(self):
         sim = Simulator()
         errors = []
@@ -281,31 +268,6 @@ def test_event_due_at_exactly_a_packet_time_runs_first():
     assert ref_seen == [(starts[k], k) for k, _ in flips]
     assert seen == ref_seen
     _assert_same_session((ref_sim, ref_session, ref_clients), (sim, session, clients))
-
-
-def test_max_events_run_serves_one_packet_per_event():
-    sim = Simulator(seed=0)
-    link_map = LinkMap()
-    clients = [
-        HubClient(
-            name="a",
-            radio=BraidioRadio.for_device("Apple Watch"),
-            link=SimulatedLink(link_map, 0.5, np.random.default_rng(0)),
-            policy=BluetoothPolicy(),
-        )
-    ]
-    session = HubSession(
-        sim,
-        BraidioRadio.for_device("Nexus 6P"),
-        clients,
-        TdmaSchedule({"a": 1.0}),
-        max_packets=1_000,
-    )
-    session.start()
-    sim.run(max_events=10)
-    assert sim.processed_events == 10
-    assert session.hub_metrics.packets_attempted == 10
-    assert sim.pending_events() == 1
 
 
 # -- deployment regions --------------------------------------------------------

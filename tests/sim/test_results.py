@@ -39,8 +39,8 @@ class TestDerivedQuantities:
     def test_energy_per_bit(self):
         metrics = SessionMetrics()
         metrics.record_packet(LinkMode.ACTIVE, 1000, True)
-        metrics.energy_a_j = 1e-3
-        metrics.energy_b_j = 1e-3
+        metrics.ledger.account("a").meter(1e-3)
+        metrics.ledger.account("b").meter(1e-3)
         assert metrics.energy_per_delivered_bit_j == pytest.approx(2e-6)
 
     def test_goodput(self):
@@ -51,6 +51,16 @@ class TestDerivedQuantities:
 
     def test_total_energy(self):
         metrics = SessionMetrics()
-        metrics.energy_a_j = 1.0
-        metrics.energy_b_j = 2.0
+        metrics.ledger.account("a").meter(1.0)
+        metrics.ledger.account("b").meter(2.0)
         assert metrics.total_energy_j == 3.0
+
+
+@pytest.mark.parametrize(
+    "view", ["energy_a_j", "energy_b_j", "switch_energy_j", "idle_energy_j"]
+)
+def test_energy_views_are_read_only(view):
+    metrics = SessionMetrics()
+    with pytest.raises(AttributeError):
+        setattr(metrics, view, 1.0)
+    assert getattr(metrics, view) == 0.0

@@ -49,20 +49,13 @@ class TestRunBounds:
         sim.run(until_s=7.0)
         assert sim.now_s == 7.0
 
-    def test_max_events_bound(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule_at(float(i), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_resumable(self):
         sim = Simulator()
         fired = []
         sim.schedule_at(1.0, lambda: fired.append(1))
         sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run(max_events=1)
+        sim.run(until_s=1.0)
+        assert fired == [1]
         sim.run()
         assert fired == [1, 2]
 

@@ -1,51 +1,77 @@
-"""Bounded-run semantics of the discrete-event kernel: the ``until_s`` /
-``max_events`` interplay and the cancelled-event skip paths."""
+"""Bounded-run semantics of the discrete-event kernel: the ``until_s``
+contract on every shape the one event loop serves, NaN and infinite
+times, and random stepped runs against a reference calendar."""
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
+from .reference_calendar import ReferenceCalendar
 
-class TestUntilMaxEventsInterplay:
-    def test_max_events_binds_before_until(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule_at(float(i), lambda i=i: fired.append(i))
-        sim.run(until_s=10.0, max_events=2)
-        assert fired == [0, 1]
-        # The event cap stopped the run mid-calendar: the clock sits at
-        # the last fired event, not at until_s.
-        assert sim.now_s == 1.0
-        assert sim.pending_events() == 3
 
-    def test_until_binds_before_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule_at(float(i), lambda i=i: fired.append(i))
-        sim.run(until_s=1.5, max_events=100)
-        assert fired == [0, 1]
-        assert sim.now_s == 1.5
-        assert sim.pending_events() == 3
+def _shape(name):
+    """(kernel to run, kernel that holds the events) for one shape of the
+    loop: events on a plain kernel, on a kernel with an idle lane, or on
+    a lane of an idle parent."""
+    sim = Simulator()
+    if name == "plain":
+        return sim, sim
+    lane = sim.lane(seed=1)
+    return (sim, lane) if name == "lane" else (sim, sim)
 
-    def test_event_exactly_at_until_fires(self):
-        sim = Simulator()
+
+every_shape = pytest.mark.parametrize("shape", ["plain", "idle-lane", "lane"])
+
+
+def _schedule_mixed(kernel, log):
+    """A chain, events that schedule events (one at their own instant)
+    and a tie, all logging (time, label)."""
+
+    def event(label):
+        log.append((kernel.now_s, label))
+
+    def spawner():
+        event("spawner")
+        kernel.schedule_in(0.0, functools.partial(event, "tie"))
+        kernel.schedule_in(0.75, functools.partial(event, "child"))
+
+    def serve():
+        while True:
+            event("chain")
+            if kernel.now_s >= 3.0 or not kernel.chain_in(0.25, serve):
+                return
+
+    kernel.schedule_at(0.0, serve)
+    kernel.schedule_at(1.0, spawner)
+    kernel.schedule_at(1.0, functools.partial(event, "local"))
+    kernel.schedule_at(2.5, spawner)
+
+
+class TestRunBound:
+    @every_shape
+    def test_event_exactly_at_until_fires(self, shape):
+        sim, kernel = _shape(shape)
         fired = []
-        sim.schedule_at(2.0, lambda: fired.append("at"))
-        sim.schedule_at(2.0 + 1e-9, lambda: fired.append("after"))
+        kernel.schedule_at(2.0, lambda: fired.append("at"))
+        kernel.schedule_at(2.0 + 1e-9, lambda: fired.append("after"))
         sim.run(until_s=2.0)
         assert fired == ["at"]
-        assert sim.now_s == 2.0
+        assert sim.now_s == kernel.now_s == 2.0
+        assert sim.pending_events() == 1
 
-    def test_clock_advances_to_until_on_drain(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
+    @every_shape
+    def test_clock_advances_to_until_on_drain(self, shape):
+        sim, kernel = _shape(shape)
+        kernel.schedule_at(1.0, lambda: None)
         sim.run(until_s=6.0)
-        assert sim.now_s == 6.0  # queue drained at t=1 but the horizon holds
+        # The queue drained at t=1 but the horizon holds.
+        assert sim.now_s == kernel.now_s == 6.0
 
     def test_repeated_bounded_runs_observe_consistent_clock(self):
         sim = Simulator()
@@ -59,25 +85,62 @@ class TestUntilMaxEventsInterplay:
         sim.run()
         assert observed == [0.5, 4.0]
 
-    def test_until_does_not_rewind_the_clock(self):
-        sim = Simulator()
+    @every_shape
+    def test_until_does_not_rewind_the_clock(self, shape):
+        sim, kernel = _shape(shape)
         sim.run(until_s=5.0)
         sim.run(until_s=2.0)  # earlier horizon than the current clock
-        assert sim.now_s == 5.0
+        assert sim.now_s == kernel.now_s == 5.0
 
-    def test_until_does_not_rewind_the_clock_with_events_pending(self):
+    @every_shape
+    def test_until_does_not_rewind_the_clock_with_events_pending(self, shape):
         # An event beyond the bound keeps the queue non-empty, which used
         # to take a branch that set the clock to until_s unconditionally.
-        sim = Simulator()
+        sim, kernel = _shape(shape)
         fired = []
-        sim.schedule_at(5.0, lambda: fired.append(5.0))
-        sim.schedule_at(6.0, lambda: fired.append(6.0))
+        kernel.schedule_at(5.0, lambda: fired.append(5.0))
+        kernel.schedule_at(6.0, lambda: fired.append(6.0))
         sim.run(until_s=5.0)
-        assert sim.now_s == 5.0
+        assert sim.now_s == kernel.now_s == 5.0
         sim.run(until_s=2.0)
-        assert sim.now_s == 5.0
+        assert sim.now_s == kernel.now_s == 5.0
         assert fired == [5.0]
         assert sim.pending_events() == 1
+
+    @every_shape
+    def test_stepping_equals_one_run(self, shape):
+        once_sim, once = _shape(shape)
+        once_log = []
+        _schedule_mixed(once, once_log)
+        once_sim.run()
+        stepped_sim, stepped = _shape(shape)
+        stepped_log = []
+        _schedule_mixed(stepped, stepped_log)
+        for k in range(7):
+            stepped_sim.run(until_s=0.5 * k)
+        stepped_sim.run()
+        assert stepped_log == once_log
+        assert stepped_sim.processed_events == once_sim.processed_events
+        assert stepped_sim.now_s == once_sim.now_s == 3.25
+        assert once_log[-1] == (3.25, "child")
+
+    @every_shape
+    def test_chains_stop_at_until(self, shape):
+        sim, kernel = _shape(shape)
+        times = []
+
+        def serve():
+            while True:
+                times.append(kernel.now_s)
+                if not kernel.chain_in(1.0, serve):
+                    return
+
+        kernel.schedule_at(0.0, serve)
+        sim.run(until_s=2.0)
+        assert times == [0.0, 1.0, 2.0]
+        assert sim.processed_events == 3
+        assert sim.pending_events() == 1
+        assert sim.now_s == kernel.now_s == 2.0
 
     def test_nan_until_is_rejected_by_name(self):
         sim = Simulator()
@@ -103,68 +166,82 @@ class TestUntilMaxEventsInterplay:
         assert sim.processed_events == 1
         assert sim.now_s == math.inf
 
-    def test_zero_max_events_is_a_no_op(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.run(max_events=0)
-        assert fired == []
-        assert sim.pending_events() == 1
+
+# -- random stepped runs against the reference calendar -----------------------
+
+GRID_S = 0.25
 
 
-class TestCancelledEventSkips:
-    def test_cancelled_event_does_not_fire_or_count(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_at(1.0, lambda: fired.append("cancelled"))
-        sim.schedule_at(2.0, lambda: fired.append("kept"))
-        handle.cancel()
-        sim.run()
-        assert fired == ["kept"]
-        assert sim.processed_events == 1
+@st.composite
+def _programs(draw):
+    roots = draw(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.lists(st.integers(0, 4), max_size=3)),
+            max_size=6,
+        )
+    )
+    chains = draw(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 3), st.integers(1, 10)),
+            max_size=3,
+        )
+    )
+    # The setup order decides every tie at one instant.
+    order = draw(
+        st.permutations(
+            [("root", i) for i in range(len(roots))]
+            + [("chain", i) for i in range(len(chains))]
+        )
+    )
+    steps = draw(st.lists(st.integers(0, 20), max_size=5))
+    return roots, chains, order, steps
 
-    def test_cancelled_head_does_not_consume_max_events(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_at(1.0, lambda: fired.append("cancelled"))
-        sim.schedule_at(2.0, lambda: fired.append("kept"))
-        handle.cancel()
-        sim.run(max_events=1)
-        assert fired == ["kept"]
 
-    def test_cancelled_head_does_not_hold_the_until_horizon(self):
-        # A cancelled event inside the horizon must not stop the clock
-        # from advancing to until_s.
-        sim = Simulator()
-        handle = sim.schedule_at(1.0, lambda: None)
-        handle.cancel()
-        sim.run(until_s=3.0)
-        assert sim.now_s == 3.0
-        assert sim.pending_events() == 0
+def _run_program(kernel_cls, program):
+    """Build ``program`` on a fresh kernel and run it in its bounded steps
+    (in any order, so some would rewind the clock), then unbounded; one
+    (log, processed, clock, pending) record per run."""
+    roots, chains, order, steps = program
+    kernel = kernel_cls(seed=0)
+    log = []
+    served = [0] * len(chains)
 
-    def test_queue_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
+    def leaf(label):
+        log.append((kernel.now_s, label))
 
-    def test_queue_len_ignores_cancelled(self):
-        queue = EventQueue()
-        handles = [queue.schedule(float(i), lambda: None) for i in range(4)]
-        handles[0].cancel()
-        handles[2].cancel()
-        assert len(queue) == 2
+    def root(i):
+        leaf(f"root{i}")
+        for j, delay in enumerate(roots[i][1]):
+            kernel.schedule_in(delay * GRID_S, functools.partial(leaf, f"child{i}.{j}"))
 
-    def test_pop_next_skips_cancelled_run(self):
-        queue = EventQueue()
-        cancelled = [queue.schedule(float(i), lambda: None) for i in range(3)]
-        kept = queue.schedule(10.0, lambda: None)
-        for handle in cancelled:
-            handle.cancel()
-        event = queue.pop_next()
-        assert event is kept.event
-        assert queue.pop_next() is None
+    def serve(i):
+        _, step, packets = chains[i]
+        while True:
+            leaf(f"chain{i}")
+            served[i] += 1
+            if served[i] == packets:
+                return
+            if not kernel.chain_in(step * GRID_S, functools.partial(serve, i)):
+                return
+
+    for kind, i in order:
+        if kind == "root":
+            kernel.schedule_at(roots[i][0] * GRID_S, functools.partial(root, i))
+        else:
+            kernel.schedule_at(chains[i][0] * GRID_S, functools.partial(serve, i))
+    records = []
+    for until in steps + [None]:
+        kernel.run(until_s=None if until is None else until * GRID_S)
+        records.append(
+            (list(log), kernel.processed_events, kernel.now_s, kernel.pending_events())
+        )
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_stepped_runs_match_the_reference_calendar(program):
+    assert _run_program(Simulator, program) == _run_program(ReferenceCalendar, program)
 
 
 class TestNanEventTimes:
