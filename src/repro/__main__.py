@@ -24,17 +24,20 @@ Every subcommand is driven by the declarative experiment registry
 ``show``/``export``/``profile`` dispatch and the ``campaign``
 decompositions all come from the registered
 :class:`~repro.experiments.registry.ExperimentDef` entries, so adding an
-experiment is one registration (DESIGN.md §13).
+experiment is one registration (DESIGN.md §13).  Each subcommand
+registers its one handler with ``set_defaults(run=...)``; ``main``
+parses and calls it.
 
-The ``--cache-dir`` / ``--no-cache`` flags drive the campaign engine's
-result cache (:mod:`repro.runtime`): completed jobs are cached on disk
-keyed by content fingerprint + calibration version, so a warm re-run
-skips all simulation (verifiable from the printed run manifest's
-``cached`` count).  ``campaign`` and ``deploy`` also take ``--jobs``, the
+``--cache-dir`` drives the campaign engine's result cache
+(:mod:`repro.runtime`): completed jobs are cached on disk keyed by
+content fingerprint + calibration version, so a warm re-run skips all
+simulation (verifiable from the printed run manifest's ``cached``
+count); without it nothing is cached.  ``campaign`` and ``deploy``
+share the engine flags: ``--cache-dir``, ``--resume``, ``--jobs``, the
 worker processes their jobs fan across (the only setting that shapes
-the fleet), and ``--lease-s``, the job timeout.  ``export`` computes the
-gain sweeps with the batch engine; only its two deploy exporters run
-engine jobs, which a cache keeps.  Cached campaigns also keep a
+the fleet), and ``--lease-s``, the job timeout.  ``export`` computes
+the gain sweeps with the batch engine; only its two deploy exporters
+run engine jobs, which a cache keeps.  Cached campaigns also keep a
 write-ahead journal, so a killed sweep continues with ``campaign ...
 --resume`` (bit-identical results; see DESIGN.md §10), and
 ``--max-failures N`` turns a failure storm into an early, non-zero-exit
@@ -49,106 +52,88 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterable
 
 
-def _show(experiment: str) -> int:
-    from .experiments import render_show
+def _number(convert: "type[int] | type[float]", noun: str, minimum: int, above: bool = False):
+    """An argparse ``type=`` accepting ``convert(value)`` when it is at
+    least ``minimum`` (greater, with ``above``) and, for floats, finite;
+    anything else exits 2 naming the flag."""
+    finite = convert is float
+    bound = ("finite and " if finite else "") + (">" if above else ">=") + f" {minimum}"
 
-    print(render_show(experiment))
-    return 0
+    def parse(value: str):
+        try:
+            number = convert(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {value!r}")
+        if (
+            (finite and not math.isfinite(number))
+            or number < minimum
+            or (above and number == minimum)
+        ):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return number
 
-
-def _energy(args: argparse.Namespace) -> int:
-    """Print the per-device, per-category ledger breakdown of one
-    profiled session (the ``energy`` subcommand)."""
-    return _render_variant("energy", args)
-
-
-def _faults(args: argparse.Namespace) -> int:
-    """Print one chaos profile's fault timeline and recovery metrics
-    (the ``faults`` subcommand)."""
-    return _render_variant("faults", args)
-
-
-def _render_variant(experiment: str, args: argparse.Namespace) -> int:
-    from .experiments import get
-
-    defn = get(experiment)
-    assert defn.render_variant is not None  # registry consistency
-    if args.list_profiles:
-        for name in defn.variants:
-            print(name)
-        return 0
-    if args.experiment is None:
-        print(
-            f"error: a {experiment} profile name is required "
-            "(use --list-profiles to see them)",
-            file=sys.stderr,
-        )
-        return 2
-    from .core.offload import InfeasibleOffloadError
-
-    try:
-        report = defn.render_variant(
-            args.experiment, args.distance, args.packets, args.seed
-        )
-    except InfeasibleOffloadError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(report)
-    return 0
+    return parse
 
 
-def _profile(experiment: str, top: int, sort: str) -> int:
-    """Run one experiment — its registered sweep workload when it has
-    one, its exporter otherwise — under cProfile and print the top-N
-    entries, so perf work can locate the next bottleneck."""
-    import cProfile
-    import pstats
-
-    from .experiments import export_experiment, get
-
-    defn = get(experiment)
-    profiler = cProfile.Profile()
-    if defn.profile is not None:
-        profiler.enable()
-        defn.profile()
-        profiler.disable()
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
-            profiler.enable()
-            export_experiment(experiment, Path(tmp))
-            profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(sort).print_stats(top)
-    return 0
+_positive_int = _number(int, "an integer", 1)
+#: The type of every ``--seed``: numpy seed sequences reject negatives.
+_seed = _number(int, "an integer", 0)
 
 
-def _capped_jobs(jobs: int) -> int:
-    """Cap a worker request at the machine's CPU count, with a warning."""
+def _one_of(noun: str, names: "Callable[[], Iterable[str]]", extra: "str | None" = None):
+    """An argparse ``type=`` accepting a registered name (``names()``,
+    looked up only when a value is parsed) or ``extra``: anything else
+    exits 2 listing the choices, instead of failing mid-run."""
+
+    def parse(value: str) -> str:
+        known = tuple(names())
+        if value in known or value == extra:
+            return value
+        choices = ", ".join(known) + (f", or {extra!r}" if extra else "")
+        raise argparse.ArgumentTypeError(f"unknown {noun} {value!r} (choose from {choices})")
+
+    return parse
+
+
+def _fault_profiles() -> "tuple[str, ...]":
+    from .faults import REGION_FAULT_PROFILES
+
+    return REGION_FAULT_PROFILES
+
+
+def _engine_config(args: argparse.Namespace, seed: int, max_failures: "int | None" = None):
+    """The ``campaign``/``deploy`` engine config from their shared flags
+    (``--jobs`` capped at the CPU count, with a warning), or ``None``
+    after one ``error:`` line: the flag types check every other key, so
+    the config refuses only ``--resume`` without a cache."""
+    from .runtime import CampaignConfig
+
     cpus = os.cpu_count() or 1
-    if jobs > cpus:
+    if args.jobs > cpus:
         print(
-            f"warning: --jobs {jobs} exceeds the {cpus} available CPUs; "
+            f"warning: --jobs {args.jobs} exceeds the {cpus} available CPUs; "
             f"capping at {cpus}",
             file=sys.stderr,
         )
-        return cpus
-    return jobs
-
-
-def _campaign_config(args: argparse.Namespace, seed: int):
-    """The ``campaign``/``deploy`` engine config from their flags."""
-    from .runtime import CampaignConfig
-
-    return CampaignConfig(
-        n_jobs=_capped_jobs(args.jobs),
-        cache_dir=None if args.no_cache else args.cache_dir,
-        campaign_seed=seed,
-        resume=args.resume,
-        max_failures=getattr(args, "max_failures", None),
-        timeout_s=args.lease_s,
-    )
+    try:
+        return CampaignConfig(
+            n_jobs=min(args.jobs, cpus),
+            cache_dir=args.cache_dir,
+            campaign_seed=seed,
+            resume=args.resume,
+            max_failures=max_failures,
+            timeout_s=args.lease_s,
+        )
+    except ValueError:
+        print(
+            "error: --resume needs --cache-dir (the journal and the results "
+            "being resumed live there)",
+            file=sys.stderr,
+        )
+        return None
 
 
 def _make_output_dirs(outputs: "dict[str, Path | None]") -> bool:
@@ -182,16 +167,22 @@ def _make_dir(directory: Path, purpose: str) -> bool:
     return True
 
 
-def _summarize_engine_runs(manifest_path: Path | None) -> None:
-    """Merge manifests of the campaigns the exporters just ran, print a
-    one-line summary, and optionally persist the merged manifest (with
-    per-run resume lineage)."""
+def _write_merged_manifest(path: "Path | None", report: Callable) -> None:
+    """Merge the manifests of the campaigns just run, ``report`` the
+    merged one, and persist it (with per-run resume lineage) to ``path``
+    when one is given; nothing happens when no campaign ran."""
     from .runtime import drain_manifests
     from .runtime.progress import write_campaign_manifest
 
-    merged = write_campaign_manifest(manifest_path, drain_manifests())
+    merged = write_campaign_manifest(path, drain_manifests())
     if merged is None:
         return
+    report(merged)
+    if path is not None:
+        print(f"manifest written to {path}", file=sys.stderr)
+
+
+def _print_engine_summary(merged) -> None:
     resumed = f", {merged.resumed} resumed" if merged.resumed else ""
     print(
         f"campaign engine: {merged.total} jobs "
@@ -199,50 +190,6 @@ def _summarize_engine_runs(manifest_path: Path | None) -> None:
         f"{merged.failed} failed{resumed}) in {merged.wall_time_s:.2f}s",
         file=sys.stderr,
     )
-    if manifest_path is not None:
-        print(f"manifest written to {manifest_path}", file=sys.stderr)
-
-
-def _campaign_experiment_id(value: str) -> str:
-    """Argparse-time validation of ``campaign`` experiment ids against
-    the registry: unknown ids exit 2 with the known choices, instead of
-    failing mid-run inside ``campaign_specs``."""
-    from .experiments import campaignable_ids
-
-    known = campaignable_ids()
-    if value == "all" or value in known:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown campaign experiment {value!r} "
-        f"(choose from {', '.join(sorted(known))}, or 'all')"
-    )
-
-
-def _fault_profile(value: str) -> str:
-    """Argparse-time validation of deploy fault-profile names: unknown
-    profiles exit 2 with the known choices, instead of failing after the
-    scenario has been resolved."""
-    from .faults import REGION_FAULT_PROFILES
-
-    if value in REGION_FAULT_PROFILES:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown fault profile {value!r} "
-        f"(choose from {', '.join(REGION_FAULT_PROFILES)})"
-    )
-
-
-def _resume_without_cache(config) -> bool:
-    """Report (and return whether) ``--resume`` was asked of a campaign
-    that, once ``--no-cache`` is applied, has no cache to resume from."""
-    if config.resume and config.cache_dir is None:
-        print(
-            "error: --resume needs --cache-dir, without --no-cache (the "
-            "journal and the results being resumed live there)",
-            file=sys.stderr,
-        )
-        return True
-    return False
 
 
 def _progress_printer():
@@ -265,14 +212,113 @@ def _progress_printer():
     return on_progress
 
 
-def _run_campaign_command(args: argparse.Namespace) -> int:
+def _list_command(args: argparse.Namespace) -> int:
+    from .experiments import capability_table
+
+    print(capability_table())
+    return 0
+
+
+def _report_command(args: argparse.Namespace) -> int:
+    from .analysis.summary import render_report, reproduction_report
+
+    rows = reproduction_report()
+    print(render_report(rows))
+    return 0 if all(row.within_tolerance for row in rows) else 1
+
+
+def _show_command(args: argparse.Namespace) -> int:
+    from .experiments import render_show
+
+    print(render_show(args.experiment))
+    return 0
+
+
+def _export_command(args: argparse.Namespace) -> int:
+    from .experiments import export_all, export_experiment
+    from .runtime import CampaignConfig, drain_manifests
+
+    if not _make_dir(args.directory, "the export"):
+        return 2
+    # Only the deploy exporters run engine jobs: a cache keeps their
+    # region results for the next export, next to their merged manifest.
+    config = manifest = None
+    if args.cache_dir is not None:
+        config = CampaignConfig(cache_dir=args.cache_dir)
+        manifest = args.directory / "campaign_manifest.json"
+    drain_manifests()
+    if args.experiment == "all":
+        for path in export_all(args.directory, config):
+            print(path)
+    else:
+        print(export_experiment(args.experiment, args.directory, config))
+    _write_merged_manifest(manifest, _print_engine_summary)
+    return 0
+
+
+def _profile_command(args: argparse.Namespace) -> int:
+    """Run one experiment — its registered sweep workload when it has
+    one, its exporter otherwise — under cProfile and print the top-N
+    entries, so perf work can locate the next bottleneck."""
+    import cProfile
+    import pstats
+
+    from .experiments import export_experiment, get
+
+    defn = get(args.experiment)
+    profiler = cProfile.Profile()
+    if defn.profile is not None:
+        profiler.enable()
+        defn.profile()
+        profiler.disable()
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
+            profiler.enable()
+            export_experiment(args.experiment, Path(tmp))
+            profiler.disable()
+    stats = pstats.Stats(profiler)
+    stats.sort_stats(args.sort).print_stats(args.top)
+    return 0
+
+
+def _variant_command(args: argparse.Namespace) -> int:
+    """Print one profile of the ``energy`` subcommand (the per-device,
+    per-category ledger breakdown of a profiled session) or of the
+    ``faults`` one (a fault timeline and its recovery metrics)."""
+    from .experiments import get
+
+    experiment = args.command
+    defn = get(experiment)
+    assert defn.render_variant is not None  # registry consistency
+    if args.list_profiles:
+        for name in defn.variants:
+            print(name)
+        return 0
+    if args.experiment is None:
+        print(
+            f"error: a {experiment} profile name is required "
+            "(use --list-profiles to see them)",
+            file=sys.stderr,
+        )
+        return 2
+    from .core.offload import InfeasibleOffloadError
+
+    try:
+        report = defn.render_variant(args.experiment, args.distance, args.packets, args.seed)
+    except InfeasibleOffloadError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    print(report)
+    return 0
+
+
+def _campaign_command(args: argparse.Namespace) -> int:
     from .experiments import campaignable_ids
     from .runtime import drain_manifests, run_campaign, write_results_manifest
-    from .runtime.progress import write_campaign_manifest
     from .runtime.workloads import campaign_specs
 
-    config = _campaign_config(args, seed=args.seed)
-    if _resume_without_cache(config):
+    config = _engine_config(args, args.seed, args.max_failures)
+    if config is None:
         return 2
     experiments = args.experiments or ["all"]
     if "all" in experiments:
@@ -284,9 +330,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not _make_output_dirs(
-        {"--manifest": args.manifest, "--results": args.results}
-    ):
+    if not _make_output_dirs({"--manifest": args.manifest, "--results": args.results}):
         return 2
     drain_manifests()
     failed = 0
@@ -305,10 +349,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             f"{manifest.cached} cached, {manifest.failed} failed{resumed}, "
             f"{manifest.wall_time_s:.2f}s ({manifest.jobs_per_s:.0f} jobs/s)"
         )
-        if (
-            args.max_failures is not None
-            and manifest.failed >= args.max_failures
-        ):
+        if args.max_failures is not None and manifest.failed >= args.max_failures:
             print(
                 f"aborted: {manifest.failed} failures reached "
                 f"--max-failures {args.max_failures}",
@@ -316,11 +357,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             )
             failed = max(failed, 1)
             break
-    merged = write_campaign_manifest(args.manifest, drain_manifests())
-    if merged is not None:
-        print(merged.to_json())
-        if args.manifest is not None:
-            print(f"manifest written to {args.manifest}", file=sys.stderr)
+    _write_merged_manifest(args.manifest, lambda merged: print(merged.to_json()))
     return 1 if failed else 0
 
 
@@ -353,15 +390,15 @@ def _resolve_scenario(target: str, seed: "int | None"):
     return spec
 
 
-def _run_deploy_command(args: argparse.Namespace) -> int:
+def _deploy_command(args: argparse.Namespace) -> int:
     """Partition a deployment scenario, fan its regions across the
     campaign engine, and print/persist the merged manifest."""
     from .deploy import SCENARIOS, partition, run_deployment, scenario, write_manifest
-    from .faults import REGION_FAULT_PROFILES, region_fault_plan_for
+    from .faults import region_fault_plan_for
     from .runtime import CampaignError
 
     if args.list_profiles:
-        for name in REGION_FAULT_PROFILES:
+        for name in _fault_profiles():
             print(name)
         return 0
     if args.list:
@@ -381,16 +418,12 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    config = _campaign_config(args, seed=spec.seed)
-    if _resume_without_cache(config):
+    config = _engine_config(args, spec.seed)
+    if config is None:
         return 2
     if not _make_output_dirs({"--manifest": args.manifest, "--csv": args.csv}):
         return 2
-    fault_plan = (
-        region_fault_plan_for(args.faults, spec)
-        if args.faults is not None
-        else None
-    )
+    fault_plan = None if args.faults is None else region_fault_plan_for(args.faults, spec)
     try:
         run = run_deployment(spec, config, fault_plan=fault_plan)
     except CampaignError as error:
@@ -437,157 +470,95 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type=`` accepting integers >= ``minimum``."""
-
-    def parse(value: str) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-        if number < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return number
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-#: The type of every ``--seed``: numpy seed sequences reject negatives.
-_seed = _int_at_least(0)
-
-
-def _positive_seconds(value: str) -> float:
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected seconds, got {value!r}")
-    if not (math.isfinite(seconds) and seconds > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return seconds
-
-
-def _metres(value: str) -> float:
-    """The type of ``--distance``: a finite separation of at least 0 m."""
-    try:
-        metres = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected metres, got {value!r}")
-    if not (math.isfinite(metres) and metres >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return metres
-
-
-def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes the engine jobs run on (default 1)",
-    )
-    parser.add_argument(
-        "--lease-s", type=_positive_seconds, default=30.0, metavar="S",
-        help="job timeout in seconds for --jobs runs: a job still running "
-        "this long is presumed hung, its worker is killed and the job "
-        "re-run (default 30)",
-    )
-
-
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="cache campaign job results under DIR (keyed by content "
-        "fingerprint + calibration version)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the result cache even when --cache-dir is set",
-    )
-
-
-def _variant_name(experiment: str):
-    """An argparse ``type=`` validator over one experiment's registered
-    variant names: unknown profiles exit 2 listing the valid ones."""
-    from .experiments import get
-
-    known = tuple(get(experiment).variants)
-
-    def validate(value: str) -> str:
-        if value in known:
-            return value
-        raise argparse.ArgumentTypeError(
-            f"unknown {experiment} profile {value!r} "
-            f"(choose from {', '.join(known)})"
-        )
-
-    return validate
-
-
-def _add_variant_subcommand(
-    subparsers, experiment: str, help_text: str
-) -> None:
+def _add_variant_subcommand(subparsers, experiment: str, help_text: str) -> None:
     """A subcommand whose positional is one of an experiment's registered
     variants (the ``energy`` / ``faults`` profile names)."""
+    from .experiments import get
+
     parser = subparsers.add_parser(experiment, help=help_text)
+    parser.set_defaults(run=_variant_command)
     parser.add_argument(
-        "experiment", nargs="?", default=None, type=_variant_name(experiment),
-        metavar="profile",
+        "experiment", nargs="?", default=None, metavar="profile",
+        type=_one_of(f"{experiment} profile", lambda: get(experiment).variants),
         help=f"registered {experiment} profile (see --list-profiles)",
     )
     parser.add_argument(
-        "--list-profiles", action="store_true",
-        help="list the registered profile names and exit",
+        "--list-profiles", action="store_true", help="list the registered profile names and exit"
     )
     parser.add_argument(
-        "--distance", type=_metres, default=0.5, metavar="M",
+        "--distance", type=_number(float, "metres", 0), default=0.5, metavar="M",
         help="device separation in metres (default 0.5)",
     )
     parser.add_argument(
         "--packets", type=_positive_int, default=2000, metavar="N",
         help="packet budget for the session (default 2000)",
     )
-    parser.add_argument(
-        "--seed", type=_seed, default=0, help="simulation seed (default 0)"
-    )
+    parser.add_argument("--seed", type=_seed, default=0, help="simulation seed (default 0)")
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from .experiments import exportable_ids, profileable_ids, showable_ids
+    from .experiments import campaignable_ids, exportable_ids, profileable_ids, showable_ids
+
+    # ``export`` takes the cache flag; ``campaign`` and ``deploy`` take it
+    # with the rest of the engine flags.
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument(
+        "--cache-dir", type=Path, default=None, metavar="DIR",
+        help="cache campaign job results under DIR (keyed by content "
+        "fingerprint + calibration version)",
+    )
+    engine = argparse.ArgumentParser(add_help=False, parents=[cache])
+    engine.add_argument(
+        "--resume", action="store_true",
+        help="replay the write-ahead journal under --cache-dir and re-run only jobs "
+        "without a verified result (crash-safe continuation; results are "
+        "bit-identical to an uninterrupted run)",
+    )
+    engine.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes the engine jobs run on (default 1)",
+    )
+    engine.add_argument(
+        "--lease-s", type=_number(float, "seconds", 0, above=True), default=30.0, metavar="S",
+        help="job timeout in seconds for --jobs runs: a job still running this long is "
+        "presumed hung, its worker is killed and the job re-run (default 30)",
+    )
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the Braidio paper's tables and figures.",
+        prog="python -m repro", description="Regenerate the Braidio paper's tables and figures."
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser(
         "list", help="list experiments and their registry capabilities"
-    )
+    ).set_defaults(run=_list_command)
     subparsers.add_parser(
         "report", help="print the paper-vs-measured summary of every headline"
-    )
+    ).set_defaults(run=_report_command)
     show = subparsers.add_parser("show", help="print an experiment's rows")
+    show.set_defaults(run=_show_command)
     show.add_argument("experiment", choices=sorted(showable_ids()))
-    export = subparsers.add_parser("export", help="write CSV output")
+    export = subparsers.add_parser("export", help="write CSV output", parents=[cache])
+    export.set_defaults(run=_export_command)
     export.add_argument("experiment", choices=sorted(exportable_ids()) + ["all"])
     export.add_argument("directory", type=Path)
-    _add_cache_flags(export)
     profile = subparsers.add_parser(
         "profile",
-        help="run one experiment or sweep workload under cProfile and "
-        "print the hottest entries",
+        help="run one experiment or sweep workload under cProfile and print the hottest entries",
     )
+    profile.set_defaults(run=_profile_command)
     profile.add_argument("experiment", choices=sorted(profileable_ids()))
     profile.add_argument(
         "--top", type=_positive_int, default=25, metavar="N",
         help="number of entries to print (default 25)",
     )
     profile.add_argument(
-        "--sort", choices=["cumulative", "tottime", "ncalls"],
-        default="cumulative", help="pstats sort key (default cumulative)",
+        "--sort", choices=["cumulative", "tottime", "ncalls"], default="cumulative",
+        help="pstats sort key (default cumulative)",
     )
     _add_variant_subcommand(
         subparsers, "energy",
-        "print the per-device, per-category energy ledger breakdown "
-        "of a profiled session",
+        "print the per-device, per-category energy ledger breakdown of a profiled session",
     )
     _add_variant_subcommand(
         subparsers, "faults",
@@ -595,29 +566,20 @@ def main(argv: list[str] | None = None) -> int:
         "print the fault timeline plus recovery metrics",
     )
     campaign = subparsers.add_parser(
-        "campaign",
+        "campaign", parents=[engine],
         help="run experiment campaigns through the parallel engine "
         "(no CSV output; prints the run manifest)",
     )
+    campaign.set_defaults(run=_campaign_command)
     campaign.add_argument(
-        "experiments",
-        nargs="*",
-        type=_campaign_experiment_id,
-        metavar="experiment",
+        "experiments", nargs="*", metavar="experiment",
+        type=_one_of("campaign experiment", lambda: sorted(campaignable_ids()), "all"),
         help="campaign-able experiment ids (default: all)",
     )
-    campaign.add_argument(
-        "--seed", type=_seed, default=0, help="campaign seed (default 0)"
-    )
+    campaign.add_argument("--seed", type=_seed, default=0, help="campaign seed (default 0)")
     campaign.add_argument(
         "--manifest", type=Path, default=None, metavar="PATH",
         help="also write the merged run manifest JSON to PATH",
-    )
-    campaign.add_argument(
-        "--resume", action="store_true",
-        help="replay the write-ahead journal under --cache-dir and "
-        "re-dispatch only jobs without a verified result (crash-safe "
-        "continuation; results are bit-identical to an uninterrupted run)",
     )
     campaign.add_argument(
         "--max-failures", type=_positive_int, default=None, metavar="N",
@@ -625,25 +587,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     campaign.add_argument(
         "--results", type=Path, default=None, metavar="PATH",
-        help="write the canonical results manifest JSON to PATH "
-        "(byte-identical across serial, --jobs and resumed runs of the "
-        "same campaign; exactly one experiment)",
+        help="write the canonical results manifest JSON to PATH (byte-identical across "
+        "serial, --jobs and resumed runs of the same campaign; exactly one experiment)",
     )
-    _add_cache_flags(campaign)
-    _add_fleet_flags(campaign)
     deploy = subparsers.add_parser(
-        "deploy",
-        help="simulate a city-scale deployment scenario: partition into "
-        "independent regions, fan out across the engine, merge the "
-        "deterministic deployment manifest",
+        "deploy", parents=[engine],
+        help="simulate a city-scale deployment scenario: partition into independent "
+        "regions, fan out across the engine, merge the deterministic deployment manifest",
     )
+    deploy.set_defaults(run=_deploy_command)
     deploy.add_argument(
         "scenario", nargs="?", default=None,
         help="catalog scenario name (see --list) or a scenario JSON path",
     )
     deploy.add_argument(
-        "--list", action="store_true",
-        help="list the scenario catalog with sizes and exit",
+        "--list", action="store_true", help="list the scenario catalog with sizes and exit"
     )
     deploy.add_argument(
         "--seed", type=_seed, default=None,
@@ -655,77 +613,20 @@ def main(argv: list[str] | None = None) -> int:
         "(byte-stable: same scenario fingerprint => same bytes)",
     )
     deploy.add_argument(
-        "--csv", type=Path, default=None, metavar="PATH",
-        help="write per-hub metrics CSV to PATH",
+        "--csv", type=Path, default=None, metavar="PATH", help="write per-hub metrics CSV to PATH"
     )
     deploy.add_argument(
-        "--faults", type=_fault_profile, default=None, metavar="PROFILE",
-        help="arm a named region fault profile (hub blackouts with "
-        "handoff, brownouts, churn storms, noise surges) and report the "
-        "degradation block; see --list-profiles",
+        "--faults", type=_one_of("fault profile", _fault_profiles), default=None,
+        metavar="PROFILE",
+        help="arm a named region fault profile (hub blackouts with handoff, brownouts, "
+        "churn storms, noise surges) and report the degradation block; see --list-profiles",
     )
     deploy.add_argument(
-        "--list-profiles", action="store_true",
-        help="list the fault profile names and exit",
+        "--list-profiles", action="store_true", help="list the fault profile names and exit"
     )
-    deploy.add_argument(
-        "--resume", action="store_true",
-        help="replay the write-ahead journal under --cache-dir and "
-        "re-simulate only regions without a verified result",
-    )
-    _add_cache_flags(deploy)
-    _add_fleet_flags(deploy)
 
     args = parser.parse_args(argv)
-    if args.command == "list":
-        from .experiments import capability_table
-
-        print(capability_table())
-        return 0
-    if args.command == "report":
-        from .analysis.summary import render_report, reproduction_report
-
-        rows = reproduction_report()
-        print(render_report(rows))
-        return 0 if all(row.within_tolerance for row in rows) else 1
-    if args.command == "show":
-        return _show(args.experiment)
-    if args.command == "profile":
-        return _profile(args.experiment, args.top, args.sort)
-    if args.command == "energy":
-        return _energy(args)
-    if args.command == "faults":
-        return _faults(args)
-    if args.command == "campaign":
-        return _run_campaign_command(args)
-    if args.command == "deploy":
-        return _run_deploy_command(args)
-
-    from .experiments import export_all, export_experiment
-    from .runtime import CampaignConfig, drain_manifests
-
-    if not _make_dir(args.directory, "the export"):
-        return 2
-    # Only the deploy exporters run engine jobs: a cache keeps their
-    # region results for the next export.
-    config = (
-        None
-        if args.cache_dir is None or args.no_cache
-        else CampaignConfig(cache_dir=args.cache_dir)
-    )
-    drain_manifests()
-    if args.experiment == "all":
-        for path in export_all(args.directory, config):
-            print(path)
-    else:
-        print(export_experiment(args.experiment, args.directory, config))
-    manifest_path = (
-        args.directory / "campaign_manifest.json"
-        if args.cache_dir is not None
-        else None
-    )
-    _summarize_engine_runs(manifest_path)
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -10,7 +10,7 @@ parsed with a stale default:
 * the primitive form (:meth:`Record.to_dict`): enums by value, tuples
   as lists, nested records recursively, and every ``float`` field as a
   float, so ``1`` and ``1.0`` fingerprint alike;
-* canonical JSON (sorted keys, tight separators) and its SHA-256;
+* canonical JSON (:func:`canonical_json`) and its SHA-256;
 * a strict parser (:meth:`Record.from_dict`): a non-mapping, an unknown
   key, a missing required field or a value its gate refuses fails with
   one ``ValueError`` that names the key.  An absent optional field
@@ -42,6 +42,17 @@ from typing import Callable, Iterator, Mapping, TypeVar
 Gate = Callable[[object], object]
 
 _R = TypeVar("_R", bound="Record")
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(document: object) -> str:
+    """The one canonical JSON text of ``document``: sorted keys, tight
+    separators, ASCII only.  Every fingerprint, checksum, cache line,
+    journal record and byte-stable manifest is these bytes, so two
+    processes that encode equal documents write equal bytes."""
+    return _CANONICAL.encode(document)
 
 
 class Refused(Exception):
@@ -227,8 +238,8 @@ class Record:
         return data
 
     def to_json(self) -> str:
-        """Canonical JSON form (sorted keys, tight separators)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON form (:func:`canonical_json`)."""
+        return canonical_json(self.to_dict())
 
     def fingerprint(self) -> str:
         """Stable content hash (hex SHA-256 of :meth:`to_json`): the

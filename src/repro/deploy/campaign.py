@@ -17,11 +17,11 @@ resume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..core.records import canonical_json
 from ..runtime.executor import CampaignConfig, CampaignResult, run_campaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -151,7 +151,7 @@ def merge_region_reports(
 
 def manifest_json(manifest: "Mapping[str, object]") -> str:
     """Canonical JSON form of a merged manifest (byte-stable)."""
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return canonical_json(manifest)
 
 
 def write_manifest(path: "Path | str", manifest: "Mapping[str, object]") -> Path:

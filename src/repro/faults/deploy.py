@@ -37,9 +37,8 @@ class RegionFaultDriver:
     """Arms one region's fault schedule on its region kernel.
 
     Attributes:
-        timeline: (time_s, label) records appended as fault edges fire —
-            the audit trail tests and reports read back.
-        fault_events: fault onsets observed so far.
+        fault_events: fault onsets observed so far (the region report's
+            ``fault_events``).
     """
 
     def __init__(
@@ -54,13 +53,7 @@ class RegionFaultDriver:
         self._plan = plan
         self._coordinator = coordinator
         self._armed = False
-        self.timeline: "list[tuple[float, str]]" = []
         self.fault_events = 0
-
-    @property
-    def armed(self) -> bool:
-        """Whether :meth:`arm` has compiled the plan."""
-        return self._armed
 
     def arm(self) -> None:
         """Compile the in-scope specs into kernel events (idempotence
@@ -78,18 +71,18 @@ class RegionFaultDriver:
             if spec.kind is RegionFaultKind.HUB_BLACKOUT:
                 local = self._coordinator.local_index_of(spec.hub)
                 sim.schedule_at(
-                    spec.start_s, functools.partial(self._blackout_begin, local, spec)
+                    spec.start_s, functools.partial(self._blackout_begin, local)
                 )
                 sim.schedule_at(
-                    spec.end_s, functools.partial(self._blackout_end, local, spec)
+                    spec.end_s, functools.partial(self._coordinator.hub_up, local)
                 )
             elif spec.kind is RegionFaultKind.HUB_BROWNOUT:
                 local = self._coordinator.local_index_of(spec.hub)
                 sim.schedule_at(
-                    spec.start_s, functools.partial(self._brownout_begin, local, spec)
+                    spec.start_s, functools.partial(self._brownout_begin, local)
                 )
                 sim.schedule_at(
-                    spec.end_s, functools.partial(self._brownout_end, local, spec)
+                    spec.end_s, functools.partial(self._coordinator.end_brownout, local)
                 )
             elif spec.kind is RegionFaultKind.NOISE_SURGE:
                 local_scope = (
@@ -99,10 +92,13 @@ class RegionFaultDriver:
                 )
                 sim.schedule_at(
                     spec.start_s,
-                    functools.partial(self._surge_begin, local_scope, spec),
+                    functools.partial(self._surge_begin, local_scope, spec.magnitude),
                 )
                 sim.schedule_at(
-                    spec.end_s, functools.partial(self._surge_end, local_scope, spec)
+                    spec.end_s,
+                    functools.partial(
+                        self._coordinator.end_surge, spec.magnitude, local_scope
+                    ),
                 )
             elif spec.kind is RegionFaultKind.CHURN_STORM:
                 if storm_rng is None:
@@ -121,10 +117,10 @@ class RegionFaultDriver:
         # order, (flap?, nap start, nap length) per flapping device — so
         # the storm depends only on (scenario, plan, seed).
         if spec.hub == REGION_WIDE:
-            scope = range(self._region.hub_count)
+            scope = tuple(range(self._region.hub_count))
         else:
             scope = (self._coordinator.local_index_of(spec.hub),)
-        sim.schedule_at(spec.start_s, functools.partial(self._storm_onset, spec))
+        sim.schedule_at(spec.start_s, functools.partial(self._onset, scope))
         for local in scope:
             runtime = self._coordinator.runtime(local)
             for plan in runtime.plans:
@@ -134,72 +130,28 @@ class RegionFaultDriver:
                 nap_len = (0.2 + 0.4 * float(rng.random())) * spec.duration_s
                 nap_end = min(nap_start + nap_len, spec.end_s)
                 sim.schedule_at(
-                    nap_start, functools.partial(self._storm_suspend, plan.name)
+                    nap_start, functools.partial(self._coordinator.storm_suspend, plan.name)
                 )
                 sim.schedule_at(
-                    nap_end, functools.partial(self._storm_resume, plan.name)
+                    nap_end, functools.partial(self._coordinator.storm_resume, plan.name)
                 )
 
-    # -- fault edges ------------------------------------------------------
+    # -- fault onsets (each end edge calls its coordinator lever directly)
 
-    def _onset(self, spec: RegionFaultSpec, locals_: "tuple[int, ...]") -> None:
+    def _onset(self, locals_: "tuple[int, ...]") -> None:
         self.fault_events += 1
         for local in locals_:
             runtime = self._coordinator.runtime(local)
             runtime.session.hub_metrics.fault_events += 1
 
-    def _scope_label(self, spec: RegionFaultSpec) -> str:
-        return "region" if spec.hub == REGION_WIDE else f"hub{spec.hub}"
-
-    def _mark(self, spec: RegionFaultSpec, edge: str) -> None:
-        self.timeline.append(
-            (
-                self._coordinator.simulator.now_s,
-                f"{spec.kind.value}:{self._scope_label(spec)}:{edge}",
-            )
-        )
-
-    def _blackout_begin(self, local: int, spec: RegionFaultSpec) -> None:
-        self._onset(spec, (local,))
-        self._mark(spec, "begin")
+    def _blackout_begin(self, local: int) -> None:
+        self._onset((local,))
         self._coordinator.hub_down(local)
 
-    def _blackout_end(self, local: int, spec: RegionFaultSpec) -> None:
-        self._mark(spec, "end")
-        self._coordinator.hub_up(local)
-
-    def _brownout_begin(self, local: int, spec: RegionFaultSpec) -> None:
-        self._onset(spec, (local,))
-        self._mark(spec, "begin")
+    def _brownout_begin(self, local: int) -> None:
+        self._onset((local,))
         self._coordinator.begin_brownout(local)
 
-    def _brownout_end(self, local: int, spec: RegionFaultSpec) -> None:
-        self._mark(spec, "end")
-        self._coordinator.end_brownout(local)
-
-    def _surge_begin(self, local: "int | None", spec: RegionFaultSpec) -> None:
-        scope = (
-            tuple(range(self._region.hub_count)) if local is None else (local,)
-        )
-        self._onset(spec, scope)
-        self._mark(spec, "begin")
-        self._coordinator.begin_surge(spec.magnitude, local)
-
-    def _surge_end(self, local: "int | None", spec: RegionFaultSpec) -> None:
-        self._mark(spec, "end")
-        self._coordinator.end_surge(spec.magnitude, local)
-
-    def _storm_onset(self, spec: RegionFaultSpec) -> None:
-        scope = (
-            tuple(range(self._region.hub_count))
-            if spec.hub == REGION_WIDE
-            else (self._coordinator.local_index_of(spec.hub),)
-        )
-        self._onset(spec, scope)
-        self._mark(spec, "begin")
-
-    def _storm_suspend(self, name: str) -> None:
-        self._coordinator.storm_suspend(name)
-
-    def _storm_resume(self, name: str) -> None:
-        self._coordinator.storm_resume(name)
+    def _surge_begin(self, local: "int | None", magnitude: float) -> None:
+        self._onset(tuple(range(self._region.hub_count)) if local is None else (local,))
+        self._coordinator.begin_surge(magnitude, local)

@@ -219,7 +219,11 @@ def render_faults(
             lines.append(f"  {time_s:8.3f}s  {label}")
     else:
         lines.append("")
-        lines.append("fault timeline: (empty plan)")
+        lines.append(
+            "fault timeline: (empty plan)"
+            if injector.plan.is_empty
+            else "fault timeline: (the session ended before the first fault)"
+        )
     lines.append("")
     width = max(len(field) for field in RECOVERY_FIELDS)
     for field in RECOVERY_FIELDS:

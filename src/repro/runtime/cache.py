@@ -62,6 +62,7 @@ import secrets
 import time
 from pathlib import Path
 
+from ..core.records import canonical_json
 from .jobs import JobSpec, spec_fingerprint
 from .journal import metrics_checksum
 
@@ -80,11 +81,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: What precedes the spec, the last key of a line ``put`` writes.
 _SPEC_KEY = b',"spec":'
-
-
-def _canonical(document: object) -> str:
-    """The JSON text ``put`` writes: sorted keys, compact separators."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -147,7 +143,7 @@ class ResultCache:
             calibration if calibration is not None else calibration_fingerprint()
         )
         self._campaign_seed = campaign_seed
-        world = _canonical({"calibration": self._calibration, "campaign_seed": campaign_seed})
+        world = canonical_json({"calibration": self._calibration, "campaign_seed": campaign_seed})
         # the bytes every line of this world starts with (keys are sorted)
         self._line_prefix = world[:-1].encode("utf-8") + b","
         # the name prefix of this world's segments
@@ -216,7 +212,7 @@ class ResultCache:
         whose keys sort as the world, ``checksum``, ``format``,
         ``metrics``, ``spec``.
         """
-        payload = _canonical(metrics).encode("utf-8")
+        payload = canonical_json(metrics).encode("utf-8")
         checksum = hashlib.sha256(payload).hexdigest()
         data = memoryview(
             b"".join(
@@ -226,7 +222,7 @@ class ResultCache:
                     % (checksum.encode("ascii"), CACHE_FORMAT),
                     payload,
                     _SPEC_KEY,
-                    _canonical(spec.to_dict()).encode("utf-8"),
+                    canonical_json(spec.to_dict()).encode("utf-8"),
                     b"}\n",
                 )
             )

@@ -76,7 +76,8 @@ class CampaignConfig:
         cache_dir: result-cache directory, or ``None`` for no caching.
             Cached campaigns journal under ``<cache_dir>/journal``.
         resume: replay the campaign's journal and skip jobs whose results
-            are journaled ``done`` and still verify against the cache.
+            are journaled ``done`` and still verify against the cache;
+            needs ``cache_dir``, where the journal and results live.
         max_failures: abort the campaign once this many jobs have failed
             (remaining jobs settle as failed without running); ``None``
             disables the bound.
@@ -111,6 +112,11 @@ class CampaignConfig:
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {self.max_failures!r}"
+            )
+        if self.resume and self.cache_dir is None:
+            raise ValueError(
+                "resume needs a cache_dir (the journal and the results being "
+                "resumed live there)"
             )
 
     def resolved_journal_dir(self) -> "Path | None":

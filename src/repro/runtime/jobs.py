@@ -15,14 +15,13 @@ primitives, never callables).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from ..core.records import Record, Refused
+from ..core.records import Record, Refused, canonical_json
 
 #: Signature of a job runner: (spec, per-job generator) -> JSON-able metrics.
 JobRunner = Callable[["JobSpec", np.random.Generator], "dict[str, object]"]
@@ -160,8 +159,7 @@ def spec_fingerprint(data: Mapping[str, object]) -> str:
     """Hex SHA-256 of a spec's canonical JSON form: what
     :meth:`JobSpec.fingerprint` returns for the spec whose
     :meth:`~JobSpec.to_dict` is ``data``."""
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def register_job_runner(kind: str) -> Callable[[JobRunner], JobRunner]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from ..core.records import canonical_json
 from .jobs import JobSpec
 
 #: Schema version of the journal record format.
@@ -38,12 +39,11 @@ JOURNAL_FORMAT = 1
 def metrics_checksum(metrics: dict) -> str:
     """Hex SHA-256 of a metrics payload's canonical JSON form.
 
-    The same canonicalization (sorted keys, compact separators) is used
-    when writing cache entries and when verifying them on resume, so the
-    checksum survives a JSON round-trip bit-exactly.
+    The same canonicalization (:func:`~repro.core.records.canonical_json`)
+    is used when writing cache entries and when verifying them on resume,
+    so the checksum survives a JSON round-trip bit-exactly.
     """
-    payload = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(metrics).encode("utf-8")).hexdigest()
 
 
 def campaign_fingerprint(
@@ -56,10 +56,8 @@ def campaign_fingerprint(
     caller happened to enumerate it.
     """
     digests = sorted(spec.fingerprint() for spec in specs)
-    body = json.dumps(
-        {"jobs": digests, "seed": campaign_seed, "calibration": calibration},
-        sort_keys=True,
-        separators=(",", ":"),
+    body = canonical_json(
+        {"jobs": digests, "seed": campaign_seed, "calibration": calibration}
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
@@ -204,10 +202,7 @@ class CampaignJournal:
                 self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
         data = memoryview(
-            "".join(
-                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-                for record in records
-            ).encode("utf-8")
+            "".join(canonical_json(record) + "\n" for record in records).encode("utf-8")
         )
         while data:
             data = data[os.write(self._fd, data):]

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..core.records import canonical_json
 from .journal import metrics_checksum
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -285,8 +286,5 @@ def write_results_manifest(path: "Path | str", result: "CampaignResult") -> Path
     """Write :func:`results_manifest` as canonical JSON (byte-stable)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(
-        results_manifest(result), sort_keys=True, separators=(",", ":")
-    )
-    target.write_text(payload + "\n", encoding="utf-8")
+    target.write_text(canonical_json(results_manifest(result)) + "\n", encoding="utf-8")
     return target

@@ -48,11 +48,6 @@ class BraidioPolicy:
     and re-probe re-plans).
     """
 
-    #: Sessions may skip ``next_packet()`` only when this is a non-None
-    #: epoch that has not changed.  ``None`` signals "call every packet" —
-    #: required here because the schedule itself advances per packet.
-    decision_epoch: None = None
-
     def __init__(self, controller: DynamicOffloadController | None = None) -> None:
         self._controller = controller or DynamicOffloadController()
         self._decision_plan_epoch = -1
@@ -118,7 +113,6 @@ class FixedModePolicy:
         self._link_map = link_map if link_map is not None else LinkMap()
         self._power: ModePower | None = None
         self._decision: PacketDecision | None = None
-        self.decision_epoch = 0
 
     def start(self, distance_m: float, e1_j: float, e2_j: float) -> None:
         """Resolve the best bitrate for the pinned mode at this distance."""
@@ -129,14 +123,13 @@ class FixedModePolicy:
             )
         self._power = availability.power()
         # The verdict is frozen until the next start/update_distance, so
-        # build it once and bump the epoch for session-side caching.
+        # build it once.
         self._decision = PacketDecision(
             mode=self._mode,
             bitrate_bps=self._power.bitrate_bps,
             tx_power_w=self._power.tx_w,
             rx_power_w=self._power.rx_w,
         )
-        self.decision_epoch += 1
 
     def next_packet(self) -> PacketDecision:
         """Always the pinned mode (the same cached instance every packet).
@@ -161,9 +154,6 @@ class FixedModePolicy:
 
 class BluetoothPolicy:
     """Symmetric Bluetooth baseline: the active link at CC2541 power."""
-
-    #: The baseline never adapts, so one epoch covers the whole session.
-    decision_epoch = 0
 
     def __init__(self, baseline: BluetoothBaseline | None = None) -> None:
         self._baseline = baseline or BluetoothBaseline()

@@ -166,11 +166,6 @@ class CommunicationSession:
         account_a = self.ledger.account("a")
         account_b = self.ledger.account("b")
         self._account_pairs = ((account_a, account_b), (account_b, account_a))
-        # Per-direction decision cache: policies whose verdict cannot
-        # change between re-plans advertise a non-None ``decision_epoch``;
-        # the session then skips next_packet() until the epoch moves.
-        self._cached_decisions: list[object | None] = [None, None]
-        self._cached_epochs: list[int | None] = [None, None]
 
     @property
     def finished(self) -> bool:
@@ -224,8 +219,6 @@ class CommunicationSession:
             policy.start(
                 self._link.distance_m, tx.battery.remaining_j, rx.battery.remaining_j
             )
-        self._cached_decisions = [None, None]
-        self._cached_epochs = [None, None]
         self._last_mode = None
         self.metrics.reboots += 1
 
@@ -287,6 +280,10 @@ class CommunicationSession:
         self._finished = True
         self.metrics.terminated_by = reason
         self.metrics.duration_s = self._sim.now_s
+        # A pair session owns its kernel: once it ends, whatever is still
+        # scheduled (a mobility driver's next tick, fault edges) is
+        # dropped, so an unbounded ``run`` returns.
+        self._sim.stop()
 
     def _send_packet(self) -> None:
         if self._finished:
@@ -298,13 +295,7 @@ class CommunicationSession:
         direction = self._traffic.direction_for_packet(self._packet_index)
         tx_account, rx_account = self._account_pairs[direction]
         policy = self._policies[direction]
-        epoch = getattr(policy, "decision_epoch", None)
-        if epoch is not None and epoch == self._cached_epochs[direction]:
-            decision = self._cached_decisions[direction]
-        else:
-            decision = policy.next_packet()
-            self._cached_epochs[direction] = epoch
-            self._cached_decisions[direction] = decision
+        decision = policy.next_packet()
 
         payload_bits = self._payload_bits
         air_bits = self._air_bits

@@ -66,13 +66,6 @@ class TestExportCampaignFlags:
         assert warm_run["cached"] == warm_run["total"] == 2
         assert warm_run["completed"] == 0
 
-    def test_no_cache_leaves_cache_dir_empty(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        self._export_deploy(
-            tmp_path / "out", "--cache-dir", str(cache_dir), "--no-cache"
-        )
-        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
-
     def test_cached_gain_export_runs_no_engine_job(self, tmp_path, capsys):
         # The gain sweeps run on the batch engine even with a cache at hand.
         cache_dir = tmp_path / "cache"
@@ -96,6 +89,23 @@ class TestExportCampaignFlags:
             main([*argv, "--backend", "scalar"])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "deploy", "{T}/out"],
+            ["campaign", "mc-ber"],
+            ["deploy", "smoke"],
+        ],
+    )
+    def test_no_cache_flag_is_gone(self, tmp_path, capsys, argv):
+        # Leaving out --cache-dir is the one way to run uncached.
+        argv = [arg.replace("{T}", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--cache-dir", str(tmp_path / "cache"), "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_export_jobs_flag_is_gone(self, tmp_path, capsys):
         # Only `campaign` and `deploy` fan jobs across workers.
@@ -254,16 +264,22 @@ class TestDistanceValidation:
 
 
 class TestResumeFlag:
-    def test_resume_requires_cache_dir(self, tmp_path, capsys):
-        # --no-cache drops the cache, so there is nothing to resume either.
-        no_cache = ["--cache-dir", str(tmp_path), "--no-cache", "--resume"]
-        for argv in (
-            ["campaign", "mc-ber", "--resume"],
-            ["campaign", "mc-ber", *no_cache],
-            ["deploy", "smoke", *no_cache],
-        ):
-            assert main(argv) == 2
-            assert "--cache-dir" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "mc-ber", "--resume", "--manifest", "m.json"],
+            ["deploy", "smoke", "--resume", "--manifest", "m.json", "--csv", "c.csv"],
+        ],
+    )
+    def test_resume_requires_cache_dir(self, tmp_path, monkeypatch, capsys, argv):
+        # The engine config refuses the pair; the CLI reports it as one
+        # error line before anything runs or is written.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "--cache-dir" in line
         assert not any(tmp_path.iterdir())
 
     def test_resume_round_trip(self, tmp_path, capsys):

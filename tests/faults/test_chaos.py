@@ -63,6 +63,20 @@ class TestChaosScenario:
         assert labels[0] == "link_outage begin"
         assert "node_crash:b end" in labels
 
+    def test_faults_after_the_session_ends_never_fire(self, capsys):
+        # 50 packets end the session before the 0.12 s outage: the
+        # session drops its calendar, so no fault fires or is counted.
+        metrics, injector = run_fault_session("chaos", packets=50)
+        assert metrics.terminated_by == "packets"
+        assert metrics.duration_s < 0.12
+        assert metrics.fault_events == 0
+        assert injector.timeline == []
+        from repro.__main__ import main
+
+        assert main(["faults", "chaos", "--packets", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "fault timeline: (the session ended before the first fault)" in out
+
     def test_chaos_replays_bit_identically(self):
         first, _ = run_fault_session("chaos", seed=42)
         second, _ = run_fault_session("chaos", seed=42)

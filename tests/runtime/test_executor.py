@@ -107,6 +107,7 @@ class TestConfigValidation:
             {"backoff_s": float("nan")},
             {"backoff_s": float("inf")},
             {"campaign_seed": -1},
+            {"resume": True},  # without a cache_dir there is nothing to resume
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -66,13 +66,11 @@ class TestDecisionCaching:
         policy.start(1.0, 1.0, 1.0)
         assert policy.next_packet() is policy.next_packet()
 
-    def test_fixed_policy_epoch_bumps_on_distance_update(self):
+    def test_fixed_policy_rebuilds_decision_on_distance_update(self):
         policy = FixedModePolicy(LinkMode.BACKSCATTER)
         policy.start(0.5, 1.0, 1.0)
         first = policy.next_packet()
-        epoch = policy.decision_epoch
         policy.update_distance(1.2)  # 1 Mbps -> 100 kbps step
-        assert policy.decision_epoch != epoch
         second = policy.next_packet()
         assert second is not first
         assert second.bitrate_bps == 100_000
@@ -81,11 +79,6 @@ class TestDecisionCaching:
         policy = BluetoothPolicy()
         policy.start(1.0, 1.0, 1.0)
         assert policy.next_packet() is policy.next_packet()
-        assert policy.decision_epoch == 0
-
-    def test_braidio_policy_epoch_is_none(self):
-        # The schedule advances per packet, so sessions must keep calling.
-        assert BraidioPolicy.decision_epoch is None
 
     def test_braidio_reuses_decision_within_plan(self):
         policy = BraidioPolicy()

@@ -1,5 +1,10 @@
 """Unit tests for the discrete-event communication session."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.braidio import BraidioRadio
@@ -47,6 +52,43 @@ class TestTermination:
         metrics = session.run()
         assert metrics.terminated_by == "time"
         assert metrics.duration_s == pytest.approx(0.01)
+
+    def test_run_returns_while_a_mobility_driver_ticks(self):
+        # A session without max_time_s runs its kernel unbounded, and a
+        # mobility driver reschedules itself forever; the session must
+        # drop the calendar when it ends.  A regression never returns,
+        # so it runs in a child process under a deadline.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "from repro.core.braidio import BraidioRadio\n"
+            "from repro.core.regimes import LinkMap\n"
+            "from repro.sim.link import SimulatedLink\n"
+            "from repro.sim.mobility import LinearWalk, MobilityDriver\n"
+            "from repro.sim.policies import BraidioPolicy\n"
+            "from repro.sim.session import CommunicationSession\n"
+            "from repro.sim.simulator import Simulator\n"
+            "sim = Simulator(seed=1)\n"
+            "link = SimulatedLink(LinkMap(), 0.3, sim.rng)\n"
+            "policy = BraidioPolicy()\n"
+            "session = CommunicationSession(\n"
+            "    sim, BraidioRadio.for_device('Apple Watch'),\n"
+            "    BraidioRadio.for_device('Surface Book'), link, policy, max_packets=10,\n"
+            ")\n"
+            "MobilityDriver(sim, link, [policy], LinearWalk()).start()\n"
+            "metrics = session.run()\n"
+            "print(metrics.terminated_by, metrics.packets_attempted, sim.pending_events())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["packets", "10", "0"]
 
 
 class TestEnergyAccounting:
