@@ -123,6 +123,11 @@ class LinkMap:
         #: :class:`~repro.core.controller.DynamicOffloadController`.  It
         #: lives as long as the map: in a deployment, one region.
         self.plan_memo: dict = {}
+        #: Eq 1 solutions of the lifetime engine over this map's
+        #: operating points, keyed by their exact inputs and bounded by
+        #: :mod:`repro.sim.lifetime`.  It lives as long as the map: in a
+        #: campaign worker, the whole process.
+        self.offload_memo: dict = {}
 
     @property
     def target_ber(self) -> float:

@@ -20,7 +20,7 @@ from .executor import (
     execute_job,
     run_campaign,
 )
-from .jobs import JobSpec, job_runner, register_job_runner, registered_kinds
+from .jobs import JobSpec, register_job_runner, registered_kinds, registered_runner
 from .journal import (
     CampaignJournal,
     JournalReplay,
@@ -61,11 +61,11 @@ __all__ = [
     "execute_job",
     "gain_matrix_specs",
     "job_rng",
-    "job_runner",
     "job_seed_sequence",
     "metrics_checksum",
     "register_job_runner",
     "registered_kinds",
+    "registered_runner",
     "replay_journal",
     "results_manifest",
     "run_campaign",

@@ -139,6 +139,7 @@ class ResultCache:
         campaign_seed: int = 0,
     ) -> None:
         self._directory = Path(directory)
+        self._segments = self._directory / SEGMENT_DIR
         self._calibration = (
             calibration if calibration is not None else calibration_fingerprint()
         )
@@ -165,7 +166,7 @@ class ResultCache:
     @property
     def segment_directory(self) -> Path:
         """Where the segment files live."""
-        return self._directory / SEGMENT_DIR
+        return self._segments
 
     @property
     def quarantine_directory(self) -> Path:
@@ -208,9 +209,11 @@ class ResultCache:
         return their checksum (:func:`~repro.runtime.journal.metrics_checksum`).
 
         The metrics are serialized once, for both the checksum and the
-        line; the line is byte for byte the canonical JSON of the entry,
-        whose keys sort as the world, ``checksum``, ``format``,
-        ``metrics``, ``spec``.
+        line, and the spec's bytes are the ones its fingerprint hashed
+        (:meth:`~repro.runtime.jobs.JobSpec.canonical_bytes`); the line
+        is byte for byte the canonical JSON of the entry, whose keys
+        sort as the world, ``checksum``, ``format``, ``metrics``,
+        ``spec``.
         """
         payload = canonical_json(metrics).encode("utf-8")
         checksum = hashlib.sha256(payload).hexdigest()
@@ -222,7 +225,7 @@ class ResultCache:
                     % (checksum.encode("ascii"), CACHE_FORMAT),
                     payload,
                     _SPEC_KEY,
-                    canonical_json(spec.to_dict()).encode("utf-8"),
+                    spec.canonical_bytes(),
                     b"}\n",
                 )
             )
@@ -376,7 +379,7 @@ class ResultCache:
         """
         segment, offset = where
         try:
-            with open(os.path.join(self._directory, SEGMENT_DIR, segment), "rb") as handle:
+            with open(os.path.join(self._segments, segment), "rb") as handle:
                 handle.seek(offset)
                 raw = handle.readline().rstrip(b"\n")
         except OSError:  # cleared under us, or unreadable: a miss

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cache import ResultCache
-from .jobs import JobSpec, job_runner
+from .jobs import JobSpec, registered_runner
 from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
 from .progress import CampaignProgress, RunManifest
 from .seeding import job_rng
@@ -329,11 +329,15 @@ def execute_job(spec: JobSpec, campaign_seed: int = 0) -> dict:
     """Run one job in-process and return its metrics.
 
     This is the unit workers execute; it resolves the runner from the
-    registry and hands it a content-derived RNG, so the result depends
-    only on (spec, campaign_seed).
+    registry and, for a runner that takes one, builds the job's
+    content-derived generator, so the result depends only on (spec,
+    campaign_seed).  A runner that takes the spec alone gets no
+    generator and costs none.
     """
-    runner = job_runner(spec.kind)
-    return runner(spec, job_rng(spec, campaign_seed))
+    runner, takes_rng = registered_runner(spec.kind)
+    if takes_rng:
+        return runner(spec, job_rng(spec, campaign_seed))
+    return runner(spec)
 
 
 def run_job(spec: JobSpec, config: CampaignConfig, lost: int = 0) -> JobOutcome:

@@ -9,24 +9,28 @@ same derived RNG stream no matter which worker runs it or in what order.
 Job *runners* — the functions that turn a spec into a metrics dict — are
 registered by kind in a module-level registry.  Worker processes resolve
 the runner by name, which keeps specs picklable (they hold only
-primitives, never callables).
+primitives, never callables).  A runner is ``(spec, rng)`` when it draws
+from the job's generator and ``(spec)`` when its result is deterministic
+in the spec alone; the registry records which when the runner registers,
+so the executor builds a generator only for a runner that takes one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..core.records import Record, Refused, canonical_json
 
-#: Signature of a job runner: (spec, per-job generator) -> JSON-able metrics.
-JobRunner = Callable[["JobSpec", np.random.Generator], "dict[str, object]"]
+#: Signature of a job runner: (spec, per-job generator) -> JSON-able
+#: metrics, or (spec) -> metrics for a runner that draws nothing.
+JobRunner = Callable[..., "dict[str, object]"]
 
-_RUNNERS: dict[str, JobRunner] = {}
+#: kind -> (runner, whether it takes the per-job generator).
+_RUNNERS: dict[str, tuple[JobRunner, bool]] = {}
 
 
 def _as_distance(value: object) -> float:
@@ -139,6 +143,19 @@ class JobSpec(Record):
             "params": [list(pair) for pair in self.params],
         }
 
+    def canonical_bytes(self) -> bytes:
+        """UTF-8 bytes of the canonical JSON of :meth:`to_dict`: what
+        :meth:`fingerprint` hashes and a cache line stores as its spec.
+
+        Memoized per instance beside the fingerprint, so the cache
+        writes the bytes the fingerprint already encoded.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = canonical_json(self.to_dict()).encode("utf-8")
+            object.__setattr__(self, "_canonical", cached)
+        return cached
+
     def fingerprint(self) -> str:
         """Stable content hash (hex SHA-256 of the canonical JSON form).
 
@@ -149,10 +166,9 @@ class JobSpec(Record):
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            cached = spec_fingerprint(self.to_dict())
+            cached = hashlib.sha256(self.canonical_bytes()).hexdigest()
             object.__setattr__(self, "_fingerprint", cached)
         return cached
-
 
 
 def spec_fingerprint(data: Mapping[str, object]) -> str:
@@ -162,8 +178,22 @@ def spec_fingerprint(data: Mapping[str, object]) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def _takes_rng(fn: JobRunner) -> bool:
+    """Whether ``fn`` accepts a second positional argument, the job's
+    generator."""
+    try:
+        inspect.signature(fn).bind(None, None)
+    except TypeError:
+        return False
+    return True
+
+
 def register_job_runner(kind: str) -> Callable[[JobRunner], JobRunner]:
     """Decorator registering a runner for ``kind``.
+
+    A runner that accepts a second positional argument gets the job's
+    generator there; one that takes the spec alone gets no generator,
+    and none is built for it.
 
     Raises:
         ValueError: if the kind is already taken by a different function.
@@ -171,16 +201,17 @@ def register_job_runner(kind: str) -> Callable[[JobRunner], JobRunner]:
 
     def decorate(fn: JobRunner) -> JobRunner:
         existing = _RUNNERS.get(kind)
-        if existing is not None and existing is not fn:
+        if existing is not None and existing[0] is not fn:
             raise ValueError(f"job kind {kind!r} already registered")
-        _RUNNERS[kind] = fn
+        _RUNNERS[kind] = (fn, _takes_rng(fn))
         return fn
 
     return decorate
 
 
-def job_runner(kind: str) -> JobRunner:
-    """The registered runner for ``kind``.
+def registered_runner(kind: str) -> tuple[JobRunner, bool]:
+    """The registered runner for ``kind`` and whether it takes the job's
+    generator.
 
     Raises:
         KeyError: for unregistered kinds (with the known ones listed).

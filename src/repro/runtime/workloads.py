@@ -1,11 +1,15 @@
 """Built-in campaign job runners and spec builders.
 
-Each runner is a pure function of (spec, rng): it reconstructs whatever
-model objects it needs from the spec's primitive fields (device *names*,
-distance, bitrate) under the default paper calibration, so specs stay
-picklable and results cacheable by content.  The shared
-:class:`~repro.core.regimes.LinkMap` is memoized per process — workers
-pay its construction cost once, not per job.
+Each runner is a pure function of its spec — and, for the one runner
+that draws (``ber.montecarlo``), of the job's generator: it reconstructs
+whatever model objects it needs from the spec's primitive fields (device
+*names*, distance, bitrate) under the default paper calibration, so
+specs stay picklable and results cacheable by content.  The other
+runners take the spec alone, so the executor builds them no generator.
+The shared :class:`~repro.core.regimes.LinkMap` is memoized per process —
+workers pay its construction cost once, not per job — and so are the
+device budgets; the Eq 1 solutions the gain cells share are memoized on
+the map (:mod:`repro.sim.lifetime`).
 """
 
 from __future__ import annotations
@@ -24,11 +28,18 @@ def _link_map():
     return LinkMap()
 
 
+#: Device budgets memoized per process; the catalog has ten devices.
+_BUDGET_MEMO_MAX = 64
+
+
+@functools.lru_cache(maxsize=_BUDGET_MEMO_MAX)
 def _energy_budget(device_name: str):
-    """A fresh :class:`~repro.energy.EnergyBudget` for a catalog device.
+    """The :class:`~repro.energy.EnergyBudget` of a fresh catalog device.
 
     Numerically identical to the former raw ``battery_wh * 3600`` float —
     the lifetime entry points coerce the view back via ``as_joules``.
+    Memoized by name: the budget is frozen, so every cell that names the
+    device shares one.
     """
     from ..energy import EnergyBudget
     from ..hardware.devices import device
@@ -37,7 +48,7 @@ def _energy_budget(device_name: str):
 
 
 @register_job_runner("gain.bluetooth")
-def run_bluetooth_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_bluetooth_gain(spec: JobSpec) -> dict:
     """Fig 15 cell: Braidio over Bluetooth, one-way saturated traffic."""
     from ..sim.lifetime import bluetooth_unidirectional, braidio_unidirectional
 
@@ -54,7 +65,7 @@ def run_bluetooth_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("gain.best_mode")
-def run_best_mode_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_best_mode_gain(spec: JobSpec) -> dict:
     """Fig 16 cell: Braidio over the best single mode in isolation."""
     from ..sim.lifetime import (
         best_single_mode_unidirectional,
@@ -76,7 +87,7 @@ def run_best_mode_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("gain.bidirectional")
-def run_bidirectional_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_bidirectional_gain(spec: JobSpec) -> dict:
     """Fig 17 cell: Braidio over Bluetooth with equal data both ways."""
     from ..sim.lifetime import bluetooth_bidirectional, braidio_bidirectional
 
@@ -93,7 +104,7 @@ def run_bidirectional_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("gain.distance")
-def run_distance_gain(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_distance_gain(spec: JobSpec) -> dict:
     """Fig 18 point: gain over Bluetooth at one distance (NaN out of
     range, matching the sweep's plotting convention)."""
     from ..sim.lifetime import bluetooth_unidirectional, braidio_unidirectional
@@ -128,7 +139,7 @@ def run_montecarlo_ber(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("session.energy")
-def run_session_energy(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_session_energy(spec: JobSpec) -> dict:
     """Ledger-attributed energy breakdown of one profiled DES session
     (params: ``profile``, ``packets``, ``seed``; deterministic in the
     spec alone, like the gain runners)."""
@@ -155,7 +166,7 @@ def run_session_energy(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("faults.session")
-def run_faults_session(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_faults_session(spec: JobSpec) -> dict:
     """Recovery metrics of one hardened session under a named fault
     profile (params: ``profile``, ``packets``, ``seed``; deterministic in
     the spec alone — the injector derives its own content-addressed
@@ -179,18 +190,18 @@ def run_faults_session(spec: JobSpec, rng: np.random.Generator) -> dict:
 
 
 @register_job_runner("deploy.region")
-def run_deploy_region(spec: JobSpec, rng: np.random.Generator) -> dict:
+def run_deploy_region(spec: JobSpec) -> dict:
     """One region of a city-scale deployment (params: ``scenario`` —
     the full scenario JSON — ``region``, and optionally ``faults`` — a
     serialized :class:`~repro.faults.region.RegionFaultPlan`; the param
     is only present for non-empty plans, so unarmed job fingerprints
     never change).
 
-    The executor-provided ``rng`` is deliberately unused: every stream
-    inside the region derives content-addressed from the *scenario*
-    fingerprint (and, when armed, the fault plan's), so the merged
-    deployment manifest is bit-identical at any worker count, chunking,
-    execution order or journal resume.
+    The runner takes no job generator: every stream inside the region
+    derives content-addressed from the *scenario* fingerprint (and, when
+    armed, the fault plan's), so the merged deployment manifest is
+    bit-identical at any worker count, chunking, execution order or
+    journal resume.
     """
     from ..deploy.partition import partition
     from ..deploy.region import simulate_region

@@ -1,9 +1,10 @@
 """A simulated communication session between two Braidio end points.
 
-Packets are scheduled as discrete events; every packet charges both
-sides' ledger accounts according to the policy's per-side power, pays
-Table 5 switching costs on mode transitions, and feeds its outcome back
-to the policy (which is how the dynamic fallback of §4.2 engages).
+Packets are discrete events, sent in chained runs that the kernel runs
+inline while nothing else is due (DESIGN.md §7); every packet charges
+both sides' ledger accounts according to the policy's per-side power,
+pays Table 5 switching costs on mode transitions, and feeds its outcome
+back to the policy (which is how the dynamic fallback of §4.2 engages).
 
 Energy flows through the :class:`~repro.energy.EnergyLedger` (DESIGN.md
 §8): batteries are the capacity stores behind the session's two ledger
@@ -286,200 +287,246 @@ class CommunicationSession:
         self._sim.stop()
 
     def _send_packet(self) -> None:
-        if self._finished:
-            return
-        if self._max_packets is not None and self._packet_index >= self._max_packets:
-            self._terminate("packets")
-            return
-
-        direction = self._traffic.direction_for_packet(self._packet_index)
-        tx_account, rx_account = self._account_pairs[direction]
-        policy = self._policies[direction]
-        decision = policy.next_packet()
-
+        # One call sends a chained run of packets, the way
+        # HubSession._serve_packet serves one.  After each packet (a
+        # retransmission included) the kernel either runs the next one
+        # inline (it is due before every other pending event, so the
+        # calendar would pop it next anyway) or schedules it, which ends
+        # the run.  Nothing else runs inside a chain: fault edges and
+        # mobility ticks are events, so they fall between chains, and
+        # what only they change is read once per run: a stuck switch,
+        # the modes an outage blocks, and the harvester's power at the
+        # link distance (read on the run's first backscatter packet).
+        # ACK corruption still draws per ACK.
+        sim = self._sim
+        link = self._link
+        packet_success = link.packet_success
+        traffic = self._traffic
+        direction_for_packet = traffic.direction_for_packet
+        policies = self._policies
+        account_pairs = self._account_pairs
+        metrics = self.metrics
+        ledger = self.ledger
+        injector = self._injector
+        if injector is None:
+            stuck, blocked = False, ()
+        else:
+            stuck = injector.switch_stuck()
+            blocked = tuple(mode for mode in LinkMode if injector.blocked(mode))
+        harvester = self._tag_harvester
+        harvested_w = None
+        max_packets = self._max_packets
+        apply_switch_costs = self._apply_switch_costs
+        arq = self._arq
+        max_retries = self._max_retries
+        track_retransmit = self._track_retransmit
+        fault_aware = self._fault_aware
+        update_interval = self._energy_update_interval
         payload_bits = self._payload_bits
         air_bits = self._air_bits
-        duration_s = air_bits / decision.bitrate_bps
+        send = self._send_packet
+        while True:
+            if self._finished:
+                return
+            if max_packets is not None and self._packet_index >= max_packets:
+                self._terminate("packets")
+                return
 
-        # A stuck RF switch silently keeps the last committed path: the
-        # packet goes out (and is billed) in the stale mode, and no
-        # Table 5 cost is charged because the switch never flips.
-        mode = decision.mode
-        injector = self._injector
-        if injector is not None and injector.switch_stuck():
-            last = self._last_mode
-            if last is not None and last is not mode:
-                mode = last
-                self.metrics.stuck_switch_packets += 1
+            direction = direction_for_packet(self._packet_index)
+            tx_account, rx_account = account_pairs[direction]
+            policy = policies[direction]
+            decision = policy.next_packet()
+            bitrate_bps = decision.bitrate_bps
+            duration_s = air_bits / bitrate_bps
 
-        # Table 5 switching overhead on mode transitions.  Switch energy
-        # drains both batteries and is attributed per device, but has
-        # never counted toward the metered energy_a_j/energy_b_j totals —
-        # only the pooled switch counter.
-        if self._apply_switch_costs and self._last_mode is not None:
-            if mode is not self._last_mode:
-                cost = switch_cost(mode, bitrate_bps=decision.bitrate_bps)
-                try:
-                    tx_account.drain(cost.tx_j)
-                    rx_account.drain(cost.rx_j)
-                except BatteryEmptyError:
-                    self._terminate("battery")
-                    return
-                tx_account.note(_MODE_SWITCH, cost.tx_j)
-                rx_account.note(_MODE_SWITCH, cost.rx_j)
-                self.ledger.pool_switch(cost.total_j)
-                self.metrics.mode_switches += 1
-        elif self._last_mode is not None and mode is not self._last_mode:
-            self.metrics.mode_switches += 1
-        self._last_mode = mode
+            # A stuck RF switch silently keeps the last committed path:
+            # the packet goes out (and is billed) in the stale mode, and
+            # no Table 5 cost is charged because the switch never flips.
+            mode = decision.mode
+            last_mode = self._last_mode
+            if stuck and last_mode is not None and last_mode is not mode:
+                mode = last_mode
+                metrics.stuck_switch_packets += 1
 
-        success = self._link.packet_success(
-            mode, decision.bitrate_bps, air_bits, self._sim.now_s
-        )
-        # Outage faults override *after* the draw so the link RNG stream
-        # consumes exactly one value per packet, faulted or not.
-        if injector is not None and success and injector.blocked(mode):
-            success = False
+            # Table 5 switching overhead on mode transitions.  Switch
+            # energy drains both batteries and is attributed per device,
+            # but has never counted toward the metered energy_a_j /
+            # energy_b_j totals, only the pooled switch counter.
+            if last_mode is not None and mode is not last_mode:
+                if apply_switch_costs:
+                    cost = switch_cost(mode, bitrate_bps=bitrate_bps)
+                    try:
+                        tx_account.drain(cost.tx_j)
+                        rx_account.drain(cost.rx_j)
+                    except BatteryEmptyError:
+                        self._terminate("battery")
+                        return
+                    tx_account.note(_MODE_SWITCH, cost.tx_j)
+                    rx_account.note(_MODE_SWITCH, cost.rx_j)
+                    ledger.pool_switch(cost.total_j)
+                metrics.mode_switches += 1
+            self._last_mode = mode
 
-        is_backscatter = mode is LinkMode.BACKSCATTER
-        tx_energy = decision.tx_power_w * duration_s
-        rx_energy = decision.rx_power_w * duration_s
-        tx_air_j = tx_energy
-        rx_air_j = rx_energy
-        harvest_credit_j = 0.0
-        tx_ack_j = 0.0
-        rx_ack_j = 0.0
+            now_s = sim.now_s
+            success = packet_success(mode, bitrate_bps, air_bits, now_s)
+            # Outage faults override *after* the draw so the link RNG
+            # stream consumes exactly one value per packet, faulted or not.
+            if blocked and success and mode in blocked:
+                success = False
 
-        # Harvesting extension: while backscattering, the tag sits in the
-        # reader's carrier field and banks energy against its own draw.
-        if self._tag_harvester is not None and is_backscatter:
-            harvested = (
-                self._tag_harvester.harvested_power_w(self._link.distance_m)
-                * duration_s
-            )
-            tx_energy = max(tx_energy - harvested, 0.0)
-            harvest_credit_j = tx_air_j - tx_energy
-
-        confirmed = success
-        if self._arq:
-            # The ACK rides the reverse path of the same mode: the carrier
-            # stays up and both sides keep their per-mode draw for the ACK
-            # air time.
-            ack_duration_s = FRAME_OVERHEAD_BITS / decision.bitrate_bps
-            duration_s += ack_duration_s
-            tx_ack_j = decision.tx_power_w * ack_duration_s
-            rx_ack_j = decision.rx_power_w * ack_duration_s
-            tx_energy += tx_ack_j
-            rx_energy += rx_ack_j
-            self.metrics.ack_bits += FRAME_OVERHEAD_BITS
-            if success:
-                ack_success = self._link.packet_success(
-                    mode,
-                    decision.bitrate_bps,
-                    FRAME_OVERHEAD_BITS,
-                    self._sim.now_s,
+            # Attribution uses the component values (air / ack / harvest)
+            # while metering uses the exact combined tx_energy/rx_energy
+            # floats the pre-ledger code accumulated, keeping energy_a_j
+            # and energy_b_j bit-identical.  On a backscatter packet the
+            # receiving side's air time is carrier generation (the reader
+            # powers the carrier the tag reflects).  Fault-armed sessions
+            # book ARQ retry air time as RETRANSMIT (both sides) instead,
+            # so recovery cost is separable without double counting.
+            tx_energy = decision.tx_power_w * duration_s
+            rx_energy = decision.rx_power_w * duration_s
+            if track_retransmit and self._retries_used > 0:
+                tx_account.note(_RETRANSMIT, tx_energy)
+                rx_account.note(_RETRANSMIT, rx_energy)
+            else:
+                tx_account.note(_TX_AIR, tx_energy)
+                rx_account.note(
+                    _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR, rx_energy
                 )
-                if ack_success and injector is not None and injector.corrupt_ack():
-                    ack_success = False
-                    self.metrics.corrupted_acks += 1
-                confirmed = ack_success
 
-        retransmit = self._track_retransmit and self._retries_used > 0
-        try:
-            tx_account.drain(tx_energy)
-            rx_account.drain(rx_energy)
-        except BatteryEmptyError:
-            # The fatal packet is still metered/attributed even though
-            # the drain was only partial (historical semantics; shows up
-            # as a conservation residual on battery-death sessions).
-            self.metrics.record_packet(mode, payload_bits, False)
-            self._book_packet(
-                tx_account, rx_account, is_backscatter,
-                tx_air_j, rx_air_j, tx_ack_j, rx_ack_j, harvest_credit_j,
-                tx_energy, rx_energy, retransmit,
-            )
-            self._terminate("battery")
-            return
+            # Harvesting extension: while backscattering, the tag sits in
+            # the reader's carrier field and banks energy against its own
+            # draw.
+            if harvester is not None and mode is LinkMode.BACKSCATTER:
+                if harvested_w is None:
+                    harvested_w = harvester.harvested_power_w(link.distance_m)
+                tx_air_j = tx_energy
+                tx_energy = max(tx_energy - harvested_w * duration_s, 0.0)
+                harvest_credit_j = tx_air_j - tx_energy
+                if harvest_credit_j != 0.0:
+                    tx_account.note(_HARVEST_CREDIT, harvest_credit_j)
 
-        self._book_packet(
-            tx_account, rx_account, is_backscatter,
-            tx_air_j, rx_air_j, tx_ack_j, rx_ack_j, harvest_credit_j,
-            tx_energy, rx_energy, retransmit,
-        )
-        self.metrics.record_packet(mode, payload_bits, confirmed)
-        policy.record_outcome(mode, success)
-
-        if self._arq and not confirmed:
-            if self._retries_used < self._max_retries:
-                # Retransmit: the traffic index stays put so the same
-                # payload goes again (possibly in a different mode slot).
-                self._retries_used += 1
-                self.metrics.retransmissions += 1
-                self._sim.schedule_in(duration_s, self._send_packet)
-                return
-            self.metrics.arq_failures += 1
-        self._retries_used = 0
-
-        # Watchdog + outage accounting; inert (single boolean test) for
-        # sessions that never armed an injector or a watchdog.
-        if self._fault_aware:
-            resync_delay_s = self._after_outcome(confirmed)
-            if resync_delay_s is None:
-                return
-        else:
-            resync_delay_s = 0.0
-
-        self._packet_index += 1
-        if self._packet_index % self._energy_update_interval == 0:
-            updated: set[int] = set()
-            for d, p in self._policies.items():
-                if id(p) in updated:
-                    continue
-                updated.add(id(p))
-                d_tx, d_rx = self._endpoints(d)
-                if d_tx.battery.is_empty or d_rx.battery.is_empty:
-                    self._terminate("battery")
-                    return
-                if injector is None:
-                    p.update_energy(
-                        d_tx.battery.remaining_j, d_rx.battery.remaining_j
+            confirmed = success
+            if arq:
+                # The ACK rides the reverse path of the same mode: the
+                # carrier stays up and both sides keep their per-mode draw
+                # for the ACK air time.
+                ack_duration_s = FRAME_OVERHEAD_BITS / bitrate_bps
+                duration_s += ack_duration_s
+                tx_ack_j = decision.tx_power_w * ack_duration_s
+                rx_ack_j = decision.rx_power_w * ack_duration_s
+                if tx_ack_j != 0.0 or rx_ack_j != 0.0:
+                    tx_account.note(_ACK, tx_ack_j)
+                    rx_account.note(_ACK, rx_ack_j)
+                tx_energy += tx_ack_j
+                rx_energy += rx_ack_j
+                metrics.ack_bits += FRAME_OVERHEAD_BITS
+                if success:
+                    ack_success = packet_success(
+                        mode, bitrate_bps, FRAME_OVERHEAD_BITS, now_s
                     )
-                else:
-                    # Battery-misreport faults lie to the policies, never
-                    # to the batteries themselves.
-                    scale_a, scale_b = injector.energy_scales()
-                    if d:
-                        scale_a, scale_b = scale_b, scale_a
-                    p.update_energy(
-                        d_tx.battery.remaining_j * scale_a,
-                        d_rx.battery.remaining_j * scale_b,
-                    )
+                    if ack_success and injector is not None and injector.corrupt_ack():
+                        ack_success = False
+                        metrics.corrupted_acks += 1
+                    confirmed = ack_success
 
-        gap_s = self._traffic.gap_s(self._packet_index)
-        if gap_s > 0.0:
-            # Both radios drop to their sleep draw between packets.
-            idle_a = self._idle_power_w[0] * gap_s
-            idle_b = self._idle_power_w[1] * gap_s
-            account_a, account_b = self._account_pairs[0]
+            tx_account.meter(tx_energy)
+            rx_account.meter(rx_energy)
             try:
-                account_a.drain(idle_a)
-                account_b.drain(idle_b)
+                tx_account.drain(tx_energy)
+                rx_account.drain(rx_energy)
             except BatteryEmptyError:
+                # The fatal packet is still metered/attributed even though
+                # the drain was only partial (historical semantics; shows
+                # up as a conservation residual on battery-death sessions).
+                metrics.record_packet(mode, payload_bits, False)
                 self._terminate("battery")
                 return
-            account_a.note(_IDLE, idle_a)
-            account_b.note(_IDLE, idle_b)
-            account_a.meter(idle_a)
-            account_b.meter(idle_b)
-            self.ledger.pool_idle(idle_a + idle_b)
-        if resync_delay_s != 0.0:
-            self._sim.schedule_in(
-                duration_s + gap_s + resync_delay_s, self._send_packet
-            )
-        else:
-            self._sim.schedule_in(duration_s + gap_s, self._send_packet)
+            metrics.record_packet(mode, payload_bits, confirmed)
+            policy.record_outcome(mode, success)
 
-    def _after_outcome(self, confirmed: bool) -> float | None:
+            if arq and not confirmed:
+                if self._retries_used < max_retries:
+                    # Retransmit: the traffic index stays put so the same
+                    # payload goes again (possibly in a different mode
+                    # slot).
+                    self._retries_used += 1
+                    metrics.retransmissions += 1
+                    if not sim.chain_in(duration_s, send):
+                        return
+                    continue
+                metrics.arq_failures += 1
+            self._retries_used = 0
+
+            # Watchdog + outage accounting; inert (single boolean test)
+            # for sessions that never armed an injector or a watchdog.
+            if fault_aware:
+                resync_delay_s = self._after_outcome(confirmed, now_s)
+                if resync_delay_s is None:
+                    return
+            else:
+                resync_delay_s = 0.0
+
+            self._packet_index += 1
+            if self._packet_index % update_interval == 0 and not self._update_energy():
+                return
+
+            gap_s = traffic.gap_s(self._packet_index)
+            if gap_s > 0.0 and not self._idle(gap_s):
+                return
+            if resync_delay_s != 0.0:
+                delay_s = duration_s + gap_s + resync_delay_s
+            else:
+                delay_s = duration_s + gap_s
+            if not sim.chain_in(delay_s, send):
+                return
+
+    def _update_energy(self) -> bool:
+        """Push fresh battery levels to every policy; ``False`` after
+        terminating the session on an empty battery."""
+        injector = self._injector
+        updated: set[int] = set()
+        for d, p in self._policies.items():
+            if id(p) in updated:
+                continue
+            updated.add(id(p))
+            d_tx, d_rx = self._endpoints(d)
+            if d_tx.battery.is_empty or d_rx.battery.is_empty:
+                self._terminate("battery")
+                return False
+            if injector is None:
+                p.update_energy(d_tx.battery.remaining_j, d_rx.battery.remaining_j)
+            else:
+                # Battery-misreport faults lie to the policies, never to
+                # the batteries themselves.
+                scale_a, scale_b = injector.energy_scales()
+                if d:
+                    scale_a, scale_b = scale_b, scale_a
+                p.update_energy(
+                    d_tx.battery.remaining_j * scale_a,
+                    d_rx.battery.remaining_j * scale_b,
+                )
+        return True
+
+    def _idle(self, gap_s: float) -> bool:
+        """Both radios drop to their sleep draw for a traffic gap;
+        ``False`` after terminating the session on an empty battery."""
+        idle_a = self._idle_power_w[0] * gap_s
+        idle_b = self._idle_power_w[1] * gap_s
+        account_a, account_b = self._account_pairs[0]
+        try:
+            account_a.drain(idle_a)
+            account_b.drain(idle_b)
+        except BatteryEmptyError:
+            self._terminate("battery")
+            return False
+        account_a.note(_IDLE, idle_a)
+        account_b.note(_IDLE, idle_b)
+        account_a.meter(idle_a)
+        account_b.meter(idle_b)
+        self.ledger.pool_idle(idle_a + idle_b)
+        return True
+
+    def _after_outcome(self, confirmed: bool, now: float) -> float | None:
         """Track loss streaks, close/open outage windows, and run the
         bounded re-sync watchdog.
 
@@ -488,7 +535,6 @@ class CommunicationSession:
             a re-sync back-off engaged — or ``None`` when the session
             terminated (``link_lost``).
         """
-        now = self._sim.now_s
         if confirmed:
             if self._outage_start_s is not None:
                 latency = now - self._outage_start_s
@@ -512,42 +558,3 @@ class CommunicationSession:
         self._failure_streak = 0
         self.metrics.resyncs += 1
         return self._resync_backoff_s * (2.0 ** (self._resyncs_used - 1))
-
-    @staticmethod
-    def _book_packet(
-        tx_account,
-        rx_account,
-        is_backscatter: bool,
-        tx_air_j: float,
-        rx_air_j: float,
-        tx_ack_j: float,
-        rx_ack_j: float,
-        harvest_credit_j: float,
-        tx_energy_j: float,
-        rx_energy_j: float,
-        retransmit: bool = False,
-    ) -> None:
-        """Attribute one packet's energy and meter the legacy totals.
-
-        Attribution uses the component values (air / ack / harvest) while
-        metering uses the exact combined ``tx_energy_j``/``rx_energy_j``
-        floats the pre-ledger code accumulated — keeping energy_a_j and
-        energy_b_j bit-identical.  On a backscatter packet the receiving
-        side's air time is carrier generation (the reader powers the
-        carrier the tag reflects).  Fault-armed sessions book ARQ retry
-        air time as ``RETRANSMIT`` (both sides) instead, so recovery cost
-        is separable without double counting.
-        """
-        if retransmit:
-            tx_account.note(_RETRANSMIT, tx_air_j)
-            rx_account.note(_RETRANSMIT, rx_air_j)
-        else:
-            tx_account.note(_TX_AIR, tx_air_j)
-            rx_account.note(_CARRIER if is_backscatter else _RX_AIR, rx_air_j)
-        if tx_ack_j != 0.0 or rx_ack_j != 0.0:
-            tx_account.note(_ACK, tx_ack_j)
-            rx_account.note(_ACK, rx_ack_j)
-        if harvest_credit_j != 0.0:
-            tx_account.note(_HARVEST_CREDIT, harvest_credit_j)
-        tx_account.meter(tx_energy_j)
-        rx_account.meter(rx_energy_j)

@@ -4,9 +4,9 @@ import pytest
 
 from repro.runtime.jobs import (
     JobSpec,
-    job_runner,
     register_job_runner,
     registered_kinds,
+    registered_runner,
 )
 
 
@@ -125,7 +125,7 @@ class TestRegistry:
 
     def test_unknown_kind_raises_with_known_list(self):
         with pytest.raises(KeyError, match="gain.bluetooth"):
-            job_runner("no.such.kind")
+            registered_runner("no.such.kind")
 
     def test_duplicate_registration_rejected(self):
         @register_job_runner("test.dupe")

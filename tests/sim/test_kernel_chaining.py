@@ -3,9 +3,9 @@
 ``Simulator.chain_in`` lets a self-rescheduling callback run its next
 event inline when the calendar would pop that event next anyway.  The
 reference here is a kernel whose ``chain_in`` always declines, which
-gives the original one heap push and pop per hub packet.  Every case
-must produce the same metrics, ledgers, reports and processed-event
-counts on both kernels.
+gives the original one heap push and pop per hub or pair-session
+packet.  Every case must produce the same metrics, ledgers, reports and
+processed-event counts on both kernels.
 """
 
 import functools
@@ -16,17 +16,21 @@ import pytest
 
 from repro.core.braidio import BraidioRadio
 from repro.core.controller import DynamicOffloadController
+from repro.core.modes import LinkMode
 from repro.core.regimes import LinkMap
 from repro.deploy import partition, simulate_region
 from repro.deploy import region as region_module
 from repro.deploy.scenarios import city_scenario
-from repro.faults import region_fault_plan_for
+from repro.faults import FaultInjector, fault_plan_for, region_fault_plan_for
+from repro.hardware.battery import Battery
+from repro.hardware.harvesting import RfHarvester
 from repro.net import TdmaSchedule
 from repro.net.session import HubClient, HubSession
 from repro.sim.interference import BurstyInterferer, InterferedLink
 from repro.sim.link import SimulatedLink
-from repro.sim.policies import BluetoothPolicy, BraidioPolicy
-from repro.sim.session import FRAME_OVERHEAD_BITS
+from repro.sim.mobility import LinearWalk, MobilityDriver
+from repro.sim.policies import BluetoothPolicy, BraidioPolicy, FixedModePolicy
+from repro.sim.session import FRAME_OVERHEAD_BITS, CommunicationSession
 from repro.sim.simulator import Simulator
 
 
@@ -36,6 +40,19 @@ class DecliningSimulator(Simulator):
     def chain_in(self, delay_s, callback):
         self.schedule_in(delay_s, callback)
         return False
+
+
+class CountingSimulator(Simulator):
+    """The real kernel, counting the events ``chain_in`` ran inline."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.chained = 0
+
+    def chain_in(self, delay_s, callback):
+        chained = super().chain_in(delay_s, callback)
+        self.chained += chained
+        return chained
 
 
 def _recording(kernel_cls, kernels, lanes):
@@ -268,6 +285,116 @@ def test_event_due_at_exactly_a_packet_time_runs_first():
     assert ref_seen == [(starts[k], k) for k, _ in flips]
     assert seen == ref_seen
     _assert_same_session((ref_sim, ref_session, ref_clients), (sim, session, clients))
+
+
+# -- pair sessions -------------------------------------------------------------
+
+
+def _pair(kernel_cls, link_distance_m, policy, seed, **session_kwargs):
+    sim = kernel_cls(seed=seed)
+    device_a = BraidioRadio.for_device("Apple Watch")
+    device_a.battery = Battery(1.0)
+    device_b = BraidioRadio.for_device("iPhone 6S")
+    device_b.battery = Battery(1.0)
+    link = SimulatedLink(LinkMap(), link_distance_m, sim.rng)
+    session = CommunicationSession(sim, device_a, device_b, link, policy, **session_kwargs)
+    return sim, session
+
+
+def _mobile_faulted_pair(kernel_cls):
+    """A hardened ARQ pair under the ``chaos`` fault plan whose separation
+    walks between 0.3 and 2.2 m in 5 ms ticks, so mobility ticks and
+    fault edges fall between packets all through the run and the tag
+    harvests at whatever distance the last tick set."""
+    policy = BraidioPolicy()
+    sim, session = _pair(
+        kernel_cls, 0.3, policy, seed=3,
+        arq=True, max_packets=1500, watchdog_packets=24, max_resyncs=6,
+        resync_backoff_s=0.02, tag_harvester=RfHarvester(),
+    )
+    injector = FaultInjector(fault_plan_for("chaos"), seed=0).arm(session)
+    walk = LinearWalk(start_m=0.3, speed_m_s=4.0, min_m=0.3, max_m=2.2)
+    driver = MobilityDriver(sim, session.link, [policy], walk, update_interval_s=0.005)
+    driver.start()
+    session.run()
+    return sim, session, driver, injector
+
+
+def _assert_same_pair(reference, chained):
+    (ref_sim, ref_session), (sim, session) = reference[:2], chained[:2]
+    assert session.metrics == ref_session.metrics
+    assert session.ledger.comparable_state() == ref_session.ledger.comparable_state()
+    assert sim.processed_events == ref_sim.processed_events
+    assert sim.now_s == ref_sim.now_s
+
+
+def test_mobile_faulted_pair_matches_the_reference_kernel():
+    reference = _mobile_faulted_pair(DecliningSimulator)
+    chained = _mobile_faulted_pair(CountingSimulator)
+    _assert_same_pair(reference, chained)
+    assert chained[2].updates == reference[2].updates
+    assert chained[3].timeline == reference[3].timeline
+
+
+def test_mobile_faulted_pair_keeps_its_pinned_results():
+    # Values of the one-event-per-packet session loop, pinned.
+    sim, session, driver, injector = _mobile_faulted_pair(CountingSimulator)
+    metrics = session.metrics
+    assert sim.processed_events == 2002
+    assert driver.updates == 153
+    assert len(injector.timeline) == 6
+    assert (metrics.packets_attempted, metrics.packets_delivered) == (1842, 1458)
+    assert (metrics.retransmissions, metrics.mode_switches) == (342, 9)
+    assert metrics.duration_s == 0.7662719999999984
+    assert metrics.terminated_by == "packets"
+    assert (metrics.energy_a_j, metrics.energy_b_j) == (
+        0.04137766797678077,
+        0.042207875366552496,
+    )
+    assert session.ledger.snapshot().category_totals() == {
+        "tx_air": 0.026304206682796226,
+        "rx_air": 0.023478872474837983,
+        "ack": 0.017681645603037005,
+        "carrier": 0.003300336000000004,
+        "mode_switch": 4.4604144e-05,
+        "idle": 0.0,
+        "harvest_credit": 4.1768920575359627e-07,
+        "retransmit": 0.012820900271867153,
+        "fault": 0.0,
+    }
+
+
+def test_pair_chains_end_only_where_another_event_falls():
+    sim, session, driver, injector = _mobile_faulted_pair(CountingSimulator)
+    assert sim.chained > 1_000
+    # Events the calendar popped: mobility ticks, fault edges and the
+    # packet that starts each chain.  A chain ends only because an
+    # other event is due first, so there are at most that many more
+    # chains than the one the session started with.
+    others = driver.updates + len(injector.timeline)
+    chains = sim.processed_events - sim.chained - others
+    assert 1 <= chains <= others + 1
+
+
+def test_arq_retransmissions_chain():
+    # At 2.2 m backscatter loses a good share of its frames.  Nothing
+    # else is scheduled, so the whole session, retransmissions included,
+    # runs as one chain after the first packet.
+    def lossy(kernel_cls):
+        sim, session = _pair(
+            kernel_cls, 2.2, FixedModePolicy(LinkMode.BACKSCATTER), seed=1,
+            arq=True, max_packets=300,
+        )
+        session.run()
+        return sim, session
+
+    reference = lossy(DecliningSimulator)
+    chained = lossy(CountingSimulator)
+    _assert_same_pair(reference, chained)
+    sim, session = chained
+    assert session.metrics.retransmissions > 300
+    assert session.metrics.arq_failures > 0
+    assert sim.processed_events - sim.chained == 1
 
 
 # -- deployment regions --------------------------------------------------------
