@@ -108,6 +108,16 @@ MANIFEST_DIGESTS = {
     ("mobile-small", "metro-chaos"): "d399c9a2e65725e9b841a1d4a94bd05c52e83ed73d7c76eeba6fac573b87b921",
 }
 
+#: The same at scenario seed 7, unarmed and under ``metro-chaos``.
+MANIFEST_DIGESTS_SEED_7 = {
+    ("smoke", "none"): "d0408e3e86e4a483fee774ed1d9c9da736f8dbe9352aa57bf2623cd21dd37ee0",
+    ("smoke", "metro-chaos"): "14173af8b1791b8e4a852437c8ec2501c78fa95d504b7f4083e71ff6a97eda6f",
+    ("ci-small", "none"): "bd26d07c40f3d416aa633962fe83f864179aa08291bc66f8829cc7d8250c9952",
+    ("ci-small", "metro-chaos"): "d3d95bb3411bab0da876ea68e3cef5b147036254c0a14b5dd0c8ca0cba8323f9",
+    ("mobile-small", "none"): "88567fe9a57a9dfc894a4df9192d74daf9e754074d60f6391fd5846764cbdc27",
+    ("mobile-small", "metro-chaos"): "680f90bc50b54a63328856b22edaec892b14eb0a492d4a6a50d757250f744c7a",
+}
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -270,3 +280,9 @@ class TestPinnedIdentities:
         spec = scenario(name)
         run = run_deployment(spec, fault_plan=region_fault_plan_for(profile, spec))
         assert _sha256(manifest_json(run.manifest)) == MANIFEST_DIGESTS[(name, profile)]
+
+    @pytest.mark.parametrize("name,profile", sorted(MANIFEST_DIGESTS_SEED_7))
+    def test_deploy_manifest_digest_at_seed_7(self, name, profile):
+        spec = scenario(name).scaled(seed=7)
+        run = run_deployment(spec, fault_plan=region_fault_plan_for(profile, spec))
+        assert _sha256(manifest_json(run.manifest)) == MANIFEST_DIGESTS_SEED_7[(name, profile)]
