@@ -27,6 +27,10 @@ from .offload import InfeasibleOffloadError, OffloadSolution, solve_offload
 from .regimes import LinkMap, Regime
 
 
+# Read once: an enum member lookup costs about 0.1 us on the per-packet
+# outcome path.
+_ACTIVE = LinkMode.ACTIVE
+
 #: Entries a LinkMap's plan memo holds before it is dropped wholesale.  A
 #: deployment region needs a few hundred; the bound only matters for a
 #: map that outlives many re-plans on drifting energies, which never hit.
@@ -77,12 +81,14 @@ class OffloadPlan:
 class _ModeHealth:
     """Sliding failure statistics for one mode.
 
-    Beyond the failure window, each mode carries a blacklist state:
-    ``strikes`` counts consecutive exclusions (the back-off doubles per
-    strike) and ``clean_streak`` counts successes since the last failure
-    (a full window of clean packets decays one strike).  ``window_ok``
-    counts the successes in ``outcomes``, so the failure rate costs no
-    pass over the window.
+    Beyond the failure window (the last ``failure_window`` outcomes in
+    ``outcomes``), each mode carries a blacklist state: ``strikes``
+    counts consecutive exclusions (the back-off doubles per strike) and
+    ``clean_streak`` counts successes since the last failure (a full
+    window of clean packets decays one strike).  ``window_ok`` counts
+    the successes in ``outcomes``, so the failure rate costs no pass
+    over the window.  :meth:`DynamicOffloadController.record_outcome`
+    updates all of it in place.
     """
 
     successes: int = 0
@@ -93,25 +99,9 @@ class _ModeHealth:
     clean_streak: int = 0
     window_ok: int = 0
 
-    def record(self, ok: bool, window: int) -> None:
-        outcomes = self.outcomes
-        outcomes.append(ok)
-        if len(outcomes) > window and outcomes.pop(0):
-            self.window_ok -= 1
-        if ok:
-            self.window_ok += 1
-            self.successes += 1
-        else:
-            self.failures += 1
-
     def clear_window(self) -> None:
         self.outcomes.clear()
         self.window_ok = 0
-
-    def recent_failure_rate(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return 1.0 - self.window_ok / len(self.outcomes)
 
 
 class DynamicOffloadController:
@@ -171,6 +161,12 @@ class DynamicOffloadController:
         # (None: nothing is excluded), so next_packet_mode skips the
         # exclusion scan until then.
         self._next_readmit_packet: int | None = None
+        # The committed schedule's modes for the packets from
+        # _round_start up to _round_end (one scheduling round); every new
+        # plan empties the span.
+        self._round_modes: tuple[LinkMode, ...] = ()
+        self._round_start = 0
+        self._round_end = 0
         self.replans = 0
         self.fallbacks = 0
         self.forced_active = 0
@@ -199,8 +195,7 @@ class DynamicOffloadController:
         self._distance_m = distance_m
         self._e1_j = as_joules(e1_j)
         self._e2_j = as_joules(e2_j)
-        self._plan = self._compute_plan()
-        self._last_plan_packet = self._packet_index
+        self._commit(self._compute_plan())
         return self._plan
 
     def start_from_reports(
@@ -243,13 +238,14 @@ class DynamicOffloadController:
         solution = solve_offload(candidates, e1_j, e2_j)
         schedule = ModeSchedule(dict(solution.mode_fractions()), self._period)
         self.replans += 1
-        self._plan = OffloadPlan(
-            solution=solution,
-            schedule=schedule,
-            regime=self._regime_from_modes(set(best)),
-            bitrates=dict(best),
+        self._commit(
+            OffloadPlan(
+                solution=solution,
+                schedule=schedule,
+                regime=self._regime_from_modes(set(best)),
+                bitrates=dict(best),
+            )
         )
-        self._last_plan_packet = self._packet_index
         return self._plan
 
     @staticmethod
@@ -321,28 +317,49 @@ class DynamicOffloadController:
             bitrates=bitrates,
         )
 
+    def _commit(self, plan: OffloadPlan) -> None:
+        """Adopt ``plan`` from the current packet on."""
+        self._plan = plan
+        self._last_plan_packet = self._packet_index
+        self._round_end = 0
+
     def next_packet_mode(self) -> tuple[LinkMode, int]:
         """(mode, bitrate) for the next packet; advances the schedule.
+
+        The mode is ``plan.schedule.mode_for_packet(index)``, read from
+        the current round's modes, which are loaded once per round and
+        plan.
 
         Raises:
             RuntimeError: if :meth:`start` has not been called.
         """
-        if self._plan is None:
+        plan = self._plan
+        if plan is None:
             raise RuntimeError("controller not started")
-        mode = self._plan.schedule.mode_for_packet(self._packet_index)
-        self._packet_index += 1
-        if self._packet_index - self._last_plan_packet >= self._recompute_interval:
+        index = self._packet_index
+        if index >= self._round_end:
+            schedule = plan.schedule
+            period = schedule.period_packets
+            round_index = index // period
+            self._round_modes = schedule.round_modes(round_index)
+            self._round_start = round_index * period
+            self._round_end = self._round_start + period
+        mode = self._round_modes[index - self._round_start]
+        index += 1
+        self._packet_index = index
+        if index - self._last_plan_packet >= self._recompute_interval:
             self._replan()
-        elif self._clear_expired_exclusions():
-            # A blacklisted mode's back-off just lapsed: readmit it now
-            # instead of waiting for the periodic recompute.
-            self._replan()
+        else:
+            readmit = self._next_readmit_packet
+            if readmit is not None and index >= readmit and self._clear_expired_exclusions():
+                # A blacklisted mode's back-off just lapsed: readmit it
+                # now instead of waiting for the periodic recompute.
+                self._replan()
         return mode, self._plan.bitrates[mode]
 
     def _clear_expired_exclusions(self) -> bool:
-        next_readmit = self._next_readmit_packet
-        if next_readmit is None or self._packet_index < next_readmit:
-            return False
+        """Readmit every mode whose back-off lapsed by the current
+        packet; ``True`` if any did."""
         cleared = False
         pending = None
         for health in self._health.values():
@@ -365,18 +382,25 @@ class DynamicOffloadController:
         during a transient fault earns its short back-off again.
         """
         health = self._health[mode]
-        health.record(success, self._failure_window)
+        window = self._failure_window
+        outcomes = health.outcomes
+        outcomes.append(success)
+        if len(outcomes) > window and outcomes.pop(0):
+            health.window_ok -= 1
         if success:
+            health.window_ok += 1
+            health.successes += 1
             health.clean_streak += 1
-            if health.strikes > 0 and health.clean_streak >= self._failure_window:
+            if health.strikes > 0 and health.clean_streak >= window:
                 health.strikes -= 1
                 health.clean_streak = 0
         else:
+            health.failures += 1
             health.clean_streak = 0
         if (
-            mode is not LinkMode.ACTIVE
-            and len(health.outcomes) >= self._failure_window
-            and health.recent_failure_rate() >= self._failure_threshold
+            mode is not _ACTIVE
+            and len(outcomes) >= window
+            and 1.0 - health.window_ok / len(outcomes) >= self._failure_threshold
         ):
             self._exclude(mode)
 
@@ -442,8 +466,8 @@ class DynamicOffloadController:
         if self._e1_j <= 0.0 or self._e2_j <= 0.0:
             return
         try:
-            self._plan = self._compute_plan()
+            plan = self._compute_plan()
         except InfeasibleOffloadError:
             # Keep the old plan; the session layer decides when to give up.
             return
-        self._last_plan_packet = self._packet_index
+        self._commit(plan)

@@ -13,15 +13,19 @@ sum ad-hoc energy scalars now routes through a :class:`LedgerAccount`:
 * ``note(c, j)`` — attribute joules to a :class:`ChargeCategory`;
 * ``meter(j)``   — accumulate the account's legacy metered total (what
   ``SessionMetrics.energy_a_j`` has always reported);
+* ``book(c, j, metered_j, ack_j, credit_j)`` — one packet's side in one
+  call: its air (or idle) category, its ACK and harvest-credit joules and
+  its metered total, the same float additions ``note``/``meter`` would
+  make;
 * ``record``/``charge`` — fused conveniences for non-hot-path callers.
 
-The split into three primitive operations is deliberate: the simulator's
-historical accounting is *not* battery-conservative on edge paths (the
-packet that kills a battery is metered even though the drain failed, and
-switch energy drains batteries but never counted toward the per-device
-totals).  Keeping drain, attribution and metering separate lets the
-refactored call sites preserve those semantics bit-for-bit while the
-category breakdown rides along.
+Draining stays separate from attribution and metering on purpose: the
+simulator's historical accounting is *not* battery-conservative on edge
+paths (the packet that kills a battery is metered even though the drain
+failed, and switch energy drains batteries but never counted toward the
+per-device totals).  Keeping the drain apart lets the call sites
+preserve those semantics bit-for-bit while the category breakdown rides
+along; the session loops drain the backing batteries directly.
 
 Hot-path contract (see DESIGN.md §8): every primitive is O(1), touches
 only pre-allocated storage, and allocates nothing.  Snapshots and
@@ -78,6 +82,9 @@ class ChargeCategory(enum.IntEnum):
         """Lower-case name used in exports and tables."""
         return self.name.lower()
 
+
+_ACK = int(ChargeCategory.ACK)
+_HARVEST_CREDIT = int(ChargeCategory.HARVEST_CREDIT)
 
 #: Number of categories (accounts pre-allocate this many slots).
 N_CATEGORIES = len(ChargeCategory)
@@ -305,6 +312,30 @@ class LedgerAccount:
     def meter(self, joules: float) -> None:
         """Accumulate the legacy metered total (no battery, no category)."""
         self._metered_j += joules
+
+    def book(
+        self,
+        category: int,
+        joules: float,
+        metered_j: float,
+        ack_j: float = 0.0,
+        credit_j: float = 0.0,
+    ) -> None:
+        """Book one packet's (or idle gap's) side of the ledger in one
+        call: ``joules`` to ``category``, ``ack_j`` to ``ACK``,
+        ``credit_j`` to ``HARVEST_CREDIT`` and ``metered_j`` to the
+        metered total (no battery).
+
+        Each slot gets the addition ``note``/``meter`` would give it.  A
+        zero amount changes no slot, so the call matches a sequence that
+        skipped the zero ``note`` calls, provided ``category`` is
+        neither ``ACK`` nor ``HARVEST_CREDIT``.
+        """
+        slots = self._categories
+        slots[category] += joules
+        slots[_ACK] += ack_j
+        slots[_HARVEST_CREDIT] += credit_j
+        self._metered_j += metered_j
 
     # -- fused conveniences --------------------------------------------
 

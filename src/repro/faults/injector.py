@@ -73,6 +73,11 @@ class FaultInjector:
         probability = self._ack_corrupt_p
         return probability > 0.0 and self._rng.random() < probability
 
+    def acks_at_risk(self) -> bool:
+        """Whether an ACK-corruption window is active, so that
+        :meth:`corrupt_ack` would draw (only fault events change it)."""
+        return self._ack_corrupt_p > 0.0
+
     def switch_stuck(self) -> bool:
         """Whether the RF switch is currently stuck."""
         return self._stuck_depth > 0

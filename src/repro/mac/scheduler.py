@@ -78,6 +78,8 @@ class ModeSchedule:
         # round's apportionment `period` times in a row — memoize the last
         # round computed (the counts are a pure function of the index).
         self._last_round: tuple[int, list[tuple[LinkMode, int]]] | None = None
+        # round_modes' tuples, keyed by a round's (mode, count) row.
+        self._round_modes: dict[tuple, tuple[LinkMode, ...]] = {}
 
     @property
     def period_packets(self) -> int:
@@ -172,6 +174,25 @@ class ModeSchedule:
                 for _ in range(entry.packets):
                     yield entry.mode
             round_index += 1
+
+    def round_modes(self, round_index: int) -> tuple[LinkMode, ...]:
+        """The mode of every packet of round ``round_index``, in order:
+        entry ``p`` is ``mode_for_packet(round_index * period + p)``.
+
+        Rounds with the same per-mode counts share one tuple (a schedule
+        has at most ``2 ** (len(modes) - 1)`` distinct count rows).
+
+        Raises:
+            ValueError: for negative round indices.
+        """
+        if round_index < 0:
+            raise ValueError("round index must be non-negative")
+        counts = tuple(self._counts_for_round(round_index))
+        modes = self._round_modes.get(counts)
+        if modes is None:
+            modes = tuple(mode for mode, count in counts for _ in range(count))
+            self._round_modes[counts] = modes
+        return modes
 
     def mode_for_packet(self, index: int) -> LinkMode:
         """Mode used for the ``index``-th packet (0-based).

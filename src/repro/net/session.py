@@ -23,11 +23,14 @@ from ..sim.session import FRAME_OVERHEAD_BITS
 from ..sim.simulator import Simulator
 from .tdma import TdmaSchedule
 
-# Category indices hoisted for the per-packet path (see DESIGN.md §8).
+# Category indices and modes hoisted for the per-packet path (see
+# DESIGN.md §8; an enum member lookup costs about 0.1 us).
 _TX_AIR = int(ChargeCategory.TX_AIR)
 _RX_AIR = int(ChargeCategory.RX_AIR)
 _CARRIER = int(ChargeCategory.CARRIER)
 _MODE_SWITCH = int(ChargeCategory.MODE_SWITCH)
+_ACTIVE = LinkMode.ACTIVE
+_BACKSCATTER = LinkMode.BACKSCATTER
 
 
 @dataclass
@@ -134,18 +137,21 @@ class HubSession:
         self.releases = 0
         self.hub_metrics = SessionMetrics()
         # Each client's ledger binds its own battery as account "a" and
-        # the *shared* hub battery as account "b" — drains route through
-        # the client's ledger.  The hub-side metrics ledger stays
-        # metering-only (unbound) so the shared battery is never drained
-        # twice for the same packet.
-        self._accounts: dict[str, tuple[object, object]] = {}
+        # the *shared* hub battery as account "b"; the serve loop drains
+        # those two batteries and books the packet on both accounts.  The
+        # hub-side metrics ledger stays metering-only (unbound) so the
+        # shared battery is never drained twice for the same packet.
+        self._accounts: dict[str, tuple[object, object, object]] = {}
         for c in clients:
-            account_a = c.metrics.ledger.account("a")
-            account_b = c.metrics.ledger.account("b")
-            account_a.bind_battery(c.radio.battery)
-            account_b.bind_battery(hub.battery)
-            self._accounts[c.name] = (account_a, account_b)
+            self._bind_accounts(c)
         self._hub_account = self.hub_metrics.ledger.account("b")
+
+    def _bind_accounts(self, client: HubClient) -> None:
+        account_a = client.metrics.ledger.account("a")
+        account_b = client.metrics.ledger.account("b")
+        account_a.bind_battery(client.radio.battery)
+        account_b.bind_battery(self._hub.battery)
+        self._accounts[client.name] = (account_a, account_b, client.radio.battery)
 
     @property
     def finished(self) -> bool:
@@ -299,11 +305,7 @@ class HubSession:
         self._base_tdma = self._base_tdma.with_client(name, weight)
         self._clients[name] = client
         self._last_mode[name] = None
-        account_a = client.metrics.ledger.account("a")
-        account_b = client.metrics.ledger.account("b")
-        account_a.bind_battery(client.radio.battery)
-        account_b.bind_battery(self._hub.battery)
-        self._accounts[name] = (account_a, account_b)
+        self._bind_accounts(client)
         client.policy.start(
             client.link.distance_m,
             max(client.radio.battery.remaining_j, 1e-12),
@@ -468,6 +470,7 @@ class HubSession:
         last_modes = self._last_mode
         clients = self._clients
         exhausted = self._exhausted
+        suspended = self._suspended
         browned_out = self._brownout_depth > 0
         max_packets = self._max_packets
         update_interval = self._energy_update_interval
@@ -488,9 +491,17 @@ class HubSession:
             if hub_battery.is_empty:
                 self._terminate("battery")
                 return
-            client = self._pick_client()
+            # The scheduled client is live in the common case; otherwise
+            # (or with a rebuild pending) _pick_client walks the round.
+            client = None
+            if self._tdma_recipe is None:
+                name = self._tdma.client_for_packet(self._packet_index)
+                if name not in exhausted and name not in suspended:
+                    client = clients[name]
             if client is None:
-                return
+                client = self._pick_client()
+                if client is None:
+                    return
 
             name = client.name
             metrics = client.metrics
@@ -498,14 +509,14 @@ class HubSession:
             mode = decision.mode
             bitrate_bps = decision.bitrate_bps
             duration_s = air_bits / bitrate_bps
-            client_account, shared_account = accounts[name]
+            client_account, shared_account, client_battery = accounts[name]
 
             last_mode = last_modes[name]
             if apply_switch_costs and last_mode is not None and mode is not last_mode:
                 cost = switch_cost(mode, bitrate_bps=bitrate_bps)
                 try:
-                    client_account.drain(cost.tx_j)
-                    shared_account.drain(cost.rx_j)
+                    client_battery.drain_energy(cost.tx_j)
+                    hub_battery.drain_energy(cost.rx_j)
                 except BatteryEmptyError:
                     self._retire_or_finish(client)
                     return
@@ -521,22 +532,22 @@ class HubSession:
             )
             # Brownout override AFTER the draw: the link stream consumes
             # exactly one value per packet with or without a brownout.
-            if success and browned_out and mode is not LinkMode.ACTIVE:
+            if success and browned_out and mode is not _ACTIVE:
                 success = False
             tx_energy = decision.tx_power_w * duration_s
             rx_energy = decision.rx_power_w * duration_s
             try:
-                client_account.drain(tx_energy)
-                shared_account.drain(rx_energy)
+                client_battery.drain_energy(tx_energy)
+                hub_battery.drain_energy(rx_energy)
             except BatteryEmptyError:
                 metrics.record_packet(mode, payload_bits, False)
                 self._retire_or_finish(client)
                 return
 
-            rx_category = _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR
-            client_account.record(_TX_AIR, tx_energy, True)
-            shared_account.record(rx_category, rx_energy, True)
-            hub_account.record(rx_category, rx_energy, True)
+            rx_category = _CARRIER if mode is _BACKSCATTER else _RX_AIR
+            client_account.book(_TX_AIR, tx_energy, tx_energy)
+            shared_account.book(rx_category, rx_energy, rx_energy)
+            hub_account.book(rx_category, rx_energy, rx_energy)
             metrics.record_packet(mode, payload_bits, success)
             hub_metrics.record_packet(mode, payload_bits, success)
             client.policy.record_outcome(mode, success)

@@ -140,6 +140,9 @@ class ResultCache:
     ) -> None:
         self._directory = Path(directory)
         self._segments = self._directory / SEGMENT_DIR
+        # Whether a scan has found the segment directory; until one
+        # does, a scan first checks that it exists.
+        self._segments_seen = False
         self._calibration = (
             calibration if calibration is not None else calibration_fingerprint()
         )
@@ -258,11 +261,16 @@ class ResultCache:
                 (record.get("segment"), record.get("offset"))
                 for record in self.quarantined()
             }
+        if not self._segments_seen:
+            # Nothing written yet, in the common case of a fresh cache's
+            # first pass: an existence check costs a third of a failing
+            # scandir and raises nothing.
+            if not os.access(self._segments, os.F_OK):
+                return
+            self._segments_seen = True
         try:
-            segments = sorted(
-                os.scandir(self.segment_directory), key=lambda item: item.name
-            )
-        except OSError:  # nothing written yet
+            segments = sorted(os.scandir(self._segments), key=lambda item: item.name)
+        except OSError:  # removed under us, or unreadable
             return
         for item in segments:
             name = item.name

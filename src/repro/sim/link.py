@@ -13,8 +13,17 @@ link memoizes them instead of re-deriving the full budget chain
 every packet.  The caches are keyed by (mode, bitrate[, packet_bits]) at
 the current distance and invalidated by :meth:`set_distance`; attaching a
 fading process bypasses them entirely.  Cached lookups never consume
-randomness — the single ``rng.random()`` draw per packet is unchanged —
-so cached and uncached runs are bit-identical.
+randomness, so cached and uncached runs are bit-identical.
+
+Each packet consumes one uniform of the link's generator.  A link owns
+its generator's draws for the length of a run: without a fading process
+it draws :data:`DRAW_BLOCK` uniforms at a time (``rng.random(K)`` yields
+the same values, and leaves the generator in the same state, as ``K``
+scalar ``rng.random()`` calls) and serves them in order, so after a run
+the generator may stand up to ``DRAW_BLOCK - 1`` draws past the last one
+used.  A link with a fading process draws one scalar per packet,
+because the process may share the generator and draw between packets
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ from ..core.regimes import LinkMap
 from ..phy.fading import BlockFadingProcess
 from ..phy.modulation import bit_error_rate, packet_error_rate
 
+#: Uniforms a link without a fading process draws ahead at a time.
+DRAW_BLOCK = 64
+
 
 class SimulatedLink:
     """A point-to-point link between two Braidios.
@@ -33,7 +45,9 @@ class SimulatedLink:
     Args:
         link_map: calibrated availability/budget map.
         distance_m: current separation (mutable via :meth:`set_distance`).
-        rng: random generator for packet-loss draws.
+        rng: random generator for packet-loss draws; the link owns its
+            draws during a run (nothing else may draw from it between
+            packets unless a fading process is attached).
         fading: optional time-correlated fading process applied (in dB) on
             top of the deterministic budget; ``None`` models the paper's
             cleared, static room.
@@ -56,6 +70,8 @@ class SimulatedLink:
         "_snr_cache",
         "_per_cache",
         "_snr_offset_db",
+        "_draws",
+        "_next_draw",
     )
 
     def __init__(
@@ -80,6 +96,9 @@ class SimulatedLink:
         self._snr_cache: dict[tuple[LinkMode, int], float] = {}
         self._per_cache: dict[tuple, float] = {}
         self._snr_offset_db = 0.0
+        # Uniforms drawn ahead (no fading process) and the next to serve.
+        self._draws: list[float] = []
+        self._next_draw = DRAW_BLOCK
 
     @property
     def distance_m(self) -> float:
@@ -174,8 +193,20 @@ class SimulatedLink:
         """
         if packet_bits <= 0:
             raise ValueError("packet size must be positive")
-        per = self._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
-        return bool(self._rng.random() >= per)
+        if self._fading is not None:
+            per = self._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
+            return bool(self._rng.random() >= per)
+        per = None
+        if self._cache_enabled:
+            per = self._per_cache.get((mode, bitrate_bps, packet_bits))
+        if per is None:
+            per = self._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
+        at = self._next_draw
+        if at == DRAW_BLOCK:
+            self._draws = self._rng.random(DRAW_BLOCK).tolist()
+            at = 0
+        self._next_draw = at + 1
+        return self._draws[at] >= per
 
     def expected_packet_success(
         self, mode: LinkMode, bitrate_bps: int, packet_bits: int, time_s: float = 0.0

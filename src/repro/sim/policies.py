@@ -44,8 +44,11 @@ class BraidioPolicy:
     change packet to packet — but the (mode, bitrate, powers) tuple for a
     given mode only changes when the controller re-plans.  Decisions are
     therefore cached per mode and invalidated on every re-plan (tracked
-    via the controller's ``replans`` counter, which also covers fallback
-    and re-probe re-plans).
+    via the controller's ``replans`` counter, which every new plan
+    advances, fallback and re-probe re-plans included).  A decision
+    costs two calls (this one and the controller's
+    :meth:`~repro.core.controller.DynamicOffloadController.next_packet_mode`),
+    and so does an outcome.
     """
 
     def __init__(self, controller: DynamicOffloadController | None = None) -> None:
@@ -71,7 +74,7 @@ class BraidioPolicy:
             self._decisions.clear()
             self._decision_plan_epoch = epoch
         decision = self._decisions.get(mode)
-        if decision is None or decision.bitrate_bps != bitrate:
+        if decision is None:
             power = controller.plan.power_for(mode)
             decision = PacketDecision(
                 mode=mode,

@@ -41,11 +41,9 @@ FRAME_OVERHEAD_BITS = len(PREAMBLE_BITS) + 8 * (
 # pre-allocated lists without enum attribute lookups.
 _TX_AIR = int(ChargeCategory.TX_AIR)
 _RX_AIR = int(ChargeCategory.RX_AIR)
-_ACK = int(ChargeCategory.ACK)
 _CARRIER = int(ChargeCategory.CARRIER)
 _MODE_SWITCH = int(ChargeCategory.MODE_SWITCH)
 _IDLE = int(ChargeCategory.IDLE)
-_HARVEST_CREDIT = int(ChargeCategory.HARVEST_CREDIT)
 _RETRANSMIT = int(ChargeCategory.RETRANSMIT)
 _FAULT = int(ChargeCategory.FAULT)
 
@@ -164,9 +162,17 @@ class CommunicationSession:
         self._payload_bits = 8 * self._traffic.payload_bytes
         self._air_bits = self._payload_bits + FRAME_OVERHEAD_BITS
         self._endpoint_pairs = ((device_a, device_b), (device_b, device_a))
+        # Per direction: (tx account, rx account, tx battery, rx battery,
+        # policy).  The batteries are the ones behind the accounts, which
+        # the packet loop drains directly once both sides are booked.
         account_a = self.ledger.account("a")
         account_b = self.ledger.account("b")
-        self._account_pairs = ((account_a, account_b), (account_b, account_a))
+        battery_a = account_a.battery
+        battery_b = account_b.battery
+        self._sides = (
+            (account_a, account_b, battery_a, battery_b, self._policies[0]),
+            (account_b, account_a, battery_b, battery_a, self._policies[1]),
+        )
 
     @property
     def finished(self) -> bool:
@@ -295,24 +301,26 @@ class CommunicationSession:
         # the run.  Nothing else runs inside a chain: fault edges and
         # mobility ticks are events, so they fall between chains, and
         # what only they change is read once per run: a stuck switch,
-        # the modes an outage blocks, and the harvester's power at the
-        # link distance (read on the run's first backscatter packet).
-        # ACK corruption still draws per ACK.
+        # the modes an outage blocks, whether an ACK-corruption window
+        # is open, and the harvester's power at the link distance (read
+        # on the run's first backscatter packet).  Inside an open
+        # corruption window each ACK still draws.
         sim = self._sim
         link = self._link
         packet_success = link.packet_success
         traffic = self._traffic
         direction_for_packet = traffic.direction_for_packet
-        policies = self._policies
-        account_pairs = self._account_pairs
+        sides = self._sides
+        backscatter = LinkMode.BACKSCATTER  # an enum lookup costs ~0.1 us
         metrics = self.metrics
         ledger = self.ledger
         injector = self._injector
         if injector is None:
-            stuck, blocked = False, ()
+            stuck, blocked, acks_at_risk = False, (), False
         else:
             stuck = injector.switch_stuck()
             blocked = tuple(mode for mode in LinkMode if injector.blocked(mode))
+            acks_at_risk = injector.acks_at_risk()
         harvester = self._tag_harvester
         harvested_w = None
         max_packets = self._max_packets
@@ -333,8 +341,7 @@ class CommunicationSession:
                 return
 
             direction = direction_for_packet(self._packet_index)
-            tx_account, rx_account = account_pairs[direction]
-            policy = policies[direction]
+            tx_account, rx_account, tx_battery, rx_battery, policy = sides[direction]
             decision = policy.next_packet()
             bitrate_bps = decision.bitrate_bps
             duration_s = air_bits / bitrate_bps
@@ -356,8 +363,8 @@ class CommunicationSession:
                 if apply_switch_costs:
                     cost = switch_cost(mode, bitrate_bps=bitrate_bps)
                     try:
-                        tx_account.drain(cost.tx_j)
-                        rx_account.drain(cost.rx_j)
+                        tx_battery.drain_energy(cost.tx_j)
+                        rx_battery.drain_energy(cost.rx_j)
                     except BatteryEmptyError:
                         self._terminate("battery")
                         return
@@ -382,30 +389,26 @@ class CommunicationSession:
             # powers the carrier the tag reflects).  Fault-armed sessions
             # book ARQ retry air time as RETRANSMIT (both sides) instead,
             # so recovery cost is separable without double counting.
-            tx_energy = decision.tx_power_w * duration_s
-            rx_energy = decision.rx_power_w * duration_s
+            tx_air_j = tx_energy = decision.tx_power_w * duration_s
+            rx_air_j = rx_energy = decision.rx_power_w * duration_s
             if track_retransmit and self._retries_used > 0:
-                tx_account.note(_RETRANSMIT, tx_energy)
-                rx_account.note(_RETRANSMIT, rx_energy)
+                tx_category = rx_category = _RETRANSMIT
             else:
-                tx_account.note(_TX_AIR, tx_energy)
-                rx_account.note(
-                    _CARRIER if mode is LinkMode.BACKSCATTER else _RX_AIR, rx_energy
-                )
+                tx_category = _TX_AIR
+                rx_category = _CARRIER if mode is backscatter else _RX_AIR
 
             # Harvesting extension: while backscattering, the tag sits in
             # the reader's carrier field and banks energy against its own
             # draw.
-            if harvester is not None and mode is LinkMode.BACKSCATTER:
+            harvest_credit_j = 0.0
+            if harvester is not None and mode is backscatter:
                 if harvested_w is None:
                     harvested_w = harvester.harvested_power_w(link.distance_m)
-                tx_air_j = tx_energy
                 tx_energy = max(tx_energy - harvested_w * duration_s, 0.0)
                 harvest_credit_j = tx_air_j - tx_energy
-                if harvest_credit_j != 0.0:
-                    tx_account.note(_HARVEST_CREDIT, harvest_credit_j)
 
             confirmed = success
+            tx_ack_j = rx_ack_j = 0.0
             if arq:
                 # The ACK rides the reverse path of the same mode: the
                 # carrier stays up and both sides keep their per-mode draw
@@ -414,9 +417,6 @@ class CommunicationSession:
                 duration_s += ack_duration_s
                 tx_ack_j = decision.tx_power_w * ack_duration_s
                 rx_ack_j = decision.rx_power_w * ack_duration_s
-                if tx_ack_j != 0.0 or rx_ack_j != 0.0:
-                    tx_account.note(_ACK, tx_ack_j)
-                    rx_account.note(_ACK, rx_ack_j)
                 tx_energy += tx_ack_j
                 rx_energy += rx_ack_j
                 metrics.ack_bits += FRAME_OVERHEAD_BITS
@@ -424,16 +424,18 @@ class CommunicationSession:
                     ack_success = packet_success(
                         mode, bitrate_bps, FRAME_OVERHEAD_BITS, now_s
                     )
-                    if ack_success and injector is not None and injector.corrupt_ack():
+                    if ack_success and acks_at_risk and injector.corrupt_ack():
                         ack_success = False
                         metrics.corrupted_acks += 1
                     confirmed = ack_success
 
-            tx_account.meter(tx_energy)
-            rx_account.meter(rx_energy)
+            # Both sides are booked before either battery drains, tx side
+            # first.
+            tx_account.book(tx_category, tx_air_j, tx_energy, tx_ack_j, harvest_credit_j)
+            rx_account.book(rx_category, rx_air_j, rx_energy, rx_ack_j)
             try:
-                tx_account.drain(tx_energy)
-                rx_account.drain(rx_energy)
+                tx_battery.drain_energy(tx_energy)
+                rx_battery.drain_energy(rx_energy)
             except BatteryEmptyError:
                 # The fatal packet is still metered/attributed even though
                 # the drain was only partial (historical semantics; shows
@@ -458,13 +460,18 @@ class CommunicationSession:
             self._retries_used = 0
 
             # Watchdog + outage accounting; inert (single boolean test)
-            # for sessions that never armed an injector or a watchdog.
+            # for sessions that never armed an injector or a watchdog.  A
+            # confirmed packet outside an outage only resets the streaks,
+            # which _after_outcome would do.
+            resync_delay_s = 0.0
             if fault_aware:
-                resync_delay_s = self._after_outcome(confirmed, now_s)
-                if resync_delay_s is None:
-                    return
-            else:
-                resync_delay_s = 0.0
+                if confirmed and self._outage_start_s is None:
+                    self._failure_streak = 0
+                    self._resyncs_used = 0
+                else:
+                    resync_delay_s = self._after_outcome(confirmed, now_s)
+                    if resync_delay_s is None:
+                        return
 
             self._packet_index += 1
             if self._packet_index % update_interval == 0 and not self._update_energy():
@@ -512,17 +519,15 @@ class CommunicationSession:
         ``False`` after terminating the session on an empty battery."""
         idle_a = self._idle_power_w[0] * gap_s
         idle_b = self._idle_power_w[1] * gap_s
-        account_a, account_b = self._account_pairs[0]
+        account_a, account_b, battery_a, battery_b, _ = self._sides[0]
         try:
-            account_a.drain(idle_a)
-            account_b.drain(idle_b)
+            battery_a.drain_energy(idle_a)
+            battery_b.drain_energy(idle_b)
         except BatteryEmptyError:
             self._terminate("battery")
             return False
-        account_a.note(_IDLE, idle_a)
-        account_b.note(_IDLE, idle_b)
-        account_a.meter(idle_a)
-        account_b.meter(idle_b)
+        account_a.book(_IDLE, idle_a, idle_a)
+        account_b.book(_IDLE, idle_b, idle_b)
         self.ledger.pool_idle(idle_a + idle_b)
         return True
 

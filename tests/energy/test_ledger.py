@@ -2,6 +2,8 @@
 snapshots, pooled counters and the conservation helper)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy import (
     CATEGORIES,
@@ -126,6 +128,92 @@ class TestPrimitives:
         account.note(ChargeCategory.TX_AIR, 5.0)
         account.note(ChargeCategory.HARVEST_CREDIT, 2.0)
         assert account.attributed_j == pytest.approx(3.0)
+
+
+#: The categories a packet's or idle gap's air time can be booked to.
+_AIR_CATEGORIES = (
+    ChargeCategory.TX_AIR,
+    ChargeCategory.RX_AIR,
+    ChargeCategory.CARRIER,
+    ChargeCategory.IDLE,
+    ChargeCategory.RETRANSMIT,
+)
+_JOULES = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(1e-12, 10.0))
+
+
+def _old_booking(account, category, joules, metered_j, ack_j, credit_j):
+    """A packet side as the session loop booked it before ``book``: one
+    ``note`` per non-zero component, then ``meter``."""
+    account.note(category, joules)
+    if credit_j != 0.0:
+        account.note(ChargeCategory.HARVEST_CREDIT, credit_j)
+    if ack_j != 0.0:
+        account.note(ChargeCategory.ACK, ack_j)
+    account.meter(metered_j)
+
+
+class TestBook:
+    """``book`` against the ``note``/``meter`` sequence it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_AIR_CATEGORIES), _JOULES, _JOULES, _JOULES, _JOULES),
+            max_size=40,
+        )
+    )
+    def test_book_equals_the_note_and_meter_sequence(self, sides):
+        booked, noted = LedgerAccount("a"), LedgerAccount("a")
+        for category, joules, metered_j, ack_j, credit_j in sides:
+            booked.book(category, joules, metered_j, ack_j, credit_j)
+            _old_booking(noted, category, joules, metered_j, ack_j, credit_j)
+        # repr tells -0.0 from 0.0 and compares every float exactly.
+        assert repr(booked.comparable_state()) == repr(noted.comparable_state())
+
+    def test_defaults_book_no_ack_and_no_credit(self):
+        account = LedgerAccount("a")
+        account.book(ChargeCategory.IDLE, 2.0, 2.0)
+        assert account.breakdown()[ChargeCategory.IDLE] == 2.0
+        assert account.category_j(ChargeCategory.ACK) == 0.0
+        assert account.category_j(ChargeCategory.HARVEST_CREDIT) == 0.0
+        assert account.metered_j == 2.0
+
+    @pytest.mark.parametrize(
+        "tx_j,rx_j",
+        [(0.5, 0.25), (3.0, 0.25), (0.5, 3.0), (3.0, 3.0)],
+        ids=["both-drain", "tx-dies", "rx-dies", "both-over"],
+    )
+    def test_fatal_packet_matches_the_old_sequence(self, tx_j, rx_j):
+        """Both sides are booked before either drains, the tx side drains
+        first, and an empty battery leaves the same partial drain."""
+
+        def pair():
+            ledger = EnergyLedger.for_pair(Battery(1.0 / 3600), Battery(2.0 / 3600))
+            return ledger, ledger.account("a"), ledger.account("b")
+
+        old_ledger, old_tx, old_rx = pair()
+        _old_booking(old_tx, ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1, 0.0)
+        _old_booking(old_rx, ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2, 0.0)
+        try:
+            old_tx.drain(tx_j + 0.1)
+            old_rx.drain(rx_j + 0.2)
+            old_died = False
+        except BatteryEmptyError:
+            old_died = True
+
+        new_ledger, new_tx, new_rx = pair()
+        new_tx.book(ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1)
+        new_rx.book(ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2)
+        try:
+            new_tx.battery.drain_energy(tx_j + 0.1)
+            new_rx.battery.drain_energy(rx_j + 0.2)
+            new_died = False
+        except BatteryEmptyError:
+            new_died = True
+
+        assert new_died == old_died == (tx_j > 0.9 or rx_j > 1.8)
+        assert new_ledger.comparable_state() == old_ledger.comparable_state()
+        assert new_ledger.snapshot() == old_ledger.snapshot()  # remaining charge too
 
 
 class TestPools:

@@ -326,6 +326,20 @@ class TestSegmentLog:
     """Failure modes of the log itself: torn tails, concurrent writers,
     segment reuse and tombstones."""
 
+    def test_misses_on_a_fresh_cache_scan_no_directory(self, tmp_path, monkeypatch):
+        scanned = []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: scanned.append(path) or scandir(path))
+        reader = ResultCache(tmp_path)
+        for seed in range(5):
+            assert reader.get(_spec(seed=seed)) is None
+        assert scanned == []
+        # A line another writer appends later is found on the next lookup.
+        ResultCache(tmp_path).put(_spec(seed=3), {"gain": 3.0})
+        del scanned[:]
+        assert reader.get(_spec(seed=3)) == {"gain": 3.0}
+        assert scanned == [reader.segment_directory]
+
     def test_torn_tail_waits_for_the_next_writer(self, tmp_path):
         first = ResultCache(tmp_path)
         first.put(_spec(seed=0), {"gain": 1.0})
