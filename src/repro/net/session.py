@@ -399,21 +399,6 @@ class HubSession:
             client.metrics.terminated_by = reason
             client.metrics.duration_s = now
 
-    def _next_live_client(self) -> HubClient | None:
-        # Skip the slots of exhausted clients (their battery died) and
-        # suspended ones (churn) that a stale schedule may still name;
-        # the schedule rotates among the survivors.
-        if self._tdma_recipe is not None:
-            base, inactive = self._tdma_recipe
-            self._tdma_recipe = None
-            self._tdma = base.without(inactive)
-        client_for_packet = self._tdma.client_for_packet
-        for _ in range(self._tdma.round_packets):
-            name = client_for_packet(self._packet_index)
-            if name not in self._exhausted and name not in self._suspended:
-                return self._clients[name]
-            self._packet_index += 1
-        return None
 
     def _wake(self) -> None:
         # A client came on the air: an idle session serves again, at once
@@ -426,12 +411,23 @@ class HubSession:
                 self._sim.schedule_in(0.0, self._serve_packet)
 
     def _pick_client(self) -> HubClient | None:
-        """The next scheduled live client.  With none, idles the session
-        while some client is suspended (a resume restarts serving) and
-        terminates it otherwise; returns ``None`` in both cases."""
-        client = self._next_live_client()
-        if client is not None:
-            return client
+        """The next scheduled live client, once a pending schedule
+        rebuild is built.  With none, idles the session while some
+        client is suspended (a resume restarts serving) and terminates
+        it otherwise; returns ``None`` in both cases."""
+        if self._tdma_recipe is not None:
+            base, inactive = self._tdma_recipe
+            self._tdma_recipe = None
+            self._tdma = base.without(inactive)
+        # Skip the slots of exhausted clients (their battery died) and
+        # suspended ones (churn) that a stale schedule may still name;
+        # the schedule rotates among the survivors.
+        client_for_packet = self._tdma.client_for_packet
+        for _ in range(self._tdma.round_packets):
+            name = client_for_packet(self._packet_index)
+            if name not in self._exhausted and name not in self._suspended:
+                return self._clients[name]
+            self._packet_index += 1
         if self._suspended:
             self._idle = True
         else:
@@ -440,7 +436,7 @@ class HubSession:
 
     def _rebuild_schedule(self) -> None:
         # Only record the recipe, with the inactive set as of this event;
-        # _next_live_client builds it when the next packet needs it.  A
+        # _pick_client builds it when the next packet needs it.  A
         # burst of churn between two packets then costs one build instead
         # of one per event, and every packet sees exactly the schedule an
         # eager rebuild would have produced.
@@ -470,7 +466,6 @@ class HubSession:
         last_modes = self._last_mode
         clients = self._clients
         exhausted = self._exhausted
-        suspended = self._suspended
         browned_out = self._brownout_depth > 0
         max_packets = self._max_packets
         update_interval = self._energy_update_interval
@@ -491,17 +486,9 @@ class HubSession:
             if hub_battery.is_empty:
                 self._terminate("battery")
                 return
-            # The scheduled client is live in the common case; otherwise
-            # (or with a rebuild pending) _pick_client walks the round.
-            client = None
-            if self._tdma_recipe is None:
-                name = self._tdma.client_for_packet(self._packet_index)
-                if name not in exhausted and name not in suspended:
-                    client = clients[name]
+            client = self._pick_client()
             if client is None:
-                client = self._pick_client()
-                if client is None:
-                    return
+                return
 
             name = client.name
             metrics = client.metrics
