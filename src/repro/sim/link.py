@@ -28,6 +28,8 @@ because the process may share the generator and draw between packets
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from ..core.modes import LinkMode
@@ -96,8 +98,10 @@ class SimulatedLink:
         self._snr_cache: dict[tuple[LinkMode, int], float] = {}
         self._per_cache: dict[tuple, float] = {}
         self._snr_offset_db = 0.0
-        # Uniforms drawn ahead (no fading process) and the next to serve.
-        self._draws: list[float] = []
+        # Uniforms drawn ahead (no fading process) and the next to serve;
+        # a block of C doubles holds them in a quarter of the memory 64
+        # float objects take, and reads as fast.
+        self._draws = array("d")
         self._next_draw = DRAW_BLOCK
 
     @property
@@ -203,7 +207,7 @@ class SimulatedLink:
             per = self._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
         at = self._next_draw
         if at == DRAW_BLOCK:
-            self._draws = self._rng.random(DRAW_BLOCK).tolist()
+            self._draws = array("d", self._rng.random(DRAW_BLOCK).tobytes())
             at = 0
         self._next_draw = at + 1
         return self._draws[at] >= per

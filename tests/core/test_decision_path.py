@@ -13,6 +13,7 @@ epochs.
 """
 
 import dataclasses
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,8 +115,6 @@ _OPS = st.lists(
     seed=st.integers(0, 2**16),
 )
 def test_collapsed_paths_match_the_schedule_definition(settings_, distance, e1, e2, ops, seed):
-    import random
-
     controllers = [DynamicOffloadController(**settings_), ReferenceController(**settings_)]
     try:
         for controller in controllers:
