@@ -83,6 +83,7 @@ class ChargeCategory(enum.IntEnum):
         return self.name.lower()
 
 
+# The two slots LedgerAccount.book adds to besides the one it is given.
 _ACK = int(ChargeCategory.ACK)
 _HARVEST_CREDIT = int(ChargeCategory.HARVEST_CREDIT)
 

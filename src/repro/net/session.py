@@ -399,7 +399,6 @@ class HubSession:
             client.metrics.terminated_by = reason
             client.metrics.duration_s = now
 
-
     def _wake(self) -> None:
         # A client came on the air: an idle session serves again, at once
         # or, on a dark hub, from power_up().
