@@ -51,7 +51,7 @@ def main() -> None:
     result = lifetime_at_demand(
         e_tag, 6.55 * WH, demand_bps=10_000, distance_m=0.4
     )
-    print(f"Duty-cycled 10 kbps upload to a phone at 0.4 m:")
+    print("Duty-cycled 10 kbps upload to a phone at 0.4 m:")
     print(f"  lifetime {result.lifetime_s / 86400:.1f} days on 1 mWh "
           f"(air time {result.air_time_fraction:.2%}, "
           f"limited by {result.limited_by})")

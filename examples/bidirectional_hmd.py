@@ -44,7 +44,7 @@ def analytic_comparison() -> None:
           f"({paper.total_bits / bluetooth:.1f}x)")
     print(f"  Braidio (joint optimum):    {joint.total_bits:.3e} bits "
           f"({joint.total_bits / bluetooth:.1f}x)")
-    print(f"  Mode mix (paper method): "
+    print("  Mode mix (paper method): "
           + ", ".join(f"{m.value}={f:.1%}" for m, f in paper.mode_fractions.items()))
     print()
 

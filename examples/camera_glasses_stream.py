@@ -36,7 +36,7 @@ def main() -> None:
     stream_bps = 500e3
     glasses_hours = plan.total_bits / stream_bps / 3600.0
     bluetooth_hours = bluetooth / stream_bps / 3600.0
-    print(f"At a 500 kbps video rate:")
+    print("At a 500 kbps video rate:")
     print(f"  Braidio:   {glasses_hours:8.1f} hours of streaming")
     print(f"  Bluetooth: {bluetooth_hours:8.1f} hours of streaming")
     print()

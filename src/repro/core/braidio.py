@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..energy.budget import EnergyBudget
 from ..hardware.battery import Battery
 from ..hardware.braidio_board import BraidioBoard
 from ..hardware.devices import DeviceSpec, device
@@ -53,10 +52,6 @@ class BraidioRadio:
     def name(self) -> str:
         """Host device name."""
         return self.spec.name
-
-    def energy_budget(self) -> EnergyBudget:
-        """A planning-layer view of this radio's remaining energy."""
-        return EnergyBudget.from_battery(self.battery, source=self.spec.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BraidioRadio({self.spec.name!r}, {self.battery!r})"
@@ -101,11 +96,11 @@ def plan_transfer(
         InfeasibleOffloadError: if no mode works at ``distance_m``.
     """
     controller = DynamicOffloadController(link_map=link_map)
-    tx_budget = transmitter.energy_budget()
-    rx_budget = receiver.energy_budget()
-    plan = controller.start(distance_m, tx_budget, rx_budget)
+    tx_j = transmitter.battery.remaining_j
+    rx_j = receiver.battery.remaining_j
+    plan = controller.start(distance_m, tx_j, rx_j)
     solution = plan.solution
-    bits = solution.total_bits(tx_budget, rx_budget)
+    bits = solution.total_bits(tx_j, rx_j)
     mean_rate = solution.mean_bitrate_bps()
     tx_power = solution.tx_energy_per_bit_j * mean_rate
     rx_power = solution.rx_energy_per_bit_j * mean_rate

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..energy.budget import BudgetLike, as_joules
 from ..hardware.power_models import ModePower
 from ..mac.scheduler import ModeSchedule
 from .modes import LinkMode
@@ -181,25 +180,23 @@ class DynamicOffloadController:
         """The availability map the controller plans against."""
         return self._link_map
 
-    def start(
-        self, distance_m: float, e1_j: BudgetLike, e2_j: BudgetLike
-    ) -> OffloadPlan:
+    def start(self, distance_m: float, e1_j: float, e2_j: float) -> OffloadPlan:
         """Initial negotiation: prune, solve, schedule.
 
-        Budgets may be raw joules or :class:`~repro.energy.EnergyBudget`
-        views (e.g. a ledger account's).
+        ``e1_j``/``e2_j`` are the joules left at the data transmitter and
+        the data receiver (e.g. each battery's ``remaining_j``).
 
         Raises:
             InfeasibleOffloadError: if no mode works at ``distance_m``.
         """
         self._distance_m = distance_m
-        self._e1_j = as_joules(e1_j)
-        self._e2_j = as_joules(e2_j)
+        self._e1_j = e1_j
+        self._e2_j = e2_j
         self._commit(self._compute_plan())
         return self._plan
 
     def start_from_reports(
-        self, reports, e1_j: BudgetLike, e2_j: BudgetLike, max_ber: float | None = None
+        self, reports, e1_j: float, e2_j: float, max_ber: float | None = None
     ) -> OffloadPlan:
         """Negotiate from *measured* link quality instead of the oracle
         availability map — the §4.2 flow where probe packets determine the
@@ -231,8 +228,6 @@ class DynamicOffloadController:
         candidates = [
             paper_mode_power(mode, bitrate) for mode, bitrate in best.items()
         ]
-        e1_j = as_joules(e1_j)
-        e2_j = as_joules(e2_j)
         self._e1_j = e1_j
         self._e2_j = e2_j
         solution = solve_offload(candidates, e1_j, e2_j)
@@ -418,16 +413,11 @@ class DynamicOffloadController:
         self.fallbacks += 1
         self._replan()
 
-    def update_energy(self, e1_j: BudgetLike, e2_j: BudgetLike) -> None:
-        """Refresh battery levels; re-plans when the ratio drifts by more
-        than 10% (the paper re-computes "if SNR or loss rate changes
-        significantly"; energy drift matters on the same grounds)."""
-        # The hub sweep calls this for every client every 64 packets with
-        # plain floats, which as_joules would only copy.
-        if type(e1_j) is not float:
-            e1_j = as_joules(e1_j)
-        if type(e2_j) is not float:
-            e2_j = as_joules(e2_j)
+    def update_energy(self, e1_j: float, e2_j: float) -> None:
+        """Refresh battery levels (joules); re-plans when the ratio drifts
+        by more than 10% (the paper re-computes "if SNR or loss rate
+        changes significantly"; energy drift matters on the same
+        grounds)."""
         if e1_j <= 0.0 or e2_j <= 0.0:
             raise ValueError("energies must stay positive while operating")
         if self._plan is None:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..energy.budget import BudgetLike, as_joules
 from ..hardware.power_models import ModePower
 from .modes import LinkMode
 
@@ -76,10 +75,8 @@ class OffloadSolution:
         """Eq 1 objective value."""
         return self.tx_energy_per_bit_j + self.rx_energy_per_bit_j
 
-    def total_bits(self, e1_j: BudgetLike, e2_j: BudgetLike) -> float:
+    def total_bits(self, e1_j: float, e2_j: float) -> float:
         """Bits deliverable before either battery dies under this mix."""
-        e1_j = as_joules(e1_j)
-        e2_j = as_joules(e2_j)
         if e1_j <= 0.0 or e2_j <= 0.0:
             return 0.0
         tx_per_bit = self.tx_energy_per_bit_j
@@ -110,7 +107,7 @@ def _ratio_of(point: ModePower) -> float:
 
 
 def solve_offload(
-    points: Sequence[ModePower], e1_j: BudgetLike, e2_j: BudgetLike
+    points: Sequence[ModePower], e1_j: float, e2_j: float
 ) -> OffloadSolution:
     """Solve Eq 1 for the given candidate points and end-point energies.
 
@@ -129,8 +126,6 @@ def solve_offload(
     """
     if not points:
         raise InfeasibleOffloadError("no operating points available")
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     if e1_j <= 0.0 or e2_j <= 0.0:
         raise ValueError("both end points need positive energy")
 
@@ -224,7 +219,7 @@ def _pure_solution(
 
 
 def verify_with_linprog(
-    points: Sequence[ModePower], e1_j: BudgetLike, e2_j: BudgetLike
+    points: Sequence[ModePower], e1_j: float, e2_j: float
 ) -> OffloadSolution | None:
     """Solve the same LP with :func:`scipy.optimize.linprog` (HiGHS).
 
@@ -235,8 +230,6 @@ def verify_with_linprog(
 
     if not points:
         raise InfeasibleOffloadError("no operating points available")
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     rho = e1_j / e2_j
     costs = [p.tx_energy_per_bit_j + p.rx_energy_per_bit_j for p in points]
     g = [p.tx_energy_per_bit_j - rho * p.rx_energy_per_bit_j for p in points]
@@ -262,7 +255,7 @@ def verify_with_linprog(
 
 
 def solve_max_bits(
-    points: Sequence[ModePower], e1_j: BudgetLike, e2_j: BudgetLike
+    points: Sequence[ModePower], e1_j: float, e2_j: float
 ) -> OffloadSolution:
     """Maximize deliverable bits with *soft* proportionality.
 
@@ -283,8 +276,6 @@ def solve_max_bits(
     """
     if not points:
         raise InfeasibleOffloadError("no operating points available")
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     if e1_j <= 0.0 or e2_j <= 0.0:
         raise ValueError("both end points need positive energy")
 
@@ -333,7 +324,7 @@ def solve_max_bits(
 
 
 def best_single_mode(
-    points: Sequence[ModePower], e1_j: BudgetLike, e2_j: BudgetLike
+    points: Sequence[ModePower], e1_j: float, e2_j: float
 ) -> tuple[ModePower, float]:
     """The single operating point that maximizes deliverable bits (the
     Fig 16 baseline: "the best of the three modes in isolation").
@@ -346,8 +337,6 @@ def best_single_mode(
     """
     if not points:
         raise InfeasibleOffloadError("no operating points available")
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
 
     def bits(p: ModePower) -> float:
         if e1_j <= 0.0 or e2_j <= 0.0:

@@ -1,11 +1,11 @@
-"""Attributed energy accounting (ledger, budgets, snapshots).
+"""Attributed energy accounting (ledger, accounts, snapshots).
 
-The one place joules are charged, attributed, and read.  See DESIGN.md §8
-for the ledger contract.
+The one place charged joules are attributed and read: a
+:class:`LedgerAccount` takes them through ``book`` and the planning
+layers take plain joules.  See DESIGN.md §8 for the ledger contract.
 """
 
 from ..hardware.battery import BatteryEmptyError
-from .budget import JOULES_PER_WATT_HOUR, BudgetLike, EnergyBudget, as_joules
 from .ledger import (
     CATEGORIES,
     LEGACY_CATEGORIES,
@@ -16,23 +16,17 @@ from .ledger import (
     LedgerAccount,
     LedgerSnapshot,
     conservation_residual_j,
-    merge_category_totals,
 )
 
 __all__ = [
     "AccountSnapshot",
     "BatteryEmptyError",
-    "BudgetLike",
     "CATEGORIES",
     "ChargeCategory",
-    "EnergyBudget",
     "EnergyLedger",
-    "JOULES_PER_WATT_HOUR",
     "LEGACY_CATEGORIES",
     "LedgerAccount",
     "LedgerSnapshot",
     "N_CATEGORIES",
-    "as_joules",
     "conservation_residual_j",
-    "merge_category_totals",
 ]

@@ -1,45 +1,35 @@
-"""The attributed energy ledger: the one place joules are charged.
+"""The attributed energy ledger: where every charged joule went.
 
 Braidio's headline claim is *power-proportional communication* — the
 interesting quantity is not "how many joules were spent" but "where they
 went": carrier generation vs. receive chain vs. mode switching vs. idle
-draw.  The ledger makes that attribution first-class.  Every consumer
-that used to drain a :class:`~repro.hardware.battery.Battery` directly or
-sum ad-hoc energy scalars now routes through a :class:`LedgerAccount`:
+draw.  The ledger makes that attribution first-class.  Each device's
+:class:`LedgerAccount` holds one slot per :class:`ChargeCategory` and
+the legacy metered total (what ``SessionMetrics.energy_a_j`` has always
+reported), and ``book(c, j, metered_j, ack_j, credit_j)`` is the one way
+joules enter it: one packet's (or idle gap's, mode switch's or injected
+fault's) side in one call — ``j`` to category ``c``, its ACK and
+harvest-credit joules, and its metered total.
 
-* ``drain(j)``   — remove joules from the backing battery (raising
-  :class:`~repro.hardware.battery.BatteryEmptyError` exactly as the
-  battery always has);
-* ``note(c, j)`` — attribute joules to a :class:`ChargeCategory`;
-* ``meter(j)``   — accumulate the account's legacy metered total (what
-  ``SessionMetrics.energy_a_j`` has always reported);
-* ``book(c, j, metered_j, ack_j, credit_j)`` — one packet's side in one
-  call: its air (or idle) category, its ACK and harvest-credit joules and
-  its metered total, the same float additions ``note``/``meter`` would
-  make;
-* ``record``/``charge`` — fused conveniences for non-hot-path callers.
+Booking never drains: the call sites drain the backing
+:class:`~repro.hardware.battery.Battery` themselves.  The simulator's
+historical accounting is *not* battery-conservative on edge paths (the
+packet that kills a battery is metered even though the drain failed, and
+switch energy drains batteries but never counted toward the per-device
+totals).  Keeping the drain apart lets the call sites preserve those
+semantics bit-for-bit while the category breakdown rides along.
 
-Draining stays separate from attribution and metering on purpose: the
-simulator's historical accounting is *not* battery-conservative on edge
-paths (the packet that kills a battery is metered even though the drain
-failed, and switch energy drains batteries but never counted toward the
-per-device totals).  Keeping the drain apart lets the call sites
-preserve those semantics bit-for-bit while the category breakdown rides
-along; the session loops drain the backing batteries directly.
-
-Hot-path contract (see DESIGN.md §8): every primitive is O(1), touches
-only pre-allocated storage, and allocates nothing.  Snapshots and
-breakdowns are O(accounts × categories) and intended for end-of-session
-reads, not per-packet use.
+Hot-path contract (see DESIGN.md §8): ``book`` is O(1), touches only
+pre-allocated storage, and allocates nothing.  Snapshots are
+O(accounts × categories) and intended for end-of-session reads, not
+per-packet use.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
-
-from .budget import EnergyBudget
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hardware.battery import Battery
@@ -277,42 +267,7 @@ class LedgerAccount:
         battery = self._battery
         return None if battery is None else battery.remaining_j
 
-    def budget(self) -> EnergyBudget:
-        """An :class:`EnergyBudget` view of the backing battery.
-
-        Raises:
-            RuntimeError: for metering-only accounts.
-        """
-        battery = self._battery
-        if battery is None:
-            raise RuntimeError(f"account {self.name!r} has no battery to budget")
-        return EnergyBudget.from_battery(battery, source=self.name)
-
-    # -- hot-path primitives (O(1), no allocation) ---------------------
-
-    def drain(self, joules: float) -> None:
-        """Remove joules from the backing battery.
-
-        Metering-only accounts validate the amount but store nothing.
-
-        Raises:
-            ValueError: for negative amounts.
-            BatteryEmptyError: if the drain exceeds the remaining charge
-                (the battery is left empty, exactly as before).
-        """
-        battery = self._battery
-        if battery is not None:
-            battery.drain_energy(joules)
-        elif joules < 0.0:
-            raise ValueError(f"cannot drain a negative amount: {joules!r}")
-
-    def note(self, category: int, joules: float) -> None:
-        """Attribute joules to a category (no battery, no metered total)."""
-        self._categories[category] += joules
-
-    def meter(self, joules: float) -> None:
-        """Accumulate the legacy metered total (no battery, no category)."""
-        self._metered_j += joules
+    # -- the one booking call (O(1), no allocation) --------------------
 
     def book(
         self,
@@ -322,50 +277,20 @@ class LedgerAccount:
         ack_j: float = 0.0,
         credit_j: float = 0.0,
     ) -> None:
-        """Book one packet's (or idle gap's) side of the ledger in one
-        call: ``joules`` to ``category``, ``ack_j`` to ``ACK``,
-        ``credit_j`` to ``HARVEST_CREDIT`` and ``metered_j`` to the
-        metered total (no battery).
+        """Book one packet's (or idle gap's, mode switch's or fault's)
+        side of the ledger in one call: ``joules`` to ``category``,
+        ``ack_j`` to ``ACK``, ``credit_j`` to ``HARVEST_CREDIT`` and
+        ``metered_j`` to the metered total (no battery).
 
-        Each slot gets the addition ``note``/``meter`` would give it.  A
-        zero amount changes no slot, so the call matches a sequence that
-        skipped the zero ``note`` calls, provided ``category`` is
-        neither ``ACK`` nor ``HARVEST_CREDIT``.
+        Every slot gets its addition, zero amounts included.  Slots start
+        at ``0.0`` and hold sums of non-negative joules, so adding a zero
+        changes no bit of them.
         """
         slots = self._categories
         slots[category] += joules
         slots[_ACK] += ack_j
         slots[_HARVEST_CREDIT] += credit_j
         self._metered_j += metered_j
-
-    # -- fused conveniences --------------------------------------------
-
-    def record(
-        self, category: int, joules: float, metered: "Optional[bool]" = None
-    ) -> None:
-        """Attribute and (by default) meter in one call.
-
-        ``metered`` defaults to everything except ``MODE_SWITCH``, whose
-        energy has never counted toward the per-device totals.
-        """
-        self._categories[category] += joules
-        if metered is None:
-            metered = category != ChargeCategory.MODE_SWITCH
-        if metered:
-            self._metered_j += joules
-
-    def charge(
-        self, category: int, joules: float, metered: "Optional[bool]" = None
-    ) -> None:
-        """Drain the battery, attribute and meter: the one-stop call for
-        call sites without legacy edge-path semantics to preserve.
-
-        Raises:
-            BatteryEmptyError: propagated from the battery; nothing is
-                attributed or metered in that case.
-        """
-        self.drain(joules)
-        self.record(category, joules, metered)
 
     # -- views ----------------------------------------------------------
 
@@ -388,10 +313,6 @@ class LedgerAccount:
             else:
                 total += self._categories[index]
         return total
-
-    def breakdown(self) -> Dict[ChargeCategory, float]:
-        """Category -> attributed joules (a copy)."""
-        return {c: self._categories[c] for c in CATEGORIES}
 
     def snapshot(self) -> AccountSnapshot:
         """Freeze the account state."""
@@ -476,18 +397,11 @@ class EnergyLedger:
         """
         return self._accounts[name]
 
-    def __getitem__(self, name: str) -> LedgerAccount:
-        return self._accounts[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._accounts
 
     def __iter__(self) -> Iterator[LedgerAccount]:
         return iter(self._accounts.values())
-
-    def accounts(self) -> Tuple[LedgerAccount, ...]:
-        """All accounts in creation order."""
-        return tuple(self._accounts.values())
 
     # -- pooled legacy counters -----------------------------------------
 
@@ -514,10 +428,6 @@ class EnergyLedger:
     def category_total_j(self, category: int) -> float:
         """Attributed joules in one category, summed across accounts."""
         return sum(account.category_j(category) for account in self)
-
-    def breakdown(self) -> Dict[str, Dict[ChargeCategory, float]]:
-        """Account name -> category -> joules."""
-        return {account.name: account.breakdown() for account in self}
 
     def snapshot(self) -> LedgerSnapshot:
         """Freeze the whole ledger."""
@@ -556,13 +466,3 @@ def conservation_residual_j(
         return None
     return (initial_j - remaining) - account.attributed_j
 
-
-def merge_category_totals(
-    totals: "Mapping[str, float] | None", snapshot: LedgerSnapshot
-) -> Dict[str, float]:
-    """Fold a snapshot's category totals into a running label -> joules
-    mapping (used when embedding ledger state in campaign manifests)."""
-    merged: Dict[str, float] = dict(totals) if totals else {}
-    for label, value in snapshot.category_totals().items():
-        merged[label] = merged.get(label, 0.0) + value
-    return merged

@@ -3,10 +3,9 @@
 The injector owns a private random stream so its draws (ACK-corruption
 coin flips) never perturb the simulator's link RNG: an armed session
 consumes exactly the same link-stream values as an unarmed one.  Both
-kinds of fault stream come from one derivation — the same
-``SeedSequence`` spawn-key discipline as :mod:`repro.runtime.seeding`,
-under a domain word of their own and keyed by content, never by worker
-identity or execution order:
+kinds of fault stream come from :mod:`repro.runtime.seeding`'s one
+derivation, ``content_rng``, under a domain word of their own and keyed
+by content, never by worker identity or execution order:
 
 * a pair plan's stream by the plan's fingerprint, so a (seed, plan)
   pair always produces the same fault stream;
@@ -24,13 +23,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..runtime.seeding import content_rng, content_seed_sequence
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .region import RegionFaultPlan
-
-#: Number of 32-bit words of the plan fingerprint folded into the key.
-_FINGERPRINT_WORDS = 4
 
 #: Domain-separation word so fault streams can never collide with the
 #: campaign job streams derived off the same root seed.
@@ -42,30 +39,14 @@ _FAULT_DOMAIN = 0xFA0175
 _REGION_FAULT_DOMAIN = 0xD401FA
 
 
-def _domain_seed_sequence(
-    domain: int, fingerprint: str, seed: int
-) -> np.random.SeedSequence:
-    """Child of the root ``seed`` whose spawn key is ``domain`` plus the
-    low words of the hex ``fingerprint``."""
-    root = np.random.SeedSequence(seed)
-    digest = int(fingerprint, 16)
-    words = tuple(
-        (digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS)
-    )
-    return np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (domain,) + words,
-    )
-
-
 def fault_seed_sequence(plan: FaultPlan, seed: int = 0) -> np.random.SeedSequence:
     """Child sequence for one (seed, plan) pair, derived content-addressed."""
-    return _domain_seed_sequence(_FAULT_DOMAIN, plan.fingerprint(), seed)
+    return content_seed_sequence(plan.fingerprint(), seed, _FAULT_DOMAIN)
 
 
 def fault_rng(plan: FaultPlan, seed: int = 0) -> np.random.Generator:
     """Fresh deterministic generator for one (seed, plan) pair."""
-    return np.random.default_rng(fault_seed_sequence(plan, seed))
+    return content_rng(plan.fingerprint(), seed, _FAULT_DOMAIN)
 
 
 def region_fault_rng(
@@ -79,6 +60,4 @@ def region_fault_rng(
     salted = hashlib.sha256(
         f"{scenario_fingerprint}:{plan.fingerprint()}:{label}".encode("utf-8")
     ).hexdigest()
-    return np.random.default_rng(
-        _domain_seed_sequence(_REGION_FAULT_DOMAIN, salted, seed)
-    )
+    return content_rng(salted, seed, _REGION_FAULT_DOMAIN)

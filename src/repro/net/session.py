@@ -506,9 +506,9 @@ class HubSession:
                 except BatteryEmptyError:
                     self._retire_or_finish(client)
                     return
-                client_account.note(_MODE_SWITCH, cost.tx_j)
-                shared_account.note(_MODE_SWITCH, cost.rx_j)
-                hub_account.note(_MODE_SWITCH, cost.rx_j)
+                client_account.book(_MODE_SWITCH, cost.tx_j, 0.0)
+                shared_account.book(_MODE_SWITCH, cost.rx_j, 0.0)
+                hub_account.book(_MODE_SWITCH, cost.rx_j, 0.0)
                 metrics.ledger.pool_switch(cost.total_j)
                 metrics.mode_switches += 1
             last_modes[name] = mode

@@ -30,8 +30,18 @@ def campaign_seed_sequence(campaign_seed: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence(campaign_seed)
 
 
+def _key_words(fingerprint: str, domain: "int | None") -> "tuple[int, ...]":
+    """The spawn-key words: ``domain`` (when given), then the low words
+    of the hex ``fingerprint``."""
+    digest = int(fingerprint, 16)
+    words = tuple(
+        (digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS)
+    )
+    return words if domain is None else (domain,) + words
+
+
 def content_seed_sequence(
-    fingerprint: str, campaign_seed: int = 0
+    fingerprint: str, campaign_seed: int = 0, domain: "int | None" = None
 ) -> np.random.SeedSequence:
     """Child sequence keyed by an arbitrary hex content fingerprint.
 
@@ -40,22 +50,22 @@ def content_seed_sequence(
     derives an order-independent stream from it.  Equivalent to spawning
     a child off the campaign root whose spawn key is the fingerprint
     (rather than a sequential index), so the derivation is independent of
-    execution order.
+    execution order.  A ``domain`` word, when given, leads the spawn key,
+    so a subsystem's streams (fault injection's) never collide with
+    another's keyed by the same fingerprint.
     """
     root = campaign_seed_sequence(campaign_seed)
-    digest = int(fingerprint, 16)
-    words = tuple(
-        (digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS)
-    )
     return np.random.SeedSequence(
         entropy=root.entropy,
-        spawn_key=root.spawn_key + words,
+        spawn_key=root.spawn_key + _key_words(fingerprint, domain),
     )
 
 
-def content_rng(fingerprint: str, campaign_seed: int = 0) -> np.random.Generator:
-    """``default_rng(content_seed_sequence(fingerprint, campaign_seed))``,
-    built in about half the time.
+def content_rng(
+    fingerprint: str, campaign_seed: int = 0, domain: "int | None" = None
+) -> np.random.Generator:
+    """``default_rng(content_seed_sequence(fingerprint, campaign_seed,
+    domain))``, built in about half the time.
 
     A SeedSequence mixes its pool from one assembled word array: the
     32-bit words of its entropy, zero-padded to the pool size when a
@@ -75,8 +85,7 @@ def content_rng(fingerprint: str, campaign_seed: int = 0) -> np.random.Generator
         words.append(rest & 0xFFFFFFFF)
         rest >>= 32
     words.extend([0] * (_POOL_WORDS - len(words)))
-    digest = int(fingerprint, 16)
-    words.extend((digest >> (32 * i)) & 0xFFFFFFFF for i in range(_FINGERPRINT_WORDS))
+    words.extend(_key_words(fingerprint, domain))
     entropy = np.array(words, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

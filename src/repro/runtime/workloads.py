@@ -33,18 +33,16 @@ _BUDGET_MEMO_MAX = 64
 
 
 @functools.lru_cache(maxsize=_BUDGET_MEMO_MAX)
-def _energy_budget(device_name: str):
-    """The :class:`~repro.energy.EnergyBudget` of a fresh catalog device.
+def _energy_budget(device_name: str) -> float:
+    """The joules of a fresh catalog device's nameplate battery.
 
-    Numerically identical to the former raw ``battery_wh * 3600`` float —
-    the lifetime entry points coerce the view back via ``as_joules``.
-    Memoized by name: the budget is frozen, so every cell that names the
-    device shares one.
+    Memoized by name, so the cells that name a device skip the catalog
+    lookup.
     """
-    from ..energy import EnergyBudget
+    from ..hardware.battery import JOULES_PER_WATT_HOUR
     from ..hardware.devices import device
 
-    return EnergyBudget.from_device(device(device_name))
+    return device(device_name).battery_wh * JOULES_PER_WATT_HOUR
 
 
 @register_job_runner("gain.bluetooth")

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.modes import LinkMode
 from ..core.offload import OffloadSolution, best_single_mode, solve_offload
-from ..energy import BudgetLike, as_joules
 from ..core.regimes import LinkMap
 from ..hardware.baselines import BluetoothBaseline
 from ..hardware.power_models import ModePower
@@ -85,15 +84,13 @@ class LifetimeResult:
 
 
 def braidio_unidirectional(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> LifetimeResult:
     """Bits a Braidio pair delivers one-way before a battery dies.
 
     Raises:
         InfeasibleOffloadError: if no mode operates at ``distance_m``.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     link_map = link_map if link_map is not None else LinkMap()
     points = link_map.available_powers(distance_m)
     solution = _solve_offload(link_map, points, e1_j, e2_j)
@@ -114,7 +111,7 @@ def braidio_unidirectional(
 
 
 def braidio_bidirectional(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> LifetimeResult:
     """Bits delivered with equal data in both directions (Scenario 2),
     the paper's method: Eq 1 is solved independently per direction (each
@@ -125,8 +122,6 @@ def braidio_bidirectional(
     A jointly optimized variant (strictly better on the diagonal) is
     available as :func:`braidio_bidirectional_joint`.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     link_map = link_map if link_map is not None else LinkMap()
     points = link_map.available_powers(distance_m)
     if e1_j <= 0.0 or e2_j <= 0.0:
@@ -162,7 +157,7 @@ def braidio_bidirectional(
 
 
 def braidio_bidirectional_joint(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> LifetimeResult:
     """Jointly optimized bidirectional transfer (an extension beyond the
     paper): maximize total bits M = sum(w) + sum(x), where w_i are A->B
@@ -173,8 +168,6 @@ def braidio_bidirectional_joint(
     method (~2x vs 1.43x over Bluetooth) by running *both* directions in
     passive mode, so each device only powers a carrier while talking.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     link_map = link_map if link_map is not None else LinkMap()
     points = link_map.available_powers(distance_m)
     return _bidirectional_lp(points, e1_j, e2_j)
@@ -248,8 +241,8 @@ def _bidirectional_lp(
 
 
 def braidio_unidirectional_harvesting(
-    e1_j: BudgetLike,
-    e2_j: BudgetLike,
+    e1_j: float,
+    e2_j: float,
     distance_m: float = 0.3,
     link_map: LinkMap | None = None,
     harvester=None,
@@ -263,8 +256,6 @@ def braidio_unidirectional_harvesting(
     range the transmitter side of the backscatter mode becomes free and
     the achievable asymmetry widens beyond 1:2546.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     from ..hardware.harvesting import RfHarvester
     from ..hardware.power_models import ModePower
 
@@ -316,8 +307,8 @@ class DemandLifetime:
 
 
 def lifetime_at_demand(
-    e1_j: BudgetLike,
-    e2_j: BudgetLike,
+    e1_j: float,
+    e2_j: float,
     demand_bps: float,
     distance_m: float = 0.3,
     link_map: LinkMap | None = None,
@@ -337,8 +328,6 @@ def lifetime_at_demand(
         ValueError: for non-positive demand or demand beyond the mix's
             air rate.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     if demand_bps <= 0.0:
         raise ValueError("demand must be positive")
     if any(p < 0.0 for p in sleep_power_w):
@@ -376,11 +365,9 @@ def lifetime_at_demand(
 
 
 def bluetooth_unidirectional(
-    e1_j: BudgetLike, e2_j: BudgetLike, baseline: BluetoothBaseline | None = None
+    e1_j: float, e2_j: float, baseline: BluetoothBaseline | None = None
 ) -> float:
     """Bits a symmetric Bluetooth pair delivers one-way."""
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     baseline = baseline or BluetoothBaseline()
     if e1_j <= 0.0 or e2_j <= 0.0:
         return 0.0
@@ -390,15 +377,13 @@ def bluetooth_unidirectional(
 
 
 def bluetooth_bidirectional(
-    e1_j: BudgetLike, e2_j: BudgetLike, baseline: BluetoothBaseline | None = None
+    e1_j: float, e2_j: float, baseline: BluetoothBaseline | None = None
 ) -> float:
     """Bits a Bluetooth pair delivers with equal data each way.
 
     Each device spends (T + R)/2 per delivered bit on average; the smaller
     battery binds.
     """
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     baseline = baseline or BluetoothBaseline()
     if e1_j <= 0.0 or e2_j <= 0.0:
         return 0.0
@@ -407,11 +392,9 @@ def bluetooth_bidirectional(
 
 
 def best_single_mode_unidirectional(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> tuple[LinkMode, float]:
     """The Fig 16 baseline: bits under the best pure mode."""
-    e1_j = as_joules(e1_j)
-    e2_j = as_joules(e2_j)
     link_map = link_map if link_map is not None else LinkMap()
     points = link_map.available_powers(distance_m)
     point, bits = best_single_mode(points, e1_j, e2_j)
@@ -419,7 +402,7 @@ def best_single_mode_unidirectional(
 
 
 def braidio_gain_over_bluetooth(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> float:
     """Fig 15 cell value: Braidio bits / Bluetooth bits, one-way."""
     braidio = braidio_unidirectional(e1_j, e2_j, distance_m, link_map).total_bits
@@ -428,7 +411,7 @@ def braidio_gain_over_bluetooth(
 
 
 def braidio_gain_over_best_mode(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> float:
     """Fig 16 cell value: Braidio bits / best-single-mode bits."""
     braidio = braidio_unidirectional(e1_j, e2_j, distance_m, link_map).total_bits
@@ -437,7 +420,7 @@ def braidio_gain_over_best_mode(
 
 
 def braidio_bidirectional_gain(
-    e1_j: BudgetLike, e2_j: BudgetLike, distance_m: float = 0.3, link_map: LinkMap | None = None
+    e1_j: float, e2_j: float, distance_m: float = 0.3, link_map: LinkMap | None = None
 ) -> float:
     """Fig 17 cell value: bidirectional Braidio bits / Bluetooth bits."""
     braidio = braidio_bidirectional(e1_j, e2_j, distance_m, link_map).total_bits

@@ -119,7 +119,13 @@ class CommunicationSession:
         self._a = device_a
         self._b = device_b
         self._link = link
-        self._policies = {0: policy_ab, 1: policy_ba if policy_ba is not None else policy_ab}
+        policy_ba = policy_ba if policy_ba is not None else policy_ab
+        # Each distinct policy once, with the first direction it serves:
+        # start, reboots and energy updates visit these in this order.
+        if policy_ba is policy_ab:
+            self._distinct_policies = ((0, policy_ab),)
+        else:
+            self._distinct_policies = ((0, policy_ab), (1, policy_ba))
         self._traffic = traffic if traffic is not None else SaturatedTraffic()
         self._apply_switch_costs = apply_switch_costs
         self._max_packets = max_packets
@@ -170,8 +176,8 @@ class CommunicationSession:
         battery_a = account_a.battery
         battery_b = account_b.battery
         self._sides = (
-            (account_a, account_b, battery_a, battery_b, self._policies[0]),
-            (account_b, account_a, battery_b, battery_a, self._policies[1]),
+            (account_a, account_b, battery_a, battery_b, policy_ab),
+            (account_b, account_a, battery_b, battery_a, policy_ba),
         )
 
     @property
@@ -217,15 +223,7 @@ class CommunicationSession:
         """
         if self._finished:
             return
-        started: set[int] = set()
-        for direction, policy in self._policies.items():
-            if id(policy) in started:
-                continue
-            started.add(id(policy))
-            tx, rx = self._endpoints(direction)
-            policy.start(
-                self._link.distance_m, tx.battery.remaining_j, rx.battery.remaining_j
-            )
+        self._start_policies()
         self._last_mode = None
         self.metrics.reboots += 1
 
@@ -240,14 +238,11 @@ class CommunicationSession:
         if self._finished:
             return
         target = self.ledger.account(account)
-        target.note(_FAULT, joules)
+        target.book(_FAULT, joules, 0.0)
         try:
-            target.drain(joules)
+            target.battery.drain_energy(joules)
         except BatteryEmptyError:
             self._terminate("battery")
-
-    def _endpoints(self, direction: int) -> tuple[BraidioRadio, BraidioRadio]:
-        return self._endpoint_pairs[direction]
 
     def start(self) -> None:
         """Negotiate policies and schedule the first packet.
@@ -258,16 +253,14 @@ class CommunicationSession:
         (``BraidioPolicy``) are direction-specific: bidirectional sessions
         must pass a separate ``policy_ba``.
         """
-        started: set[int] = set()
-        for direction, policy in self._policies.items():
-            if id(policy) in started:
-                continue
-            started.add(id(policy))
-            tx, rx = self._endpoints(direction)
-            policy.start(
-                self._link.distance_m, tx.battery.remaining_j, rx.battery.remaining_j
-            )
+        self._start_policies()
         self._sim.schedule_in(0.0, self._send_packet)
+
+    def _start_policies(self) -> None:
+        distance_m = self._link.distance_m
+        for direction, policy in self._distinct_policies:
+            tx, rx = self._endpoint_pairs[direction]
+            policy.start(distance_m, tx.battery.remaining_j, rx.battery.remaining_j)
 
     def run(self) -> SessionMetrics:
         """Start (if needed) and run the kernel until the session stops."""
@@ -308,8 +301,10 @@ class CommunicationSession:
         sim = self._sim
         link = self._link
         packet_success = link.packet_success
-        traffic = self._traffic
-        direction_for_packet = traffic.direction_for_packet
+        # A pattern's gap and burst length are constants; one-way traffic
+        # (no bursts) always sends from device A.
+        gap_s = self._traffic.gap_s
+        burst_packets = self._traffic.burst_packets
         sides = self._sides
         backscatter = LinkMode.BACKSCATTER  # an enum lookup costs ~0.1 us
         metrics = self.metrics
@@ -340,7 +335,10 @@ class CommunicationSession:
                 self._terminate("packets")
                 return
 
-            direction = direction_for_packet(self._packet_index)
+            if burst_packets is None:
+                direction = 0
+            else:
+                direction = (self._packet_index // burst_packets) % 2
             tx_account, rx_account, tx_battery, rx_battery, policy = sides[direction]
             decision = policy.next_packet()
             bitrate_bps = decision.bitrate_bps
@@ -368,8 +366,8 @@ class CommunicationSession:
                     except BatteryEmptyError:
                         self._terminate("battery")
                         return
-                    tx_account.note(_MODE_SWITCH, cost.tx_j)
-                    rx_account.note(_MODE_SWITCH, cost.rx_j)
+                    tx_account.book(_MODE_SWITCH, cost.tx_j, 0.0)
+                    rx_account.book(_MODE_SWITCH, cost.rx_j, 0.0)
                     ledger.pool_switch(cost.total_j)
                 metrics.mode_switches += 1
             self._last_mode = mode
@@ -477,7 +475,6 @@ class CommunicationSession:
             if self._packet_index % update_interval == 0 and not self._update_energy():
                 return
 
-            gap_s = traffic.gap_s(self._packet_index)
             if gap_s > 0.0 and not self._idle(gap_s):
                 return
             if resync_delay_s != 0.0:
@@ -491,12 +488,8 @@ class CommunicationSession:
         """Push fresh battery levels to every policy; ``False`` after
         terminating the session on an empty battery."""
         injector = self._injector
-        updated: set[int] = set()
-        for d, p in self._policies.items():
-            if id(p) in updated:
-                continue
-            updated.add(id(p))
-            d_tx, d_rx = self._endpoints(d)
+        for d, p in self._distinct_policies:
+            d_tx, d_rx = self._endpoint_pairs[d]
             if d_tx.battery.is_empty or d_rx.battery.is_empty:
                 self._terminate("battery")
                 return False

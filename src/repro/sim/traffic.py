@@ -4,6 +4,11 @@ The paper's experiments use two patterns: saturated one-way transfer
 (Scenario 1) and role-switching bidirectional transfer with equal data in
 both directions (Scenario 2).  A constant-bitrate source is included for
 duty-cycled scenarios beyond the paper's evaluation.
+
+A pattern states two constants that the session's serve loop reads once
+per chain of packets: ``gap_s``, the idle time after each packet, and
+``burst_packets``, the packets sent before the transmitter role switches
+(``None`` for one-way traffic, where device A always transmits).
 """
 
 from __future__ import annotations
@@ -22,19 +27,14 @@ class SaturatedTraffic:
 
     payload_bytes: int = 30
 
+    #: One-way: device A always transmits.
+    burst_packets = None
+    #: Saturated: no idle time between packets.
+    gap_s = 0.0
+
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0:
             raise ValueError("payload must be positive")
-
-    def direction_for_packet(self, index: int) -> int:
-        """0 = A transmits (always, for one-way traffic)."""
-        if index < 0:
-            raise ValueError("packet index must be non-negative")
-        return 0
-
-    def gap_s(self, index: int) -> float:
-        """Idle time before packet ``index``; saturated traffic has none."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,19 @@ class BidirectionalTraffic:
     payload_bytes: int = 30
     burst_packets: int = 64
 
+    #: Saturated bursts: no idle time between packets.
+    gap_s = 0.0
+
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0 or self.burst_packets <= 0:
             raise ValueError("payload and burst size must be positive")
 
     def direction_for_packet(self, index: int) -> int:
-        """0 when device A transmits, 1 when device B transmits."""
+        """0 when device A transmits packet ``index``, 1 when device B
+        does (the session's serve loop computes this inline)."""
         if index < 0:
             raise ValueError("packet index must be non-negative")
         return (index // self.burst_packets) % 2
-
-    def gap_s(self, index: int) -> float:
-        """Idle time before packet ``index``; none for saturated bursts."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,18 @@ class ConstantBitrateTraffic:
     offered_bps: float = 10_000.0
     link_bps: float = 1_000_000.0
 
+    #: One-way: device A always transmits.
+    burst_packets = None
+
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0:
             raise ValueError("payload must be positive")
         if not 0.0 < self.offered_bps <= self.link_bps:
             raise ValueError("offered rate must be positive and below the link rate")
 
-    def direction_for_packet(self, index: int) -> int:
-        """0 = A transmits (one-way)."""
-        if index < 0:
-            raise ValueError("packet index must be non-negative")
-        return 0
-
-    def gap_s(self, index: int) -> float:
+    @property
+    def gap_s(self) -> float:
         """Idle gap sized so payload averages ``offered_bps``."""
-        if index < 0:
-            raise ValueError("packet index must be non-negative")
         payload_bits = 8 * self.payload_bytes
         on_air_s = payload_bits / self.link_bps
         period_s = payload_bits / self.offered_bps

@@ -1,13 +1,11 @@
 """Unit tests for the dynamic offload controller (§4.2 runtime)."""
 
-import numpy as np
 import pytest
 
 from repro.core.controller import DynamicOffloadController
 from repro.core.modes import LinkMode
 from repro.core.offload import InfeasibleOffloadError
 from repro.core.regimes import Regime
-from repro.energy import EnergyBudget
 
 
 class TestPlanning:
@@ -243,11 +241,11 @@ class TestAdaptation:
         controller.update_energy(1.0, 2.0)
         assert controller.replans == replans + 1
 
-    def test_update_energy_accepts_budget_views(self):
+    def test_update_energy_replans_on_the_new_joules(self):
         controller = DynamicOffloadController()
         controller.start(0.3, 1.0, 1.0)
         replans = controller.replans
-        controller.update_energy(EnergyBudget(1.0), np.float64(2.0))
+        controller.update_energy(1.0, 2.0)
         assert controller.replans == replans + 1
         assert controller.plan.solution.energy_ratio == 0.5
 

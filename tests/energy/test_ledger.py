@@ -13,9 +13,15 @@ from repro.energy import (
     EnergyLedger,
     LedgerAccount,
     conservation_residual_j,
-    merge_category_totals,
 )
 from repro.hardware.battery import Battery
+
+
+def _charge(account, category, joules):
+    """Drain the backing battery, then attribute and meter the joules, as
+    the session loops book a packet side that survives its drain."""
+    account.battery.drain_energy(joules)
+    account.book(category, joules, joules)
 
 
 class TestChargeCategory:
@@ -33,10 +39,10 @@ class TestChargeCategory:
 class TestAccounts:
     def test_for_pair_layout(self):
         ledger = EnergyLedger.for_pair(label_a="tag", label_b="reader")
-        assert [a.name for a in ledger.accounts()] == ["a", "b"]
+        assert [a.name for a in ledger] == ["a", "b"]
         assert ledger.account("a").label == "tag"
         assert "b" in ledger
-        assert ledger["b"].label == "reader"
+        assert ledger.account("b").label == "reader"
 
     def test_duplicate_account_rejected(self):
         ledger = EnergyLedger.for_pair()
@@ -55,78 +61,37 @@ class TestAccounts:
         with pytest.raises(RuntimeError):
             account.bind_battery(Battery(1.0))
 
-    def test_budget_requires_battery(self):
+    def test_remaining_j_reads_the_bound_battery(self):
         account = LedgerAccount("a")
-        with pytest.raises(RuntimeError):
-            account.budget()
+        assert account.remaining_j is None
         account.bind_battery(Battery(1.0))
-        budget = account.budget()
-        assert budget.available_j == 3600.0
-        assert budget.source == "a"
+        assert account.remaining_j == 3600.0
 
 
 class TestPrimitives:
-    def test_drain_hits_battery(self):
+    def test_book_never_drains(self):
         battery = Battery(1.0)
         account = LedgerAccount("a", battery)
-        account.drain(100.0)
-        assert battery.remaining_j == pytest.approx(3500.0)
-        assert account.metered_j == 0.0  # drain alone never meters
+        account.book(ChargeCategory.TX_AIR, 100.0, 100.0)
+        assert battery.remaining_j == 3600.0
 
-    def test_drain_propagates_battery_empty(self):
-        battery = Battery(1e-6)
-        account = LedgerAccount("a", battery)
-        with pytest.raises(BatteryEmptyError):
-            account.drain(1.0)
-        assert battery.is_empty
-
-    def test_metering_only_drain_validates(self):
+    def test_category_and_metered_amounts_are_independent(self):
         account = LedgerAccount("a")
-        account.drain(5.0)  # no store: accepted, nothing recorded
-        with pytest.raises(ValueError):
-            account.drain(-1.0)
-
-    def test_note_and_meter_are_independent(self):
-        account = LedgerAccount("a")
-        account.note(ChargeCategory.TX_AIR, 2.0)
-        account.meter(3.0)
+        account.book(ChargeCategory.TX_AIR, 2.0, 3.0)
         assert account.category_j(ChargeCategory.TX_AIR) == 2.0
         assert account.metered_j == 3.0
 
-    def test_record_meters_by_default(self):
-        account = LedgerAccount("a")
-        account.record(ChargeCategory.RX_AIR, 1.5)
-        assert account.metered_j == 1.5
-
-    def test_record_mode_switch_not_metered(self):
+    def test_mode_switch_booking_is_not_metered(self):
         # Switch energy drains batteries but has never counted toward
-        # the per-device session totals.
+        # the per-device session totals: the loops book it unmetered.
         account = LedgerAccount("a")
-        account.record(ChargeCategory.MODE_SWITCH, 1.0)
+        account.book(ChargeCategory.MODE_SWITCH, 1.0, 0.0)
         assert account.category_j(ChargeCategory.MODE_SWITCH) == 1.0
-        assert account.metered_j == 0.0
-        account.record(ChargeCategory.MODE_SWITCH, 1.0, metered=True)
-        assert account.metered_j == 1.0
-
-    def test_charge_drains_and_records(self):
-        battery = Battery(1.0)
-        account = LedgerAccount("a", battery)
-        account.charge(ChargeCategory.ACK, 10.0)
-        assert battery.remaining_j == pytest.approx(3590.0)
-        assert account.category_j(ChargeCategory.ACK) == 10.0
-        assert account.metered_j == 10.0
-
-    def test_failed_charge_attributes_nothing(self):
-        account = LedgerAccount("a", Battery(1e-6))
-        with pytest.raises(BatteryEmptyError):
-            account.charge(ChargeCategory.TX_AIR, 1.0)
-        assert account.category_j(ChargeCategory.TX_AIR) == 0.0
         assert account.metered_j == 0.0
 
     def test_attributed_subtracts_harvest_credit(self):
         account = LedgerAccount("a")
-        account.note(ChargeCategory.TX_AIR, 5.0)
-        account.note(ChargeCategory.HARVEST_CREDIT, 2.0)
+        account.book(ChargeCategory.TX_AIR, 5.0, 0.0, credit_j=2.0)
         assert account.attributed_j == pytest.approx(3.0)
 
 
@@ -138,42 +103,72 @@ _AIR_CATEGORIES = (
     ChargeCategory.IDLE,
     ChargeCategory.RETRANSMIT,
 )
+#: The categories booked with no metered total: mode switches and faults.
+_UNMETERED_CATEGORIES = (ChargeCategory.MODE_SWITCH, ChargeCategory.FAULT)
 _JOULES = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(1e-12, 10.0))
 
+_ACK = int(ChargeCategory.ACK)
+_HARVEST_CREDIT = int(ChargeCategory.HARVEST_CREDIT)
 
-def _old_booking(account, category, joules, metered_j, ack_j, credit_j):
-    """A packet side as the session loop booked it before ``book``: one
-    ``note`` per non-zero component, then ``meter``."""
-    account.note(category, joules)
-    if credit_j != 0.0:
-        account.note(ChargeCategory.HARVEST_CREDIT, credit_j)
-    if ack_j != 0.0:
-        account.note(ChargeCategory.ACK, ack_j)
-    account.meter(metered_j)
+
+class _Reference:
+    """One account's slots and metered total as the session loops added
+    to them before ``book``: a packet side added its category joules,
+    then its harvest credit and its ACK joules only when non-zero, then
+    its metered total; a mode switch or a fault added its category
+    joules alone."""
+
+    def __init__(self, name="a"):
+        self.name = name
+        self.slots = [0.0] * N_CATEGORIES
+        self.metered_j = 0.0
+
+    def packet_side(self, category, joules, metered_j, ack_j=0.0, credit_j=0.0):
+        self.slots[category] += joules
+        if credit_j != 0.0:
+            self.slots[_HARVEST_CREDIT] += credit_j
+        if ack_j != 0.0:
+            self.slots[_ACK] += ack_j
+        self.metered_j += metered_j
+
+    def unmetered(self, category, joules):
+        self.slots[category] += joules
+
+    def comparable_state(self):
+        return (self.name, self.metered_j, tuple(self.slots))
+
+
+_PACKET_SIDES = st.tuples(
+    st.just("packet"), st.sampled_from(_AIR_CATEGORIES), _JOULES, _JOULES, _JOULES, _JOULES
+)
+_UNMETERED_SIDES = st.tuples(
+    st.just("unmetered"), st.sampled_from(_UNMETERED_CATEGORIES), _JOULES
+)
 
 
 class TestBook:
-    """``book`` against the ``note``/``meter`` sequence it replaces."""
+    """``book`` against the additions the session loops made before it."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(_AIR_CATEGORIES), _JOULES, _JOULES, _JOULES, _JOULES),
-            max_size=40,
-        )
-    )
-    def test_book_equals_the_note_and_meter_sequence(self, sides):
-        booked, noted = LedgerAccount("a"), LedgerAccount("a")
-        for category, joules, metered_j, ack_j, credit_j in sides:
-            booked.book(category, joules, metered_j, ack_j, credit_j)
-            _old_booking(noted, category, joules, metered_j, ack_j, credit_j)
+    @given(st.lists(st.one_of(_PACKET_SIDES, _UNMETERED_SIDES), max_size=40))
+    def test_book_equals_the_reference_additions(self, sides):
+        booked, reference = LedgerAccount("a"), _Reference()
+        for side in sides:
+            if side[0] == "packet":
+                _, category, joules, metered_j, ack_j, credit_j = side
+                booked.book(category, joules, metered_j, ack_j, credit_j)
+                reference.packet_side(category, joules, metered_j, ack_j, credit_j)
+            else:
+                _, category, joules = side
+                booked.book(category, joules, 0.0)
+                reference.unmetered(category, joules)
         # repr tells -0.0 from 0.0 and compares every float exactly.
-        assert repr(booked.comparable_state()) == repr(noted.comparable_state())
+        assert repr(booked.comparable_state()) == repr(reference.comparable_state())
 
     def test_defaults_book_no_ack_and_no_credit(self):
         account = LedgerAccount("a")
         account.book(ChargeCategory.IDLE, 2.0, 2.0)
-        assert account.breakdown()[ChargeCategory.IDLE] == 2.0
+        assert account.category_j(ChargeCategory.IDLE) == 2.0
         assert account.category_j(ChargeCategory.ACK) == 0.0
         assert account.category_j(ChargeCategory.HARVEST_CREDIT) == 0.0
         assert account.metered_j == 2.0
@@ -186,34 +181,37 @@ class TestBook:
     def test_fatal_packet_matches_the_old_sequence(self, tx_j, rx_j):
         """Both sides are booked before either drains, the tx side drains
         first, and an empty battery leaves the same partial drain."""
+        ledger = EnergyLedger.for_pair(Battery(1.0 / 3600), Battery(2.0 / 3600))
+        tx_account, rx_account = ledger.account("a"), ledger.account("b")
 
-        def pair():
-            ledger = EnergyLedger.for_pair(Battery(1.0 / 3600), Battery(2.0 / 3600))
-            return ledger, ledger.account("a"), ledger.account("b")
+        # The reference: each side's additions, then the tx battery
+        # drained before the rx one, the first empty one left at zero.
+        ref_tx, ref_rx = _Reference("a"), _Reference("b")
+        ref_tx.packet_side(ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1)
+        ref_rx.packet_side(ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2)
+        ref_remaining = [tx_account.remaining_j, rx_account.remaining_j]
+        for index, joules in enumerate((tx_j + 0.1, rx_j + 0.2)):
+            if joules > ref_remaining[index]:
+                ref_remaining[index] = 0.0
+                break
+            ref_remaining[index] -= joules
 
-        old_ledger, old_tx, old_rx = pair()
-        _old_booking(old_tx, ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1, 0.0)
-        _old_booking(old_rx, ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2, 0.0)
+        tx_account.book(ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1)
+        rx_account.book(ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2)
         try:
-            old_tx.drain(tx_j + 0.1)
-            old_rx.drain(rx_j + 0.2)
-            old_died = False
+            tx_account.battery.drain_energy(tx_j + 0.1)
+            rx_account.battery.drain_energy(rx_j + 0.2)
+            died = False
         except BatteryEmptyError:
-            old_died = True
+            died = True
 
-        new_ledger, new_tx, new_rx = pair()
-        new_tx.book(ChargeCategory.TX_AIR, tx_j, tx_j + 0.1, 0.1)
-        new_rx.book(ChargeCategory.CARRIER, rx_j, rx_j + 0.2, 0.2)
-        try:
-            new_tx.battery.drain_energy(tx_j + 0.1)
-            new_rx.battery.drain_energy(rx_j + 0.2)
-            new_died = False
-        except BatteryEmptyError:
-            new_died = True
-
-        assert new_died == old_died == (tx_j > 0.9 or rx_j > 1.8)
-        assert new_ledger.comparable_state() == old_ledger.comparable_state()
-        assert new_ledger.snapshot() == old_ledger.snapshot()  # remaining charge too
+        assert died == (tx_j > 0.9 or rx_j > 1.8)
+        assert ledger.comparable_state() == (
+            (ref_tx.comparable_state(), ref_rx.comparable_state()),
+            0.0,
+            0.0,
+        )
+        assert [tx_account.remaining_j, rx_account.remaining_j] == ref_remaining
 
 
 class TestPools:
@@ -227,23 +225,23 @@ class TestPools:
 
     def test_category_total_across_accounts(self):
         ledger = EnergyLedger.for_pair()
-        ledger.account("a").note(ChargeCategory.IDLE, 1.0)
-        ledger.account("b").note(ChargeCategory.IDLE, 2.0)
+        ledger.account("a").book(ChargeCategory.IDLE, 1.0, 1.0)
+        ledger.account("b").book(ChargeCategory.IDLE, 2.0, 2.0)
         assert ledger.category_total_j(ChargeCategory.IDLE) == pytest.approx(3.0)
 
 
 class TestSnapshots:
     def _ledger(self):
         ledger = EnergyLedger.for_pair(Battery(1.0), label_a="tag")
-        ledger.account("a").charge(ChargeCategory.TX_AIR, 10.0)
-        ledger.account("b").record(ChargeCategory.CARRIER, 4.0)
+        _charge(ledger.account("a"), ChargeCategory.TX_AIR, 10.0)
+        ledger.account("b").book(ChargeCategory.CARRIER, 4.0, 4.0)
         ledger.pool_switch(0.5)
         return ledger
 
     def test_snapshot_is_frozen_copy(self):
         ledger = self._ledger()
         snap = ledger.snapshot()
-        ledger.account("a").charge(ChargeCategory.TX_AIR, 10.0)
+        _charge(ledger.account("a"), ChargeCategory.TX_AIR, 10.0)
         assert snap.account("a").category_j(ChargeCategory.TX_AIR) == 10.0
         assert snap.account("a").metered_j == 10.0
         assert snap.switch_pool_j == 0.5
@@ -288,25 +286,12 @@ class TestConservationHelper:
 
     def test_charge_based_account_balances(self):
         account = LedgerAccount("a", Battery(1.0))
-        account.charge(ChargeCategory.TX_AIR, 10.0)
-        account.charge(ChargeCategory.ACK, 2.5)
+        _charge(account, ChargeCategory.TX_AIR, 10.0)
+        _charge(account, ChargeCategory.ACK, 2.5)
         assert conservation_residual_j(account, 3600.0) == pytest.approx(0.0)
 
     def test_unbacked_attribution_shows_up(self):
         account = LedgerAccount("a", Battery(1.0))
-        account.record(ChargeCategory.TX_AIR, 10.0)  # attributed, not drained
+        account.book(ChargeCategory.TX_AIR, 10.0, 10.0)  # attributed, not drained
         assert conservation_residual_j(account, 3600.0) == pytest.approx(-10.0)
 
-
-class TestMergeCategoryTotals:
-    def test_merges_into_running_totals(self):
-        ledger = EnergyLedger.for_pair()
-        ledger.account("a").note(ChargeCategory.TX_AIR, 1.0)
-        merged = merge_category_totals({"tx_air": 2.0}, ledger.snapshot())
-        assert merged["tx_air"] == pytest.approx(3.0)
-        assert merged["idle"] == 0.0
-
-    def test_none_starts_fresh(self):
-        ledger = EnergyLedger.for_pair()
-        ledger.account("b").note(ChargeCategory.IDLE, 1.0)
-        assert merge_category_totals(None, ledger.snapshot())["idle"] == 1.0

@@ -49,3 +49,16 @@ def test_job_rng_is_the_job_seed_sequence_generator(seed):
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="-1"):
         content_rng("ab" * 32, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**33 + 5])
+@pytest.mark.parametrize("domain", [0xFA0175, 0xD401FA])
+def test_a_domain_word_leads_the_key_on_both_paths(seed, domain):
+    for text in ("a", "region0:storm"):
+        fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        sequence = content_seed_sequence(fingerprint, seed, domain)
+        assert sequence.spawn_key[0] == domain
+        assert sequence.spawn_key[1:] == content_seed_sequence(fingerprint, seed).spawn_key
+        expected = np.random.default_rng(sequence).random(8).tolist()
+        assert content_rng(fingerprint, seed, domain).random(8).tolist() == expected
+        assert content_rng(fingerprint, seed).random(8).tolist() != expected

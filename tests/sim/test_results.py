@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.modes import LinkMode
+from repro.energy import ChargeCategory
 from repro.sim.results import SessionMetrics
 
 
@@ -39,8 +40,8 @@ class TestDerivedQuantities:
     def test_energy_per_bit(self):
         metrics = SessionMetrics()
         metrics.record_packet(LinkMode.ACTIVE, 1000, True)
-        metrics.ledger.account("a").meter(1e-3)
-        metrics.ledger.account("b").meter(1e-3)
+        metrics.ledger.account("a").book(ChargeCategory.TX_AIR, 1e-3, 1e-3)
+        metrics.ledger.account("b").book(ChargeCategory.RX_AIR, 1e-3, 1e-3)
         assert metrics.energy_per_delivered_bit_j == pytest.approx(2e-6)
 
     def test_goodput(self):
@@ -51,8 +52,8 @@ class TestDerivedQuantities:
 
     def test_total_energy(self):
         metrics = SessionMetrics()
-        metrics.ledger.account("a").meter(1.0)
-        metrics.ledger.account("b").meter(2.0)
+        metrics.ledger.account("a").book(ChargeCategory.TX_AIR, 1.0, 1.0)
+        metrics.ledger.account("b").book(ChargeCategory.RX_AIR, 2.0, 2.0)
         assert metrics.total_energy_j == 3.0
 
 
