@@ -30,7 +30,7 @@ def campaign_seed_sequence(campaign_seed: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence(campaign_seed)
 
 
-def _key_words(fingerprint: str, domain: "int | None") -> "tuple[int, ...]":
+def _key_words(fingerprint: str, domain: int | None) -> tuple[int, ...]:
     """The spawn-key words: ``domain`` (when given), then the low words
     of the hex ``fingerprint``."""
     digest = int(fingerprint, 16)
@@ -41,7 +41,7 @@ def _key_words(fingerprint: str, domain: "int | None") -> "tuple[int, ...]":
 
 
 def content_seed_sequence(
-    fingerprint: str, campaign_seed: int = 0, domain: "int | None" = None
+    fingerprint: str, campaign_seed: int = 0, domain: int | None = None
 ) -> np.random.SeedSequence:
     """Child sequence keyed by an arbitrary hex content fingerprint.
 
@@ -62,7 +62,7 @@ def content_seed_sequence(
 
 
 def content_rng(
-    fingerprint: str, campaign_seed: int = 0, domain: "int | None" = None
+    fingerprint: str, campaign_seed: int = 0, domain: int | None = None
 ) -> np.random.Generator:
     """``default_rng(content_seed_sequence(fingerprint, campaign_seed,
     domain))``, built in about half the time.
