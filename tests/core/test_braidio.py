@@ -55,6 +55,16 @@ class TestPlanTransfer:
             energy_ratio, rel=1e-6
         )
 
+    def test_plans_from_the_joules_left_in_each_battery(self):
+        watch = BraidioRadio.for_device("Apple Watch", charge_fraction=0.5)
+        phone = BraidioRadio.for_device("iPhone 6S")
+        phone.battery.drain_energy(1000.0)
+        plan = plan_transfer(watch, phone, distance_m=0.5)
+        tx_j = watch.battery.remaining_j
+        rx_j = phone.battery.remaining_j
+        assert plan.total_bits == plan.plan.solution.total_bits(tx_j, rx_j)
+        assert plan.plan.solution.energy_ratio == tx_j / rx_j
+
     def test_beyond_range_raises(self):
         a = BraidioRadio.for_device("Apple Watch")
         b = BraidioRadio.for_device("iPhone 6S")

@@ -249,6 +249,12 @@ class TestAdaptation:
         assert controller.replans == replans + 1
         assert controller.plan.solution.energy_ratio == 0.5
 
+    def test_update_energy_takes_integer_joules(self):
+        controller = DynamicOffloadController()
+        controller.start(0.3, 1, 1)
+        controller.update_energy(1, 2)
+        assert controller.plan.solution.energy_ratio == 0.5
+
     def test_update_energy_rejects_dead_batteries(self):
         controller = DynamicOffloadController()
         controller.start(0.3, 1.0, 1.0)

@@ -98,6 +98,15 @@ class TestValidation:
         solution = solve_offload(_full_mode_set(), 1.0, 1.0)
         assert solution.total_bits(0.0, 1.0) == 0.0
 
+    def test_integer_joules_plan_like_floats(self):
+        # The planners take joules as numbers and coerce nothing.
+        points = _full_mode_set()
+        solution = solve_offload(points, 7200, 3600)
+        assert solution == solve_offload(points, 7200.0, 3600.0)
+        assert solution.total_bits(7200, 3600) == solution.total_bits(
+            7200.0, 3600.0
+        )
+
 
 class TestLinprogCrossValidation:
     @given(

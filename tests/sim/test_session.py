@@ -10,6 +10,7 @@ import pytest
 from repro.core.braidio import BraidioRadio
 from repro.core.modes import LinkMode
 from repro.core.regimes import LinkMap
+from repro.energy import ChargeCategory
 from repro.hardware.battery import Battery
 from repro.sim.link import SimulatedLink
 from repro.sim.policies import BluetoothPolicy, BraidioPolicy, FixedModePolicy
@@ -140,6 +141,35 @@ class TestEnergyAccounting:
         )
         metrics = session.run()
         assert metrics.switch_energy_j == 0.0
+
+
+class TestStepDrain:
+    def test_books_the_fault_and_drains_without_metering(self):
+        session, _, b = _session(BraidioPolicy(), max_packets=100)
+        initial_b = b.battery.remaining_j
+        session.apply_step_drain("b", 1.0)
+        account = session.ledger.account("b")
+        assert account.category_j(ChargeCategory.FAULT) == 1.0
+        assert account.metered_j == 0.0
+        assert b.battery.remaining_j == pytest.approx(initial_b - 1.0)
+        assert session.metrics.terminated_by == ""
+
+    def test_drain_past_empty_ends_the_session(self):
+        # The fault is attributed before the drain, so the whole amount
+        # is booked even though the battery held less.
+        session, a, _ = _session(BraidioPolicy(), max_packets=100)
+        session.apply_step_drain("a", 10.0)
+        assert a.battery.is_empty
+        assert session.metrics.terminated_by == "battery"
+        assert session.metrics.fault_energy_j == 10.0
+
+    def test_ignored_once_the_session_ended(self):
+        session, _, b = _session(BraidioPolicy(), max_packets=10)
+        session.run()
+        remaining_b = b.battery.remaining_j
+        session.apply_step_drain("b", 1.0)
+        assert b.battery.remaining_j == remaining_b
+        assert session.metrics.fault_energy_j == 0.0
 
 
 class TestModeUsage:
